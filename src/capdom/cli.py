@@ -158,6 +158,8 @@ def _gen(args) -> int:
 
 
 def _td(args) -> int:
+    if args.action == "validate" and args.td_file is None:
+        raise _Usage("td validate needs a decomposition file")
     inst = fileio.load_instance(_read(args.instance))
     if args.action == "compute":
         td = treewidth.heuristic_decomposition(inst)
@@ -278,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     td.add_argument("action", choices=["compute", "validate", "nice"])
     td.add_argument("instance")
     td.add_argument("td_file", nargs="?")
-    td.add_argument("--td", dest="td_file_flag", help=argparse.SUPPRESS)
     td.add_argument("-o", "--output")
 
     bench = sub.add_parser("bench", help="greedy-vs-exact ratio table as CSV")
@@ -300,8 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "td_file_flag", None) and not getattr(args, "td_file", None):
-        args.td_file = args.td_file_flag
     try:
         if args.command == "solve":
             return _solve(args)

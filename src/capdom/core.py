@@ -122,6 +122,11 @@ class Instance:
         return sum(a.demand for a in self.attrs)
 
 
+def ceil_div(a: int, b: int) -> int:
+    """ceil(a / b) for integers, b > 0."""
+    return -(-a // b)
+
+
 def closed_neighborhood(inst: Instance, v: int) -> frozenset[int]:
     """N(v) together with v itself."""
     if not 1 <= v <= inst.n:
@@ -294,7 +299,7 @@ def minimum_multiplicities(
         c = inst.capacity(server)
         if c == 0:
             raise ZeroCapacityServer(server)
-        multiplicity[server] = -(-load[server] // c)
+        multiplicity[server] = ceil_div(load[server], c)
     cost = sum(inst.weight(v) * x for v, x in multiplicity.items())
     clean = {pair: amt for pair, amt in sorted(assignment.items()) if amt > 0}
     return Solution(multiplicity, clean, cost)

@@ -23,6 +23,7 @@ from .core import (
     InfeasibleInstance,
     Instance,
     Solution,
+    ceil_div,
     is_feasible,
     minimum_multiplicities,
 )
@@ -92,10 +93,6 @@ class GreedyResult:
         return [t.line() for t in self.trace]
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def _add(assignment: dict[tuple[int, int], int], consumer: int, server: int, amount: int):
     if amount > 0:
         key = (consumer, server)
@@ -125,7 +122,7 @@ def unsplit_efficiency(inst: Instance, state: GreedyState, u: int) -> Efficiency
     prefix = 0
     for i, v in enumerate(candidates, 1):
         prefix += inst.demand(v)
-        num, den = i, w * _ceil_div(prefix, c)
+        num, den = i, w * ceil_div(prefix, c)
         if best is None or num * best[1] >= best[0] * den:
             best = (num, den, i)
     return EfficiencyQuote(u, best[2], best[0], best[1])
@@ -217,7 +214,7 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
             _add(state.partial_assignment, v, u, inst.demand(v))
             prefix += inst.demand(v)
             state.undominated.discard(v)
-        iter_cost = inst.weight(u) * _ceil_div(prefix, inst.capacity(u))
+        iter_cost = inst.weight(u) * ceil_div(prefix, inst.capacity(u))
         state.running_cost += iter_cost
         trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
     solution = minimum_multiplicities(inst, state.partial_assignment)

@@ -25,6 +25,7 @@ from .core import (
     InfeasibleInstance,
     Instance,
     Solution,
+    ceil_div,
     is_feasible,
 )
 from .greedy import greedy_splittable, greedy_unsplittable
@@ -57,10 +58,6 @@ class CostBoundExceeded(CapdomError):
     def __init__(self, bound: int | None):
         super().__init__(f"no solution with cost <= {bound}")
         self.bound = bound
-
-
-def _ceil(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 class _Dinic:
@@ -222,7 +219,7 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
         nonlocal cost_int, cost_frac, pending
         if i == len(consumers):
             vec = tuple(
-                _ceil(loads[v], inst.capacity(v)) if v in loads else 0
+                ceil_div(loads[v], inst.capacity(v)) if v in loads else 0
                 for v in inst.vertices()
             )
             if cost_int < incumbent_cost or (
@@ -245,7 +242,7 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
                 raise BudgetExhausted(nodes, incumbent)
             c, w = inst.capacity(u), inst.weight(u)
             old_load = loads.get(u, 0)
-            delta_int = w * (_ceil(old_load + d, c) - _ceil(old_load, c))
+            delta_int = w * (ceil_div(old_load + d, c) - ceil_div(old_load, c))
             frac_step = Fraction(w * d, c)
             pending_step = min_rate[v] * d
             cost_int += delta_int
@@ -292,7 +289,7 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
     max_copies = [
         0
         if inst.capacity(v) == 0
-        else _ceil(
+        else ceil_div(
             sum(inst.demand(u) for u in inst.closed_neighborhood(v)),
             inst.capacity(v),
         )

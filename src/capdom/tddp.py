@@ -22,6 +22,7 @@ from .core import (
     InfeasibleInstance,
     Instance,
     Solution,
+    ceil_div,
     is_feasible,
     minimum_multiplicities,
 )
@@ -55,10 +56,6 @@ def _insert(table: DPTable, key: Key, cost: int, triples: tuple[Triple, ...], pr
         table.rows[key] = DPRow(cost, triples, prev)
 
 
-def _ceil(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def _spare(load: int, c: int) -> int:
     # Unused capacity of the ceil(load/c) copies holding the load.
     return (-load) % c if c > 0 else 0
@@ -78,7 +75,7 @@ def dp_leaf(inst: Instance, v: int, model: DemandModel) -> DPTable:
         else:
             _insert(table, ((), (0,)), 0, (), ())
             if c > 0:
-                _insert(table, ((v,), (_spare(d, c),)), w * _ceil(d, c), ((v, v, d),), ())
+                _insert(table, ((v,), (_spare(d, c),)), w * ceil_div(d, c), ((v, v, d),), ())
     else:
         if d == 0:
             _insert(table, ((0,), (0,)), 0, (), ())
@@ -89,7 +86,7 @@ def dp_leaf(inst: Instance, v: int, model: DemandModel) -> DPTable:
                     _insert(
                         table,
                         ((d - amount,), (_spare(amount, c),)),
-                        w * _ceil(amount, c),
+                        w * ceil_div(amount, c),
                         ((v, v, amount),),
                         (),
                     )
@@ -167,7 +164,7 @@ def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -
                     yield key, 0, ()
                     if du > 0 and u not in state:
                         spare = rc[idx]
-                        dcost = wv * _ceil(max(0, du - spare), cv)
+                        dcost = wv * ceil_div(max(0, du - spare), cv)
                         rc2 = rc[:idx] + ((spare - du) % cv,) + rc[idx + 1 :]
                         yield (tuple(sorted(state + (u,))), rc2), dcost, ((u, v, du),)
             else:
@@ -176,7 +173,7 @@ def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -
                     yield key, 0, ()
                     spare = rc[idx]
                     for take in range(1, state[pos] + 1):
-                        dcost = wv * _ceil(max(0, take - spare), cv)
+                        dcost = wv * ceil_div(max(0, take - spare), cv)
                         rc2 = rc[:idx] + ((spare - take) % cv,) + rc[idx + 1 :]
                         state2 = state[:pos] + (state[pos] - take,) + state[pos + 1 :]
                         yield (state2, rc2), dcost, ((u, v, take),)
@@ -197,7 +194,7 @@ def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -
                 for pos, s in server_pos:
                     cs = inst.capacity(s)
                     spare = rc[pos]
-                    dcost = inst.weight(s) * _ceil(max(0, dv - spare), cs)
+                    dcost = inst.weight(s) * ceil_div(max(0, dv - spare), cs)
                     rc2 = rc[:pos] + ((spare - dv) % cs,) + rc[pos + 1 :]
                     yield (served, rc2), dcost, ((v, s, dv),)
 
@@ -212,7 +209,7 @@ def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -
                 yield key, 0, ()
                 spare = rc[pos]
                 for give in range(1, state[idx] + 1):
-                    dcost = ws * _ceil(max(0, give - spare), cs)
+                    dcost = ws * ceil_div(max(0, give - spare), cs)
                     rc2 = rc[:pos] + ((spare - give) % cs,) + rc[pos + 1 :]
                     state2 = state[:idx] + (state[idx] - give,) + state[idx + 1 :]
                     yield (state2, rc2), dcost, ((v, s, give),)
@@ -254,6 +251,16 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable, bag: tuple[int, ...] 
 
     Rows combine when no positive demand is served twice; spare capacities
     add, and every completed copy u refunds w(u).
+
+    Whether two rows combine depends only on their served-states, so rows
+    are bucketed by state and each pair of states is tested once; every row
+    of a left bucket then meets every row of each compatible right bucket.
+    Spare merges depend only on the two spare vectors and are memoized per
+    join.  The work grows with compatible state pairs times their
+    spare-vector pairs, not with all row pairs.  Pairs are visited in
+    sorted (left key, right key) order and only a strictly cheaper pair
+    replaces a row, so keys, costs, back-pointers and row order are those
+    of a plain double loop over the sorted keys.
     """
     if left.bag != right.bag or left.model is not right.model:
         raise ValueError("join needs sibling tables over the same bag and model")
@@ -264,36 +271,67 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable, bag: tuple[int, ...] 
     weights = [inst.weight(u) for u in vs]
     demands = [inst.demand(u) for u in vs]
     unsplit = left.model is DemandModel.UNSPLITTABLE
-    table = DPTable(left.model, vs, {})
-    left_keys = sorted(left.rows)
-    right_keys = sorted(right.rows)
-    for k1 in left_keys:
-        state1, rc1 = k1
-        cost1 = left.rows[k1].cost
-        served1 = set(state1) if unsplit else None
-        for k2 in right_keys:
-            state2, rc2 = k2
-            if unsplit:
-                overlap = served1 & set(state2)
-                if any(demands[vs.index(u)] > 0 for u in overlap):
-                    continue
-                merged_state = tuple(sorted(served1 | set(state2)))
+    positive = {u for u, d in zip(vs, demands) if d > 0}
+
+    def buckets(table: DPTable) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], int, Key]]]:
+        # state -> [(spare vector, cost, key)], both levels in sorted key order
+        out: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, Key]]] = {}
+        for key in sorted(table.rows):
+            out.setdefault(key[0], []).append((key[1], table.rows[key].cost, key))
+        return out
+
+    def merge_states(state1: tuple[int, ...], state2: tuple[int, ...]) -> tuple[int, ...] | None:
+        if unsplit:
+            if not positive.intersection(state1).isdisjoint(state2):
+                return None
+            return tuple(sorted(set(state1).union(state2)))
+        merged = tuple(a + b - d for a, b, d in zip(state1, state2, demands))
+        return None if any(x < 0 for x in merged) else merged
+
+    def merge_spares(rc1: tuple[int, ...], rc2: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        refund = 0
+        rc_merged = []
+        for s1, s2, c, w in zip(rc1, rc2, caps, weights):
+            if c > 0:
+                refund += w * ((s1 + s2) // c)
+                rc_merged.append((s1 + s2) % c)
             else:
-                merged = [a + b - d for a, b, d in zip(state1, state2, demands)]
-                if any(x < 0 for x in merged):
-                    continue
-                merged_state = tuple(merged)
-            refund = 0
-            rc_merged = []
-            for s1, s2, c, w in zip(rc1, rc2, caps, weights):
-                if c > 0:
-                    refund += w * ((s1 + s2) // c)
-                    rc_merged.append((s1 + s2) % c)
-                else:
-                    rc_merged.append(0)
-            cost = cost1 + right.rows[k2].cost - refund
-            _insert(table, (merged_state, tuple(rc_merged)), cost, (), (k1, k2))
-    return table
+                rc_merged.append(0)
+        return refund, tuple(rc_merged)
+
+    right_buckets = buckets(right)
+    spares: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, tuple[int, ...]]]] = {}
+    # merged state -> merged spare vector -> (cost, left key, right key);
+    # `order` records each merged key when first reached.
+    best: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, Key, Key]]] = {}
+    order: list[Key] = []
+    for state1, rows1 in buckets(left).items():
+        partners = []
+        for state2, rows2 in right_buckets.items():
+            merged_state = merge_states(state1, state2)
+            if merged_state is not None:
+                partners.append((merged_state, rows2))
+        for rc1, cost1, k1 in rows1:
+            memo = spares.setdefault(rc1, {})
+            for merged_state, rows2 in partners:
+                out = best.setdefault(merged_state, {})
+                for rc2, cost2, k2 in rows2:
+                    merged = memo.get(rc2)
+                    if merged is None:
+                        merged = memo[rc2] = merge_spares(rc1, rc2)
+                    refund, rc = merged
+                    cost = cost1 + cost2 - refund
+                    old = out.get(rc)
+                    if old is None:
+                        order.append((merged_state, rc))
+                        out[rc] = (cost, k1, k2)
+                    elif cost < old[0]:
+                        out[rc] = (cost, k1, k2)
+    rows = {}
+    for state, rc in order:
+        cost, k1, k2 = best[state][rc]
+        rows[(state, rc)] = DPRow(cost, (), (k1, k2))
+    return DPTable(left.model, vs, rows)
 
 
 def solve_td(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> Solution:

@@ -133,6 +133,10 @@ class TestTd:
         td_path.write_text("s td 2 1 3\nb 1 1\nb 2 3\n1 2\n")
         assert run("td", "validate", p3_file, td_path) == 1
 
+    def test_validate_without_file_is_usage_error(self, p3_file, capsys):
+        assert run("td", "validate", p3_file) == 2
+        assert "decomposition file" in capsys.readouterr().err
+
 
 class TestBench:
     def test_csv_schema_and_bounds(self, tmp_path):

@@ -1,13 +1,27 @@
+import dataclasses
+import random
+
 import pytest
 
+from capdom import tddp
 from capdom.core import (
     DemandModel,
     InfeasibleInstance,
+    Instance,
     random_instance,
     verify_solution,
 )
 from capdom.oracle import exact_splittable, exact_unsplittable
-from capdom.tddp import EmptyTable, dp_forget, dp_introduce, dp_join, dp_leaf, solve_td
+from capdom.tddp import (
+    DPRow,
+    DPTable,
+    EmptyTable,
+    dp_forget,
+    dp_introduce,
+    dp_join,
+    dp_leaf,
+    solve_td,
+)
 from capdom.treewidth import (
     decomposition_from_order,
     heuristic_decomposition,
@@ -22,6 +36,52 @@ SPLIT = DemandModel.SPLITTABLE
 
 def nice_for(inst):
     return make_nice(heuristic_decomposition(inst))
+
+
+def reference_join(inst, left, right, bag=None):
+    """The plain join over every pair of sorted row keys, one check per pair.
+
+    Slow reference for `dp_join`, which must build exactly this table:
+    the same keys in the same order, with the same costs and back-pointers.
+    """
+    if left.bag != right.bag or left.model is not right.model:
+        raise ValueError("join needs sibling tables over the same bag and model")
+    if bag is not None and tuple(sorted(bag)) != left.bag:
+        raise ValueError("bag does not match the children")
+    vs = left.bag
+    caps = [inst.capacity(u) for u in vs]
+    weights = [inst.weight(u) for u in vs]
+    demands = [inst.demand(u) for u in vs]
+    unsplit = left.model is DemandModel.UNSPLITTABLE
+    rows = {}
+    for k1 in sorted(left.rows):
+        state1, rc1 = k1
+        served1 = set(state1)
+        for k2 in sorted(right.rows):
+            state2, rc2 = k2
+            if unsplit:
+                overlap = served1 & set(state2)
+                if any(demands[vs.index(u)] > 0 for u in overlap):
+                    continue
+                merged_state = tuple(sorted(served1 | set(state2)))
+            else:
+                merged = [a + b - d for a, b, d in zip(state1, state2, demands)]
+                if any(x < 0 for x in merged):
+                    continue
+                merged_state = tuple(merged)
+            refund = 0
+            rc_merged = []
+            for s1, s2, c, w in zip(rc1, rc2, caps, weights):
+                if c > 0:
+                    refund += w * ((s1 + s2) // c)
+                    rc_merged.append((s1 + s2) % c)
+                else:
+                    rc_merged.append(0)
+            key = (merged_state, tuple(rc_merged))
+            cost = left.rows[k1].cost + right.rows[k2].cost - refund
+            if key not in rows or cost < rows[key].cost:
+                rows[key] = DPRow(cost, (), (k1, k2))
+    return DPTable(left.model, vs, rows)
 
 
 class TestLeaf:
@@ -134,6 +194,49 @@ class TestJoin:
         a = DPTable(UNSPLIT, (1,), {((1,), (0,)): DPRow(6, (), ())})
         merged = dp_join(inst, a, a, (1,))
         assert merged.rows == {}
+
+    def test_zero_demand_overlap_combines(self):
+        # vertex 1 has no demand, so both sides may mark it served; vertex 2
+        # has demand, so a side serving it only pairs with a side that does not
+        inst = mk([(1, 2, 0), (1, 2, 1)], [(1, 2)])
+        a = DPTable(UNSPLIT, (1, 2), {
+            ((1,), (0, 0)): DPRow(1, (), ()),
+            ((1, 2), (0, 0)): DPRow(2, (), ()),
+        })
+        b = DPTable(UNSPLIT, (1, 2), {
+            ((1,), (0, 0)): DPRow(3, (), ()),
+            ((1, 2), (0, 0)): DPRow(4, (), ()),
+        })
+        merged = dp_join(inst, a, b, (1, 2))
+        assert merged.rows == {
+            ((1,), (0, 0)): DPRow(4, (), (((1,), (0, 0)), ((1,), (0, 0)))),
+            ((1, 2), (0, 0)): DPRow(5, (), (((1,), (0, 0)), ((1, 2), (0, 0)))),
+        }
+        assert merged.rows == reference_join(inst, a, b, (1, 2)).rows
+
+    @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
+    def test_every_join_equals_reference(self, model, monkeypatch):
+        # weights, capacities and demands in [0,3], zero weights included
+        fast = tddp.dp_join
+        joins = 0
+
+        def checked(inst, left, right, bag=None):
+            nonlocal joins
+            table = fast(inst, left, right, bag)
+            expected = reference_join(inst, left, right, bag)
+            assert list(table.rows.items()) == list(expected.rows.items())
+            joins += 1
+            return table
+
+        monkeypatch.setattr(tddp, "dp_join", checked)
+        for seed in range(60):
+            base = random_instance(7 + seed % 6, 0.2, 3, 3, 3, seed)
+            rng = random.Random(seed)
+            attrs = tuple(dataclasses.replace(a, weight=rng.randint(0, 3)) for a in base.attrs)
+            inst = Instance(base.n, attrs, base.edges)
+            sol = solve_td(inst, nice_for(inst), model)
+            assert verify_solution(inst, sol, model).passed
+        assert joins >= 100
 
 
 class TestSolve:

@@ -160,6 +160,8 @@ def _gen(args) -> int:
 def _td(args) -> int:
     if args.action == "validate" and args.td_file is None:
         raise _Usage("td validate needs a decomposition file")
+    if args.action == "compute" and args.td_file is not None:
+        raise _Usage("td compute takes no decomposition file; write one with -o")
     inst = fileio.load_instance(_read(args.instance))
     if args.action == "compute":
         td = treewidth.heuristic_decomposition(inst)

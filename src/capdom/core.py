@@ -64,6 +64,7 @@ class Instance:
     attrs: tuple[VertexAttrs, ...]
     edges: tuple[tuple[int, int], ...]
     adj: tuple[frozenset[int], ...] = field(compare=False, repr=False, default=())
+    closed: tuple[frozenset[int], ...] = field(compare=False, repr=False, init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -90,6 +91,9 @@ class Instance:
         object.__setattr__(
             self, "adj", tuple(frozenset(s) for s in neighbor_sets)
         )
+        object.__setattr__(
+            self, "closed", tuple(s | {v} for v, s in enumerate(self.adj))
+        )
         self._audit_overflow()
 
     def _audit_overflow(self):
@@ -113,7 +117,7 @@ class Instance:
         return self.adj[v]
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self.adj[v] | {v}
+        return self.closed[v]
 
     def vertices(self) -> range:
         return range(1, self.n + 1)

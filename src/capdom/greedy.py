@@ -12,10 +12,16 @@ They differ in how partially served demand is handled:
 
 Efficiency ratios are kept as exact integer fractions and compared by
 cross-multiplication; nothing here touches floating point.
+
+Each solver caches one quote per vertex.  A quote of u reads only the
+state of N[u], so after a pick only the closed neighborhoods of the
+vertices whose demand changed are re-quoted.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import (
     CapdomError,
@@ -166,11 +172,43 @@ def split_efficiency(inst: Instance, state: GreedyState, u: int) -> EfficiencyQu
     return EfficiencyQuote(u, j, numerator, common * inst.weight(u))
 
 
-def _pick_best(quotes: list[EfficiencyQuote]) -> EfficiencyQuote:
-    best = quotes[0]
-    for q in quotes[1:]:
-        if q.beats(best):
+def _unsplit_quote(inst: Instance, state: GreedyState, u: int) -> EfficiencyQuote | None:
+    if inst.capacity(u) == 0 or state.undominated.isdisjoint(inst.closed_neighborhood(u)):
+        return None
+    return unsplit_efficiency(inst, state, u)
+
+
+def _split_quote(inst: Instance, state: GreedyState, u: int) -> EfficiencyQuote | None:
+    if inst.capacity(u) == 0 or not any(
+        state.residue_demand.get(v, 0) > 0 for v in inst.closed_neighborhood(u)
+    ):
+        return None
+    return split_efficiency(inst, state, u)
+
+
+def _requote(
+    inst: Instance,
+    state: GreedyState,
+    quotes: list[EfficiencyQuote | None],
+    quote: Callable[[Instance, GreedyState, int], EfficiencyQuote | None],
+    changed: list[int],
+) -> None:
+    """Refresh the cached quotes of N[v] for every changed vertex v."""
+    dirty: set[int] = set()
+    for v in changed:
+        dirty |= inst.closed_neighborhood(v)
+    for u in dirty:
+        quotes[u] = quote(inst, state, u)
+
+
+def _pick_best(quotes: list[EfficiencyQuote | None]) -> EfficiencyQuote:
+    """The first maximum of the cached quotes, scanned in vertex order."""
+    best = None
+    for q in quotes:
+        if q is not None and (best is None or q.beats(best)):
             best = q
+    if best is None:
+        raise InfeasibleInstance("no selectable vertex covers the remaining demand")
     return best
 
 
@@ -186,22 +224,14 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
         running_cost=0,
         base_demand={v: inst.demand(v) for v in inst.vertices()},
     )
+    quotes = [None] + [_unsplit_quote(inst, state, u) for u in inst.vertices()]
     trace: list[TraceEntry] = []
     undominated_before: list[frozenset[int]] = []
     iteration = 0
     while state.undominated:
         iteration += 1
-        quotes = []
-        for u in inst.vertices():
-            if inst.capacity(u) == 0:
-                continue
-            if not (state.undominated & inst.closed_neighborhood(u)):
-                continue
-            q = unsplit_efficiency(inst, state, u)
-            if q is not None:
-                quotes.append(q)
-        if not quotes:
-            raise InfeasibleInstance("no selectable vertex covers the remaining demand")
+        if iteration > inst.n:
+            raise CapdomError("unsplittable greedy failed to make progress")
         best = _pick_best(quotes)
         u = best.vertex
         chosen = sorted(
@@ -217,6 +247,7 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
         iter_cost = inst.weight(u) * ceil_div(prefix, inst.capacity(u))
         state.running_cost += iter_cost
         trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
+        _requote(inst, state, quotes, _unsplit_quote, chosen)
     solution = minimum_multiplicities(inst, state.partial_assignment)
     return GreedyResult(
         solution,
@@ -229,20 +260,11 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
 def _split_iteration(
     inst: Instance,
     state: GreedyState,
+    quotes: list[EfficiencyQuote | None],
     iteration: int,
     trace: list[TraceEntry],
-) -> None:
-    """One first-greedy-choice step shared by the splittable variants."""
-    quotes = []
-    for u in inst.vertices():
-        if inst.capacity(u) == 0:
-            continue
-        if any(
-            state.residue_demand.get(v, 0) > 0 for v in inst.closed_neighborhood(u)
-        ):
-            quotes.append(split_efficiency(inst, state, u))
-    if not quotes:
-        raise InfeasibleInstance("no selectable vertex covers the remaining demand")
+) -> list[int]:
+    """One first-greedy-choice step; returns the vertices whose residue changed."""
     best = _pick_best(quotes)
     u = best.vertex
     c = inst.capacity(u)
@@ -260,9 +282,11 @@ def _split_iteration(
         state.residue_demand[first] = residue - c * copies
         state.map_sets[first] = {u}
         iter_cost = inst.weight(u) * copies
+        changed = [first]
     else:
+        changed = candidates[:j]
         assigned = 0
-        for v in candidates[:j]:
+        for v in changed:
             _add(state.partial_assignment, v, u, state.residue_demand[v])
             assigned += state.residue_demand[v]
             state.residue_demand[v] = 0
@@ -273,9 +297,55 @@ def _split_iteration(
                 _add(state.partial_assignment, nxt, u, spare)
                 state.residue_demand[nxt] -= spare
                 state.map_sets.setdefault(nxt, set()).add(u)
+                changed.append(nxt)
         iter_cost = inst.weight(u)
     state.running_cost += iter_cost
     trace.append(TraceEntry(iteration, u, j, iter_cost, 1))
+    return changed
+
+
+def _split_greedy(
+    inst: Instance,
+    state: GreedyState,
+    trace: list[TraceEntry],
+    repair: Callable[[GreedyState, list[int], int, list[TraceEntry]], None],
+) -> list[dict[int, int]]:
+    """Pick-and-repair loop shared by the splittable variants.
+
+    After each pick, repair(state, changed, iteration, trace) restores the
+    variant's residue invariant.  It may only zero residues of vertices in
+    changed, the vertices the pick touched, so re-quoting N[changed]
+    keeps every cached quote current.  Returns the boundary residues.
+    """
+    quotes = [None] + [_split_quote(inst, state, u) for u in inst.vertices()]
+    boundary: list[dict[int, int]] = []
+    iteration = 0
+    while any(state.residue_demand.values()):
+        iteration += 1
+        if iteration > inst.n + 1:
+            raise CapdomError("splittable greedy failed to make progress")
+        changed = _split_iteration(inst, state, quotes, iteration, trace)
+        repair(state, changed, iteration, trace)
+        boundary.append({v: r for v, r in state.residue_demand.items() if r > 0})
+        _requote(inst, state, quotes, _split_quote, changed)
+    return boundary
+
+
+def _double_below_half(
+    state: GreedyState, changed: list[int], iteration: int, trace: list[TraceEntry]
+) -> None:
+    # Only a vertex the pick touched can have dropped below half its demand.
+    below_half = [
+        v
+        for v in sorted(changed)
+        if 0 < 2 * state.residue_demand[v] < state.base_demand[v]
+    ]
+    assert len(below_half) <= 1, "at most one residue can cross the half mark"
+    for v in below_half:
+        for server in sorted(state.map_sets.get(v, ())):
+            state.partial_assignment[(v, server)] *= 2
+        state.residue_demand[v] = 0
+        trace.append(TraceEntry(iteration, v, len(state.map_sets.get(v, ())), 0, 2))
 
 
 def greedy_splittable(inst: Instance) -> GreedyResult:
@@ -296,25 +366,7 @@ def greedy_splittable(inst: Instance) -> GreedyResult:
         base_demand={v: inst.demand(v) for v in inst.vertices()},
     )
     trace: list[TraceEntry] = []
-    boundary: list[dict[int, int]] = []
-    iteration = 0
-    while any(state.residue_demand.values()):
-        iteration += 1
-        if iteration > inst.n + 1:
-            raise CapdomError("splittable greedy failed to make progress")
-        _split_iteration(inst, state, iteration, trace)
-        below_half = [
-            v
-            for v in sorted(state.residue_demand)
-            if 0 < 2 * state.residue_demand[v] < state.base_demand[v]
-        ]
-        assert len(below_half) <= 1, "at most one residue can cross the half mark"
-        for v in below_half:
-            for server in sorted(state.map_sets.get(v, ())):
-                state.partial_assignment[(v, server)] *= 2
-            state.residue_demand[v] = 0
-            trace.append(TraceEntry(iteration, v, len(state.map_sets.get(v, ())), 0, 2))
-        boundary.append({v: r for v, r in state.residue_demand.items() if r > 0})
+    boundary = _split_greedy(inst, state, trace, _double_below_half)
     solution = minimum_multiplicities(inst, state.partial_assignment)
     return GreedyResult(
         solution,
@@ -322,6 +374,28 @@ def greedy_splittable(inst: Instance) -> GreedyResult:
         boundary_residues=boundary,
         model=DemandModel.SPLITTABLE,
     )
+
+
+def _finish_partial(
+    best_neighbor: dict[int, int],
+    state: GreedyState,
+    changed: list[int],
+    iteration: int,
+    trace: list[TraceEntry],
+) -> None:
+    assert trace[-1].prefix_len >= 1, "rebased demands always fit one copy"
+    # Only a vertex the pick touched can be partially served.
+    partial = [
+        v
+        for v in sorted(changed)
+        if 0 < state.residue_demand[v] < state.base_demand[v]
+    ]
+    assert len(partial) <= 1, "at most one vertex is partially served per pick"
+    for v in partial:
+        g = best_neighbor[v]
+        _add(state.partial_assignment, v, g, state.residue_demand[v])
+        state.residue_demand[v] = 0
+        trace.append(TraceEntry(iteration, g, 0, 0, 2))
 
 
 def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
@@ -364,26 +438,9 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
         running_cost=phase0_cost,
         base_demand={v: r for v, r in residue.items() if r > 0},
     )
-    boundary: list[dict[int, int]] = []
-    iteration = 0
-    while any(state.residue_demand.values()):
-        iteration += 1
-        if iteration > inst.n + 1:
-            raise CapdomError("unweighted greedy failed to make progress")
-        _split_iteration(inst, state, iteration, trace)
-        assert trace[-1].prefix_len >= 1, "rebased demands always fit one copy"
-        partial = [
-            v
-            for v in sorted(state.residue_demand)
-            if 0 < state.residue_demand[v] < state.base_demand[v]
-        ]
-        assert len(partial) <= 1, "at most one vertex is partially served per pick"
-        for v in partial:
-            g = best_neighbor[v]
-            _add(state.partial_assignment, v, g, state.residue_demand[v])
-            state.residue_demand[v] = 0
-            trace.append(TraceEntry(iteration, g, 0, 0, 2))
-        boundary.append({v: r for v, r in state.residue_demand.items() if r > 0})
+    boundary = _split_greedy(
+        inst, state, trace, functools.partial(_finish_partial, best_neighbor)
+    )
     solution = minimum_multiplicities(inst, state.partial_assignment)
     return GreedyResult(
         solution,

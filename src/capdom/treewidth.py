@@ -111,28 +111,38 @@ def validate_td(inst: Instance, td: TreeDecomposition) -> TDReport:
 
 
 def min_fill_order(inst: Instance) -> list[int]:
-    """Elimination order greedily minimizing fill edges, ties by vertex id."""
+    """Elimination order greedily minimizing fill edges, ties by vertex id.
+
+    fill[v] counts the non-adjacent pairs in N(v).  It is kept by deltas:
+    eliminating x and adding the fill edges that make N(x) a clique only
+    moves the counts of N(x) and of the common neighbors of each new edge.
+    """
     adj: dict[int, set[int]] = {v: set(inst.neighbors(v)) for v in inst.vertices()}
+    fill = {
+        v: sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2 for v, nbrs in adj.items()
+    }
     order: list[int] = []
-    while adj:
-        best_v, best_fill = -1, None
-        for v in sorted(adj):
-            nbrs = sorted(adj[v])
-            fill = sum(
-                1
-                for i in range(len(nbrs))
-                for j in range(i + 1, len(nbrs))
-                if nbrs[j] not in adj[nbrs[i]]
-            )
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-        nbrs = adj.pop(best_v)
+    while fill:
+        _, x = min((f, v) for v, f in fill.items())
+        del fill[x]
+        nbrs = adj.pop(x)
         for a in nbrs:
-            adj[a].discard(best_v)
+            # x leaves N(a), and with it the pairs (x, b), b not in N(x)
+            adj[a].discard(x)
+            fill[a] -= len(adj[a] - nbrs)
+        for a in nbrs:
             for b in nbrs:
-                if a != b:
+                if a < b and b not in adj[a]:
+                    # (a, b) stops being a missing pair of every common
+                    # neighbor; a gains the missing pairs (b, c) for c in
+                    # N(a) \ N(b), and b the mirror ones
+                    for w in adj[a] & adj[b]:
+                        fill[w] -= 1
+                    fill[a] += len(adj[a] - adj[b])
+                    fill[b] += len(adj[b] - adj[a])
                     adj[a].add(b)
-        order.append(best_v)
+                    adj[b].add(a)
+        order.append(x)
     return order
 
 

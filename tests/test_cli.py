@@ -137,6 +137,13 @@ class TestTd:
         assert run("td", "validate", p3_file) == 2
         assert "decomposition file" in capsys.readouterr().err
 
+    def test_compute_with_second_file_is_usage_error(self, p3_file, tmp_path, capsys):
+        td_path = tmp_path / "p3.td"
+        assert run("td", "compute", p3_file, td_path) == 2
+        captured = capsys.readouterr()
+        assert "-o" in captured.err and captured.out == ""
+        assert not td_path.exists()
+
 
 class TestBench:
     def test_csv_schema_and_bounds(self, tmp_path):

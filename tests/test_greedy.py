@@ -1,12 +1,29 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
-from capdom.core import DemandModel, random_instance, verify_solution, with_demands
+from capdom import greedy
+from capdom.core import (
+    CapdomError,
+    DemandModel,
+    InfeasibleInstance,
+    Instance,
+    ceil_div,
+    is_feasible,
+    minimum_multiplicities,
+    random_instance,
+    verify_solution,
+    with_demands,
+)
 from capdom.greedy import (
+    GreedyResult,
     GreedyState,
     NoCandidates,
     NotUnweighted,
+    TraceEntry,
+    _add,
     greedy_splittable,
     greedy_unsplittable,
     greedy_unweighted_splittable,
@@ -281,3 +298,269 @@ class TestSolutionsAlwaysVerify:
         for line in result.trace_lines():
             parts = line.split()
             assert parts[0] == "t" and len(parts) == 6
+
+
+# Reference greedy solvers: the full-rescan bodies that re-quote every
+# vertex at every pick.  The package solvers must return equal results.
+
+
+def _reference_pick_best(quotes):
+    best = quotes[0]
+    for q in quotes[1:]:
+        if q.beats(best):
+            best = q
+    return best
+
+
+def reference_greedy_unsplittable(inst):
+    if not is_feasible(inst):
+        raise InfeasibleInstance("a vertex with demand has no usable server")
+    state = unsplit_state(inst)
+    trace = []
+    undominated_before = []
+    iteration = 0
+    while state.undominated:
+        iteration += 1
+        quotes = []
+        for u in inst.vertices():
+            if inst.capacity(u) == 0:
+                continue
+            if not (state.undominated & inst.closed_neighborhood(u)):
+                continue
+            q = unsplit_efficiency(inst, state, u)
+            if q is not None:
+                quotes.append(q)
+        if not quotes:
+            raise InfeasibleInstance("no selectable vertex covers the remaining demand")
+        best = _reference_pick_best(quotes)
+        u = best.vertex
+        chosen = sorted(
+            state.undominated & inst.closed_neighborhood(u),
+            key=lambda v: (inst.demand(v), v),
+        )[: best.prefix_len]
+        undominated_before.append(frozenset(state.undominated))
+        prefix = 0
+        for v in chosen:
+            _add(state.partial_assignment, v, u, inst.demand(v))
+            prefix += inst.demand(v)
+            state.undominated.discard(v)
+        iter_cost = inst.weight(u) * ceil_div(prefix, inst.capacity(u))
+        state.running_cost += iter_cost
+        trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
+    solution = minimum_multiplicities(inst, state.partial_assignment)
+    return GreedyResult(
+        solution, trace, undominated_before=undominated_before, model=UNSPLIT
+    )
+
+
+def _reference_split_iteration(inst, state, iteration, trace):
+    quotes = []
+    for u in inst.vertices():
+        if inst.capacity(u) == 0:
+            continue
+        if any(
+            state.residue_demand.get(v, 0) > 0 for v in inst.closed_neighborhood(u)
+        ):
+            quotes.append(split_efficiency(inst, state, u))
+    if not quotes:
+        raise InfeasibleInstance("no selectable vertex covers the remaining demand")
+    best = _reference_pick_best(quotes)
+    u = best.vertex
+    c = inst.capacity(u)
+    candidates = sorted(
+        (v for v in inst.closed_neighborhood(u) if state.residue_demand.get(v, 0) > 0),
+        key=lambda v: (state.base_demand[v], v),
+    )
+    j = best.prefix_len
+    if j == 0:
+        first = candidates[0]
+        residue = state.residue_demand[first]
+        assert residue > c
+        copies = residue // c
+        _add(state.partial_assignment, first, u, c * copies)
+        state.residue_demand[first] = residue - c * copies
+        state.map_sets[first] = {u}
+        iter_cost = inst.weight(u) * copies
+    else:
+        assigned = 0
+        for v in candidates[:j]:
+            _add(state.partial_assignment, v, u, state.residue_demand[v])
+            assigned += state.residue_demand[v]
+            state.residue_demand[v] = 0
+        if j < len(candidates):
+            spare = c - assigned
+            if spare > 0:
+                nxt = candidates[j]
+                _add(state.partial_assignment, nxt, u, spare)
+                state.residue_demand[nxt] -= spare
+                state.map_sets.setdefault(nxt, set()).add(u)
+        iter_cost = inst.weight(u)
+    state.running_cost += iter_cost
+    trace.append(TraceEntry(iteration, u, j, iter_cost, 1))
+
+
+def reference_greedy_splittable(inst):
+    if not is_feasible(inst):
+        raise InfeasibleInstance("a vertex with demand has no usable server")
+    state = GreedyState(
+        residue_demand={v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0},
+        undominated=set(),
+        map_sets={},
+        partial_assignment={},
+        running_cost=0,
+        base_demand={v: inst.demand(v) for v in inst.vertices()},
+    )
+    trace = []
+    boundary = []
+    iteration = 0
+    while any(state.residue_demand.values()):
+        iteration += 1
+        if iteration > inst.n + 1:
+            raise CapdomError("splittable greedy failed to make progress")
+        _reference_split_iteration(inst, state, iteration, trace)
+        below_half = [
+            v
+            for v in sorted(state.residue_demand)
+            if 0 < 2 * state.residue_demand[v] < state.base_demand[v]
+        ]
+        assert len(below_half) <= 1
+        for v in below_half:
+            for server in sorted(state.map_sets.get(v, ())):
+                state.partial_assignment[(v, server)] *= 2
+            state.residue_demand[v] = 0
+            trace.append(TraceEntry(iteration, v, len(state.map_sets.get(v, ())), 0, 2))
+        boundary.append({v: r for v, r in state.residue_demand.items() if r > 0})
+    solution = minimum_multiplicities(inst, state.partial_assignment)
+    return GreedyResult(solution, trace, boundary_residues=boundary, model=SPLIT)
+
+
+def reference_greedy_unweighted_splittable(inst):
+    if any(inst.weight(v) != 1 for v in inst.vertices()):
+        raise NotUnweighted("every vertex weight must be 1")
+    if not is_feasible(inst):
+        raise InfeasibleInstance("a vertex with demand has no usable server")
+    best_neighbor = {}
+    for v in inst.vertices():
+        if inst.demand(v) > 0:
+            best_neighbor[v] = min(
+                inst.closed_neighborhood(v),
+                key=lambda u: (-inst.capacity(u), u),
+            )
+    trace = []
+    assignment = {}
+    residue = {}
+    phase0_cost = 0
+    for v in sorted(best_neighbor):
+        g = best_neighbor[v]
+        cg = inst.capacity(g)
+        copies = inst.demand(v) // cg
+        if copies > 0:
+            _add(assignment, v, g, cg * copies)
+            phase0_cost += copies
+            trace.append(TraceEntry(0, g, 0, copies, 0))
+        residue[v] = inst.demand(v) - cg * copies
+    state = GreedyState(
+        residue_demand={v: r for v, r in residue.items() if r > 0},
+        undominated=set(),
+        map_sets={},
+        partial_assignment=assignment,
+        running_cost=phase0_cost,
+        base_demand={v: r for v, r in residue.items() if r > 0},
+    )
+    boundary = []
+    iteration = 0
+    while any(state.residue_demand.values()):
+        iteration += 1
+        if iteration > inst.n + 1:
+            raise CapdomError("unweighted greedy failed to make progress")
+        _reference_split_iteration(inst, state, iteration, trace)
+        assert trace[-1].prefix_len >= 1
+        partial = [
+            v
+            for v in sorted(state.residue_demand)
+            if 0 < state.residue_demand[v] < state.base_demand[v]
+        ]
+        assert len(partial) <= 1
+        for v in partial:
+            g = best_neighbor[v]
+            _add(state.partial_assignment, v, g, state.residue_demand[v])
+            state.residue_demand[v] = 0
+            trace.append(TraceEntry(iteration, g, 0, 0, 2))
+        boundary.append({v: r for v, r in state.residue_demand.items() if r > 0})
+    solution = minimum_multiplicities(inst, state.partial_assignment)
+    return GreedyResult(
+        solution, trace, boundary_residues=boundary, phase0_cost=phase0_cost, model=SPLIT
+    )
+
+
+SOLVER_PAIRS = [
+    (greedy_unsplittable, reference_greedy_unsplittable),
+    (greedy_splittable, reference_greedy_splittable),
+    (greedy_unweighted_splittable, reference_greedy_unweighted_splittable),
+]
+SOLVER_IDS = ["unsplit", "split", "unweighted"]
+
+
+def _outcome(solver, inst):
+    """The full result, or the type of the error the solver raised."""
+    try:
+        return solver(inst)
+    except CapdomError as exc:
+        return type(exc)
+
+
+def differential_instances():
+    """600 small seeded instances with zero weights, capacities and demands.
+
+    Weights are redrawn in [0, 3] on even seeds and set to 1 on odd ones,
+    so the unweighted solver runs on half and rejects the other half.
+    Every third seed redraws capacities in [0, 2] after the generator's
+    feasibility pass, which leaves some instances infeasible.
+    """
+    for seed in range(600):
+        base = random_instance(1 + seed % 14, (0.15, 0.3, 0.55)[seed % 3], 3, 3, 3, seed)
+        rng = random.Random(seed)
+        attrs = []
+        for a in base.attrs:
+            w = rng.randint(0, 3) if seed % 2 == 0 else 1
+            c = rng.randint(0, 2) if seed % 3 == 0 else a.capacity
+            attrs.append(dataclasses.replace(a, weight=w, capacity=c))
+        yield Instance(base.n, tuple(attrs), base.edges)
+
+
+class TestIncrementalMatchesReference:
+    @pytest.mark.parametrize("fast, reference", SOLVER_PAIRS, ids=SOLVER_IDS)
+    def test_small_seeded_batch(self, fast, reference):
+        outcomes = set()
+        for inst in differential_instances():
+            expected = _outcome(reference, inst)
+            assert _outcome(fast, inst) == expected
+            outcomes.add(expected if isinstance(expected, type) else GreedyResult)
+        assert GreedyResult in outcomes and InfeasibleInstance in outcomes
+
+    @pytest.mark.parametrize("fast, reference", SOLVER_PAIRS, ids=SOLVER_IDS)
+    def test_large_sparse(self, fast, reference):
+        # average degree about 6, the size of the benchmark's greedy ops;
+        # max_w = 1 gives the unit weights the unweighted solver needs
+        for n, seed in ((250, 1), (300, 2)):
+            for max_w in (1, 4):
+                inst = random_instance(n, 6 / (n - 1), max_w, 4, 4, seed)
+                assert _outcome(fast, inst) == _outcome(reference, inst)
+
+    @pytest.mark.parametrize("fast", [s for s, _ in SOLVER_PAIRS], ids=SOLVER_IDS)
+    def test_quotes_per_pick_stay_bounded(self, fast, monkeypatch):
+        # A full rescan costs about n quotes per pick; the dirty-set path
+        # re-quotes only the changed neighborhoods.
+        calls = 0
+        for name in ("unsplit_efficiency", "split_efficiency"):
+            original = getattr(greedy, name)
+
+            def counting(*args, _original=original):
+                nonlocal calls
+                calls += 1
+                return _original(*args)
+
+            monkeypatch.setattr(greedy, name, counting)
+        inst = random_instance(300, 6 / 299, 1, 4, 4, 3)
+        picks = sum(1 for t in fast(inst).trace if t.phase == 1)
+        assert 0 < calls < 20 * picks

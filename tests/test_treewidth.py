@@ -20,6 +20,32 @@ from capdom.treewidth import (
 from conftest import cycle_instance, mk
 
 
+def reference_min_fill_order(inst):
+    """The full recount: every step counts the fill of every vertex."""
+    adj = {v: set(inst.neighbors(v)) for v in inst.vertices()}
+    order = []
+    while adj:
+        best_v, best_fill = -1, None
+        for v in sorted(adj):
+            nbrs = sorted(adj[v])
+            fill = sum(
+                1
+                for i in range(len(nbrs))
+                for j in range(i + 1, len(nbrs))
+                if nbrs[j] not in adj[nbrs[i]]
+            )
+            if best_fill is None or fill < best_fill:
+                best_v, best_fill = v, fill
+        nbrs = adj.pop(best_v)
+        for a in nbrs:
+            adj[a].discard(best_v)
+            for b in nbrs:
+                if a != b:
+                    adj[a].add(b)
+        order.append(best_v)
+    return order
+
+
 def complete_instance(n):
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     return mk([(1, 1, 1)] * n, edges)
@@ -86,6 +112,16 @@ class TestHeuristic:
     def test_min_fill_deterministic(self):
         inst = random_instance(9, 0.4, 3, 3, 3, 17)
         assert min_fill_order(inst) == min_fill_order(inst)
+
+    def test_min_fill_matches_reference(self):
+        # densities from forests to near-cliques, so ties and fill both occur
+        for seed in range(600):
+            density = (0.05, 0.15, 0.3, 0.5, 0.8)[seed % 5]
+            inst = random_instance(1 + seed % 30, density, 3, 3, 3, seed)
+            assert min_fill_order(inst) == reference_min_fill_order(inst)
+        for n, seed in ((150, 1), (200, 2)):
+            inst = random_instance(n, 6 / (n - 1), 3, 3, 3, seed)
+            assert min_fill_order(inst) == reference_min_fill_order(inst)
 
     def test_from_order_rejects_non_permutation(self, p3):
         with pytest.raises(ValueError):

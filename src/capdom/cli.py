@@ -242,6 +242,17 @@ def _bench(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for node limits: anything but an int > 0 is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capdom", description="Soft-capacitated domination toolkit"
@@ -254,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=int, help="band width for the shifting scheme")
     solve.add_argument("--td", help="tree decomposition file for --algo dp")
     solve.add_argument("--trace", action="store_true", help="append iteration trace lines")
-    solve.add_argument("--budget", type=int, default=5_000_000, help="oracle node limit")
+    solve.add_argument("--budget", type=_positive_int, default=5_000_000, help="oracle node limit")
     solve.add_argument("-o", "--output")
     solve.add_argument("instance")
 
@@ -295,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--max-c", type=int, default=4)
     bench.add_argument("--max-d", type=int, default=4)
     bench.add_argument("--oracle-threshold", type=int, default=9)
-    bench.add_argument("--budget", type=int, default=5_000_000)
+    bench.add_argument("--budget", type=_positive_int, default=5_000_000)
     bench.add_argument("-o", "--output")
     return parser
 

@@ -11,13 +11,19 @@ max(sum_s w(s) * ceil(load_s / c(s)),
     admissible weight-per-capacity-unit rate).
 Loads only grow, so neither component ever exceeds the true completion
 cost, and pruning only happens strictly above the incumbent.
+
+The searches keep this bound in integers scaled by L, the lcm of the
+positive capacities: the rate w(s) / c(s) is held as w(s) * (L // c(s)),
+so the bound times L is an exact int, and it is compared with L times
+the incumbent cost.  Scaling both sides by the same positive L keeps
+every comparison, heap order and tie exactly as in rational arithmetic.
 """
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     CapdomError,
@@ -173,6 +179,14 @@ def _vector_of(sol: Solution, inst: Instance) -> tuple[int, ...]:
     return tuple(sol.multiplicity.get(v, 0) for v in inst.vertices())
 
 
+def _scaled_rates(capacity: list[int], weight: list[int]) -> tuple[int, list[int | None]]:
+    """(L, rates): L is the lcm of the positive capacities and rates[v] is
+    L * w(v) / c(v) as an exact int, or None where c(v) == 0."""
+    scale = math.lcm(*(c for c in capacity if c > 0))
+    rates = [w * (scale // c) if c > 0 else None for c, w in zip(capacity, weight)]
+    return scale, rates
+
+
 def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> Solution:
     """Provably optimal unsplittable solution via depth-first branch and bound.
 
@@ -183,20 +197,25 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
     """
     if not is_feasible(inst):
         raise InfeasibleInstance("a vertex with demand has no usable server")
+    # Per-vertex attributes indexed by vertex id; index 0 is unused.
+    capacity = [0] + [a.capacity for a in inst.attrs]
+    weight = [0] + [a.weight for a in inst.attrs]
+    demand = [0] + [a.demand for a in inst.attrs]
     consumers = sorted(
-        (v for v in inst.vertices() if inst.demand(v) > 0),
-        key=lambda v: (-inst.demand(v), v),
+        (v for v in inst.vertices() if demand[v] > 0),
+        key=lambda v: (-demand[v], v),
     )
     if not consumers:
         return Solution.empty()
-    servers = {
-        v: sorted(u for u in inst.closed_neighborhood(v) if inst.capacity(u) > 0)
-        for v in consumers
-    }
-    min_rate = {
-        v: min(Fraction(inst.weight(u), inst.capacity(u)) for u in servers[v])
-        for v in consumers
-    }
+    scale, rates = _scaled_rates(capacity, weight)
+    # options[i]: (server, c, w, scaled fractional cost of serving consumer i)
+    options = []
+    pending_steps = []
+    for v in consumers:
+        servers = sorted(u for u in inst.closed_neighborhood(v) if capacity[u] > 0)
+        d = demand[v]
+        options.append([(u, capacity[u], weight[u], rates[u] * d) for u in servers])
+        pending_steps.append(min(rates[u] for u in servers) * d)
 
     greedy = greedy_unsplittable(inst).solution
     incumbent_cost = greedy.cost
@@ -207,19 +226,18 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
         incumbent = None
         best_vec = None
 
-    loads: dict[int, int] = {}
-    choice: list[int] = [0] * len(consumers)
+    max_nodes = budget.max_nodes
+    last = len(consumers)
+    loads = [0] * (inst.n + 1)
+    choice: list[int] = [0] * last
     nodes = 0
-    cost_int = 0
-    cost_frac = Fraction(0)
-    pending = sum((min_rate[v] * inst.demand(v) for v in consumers), Fraction(0))
 
-    def descend(i: int):
+    def descend(i: int, cost_int: int, cost_frac: int, pending: int):
+        # cost_frac and pending are scaled by L; cost_int is not.
         nonlocal nodes, incumbent_cost, incumbent, best_vec
-        nonlocal cost_int, cost_frac, pending
-        if i == len(consumers):
+        if i == last:
             vec = tuple(
-                ceil_div(loads[v], inst.capacity(v)) if v in loads else 0
+                ceil_div(loads[v], capacity[v]) if loads[v] else 0
                 for v in inst.vertices()
             )
             if cost_int < incumbent_cost or (
@@ -228,39 +246,28 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
                 incumbent_cost = cost_int
                 best_vec = vec
                 assignment = {
-                    (consumers[j], choice[j]): inst.demand(consumers[j])
-                    for j in range(len(consumers))
+                    (consumers[j], choice[j]): demand[consumers[j]]
+                    for j in range(last)
                 }
                 multiplicity = {v: x for v, x in zip(inst.vertices(), vec) if x > 0}
                 incumbent = Solution(multiplicity, assignment, cost_int)
             return
-        v = consumers[i]
-        d = inst.demand(v)
-        for u in servers[v]:
+        d = demand[consumers[i]]
+        pending -= pending_steps[i]
+        for u, c, w, frac_step in options[i]:
             nodes += 1
-            if nodes > budget.max_nodes:
+            if nodes > max_nodes:
                 raise BudgetExhausted(nodes, incumbent)
-            c, w = inst.capacity(u), inst.weight(u)
-            old_load = loads.get(u, 0)
-            delta_int = w * (ceil_div(old_load + d, c) - ceil_div(old_load, c))
-            frac_step = Fraction(w * d, c)
-            pending_step = min_rate[v] * d
-            cost_int += delta_int
-            cost_frac += frac_step
-            pending -= pending_step
-            loads[u] = old_load + d
-            choice[i] = u
-            if max(Fraction(cost_int), cost_frac + pending) <= incumbent_cost:
-                descend(i + 1)
-            if old_load:
+            old_load = loads[u]
+            child_int = cost_int + w * (ceil_div(old_load + d, c) - ceil_div(old_load, c))
+            child_frac = cost_frac + frac_step
+            if child_int <= incumbent_cost and child_frac + pending <= incumbent_cost * scale:
+                loads[u] = old_load + d
+                choice[i] = u
+                descend(i + 1, child_int, child_frac, pending)
                 loads[u] = old_load
-            else:
-                del loads[u]
-            cost_int -= delta_int
-            cost_frac -= frac_step
-            pending += pending_step
 
-    descend(0)
+    descend(0, 0, 0, sum(pending_steps))
     if incumbent is None:
         raise CostBoundExceeded(budget.upper_bound)
     return incumbent
@@ -272,7 +279,7 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
     Best-first enumeration of multiplicity vectors in nondecreasing
     (cost + admissible completion bound, vector) order; the first vector
     admitting a feasible flow is optimal and lexicographically smallest
-    among the optima.
+    among the optima.  Heap keys are L * (cost + bound), exact ints.
     """
     if not is_feasible(inst):
         raise InfeasibleInstance("a vertex with demand has no usable server")
@@ -286,54 +293,47 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
         bound_cost = min(bound_cost, budget.upper_bound)
 
     n = inst.n
-    max_copies = [
+    # Per-vertex attributes indexed by vertex id; index 0 is unused.
+    capacity = [0] + [a.capacity for a in inst.attrs]
+    weight = [0] + [a.weight for a in inst.attrs]
+    demand = [0] + [a.demand for a in inst.attrs]
+    max_copies = [0] + [
         0
-        if inst.capacity(v) == 0
-        else ceil_div(
-            sum(inst.demand(u) for u in inst.closed_neighborhood(v)),
-            inst.capacity(v),
-        )
+        if capacity[v] == 0
+        else ceil_div(sum(demand[u] for u in inst.closed_neighborhood(v)), capacity[v])
         for v in inst.vertices()
     ]
-    rates: list[Fraction | None] = [
-        Fraction(inst.weight(v), inst.capacity(v)) if inst.capacity(v) > 0 else None
-        for v in inst.vertices()
-    ]
-    suffix_rate: list[Fraction | None] = [None] * (n + 2)
+    scale, rates = _scaled_rates(capacity, weight)
+    suffix_rate: list[int | None] = [None] * (n + 2)
     for v in range(n, 0, -1):
         best = suffix_rate[v + 1]
-        r = rates[v - 1]
+        r = rates[v]
         if r is not None and (best is None or r < best):
             best = r
         suffix_rate[v] = best
 
-    consumers = [v for v in inst.vertices() if inst.demand(v) > 0]
+    consumers = [
+        (demand[v], inst.closed_neighborhood(v))
+        for v in inst.vertices()
+        if demand[v] > 0
+    ]
 
-    def completion_bound(prefix: tuple[int, ...]) -> Fraction | None:
-        """Admissible extra cost to finish the vector, or None if hopeless."""
+    def completion_bound(prefix: tuple[int, ...]) -> int | None:
+        """L times an admissible extra cost to finish the vector, or None if hopeless."""
         i = len(prefix)
-        covered = sum(inst.capacity(v) * prefix[v - 1] for v in range(1, i + 1))
+        covered = sum(capacity[v] * prefix[v - 1] for v in range(1, i + 1))
         shortfall = total_demand - covered
-        best = Fraction(0)
+        best = 0
         if shortfall > 0:
             rate = suffix_rate[i + 1]
             if rate is None:
                 return None
             best = shortfall * rate
-        for v in consumers:
-            have = sum(
-                inst.capacity(u) * prefix[u - 1]
-                for u in inst.closed_neighborhood(v)
-                if u <= i
-            )
-            need = inst.demand(v) - have
+        for d, closed in consumers:
+            need = d - sum(capacity[u] * prefix[u - 1] for u in closed if u <= i)
             if need <= 0:
                 continue
-            options = [
-                rates[u - 1]
-                for u in inst.closed_neighborhood(v)
-                if u > i and rates[u - 1] is not None
-            ]
+            options = [rates[u] for u in closed if u > i and rates[u] is not None]
             if not options:
                 return None
             local = need * min(options)
@@ -341,7 +341,8 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
                 best = local
         return best
 
-    heap: list[tuple[Fraction, tuple[int, ...], int]] = [(Fraction(0), (), 0)]
+    bound_scaled = bound_cost * scale
+    heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0)]
     nodes = 0
     while heap:
         _, prefix, cost = heapq.heappop(heap)
@@ -355,16 +356,19 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
                 continue
             return Solution(multiplicity, assignment, cost)
         v = len(prefix) + 1
-        w = inst.weight(v)
-        for copies in range(max_copies[v - 1] + 1):
+        w = weight[v]
+        for copies in range(max_copies[v] + 1):
             child_cost = cost + w * copies
             if child_cost > bound_cost:
                 break
             child = prefix + (copies,)
             extra = completion_bound(child)
-            if extra is None or child_cost + extra > bound_cost:
+            if extra is None:
                 continue
-            heapq.heappush(heap, (child_cost + extra, child, child_cost))
+            key = child_cost * scale + extra
+            if key > bound_scaled:
+                continue
+            heapq.heappush(heap, (key, child, child_cost))
     raise CostBoundExceeded(bound_cost)
 
 

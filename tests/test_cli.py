@@ -74,6 +74,13 @@ class TestSolve:
         assert run("gen", "random", "--n", 8, "--seed", 5, "-o", inst) == 0
         assert run("solve", "--algo", "oracle", "--budget", 1, inst) == 4
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_nonpositive_budget_is_usage_error(self, budget, p3_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("solve", "--algo", "oracle", "--budget", budget, p3_file)
+        assert info.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_pass_and_fail(self, p3_file, tmp_path, capsys):
@@ -146,6 +153,14 @@ class TestTd:
 
 
 class TestBench:
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_nonpositive_budget_is_usage_error(self, budget, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("bench", "--n", 5, "--batch", 2, "--seed", 1, "--model", "unsplit",
+                "--budget", budget)
+        assert info.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
     def test_csv_schema_and_bounds(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert (

@@ -6,6 +6,7 @@ from .core import (
     InfeasibleInstance,
     Instance,
     ParseError,
+    Report,
     Solution,
     VertexAttrs,
     closed_neighborhood,
@@ -50,52 +51,3 @@ from .hardness import (
     verify_semantics,
     verify_structure,
 )
-
-__all__ = [
-    "CapdomError",
-    "DemandModel",
-    "InfeasibleInstance",
-    "Instance",
-    "ParseError",
-    "Solution",
-    "VertexAttrs",
-    "closed_neighborhood",
-    "induced_instance",
-    "is_feasible",
-    "minimum_multiplicities",
-    "random_instance",
-    "verify_solution",
-    "with_demands",
-    "load_instance",
-    "load_solution",
-    "save_instance",
-    "save_solution",
-    "GreedyResult",
-    "greedy_splittable",
-    "greedy_unsplittable",
-    "greedy_unweighted_splittable",
-    "BudgetExhausted",
-    "CostBoundExceeded",
-    "SearchBudget",
-    "exact_solve",
-    "exact_splittable",
-    "exact_unsplittable",
-    "feasibility_flow",
-    "NiceTreeDecomposition",
-    "TreeDecomposition",
-    "heuristic_decomposition",
-    "make_nice",
-    "validate_td",
-    "solve_td",
-    "baker_solve",
-    "bfs_levels",
-    "make_slices",
-    "merge_solutions",
-    "CliqueInstance",
-    "GadgetInstance",
-    "load_clique_instance",
-    "reduce",
-    "save_clique_instance",
-    "verify_semantics",
-    "verify_structure",
-]

@@ -106,20 +106,24 @@ def make_slices(
     return slices
 
 
-def merge_solutions(pairs: list[tuple[Slice, Solution]]) -> Solution:
-    """Sum multiplicities and concatenate assignments back in original ids."""
+def merge_solutions(pairs: list[tuple[tuple[int, ...], Solution]]) -> Solution:
+    """Sum multiplicities and concatenate assignments back in original ids.
+
+    Each pair holds a sub-instance's solution and its orig_of tuple, which
+    maps sub-instance id i+1 to the original id.
+    """
     multiplicity: dict[int, int] = {}
     assignment: dict[tuple[int, int], int] = {}
     consumers_seen: dict[int, int] = {}
     cost = 0
-    for index, (piece, sol) in enumerate(pairs):
+    for index, (orig_of, sol) in enumerate(pairs):
         cost += sol.cost
         for v, count in sol.multiplicity.items():
-            orig = piece.orig_of[v - 1]
+            orig = orig_of[v - 1]
             multiplicity[orig] = multiplicity.get(orig, 0) + count
         for (consumer, server), amount in sol.assignment.items():
-            orig_c = piece.orig_of[consumer - 1]
-            orig_s = piece.orig_of[server - 1]
+            orig_c = orig_of[consumer - 1]
+            orig_s = orig_of[server - 1]
             previous = consumers_seen.get(orig_c)
             if previous is not None and previous != index:
                 raise MergeConflict(
@@ -162,9 +166,7 @@ def baker_solve(inst: Instance, k: int, model: DemandModel) -> BakerResult:
         components.append(sorted(seen))
         remaining -= seen
 
-    multiplicity: dict[int, int] = {}
-    assignment: dict[tuple[int, int], int] = {}
-    total_cost = 0
+    chosen: list[tuple[tuple[int, ...], Solution]] = []
     shift_costs: list[list[int]] = []
     for comp in components:
         comp_inst, comp_orig = induced_instance(inst, comp)
@@ -174,17 +176,11 @@ def baker_solve(inst: Instance, k: int, model: DemandModel) -> BakerResult:
         for r in range(k):
             slices = make_slices(comp_inst, levels, k, r)
             merged = merge_solutions(
-                [(piece, _solve_slice(piece, model)) for piece in slices]
+                [(piece.orig_of, _solve_slice(piece, model)) for piece in slices]
             )
             costs.append(merged.cost)
             if best is None or merged.cost < best.cost:
                 best = merged
         shift_costs.append(costs)
-        total_cost += best.cost
-        for v, count in best.multiplicity.items():
-            orig = comp_orig[v - 1]
-            multiplicity[orig] = multiplicity.get(orig, 0) + count
-        for (consumer, server), amount in best.assignment.items():
-            key = (comp_orig[consumer - 1], comp_orig[server - 1])
-            assignment[key] = assignment.get(key, 0) + amount
-    return BakerResult(Solution(multiplicity, assignment, total_cost), shift_costs)
+        chosen.append((comp_orig, best))
+    return BakerResult(merge_solutions(chosen), shift_costs)

@@ -34,15 +34,6 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
 
-ALGOS = (
-    "greedy-unsplit",
-    "greedy-split",
-    "greedy-unweighted",
-    "dp",
-    "baker",
-    "oracle",
-)
-
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
@@ -57,60 +48,83 @@ def _emit(text: str, path: str | None):
             handle.write(text)
 
 
-def _model_for(algo: str, flag: str | None) -> DemandModel:
-    forced = {
-        "greedy-unsplit": DemandModel.UNSPLITTABLE,
-        "greedy-split": DemandModel.SPLITTABLE,
-        "greedy-unweighted": DemandModel.SPLITTABLE,
-    }
-    if algo in forced:
-        if flag is not None and DemandModel(flag) is not forced[algo]:
-            raise _Usage(f"--model {flag} conflicts with --algo {algo}")
-        return forced[algo]
-    return DemandModel(flag) if flag else DemandModel.UNSPLITTABLE
-
-
 class _Usage(Exception):
     pass
+
+
+def _greedy_result(result: greedy.GreedyResult) -> tuple[Solution, list[str], list[str]]:
+    return result.solution, result.trace_lines(), []
+
+
+def _run_dp(inst, model, args):
+    if getattr(args, "td", None):  # bench has no --td flag
+        td = treewidth.load_td(_read(args.td))
+        report = treewidth.validate_td(inst, td)
+        if not report.passed:
+            raise CapdomError(f"supplied decomposition is invalid: {report}")
+    else:
+        td = treewidth.heuristic_decomposition(inst)
+    return tddp.solve_td(inst, treewidth.make_nice(td), model), [], []
+
+
+def _run_baker(inst, model, args):
+    if args.k is None:
+        raise _Usage("--algo baker requires --k")
+    if args.k < 2:
+        raise _Usage(f"--algo baker needs --k >= 2, got {args.k}")
+    result = baker.baker_solve(inst, args.k, model)
+    comments = [
+        f"shift component={comp} r={r} cost={cost}"
+        for comp, costs in enumerate(result.shift_costs)
+        for r, cost in enumerate(costs)
+    ]
+    return result.solution, [], comments
+
+
+def _run_oracle(inst, model, args):
+    return oracle.exact_solve(inst, model, oracle.SearchBudget(max_nodes=args.budget)), [], []
+
+
+# name -> (model the algorithm forces or None, greedy ratio bound as a
+# function of H_n or None, runner).  Algorithms with a bound can be benched.
+# A runner maps (instance, model, parsed args) to (solution, trace lines,
+# comment lines).  Runners look solvers up through their modules at call
+# time, so anything that patches those module attributes sees every call.
+ALGOS = {
+    "greedy-unsplit": (
+        DemandModel.UNSPLITTABLE,
+        lambda h: h,
+        lambda inst, model, args: _greedy_result(greedy.greedy_unsplittable(inst)),
+    ),
+    "greedy-split": (
+        DemandModel.SPLITTABLE,
+        lambda h: 4 * h + 2,
+        lambda inst, model, args: _greedy_result(greedy.greedy_splittable(inst)),
+    ),
+    "greedy-unweighted": (
+        DemandModel.SPLITTABLE,
+        lambda h: 2 * h + 1,
+        lambda inst, model, args: _greedy_result(greedy.greedy_unweighted_splittable(inst)),
+    ),
+    "dp": (None, None, _run_dp),
+    "baker": (None, None, _run_baker),
+    "oracle": (None, None, _run_oracle),
+}
+
+
+def _model_for(algo: str, flag: str | None) -> DemandModel:
+    forced = ALGOS[algo][0]
+    if forced is None:
+        return DemandModel(flag) if flag else DemandModel.UNSPLITTABLE
+    if flag is not None and DemandModel(flag) is not forced:
+        raise _Usage(f"--model {flag} conflicts with --algo {algo}")
+    return forced
 
 
 def _solve(args) -> int:
     inst = fileio.load_instance(_read(args.instance))
     model = _model_for(args.algo, args.model)
-    trace_lines: list[str] = []
-    comments: list[str] = []
-    if args.algo == "greedy-unsplit":
-        result = greedy.greedy_unsplittable(inst)
-        solution, trace_lines = result.solution, result.trace_lines()
-    elif args.algo == "greedy-split":
-        result = greedy.greedy_splittable(inst)
-        solution, trace_lines = result.solution, result.trace_lines()
-    elif args.algo == "greedy-unweighted":
-        result = greedy.greedy_unweighted_splittable(inst)
-        solution, trace_lines = result.solution, result.trace_lines()
-    elif args.algo == "dp":
-        if args.td:
-            td = treewidth.load_td(_read(args.td))
-            report = treewidth.validate_td(inst, td)
-            if not report.passed:
-                raise CapdomError(f"supplied decomposition is invalid: {report}")
-        else:
-            td = treewidth.heuristic_decomposition(inst)
-        solution = tddp.solve_td(inst, treewidth.make_nice(td), model)
-    elif args.algo == "baker":
-        if args.k is None:
-            raise _Usage("--algo baker requires --k")
-        result = baker.baker_solve(inst, args.k, model)
-        solution = result.solution
-        for comp, costs in enumerate(result.shift_costs):
-            for r, cost in enumerate(costs):
-                comments.append(f"shift component={comp} r={r} cost={cost}")
-    elif args.algo == "oracle":
-        budget = oracle.SearchBudget(max_nodes=args.budget)
-        solution = oracle.exact_solve(inst, model, budget)
-    else:
-        raise _Usage(f"unknown algorithm {args.algo}")
-
+    solution, trace_lines, comments = ALGOS[args.algo][2](inst, model, args)
     report = verify_solution(inst, solution, model)
     if not report.passed:
         sys.stderr.write(f"internal error: produced solution failed verification\n{report}\n")
@@ -195,23 +209,11 @@ def _bench(args) -> int:
     algo = args.algo
     if algo is None:
         algo = "greedy-unsplit" if model is DemandModel.UNSPLITTABLE else "greedy-split"
-    if _model_for(algo, None) is not model and algo != "greedy-unweighted":
+    forced, bound_of, runner = ALGOS[algo]
+    if forced is not model:
         raise _Usage(f"--algo {algo} does not solve the {model.value} model")
-    if algo == "greedy-unweighted":
-        if model is not DemandModel.SPLITTABLE:
-            raise _Usage("greedy-unweighted benches the split model")
-        if args.max_w != 1:
-            raise _Usage("greedy-unweighted requires --max-w 1")
-    bound_of = {
-        "greedy-unsplit": lambda h: h,
-        "greedy-split": lambda h: 4 * h + 2,
-        "greedy-unweighted": lambda h: 2 * h + 1,
-    }[algo]
-    runner = {
-        "greedy-unsplit": greedy.greedy_unsplittable,
-        "greedy-split": greedy.greedy_splittable,
-        "greedy-unweighted": greedy.greedy_unweighted_splittable,
-    }[algo]
+    if algo == "greedy-unweighted" and args.max_w != 1:
+        raise _Usage("greedy-unweighted requires --max-w 1")
 
     rng = random.Random(args.seed)
     rows = ["index,n,m,algo,model,cost,opt,opt_algo,ratio,bound"]
@@ -224,14 +226,9 @@ def _bench(args) -> int:
             args.max_d,
             rng.randrange(2**32),
         )
-        cost = runner(inst).solution.cost
-        if args.n <= args.oracle_threshold:
-            opt_algo = "oracle"
-            opt = oracle.exact_solve(inst, model, oracle.SearchBudget(args.budget)).cost
-        else:
-            opt_algo = "dp"
-            td = treewidth.heuristic_decomposition(inst)
-            opt = tddp.solve_td(inst, treewidth.make_nice(td), model).cost
+        cost = runner(inst, model, args)[0].cost
+        opt_algo = "oracle" if args.n <= args.oracle_threshold else "dp"
+        opt = ALGOS[opt_algo][2](inst, model, args)[0].cost
         ratio = 1.0 if opt == 0 else cost / opt
         bound = float(bound_of(_harmonic(args.n)))
         rows.append(
@@ -243,7 +240,7 @@ def _bench(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for node limits: anything but an int > 0 is a usage error."""
+    """argparse type for sizes and limits: anything but an int > 0 is a usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -260,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run a solver on an instance file")
-    solve.add_argument("--algo", required=True, choices=ALGOS)
+    solve.add_argument("--algo", required=True, choices=list(ALGOS))
     solve.add_argument("--model", choices=[m.value for m in DemandModel])
     solve.add_argument("--k", type=int, help="band width for the shifting scheme")
     solve.add_argument("--td", help="tree decomposition file for --algo dp")
@@ -277,11 +274,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate instances")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
     gen_random = gen_sub.add_parser("random")
-    gen_random.add_argument("--n", type=int, required=True)
+    gen_random.add_argument("--n", type=_positive_int, required=True)
     gen_random.add_argument("--edge-prob", type=float, default=0.3)
-    gen_random.add_argument("--max-w", type=int, default=5)
-    gen_random.add_argument("--max-c", type=int, default=5)
-    gen_random.add_argument("--max-d", type=int, default=5)
+    gen_random.add_argument("--max-w", type=_positive_int, default=5)
+    gen_random.add_argument("--max-c", type=_positive_int, default=5)
+    gen_random.add_argument("--max-d", type=_positive_int, default=5)
     gen_random.add_argument("--seed", type=int, required=True)
     gen_random.add_argument("-o", "--output")
     gen_mcq = gen_sub.add_parser("mcq-reduce")
@@ -296,15 +293,15 @@ def _build_parser() -> argparse.ArgumentParser:
     td.add_argument("-o", "--output")
 
     bench = sub.add_parser("bench", help="greedy-vs-exact ratio table as CSV")
-    bench.add_argument("--n", type=int, required=True)
+    bench.add_argument("--n", type=_positive_int, required=True)
     bench.add_argument("--batch", type=int, required=True)
     bench.add_argument("--seed", type=int, required=True)
     bench.add_argument("--model", required=True, choices=[m.value for m in DemandModel])
-    bench.add_argument("--algo", choices=["greedy-unsplit", "greedy-split", "greedy-unweighted"])
+    bench.add_argument("--algo", choices=[name for name, entry in ALGOS.items() if entry[1]])
     bench.add_argument("--edge-prob", type=float, default=0.3)
-    bench.add_argument("--max-w", type=int, default=5)
-    bench.add_argument("--max-c", type=int, default=4)
-    bench.add_argument("--max-d", type=int, default=4)
+    bench.add_argument("--max-w", type=_positive_int, default=5)
+    bench.add_argument("--max-c", type=_positive_int, default=4)
+    bench.add_argument("--max-d", type=_positive_int, default=4)
     bench.add_argument("--oracle-threshold", type=int, default=9)
     bench.add_argument("--budget", type=_positive_int, default=5_000_000)
     bench.add_argument("-o", "--output")

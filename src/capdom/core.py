@@ -28,6 +28,22 @@ class ParseError(CapdomError):
         self.reason = reason
 
 
+def is_comment(line: str) -> bool:
+    """True for a stripped 'c' comment line of the text formats."""
+    return line == "c" or line.startswith("c ")
+
+
+def parse_ints(parts: list[str], line_no: int) -> list[int]:
+    """Tokens as integers; a non-integer token is a ParseError at line_no."""
+    out = []
+    for p in parts:
+        try:
+            out.append(int(p))
+        except ValueError:
+            raise ParseError(line_no, f"expected integer, got {p!r}") from None
+    return out
+
+
 class InfeasibleInstance(CapdomError):
     """Some vertex has positive demand but only zero-capacity closed neighbors."""
 
@@ -202,21 +218,19 @@ class Solution:
 
 
 @dataclass
-class VerificationReport:
-    """Outcome of checking a solution against an instance."""
+class Report:
+    """Outcome of a check: PASS, or FAIL with one line per problem."""
 
     passed: bool
-    violations: list[str]
+    problems: list[str]
 
     def __str__(self):
-        if self.passed:
-            return "PASS"
-        return "FAIL\n" + "\n".join(self.violations)
+        return "PASS" if self.passed else "FAIL\n" + "\n".join(self.problems)
 
 
 def verify_solution(
     inst: Instance, sol: Solution, model: DemandModel
-) -> VerificationReport:
+) -> Report:
     """Check demand, capacity, cost, and model constraints.
 
     Violations are report content, never exceptions; the report lists every
@@ -283,7 +297,7 @@ def verify_solution(
                     "zero-demand vertex carries an assignment"
                 )
 
-    return VerificationReport(not problems, problems)
+    return Report(not problems, problems)
 
 
 def minimum_multiplicities(

@@ -23,21 +23,9 @@ from .core import (
     ParseError,
     Solution,
     VertexAttrs,
+    is_comment,
+    parse_ints,
 )
-
-
-def _is_comment(line: str) -> bool:
-    return line == "c" or line.startswith("c ")
-
-
-def _ints(parts: list[str], line_no: int) -> list[int]:
-    out = []
-    for p in parts:
-        try:
-            out.append(int(p))
-        except ValueError:
-            raise ParseError(line_no, f"expected integer, got {p!r}") from None
-    return out
 
 
 def load_instance(text: str) -> Instance:
@@ -48,7 +36,7 @@ def load_instance(text: str) -> Instance:
     edge_keys: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or _is_comment(line):
+        if not line or is_comment(line):
             continue
         parts = line.split()
         tag = parts[0]
@@ -57,7 +45,7 @@ def load_instance(text: str) -> Instance:
                 raise ParseError(line_no, "duplicate header line")
             if len(parts) != 4 or parts[1] != "capdom":
                 raise ParseError(line_no, "header must be 'p capdom <n> <m>'")
-            n, m = _ints(parts[2:], line_no)
+            n, m = parse_ints(parts[2:], line_no)
             if n < 1 or m < 0:
                 raise ParseError(line_no, "need n >= 1 and m >= 0")
         elif tag == "v":
@@ -65,7 +53,7 @@ def load_instance(text: str) -> Instance:
                 raise ParseError(line_no, "vertex line before header")
             if len(parts) != 5:
                 raise ParseError(line_no, "vertex line must be 'v <id> <w> <c> <d>'")
-            vid, w, c, d = _ints(parts[1:], line_no)
+            vid, w, c, d = parse_ints(parts[1:], line_no)
             if not 1 <= vid <= n:
                 raise ParseError(line_no, f"vertex id {vid} out of range 1..{n}")
             if vid in attrs:
@@ -78,7 +66,7 @@ def load_instance(text: str) -> Instance:
                 raise ParseError(line_no, "edge line before header")
             if len(parts) != 3:
                 raise ParseError(line_no, "edge line must be 'e <u> <v>'")
-            u, v = _ints(parts[1:], line_no)
+            u, v = parse_ints(parts[1:], line_no)
             if u == v:
                 raise ParseError(line_no, f"self-loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
@@ -119,7 +107,7 @@ def load_solution(text: str) -> tuple[Solution, DemandModel]:
     assignment: dict[tuple[int, int], int] = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or _is_comment(line) or line.startswith("t "):
+        if not line or is_comment(line) or line.startswith("t "):
             continue
         parts = line.split()
         tag = parts[0]
@@ -128,7 +116,7 @@ def load_solution(text: str) -> tuple[Solution, DemandModel]:
                 raise ParseError(line_no, "duplicate solution header")
             if len(parts) != 4 or parts[1] != "capdom":
                 raise ParseError(line_no, "header must be 's capdom <cost> <model>'")
-            (cost,) = _ints(parts[2:3], line_no)
+            (cost,) = parse_ints(parts[2:3], line_no)
             try:
                 model = DemandModel(parts[3])
             except ValueError:
@@ -138,7 +126,7 @@ def load_solution(text: str) -> tuple[Solution, DemandModel]:
                 raise ParseError(line_no, "multiplicity line before header")
             if len(parts) != 3:
                 raise ParseError(line_no, "multiplicity line must be 'x <vertex> <count>'")
-            v, count = _ints(parts[1:], line_no)
+            v, count = parse_ints(parts[1:], line_no)
             if count < 1:
                 raise ParseError(line_no, "multiplicity lines carry nonzero counts")
             if v in multiplicity:
@@ -149,7 +137,7 @@ def load_solution(text: str) -> tuple[Solution, DemandModel]:
                 raise ParseError(line_no, "assignment line before header")
             if len(parts) != 4:
                 raise ParseError(line_no, "assignment line must be 'a <consumer> <server> <amount>'")
-            consumer, server, amount = _ints(parts[1:], line_no)
+            consumer, server, amount = parse_ints(parts[1:], line_no)
             if amount < 1:
                 raise ParseError(line_no, "assignment lines carry positive amounts")
             if (consumer, server) in assignment:

@@ -76,13 +76,11 @@ class TraceEntry:
 
 @dataclass
 class GreedyState:
-    """Mutable bookkeeping shared by the greedy variants."""
+    """Mutable bookkeeping shared by the splittable variants."""
 
     residue_demand: dict[int, int]
-    undominated: set[int]
     map_sets: dict[int, set[int]]
     partial_assignment: dict[tuple[int, int], int]
-    running_cost: int
     base_demand: dict[int, int]
 
 
@@ -105,7 +103,7 @@ def _add(assignment: dict[tuple[int, int], int], consumer: int, server: int, amo
         assignment[key] = assignment.get(key, 0) + amount
 
 
-def unsplit_efficiency(inst: Instance, state: GreedyState, u: int) -> EfficiencyQuote | None:
+def unsplit_efficiency(inst: Instance, undominated: set[int], u: int) -> EfficiencyQuote | None:
     """Best ratio (covered count) / (weight * copies) over candidate prefixes.
 
     Candidates are the undominated closed neighbors of u sorted by demand,
@@ -113,7 +111,7 @@ def unsplit_efficiency(inst: Instance, state: GreedyState, u: int) -> Efficiency
     None for zero-capacity vertices, which are never selectable.
     """
     candidates = sorted(
-        state.undominated & inst.closed_neighborhood(u),
+        undominated & inst.closed_neighborhood(u),
         key=lambda v: (inst.demand(v), v),
     )
     if not candidates:
@@ -172,10 +170,10 @@ def split_efficiency(inst: Instance, state: GreedyState, u: int) -> EfficiencyQu
     return EfficiencyQuote(u, j, numerator, common * inst.weight(u))
 
 
-def _unsplit_quote(inst: Instance, state: GreedyState, u: int) -> EfficiencyQuote | None:
-    if inst.capacity(u) == 0 or state.undominated.isdisjoint(inst.closed_neighborhood(u)):
+def _unsplit_quote(inst: Instance, undominated: set[int], u: int) -> EfficiencyQuote | None:
+    if inst.capacity(u) == 0 or undominated.isdisjoint(inst.closed_neighborhood(u)):
         return None
-    return unsplit_efficiency(inst, state, u)
+    return unsplit_efficiency(inst, undominated, u)
 
 
 def _split_quote(inst: Instance, state: GreedyState, u: int) -> EfficiencyQuote | None:
@@ -188,9 +186,9 @@ def _split_quote(inst: Instance, state: GreedyState, u: int) -> EfficiencyQuote 
 
 def _requote(
     inst: Instance,
-    state: GreedyState,
+    state: GreedyState | set[int],
     quotes: list[EfficiencyQuote | None],
-    quote: Callable[[Instance, GreedyState, int], EfficiencyQuote | None],
+    quote: Callable[[Instance, GreedyState | set[int], int], EfficiencyQuote | None],
     changed: list[int],
 ) -> None:
     """Refresh the cached quotes of N[v] for every changed vertex v."""
@@ -216,39 +214,32 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
     """Whole-demand greedy: logarithmic-ratio solver for the unsplittable model."""
     if not is_feasible(inst):
         raise InfeasibleInstance("a vertex with demand has no usable server")
-    state = GreedyState(
-        residue_demand={},
-        undominated={v for v in inst.vertices() if inst.demand(v) > 0},
-        map_sets={},
-        partial_assignment={},
-        running_cost=0,
-        base_demand={v: inst.demand(v) for v in inst.vertices()},
-    )
-    quotes = [None] + [_unsplit_quote(inst, state, u) for u in inst.vertices()]
+    undominated = {v for v in inst.vertices() if inst.demand(v) > 0}
+    assignment: dict[tuple[int, int], int] = {}
+    quotes = [None] + [_unsplit_quote(inst, undominated, u) for u in inst.vertices()]
     trace: list[TraceEntry] = []
     undominated_before: list[frozenset[int]] = []
     iteration = 0
-    while state.undominated:
+    while undominated:
         iteration += 1
         if iteration > inst.n:
             raise CapdomError("unsplittable greedy failed to make progress")
         best = _pick_best(quotes)
         u = best.vertex
         chosen = sorted(
-            state.undominated & inst.closed_neighborhood(u),
+            undominated & inst.closed_neighborhood(u),
             key=lambda v: (inst.demand(v), v),
         )[: best.prefix_len]
-        undominated_before.append(frozenset(state.undominated))
+        undominated_before.append(frozenset(undominated))
         prefix = 0
         for v in chosen:
-            _add(state.partial_assignment, v, u, inst.demand(v))
+            _add(assignment, v, u, inst.demand(v))
             prefix += inst.demand(v)
-            state.undominated.discard(v)
+            undominated.discard(v)
         iter_cost = inst.weight(u) * ceil_div(prefix, inst.capacity(u))
-        state.running_cost += iter_cost
         trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
-        _requote(inst, state, quotes, _unsplit_quote, chosen)
-    solution = minimum_multiplicities(inst, state.partial_assignment)
+        _requote(inst, undominated, quotes, _unsplit_quote, chosen)
+    solution = minimum_multiplicities(inst, assignment)
     return GreedyResult(
         solution,
         trace,
@@ -299,7 +290,6 @@ def _split_iteration(
                 state.map_sets.setdefault(nxt, set()).add(u)
                 changed.append(nxt)
         iter_cost = inst.weight(u)
-    state.running_cost += iter_cost
     trace.append(TraceEntry(iteration, u, j, iter_cost, 1))
     return changed
 
@@ -359,10 +349,8 @@ def greedy_splittable(inst: Instance) -> GreedyResult:
         raise InfeasibleInstance("a vertex with demand has no usable server")
     state = GreedyState(
         residue_demand={v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0},
-        undominated=set(),
         map_sets={},
         partial_assignment={},
-        running_cost=0,
         base_demand={v: inst.demand(v) for v in inst.vertices()},
     )
     trace: list[TraceEntry] = []
@@ -432,10 +420,8 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
         residue[v] = inst.demand(v) - cg * copies
     state = GreedyState(
         residue_demand={v: r for v, r in residue.items() if r > 0},
-        undominated=set(),
         map_sets={},
         partial_assignment=assignment,
-        running_cost=phase0_cost,
         base_demand={v: r for v, r in residue.items() if r > 0},
     )
     boundary = _split_greedy(

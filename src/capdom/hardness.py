@@ -19,9 +19,12 @@ from .core import (
     CapdomError,
     Instance,
     ParseError,
+    Report,
     Solution,
     VertexAttrs,
+    is_comment,
     is_feasible,
+    parse_ints,
     DemandModel,
 )
 from .oracle import (
@@ -55,6 +58,8 @@ class CliqueInstance:
             raise InvalidCliqueInstance("every part must be nonempty")
         color = self.color_of()
         for u, v in self.edges:
+            if u not in color or v not in color:
+                raise InvalidCliqueInstance(f"edge ({u},{v}) names a label outside 1..N")
             if u >= v:
                 raise InvalidCliqueInstance(f"edge ({u},{v}) not normalized u < v")
             if color[u] == color[v]:
@@ -188,16 +193,7 @@ def reduce(cq: CliqueInstance) -> GadgetInstance:
     return GadgetInstance(inst, roles, k_star, k, n_labels)
 
 
-@dataclass
-class StructReport:
-    passed: bool
-    problems: list[str]
-
-    def __str__(self):
-        return "PASS" if self.passed else "FAIL\n" + "\n".join(self.problems)
-
-
-def verify_structure(g: GadgetInstance) -> StructReport:
+def verify_structure(g: GadgetInstance) -> Report:
     """Audit the attribute schedule and the forest left by deleting bridges."""
     problems: list[str] = []
     inst, n_labels, k = g.instance, g.num_labels, g.k
@@ -241,7 +237,7 @@ def verify_structure(g: GadgetInstance) -> StructReport:
         demand_sum = sum(inst.demand(u) for u in inst.closed_neighborhood(v))
         if demand_sum != expected:
             problems.append(f"edge node {v} neighborhood demand {demand_sum} != {expected}")
-    return StructReport(not problems, problems)
+    return Report(not problems, problems)
 
 
 @dataclass
@@ -347,26 +343,28 @@ def load_clique_instance(text: str) -> CliqueInstance:
     edges: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
+        if not line or is_comment(line):
             continue
         tokens = line.split()
         if tokens[0] == "p":
             if len(tokens) != 5 or tokens[1] != "mcq":
                 raise ParseError(line_no, "header must be 'p mcq <k> <N> <|E|>'")
-            k, n, m = (int(t) for t in tokens[2:])
+            k, n, m = parse_ints(tokens[2:], line_no)
         elif tokens[0] == "part":
             if k < 0:
                 raise ParseError(line_no, "part line before header")
-            idx = int(tokens[1])
+            if len(tokens) < 2:
+                raise ParseError(line_no, "part line must be 'part <index> <v...>'")
+            idx, *members = parse_ints(tokens[1:], line_no)
             if idx in parts:
                 raise ParseError(line_no, f"duplicate part {idx}")
-            parts[idx] = tuple(sorted(int(t) for t in tokens[2:]))
+            parts[idx] = tuple(sorted(members))
         elif tokens[0] == "e":
             if k < 0:
                 raise ParseError(line_no, "edge line before header")
             if len(tokens) != 3:
                 raise ParseError(line_no, "edge line must be 'e <u> <v>'")
-            u, v = int(tokens[1]), int(tokens[2])
+            u, v = parse_ints(tokens[1:], line_no)
             edges.add((min(u, v), max(u, v)))
         else:
             raise ParseError(line_no, f"unknown line tag {tokens[0]!r}")

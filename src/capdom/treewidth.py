@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .core import CapdomError, Instance, ParseError
+from .core import CapdomError, Instance, ParseError, Report, is_comment, parse_ints
 
 
 class InvalidDecomposition(CapdomError):
@@ -40,20 +40,11 @@ class TreeDecomposition:
         return adj
 
 
-@dataclass
-class TDReport:
-    passed: bool
-    problems: list[str]
-
-    def __str__(self):
-        return "PASS" if self.passed else "FAIL\n" + "\n".join(self.problems)
-
-
-def validate_td(inst: Instance, td: TreeDecomposition) -> TDReport:
+def validate_td(inst: Instance, td: TreeDecomposition) -> Report:
     """Check tree shape, vertex and edge coverage, and bag connectivity."""
     problems: list[str] = []
     if not td.bags:
-        return TDReport(False, ["decomposition has no bags"])
+        return Report(False, ["decomposition has no bags"])
     ids = set(td.bags)
     for a, b in td.tree_edges:
         if a not in ids or b not in ids:
@@ -61,7 +52,7 @@ def validate_td(inst: Instance, td: TreeDecomposition) -> TDReport:
         if a == b:
             problems.append(f"tree edge ({a},{b}) is a self-loop")
     if problems:
-        return TDReport(False, problems)
+        return Report(False, problems)
     if len(set(map(lambda e: (min(e), max(e)), td.tree_edges))) != len(td.tree_edges):
         problems.append("duplicate tree edges")
     if len(td.tree_edges) != len(td.bags) - 1:
@@ -81,7 +72,7 @@ def validate_td(inst: Instance, td: TreeDecomposition) -> TDReport:
     if seen != ids:
         problems.append("bag graph is disconnected")
     if problems:
-        return TDReport(False, problems)
+        return Report(False, problems)
 
     covered = frozenset().union(*td.bags.values())
     missing = set(inst.vertices()) - covered
@@ -107,7 +98,7 @@ def validate_td(inst: Instance, td: TreeDecomposition) -> TDReport:
                     queue.append(nxt)
         if seen != holding:
             problems.append(f"bags containing vertex {v} are not connected")
-    return TDReport(not problems, problems)
+    return Report(not problems, problems)
 
 
 def min_fill_order(inst: Instance) -> list[int]:
@@ -302,7 +293,7 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     return NiceTreeDecomposition(top)
 
 
-def validate_nice(ntd: NiceTreeDecomposition) -> TDReport:
+def validate_nice(ntd: NiceTreeDecomposition) -> Report:
     """Structural checks on node kinds, bag deltas, and the empty root."""
     problems: list[str] = []
     if ntd.root.bag:
@@ -328,7 +319,7 @@ def validate_nice(ntd: NiceTreeDecomposition) -> TDReport:
                 problems.append("join children bags must equal the join bag")
         else:
             problems.append(f"unknown node kind {node.kind!r}")
-    return TDReport(not problems, problems)
+    return Report(not problems, problems)
 
 
 def project_nice(ntd: NiceTreeDecomposition) -> TreeDecomposition:
@@ -350,7 +341,7 @@ def load_td(text: str) -> TreeDecomposition:
     declared = None
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
+        if not line or is_comment(line):
             continue
         parts = line.split()
         if parts[0] == "s":
@@ -358,20 +349,23 @@ def load_td(text: str) -> TreeDecomposition:
                 raise ParseError(line_no, "duplicate header")
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError(line_no, "header must be 's td <#bags> <max_bag_size> <n>'")
-            declared = tuple(int(p) for p in parts[2:])
+            declared = parse_ints(parts[2:], line_no)
         elif parts[0] == "b":
             if declared is None:
                 raise ParseError(line_no, "bag line before header")
-            bag_id = int(parts[1])
+            if len(parts) < 2:
+                raise ParseError(line_no, "bag line must be 'b <bag_id> <v...>'")
+            bag_id, *members = parse_ints(parts[1:], line_no)
             if bag_id in bags:
                 raise ParseError(line_no, f"duplicate bag {bag_id}")
-            bags[bag_id] = frozenset(int(p) for p in parts[2:])
+            bags[bag_id] = frozenset(members)
         else:
             if declared is None:
                 raise ParseError(line_no, "tree edge before header")
             if len(parts) != 2:
                 raise ParseError(line_no, "tree edge must be '<bag> <bag>'")
-            edges.append((int(parts[0]), int(parts[1])))
+            a, b = parse_ints(parts, line_no)
+            edges.append((a, b))
     if declared is None:
         raise ParseError(0, "missing 's td' header")
     if len(bags) != declared[0]:

@@ -83,7 +83,7 @@ class TestCriterion1Feasibility:
             runs += 1
             report = verify_solution(inst, sol, model)
             if not report.passed:
-                violations.append((label, report.violations[:2]))
+                violations.append((label, report.problems[:2]))
 
         for i in range(220):
             n = 1 + i % 12

@@ -134,7 +134,7 @@ class TestMerge:
         for piece in slices:
             td = heuristic_decomposition(piece.instance)
             pairs.append((piece, solve_td(piece.instance, make_nice(td), UNSPLIT)))
-        merged = merge_solutions(pairs)
+        merged = merge_solutions([(piece.orig_of, sol) for piece, sol in pairs])
         assert merged.cost == sum(sol.cost for _, sol in pairs)
         assert verify_solution(inst, merged, UNSPLIT).passed
 
@@ -144,7 +144,7 @@ class TestMerge:
         b = Slice(inst, (1, 2, 3), frozenset({3}), frozenset({1, 2}), 2, 5)
         sol_a = Solution({2: 1}, {(1, 2): 1, (2, 2): 1}, 1)
         sol_b = Solution({2: 1}, {(3, 2): 1}, 1)
-        merged = merge_solutions([(a, sol_a), (b, sol_b)])
+        merged = merge_solutions([(a.orig_of, sol_a), (b.orig_of, sol_b)])
         assert merged.multiplicity == {2: 2}
         assert merged.cost == 2
 
@@ -158,7 +158,7 @@ class TestMerge:
         b = Slice(inst, (1, 2, 3), frozenset({1}), frozenset({2, 3}), 2, 5)
         sol = Solution({1: 1}, {(1, 1): 1}, 1)
         with pytest.raises(MergeConflict):
-            merge_solutions([(a, sol), (b, sol)])
+            merge_solutions([(a.orig_of, sol), (b.orig_of, sol)])
 
 
 class TestBakerSolve:
@@ -219,5 +219,5 @@ class TestBakerSolve:
                     pairs.append(
                         (piece, solve_td(piece.instance, make_nice(td), UNSPLIT))
                     )
-                merged = merge_solutions(pairs)
+                merged = merge_solutions([(piece.orig_of, sol) for piece, sol in pairs])
                 assert verify_solution(inst, merged, UNSPLIT).passed

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,11 @@ class TestSolve:
     def test_baker_requires_k(self, p3_file):
         assert run("solve", "--algo", "baker", p3_file) == 2
 
+    @pytest.mark.parametrize("k", ["1", "0", "-2"])
+    def test_baker_small_k_is_usage_error(self, k, p3_file, capsys):
+        assert run("solve", "--algo", "baker", "--k", k, p3_file) == 2
+        assert "--k >= 2" in capsys.readouterr().err
+
     def test_unweighted_rejects_weights(self, p3_file):
         assert run("solve", "--algo", "greedy-unweighted", p3_file) == 1
 
@@ -119,6 +125,27 @@ class TestGen:
         roles = Path(str(out) + ".roles").read_text().splitlines()
         assert len(roles) == 18
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [("p mcq 2 x 1\n", 1), ("p mcq 2 2 1\npart 1 1\npart\n", 3)],
+        ids=["non-integer-header", "bare-part"],
+    )
+    def test_malformed_mcq_is_parse_error(self, text, line_no, tmp_path, capsys):
+        clique = tmp_path / "bad.mcq"
+        clique.write_text(text)
+        assert run("gen", "mcq-reduce", clique) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: line {line_no}: ")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--n", "0"), ("--max-w", "0"), ("--max-c", "-1"), ("--max-d", "0")],
+    )
+    def test_nonpositive_size_is_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("gen", "random", "--n", 5, "--seed", 1, flag, value)
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestTd:
     def test_compute_validate_nice(self, p3_file, tmp_path, capsys):
@@ -140,6 +167,22 @@ class TestTd:
         td_path.write_text("s td 2 1 3\nb 1 1\nb 2 3\n1 2\n")
         assert run("td", "validate", p3_file, td_path) == 1
 
+    @pytest.mark.parametrize(
+        "text", ["s td 1 2 3\nb 1 x 2\n", "s td 1 2 3\nb\n"], ids=["non-integer", "bare-b"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [("td", "validate", "P3", "TD"), ("td", "nice", "P3", "TD"),
+         ("solve", "--algo", "dp", "--td", "TD", "P3")],
+        ids=["validate", "nice", "solve-dp"],
+    )
+    def test_malformed_file_is_parse_error(self, text, argv, p3_file, tmp_path, capsys):
+        td_path = tmp_path / "bad.td"
+        td_path.write_text(text)
+        files = {"P3": p3_file, "TD": td_path}
+        assert run(*(files.get(a, a) for a in argv)) == 2
+        assert capsys.readouterr().err.startswith("parse error: line 2: ")
+
     def test_validate_without_file_is_usage_error(self, p3_file, capsys):
         assert run("td", "validate", p3_file) == 2
         assert "decomposition file" in capsys.readouterr().err
@@ -160,6 +203,17 @@ class TestBench:
                 "--budget", budget)
         assert info.value.code == 2
         assert "--budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--n", "0"), ("--max-w", "-1"), ("--max-c", "0"), ("--max-d", "0")],
+    )
+    def test_nonpositive_size_is_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("bench", "--n", 5, "--batch", 2, "--seed", 1, "--model", "unsplit",
+                flag, value)
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_csv_schema_and_bounds(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -219,3 +273,65 @@ class TestBench:
         )
         for line in out.read_text().splitlines()[1:]:
             assert line.split(",")[3] == "greedy-unweighted"
+
+
+# sha256 of stdout for commands on two `gen random` instances: A is
+# `--n 9 --seed 5`, U is `--n 8 --seed 4 --max-w 1`.  A digest changes only
+# when an output byte changes, so refactors must leave every one of them alone.
+PINNED_STDOUT = [
+    (("solve", "--algo", "greedy-unsplit", "A"),
+     "5ace7a518ebcb612076125f04e59d21f75084cfe2f4a3339a8e0a51082af0e46"),
+    (("solve", "--algo", "greedy-split", "A"),
+     "d813ae8469d13666ffaf2d45f2653a24a6ca292c954104b522d07fd8be033453"),
+    (("solve", "--algo", "greedy-unweighted", "U"),
+     "967e083d238d60a447c49150ec3b1e1b6f7beeebed27b2855761d649296fe478"),
+    (("solve", "--algo", "greedy-unsplit", "--trace", "A"),
+     "523697bedc9ae21f0467a46b61a87443718c5252b9bd060c115aeb4ea0035c09"),
+    (("solve", "--algo", "greedy-split", "--trace", "A"),
+     "e7fc428f95fced4a4c0ad03f94ab40e297016718083bb025acaf5b531b62cdb1"),
+    (("solve", "--algo", "greedy-unweighted", "--trace", "U"),
+     "6afa6bf675f87ac5ea393b3c095a6c0da4451fcf3d4267b03e85e5fe903bd60a"),
+    (("solve", "--algo", "dp", "--model", "unsplit", "A"),
+     "44fb2f20f3c4d62ba6fe52bc5d511ad9d1c6c4f9e86d089f8f5bf2a6e47b34ce"),
+    (("solve", "--algo", "dp", "--model", "split", "A"),
+     "c9ab1c9215f2705a8d76fef635a3dfb0257ebab05b39e3477bf99b008d351fe6"),
+    (("solve", "--algo", "baker", "--k", "2", "--model", "unsplit", "A"),
+     "bed7b17c79f8009948b8dc7ed4dfc1e72ec89995dd7dc697877aaf8cf7fe9515"),
+    (("solve", "--algo", "baker", "--k", "2", "--model", "split", "A"),
+     "cbbd037412f41248086b9d4d1553886b295a1d01f6cc668755b94eed6e8f43f9"),
+    (("solve", "--algo", "oracle", "--model", "unsplit", "A"),
+     "44fb2f20f3c4d62ba6fe52bc5d511ad9d1c6c4f9e86d089f8f5bf2a6e47b34ce"),
+    (("solve", "--algo", "oracle", "--model", "split", "A"),
+     "5e530c0fbb03e18ea80b128a9ac45aba06182e960d6dbe48eff0e6f93c8c071c"),
+    (("bench", "--n", "6", "--batch", "4", "--seed", "3", "--model", "unsplit"),
+     "bb1f5a48601456573f49a8ae3e95226134267088beb10e927418a757ae83bd60"),
+    (("bench", "--n", "6", "--batch", "4", "--seed", "3", "--model", "split"),
+     "080eace9e2b3551c54d8e0df684516b021b0f2f0e011c5affafd7e1662870ddf"),
+    (("bench", "--n", "7", "--batch", "3", "--seed", "2", "--model", "split",
+      "--oracle-threshold", "5"),
+     "b797ff95de1578e48c3f98f0e21e1a215b59cb39fddb0d943ce76ed035836033"),
+    (("td", "compute", "A"),
+     "8d139ed2cdbea5f7f203567c32faf1b2a7004d7b3d812e5dbb412d1bc1586a03"),
+    (("td", "nice", "A"),
+     "5a260ebc92d122d1fa1490890151843426154bd078287f21b6b06a0c20312ac5"),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_instances(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    files = {"A": root / "a.cd", "U": root / "u.cd"}
+    assert run("gen", "random", "--n", 9, "--seed", 5, "-o", files["A"]) == 0
+    assert run("gen", "random", "--n", 8, "--seed", 4, "--max-w", 1, "-o", files["U"]) == 0
+    return files
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    PINNED_STDOUT,
+    ids=["-".join(a.lstrip("-") for a in argv) for argv, _ in PINNED_STDOUT],
+)
+def test_pinned_stdout(argv, digest, pinned_instances, capsys):
+    assert run(*(pinned_instances.get(a, a) for a in argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -104,7 +104,7 @@ class TestVerifySolution:
         sol = Solution({}, {(1, 2): 1, (2, 2): 1, (3, 2): 1}, 0)
         report = verify_solution(p3, sol, UNSPLIT)
         assert not report.passed
-        assert any("capacity violated at vertex 2" in v for v in report.violations)
+        assert any("capacity violated at vertex 2" in v for v in report.problems)
 
     def test_single_vertex_ceiling(self):
         inst = mk([(2, 3, 7)])
@@ -115,12 +115,12 @@ class TestVerifySolution:
         sol = Solution({2: 1}, {(1, 2): 1, (2, 2): 1, (3, 2): 1}, 2)
         report = verify_solution(p3, sol, UNSPLIT)
         assert not report.passed
-        assert any("cost field" in v for v in report.violations)
+        assert any("cost field" in v for v in report.problems)
 
     def test_unserved_demand_reported(self, p3):
         sol = Solution({2: 1}, {(1, 2): 1, (2, 2): 1}, 3)
         report = verify_solution(p3, sol, UNSPLIT)
-        assert any("demand violated at vertex 3" in v for v in report.violations)
+        assert any("demand violated at vertex 3" in v for v in report.problems)
 
     def test_unsplittable_rejects_split_routing(self):
         inst = mk([(1, 2, 3), (1, 2, 0)], [(1, 2)])
@@ -128,13 +128,13 @@ class TestVerifySolution:
         assert verify_solution(inst, sol, SPLIT).passed
         report = verify_solution(inst, sol, UNSPLIT)
         assert not report.passed
-        assert any("unsplittable model" in v for v in report.violations)
+        assert any("unsplittable model" in v for v in report.problems)
 
     def test_server_outside_neighborhood(self):
         inst = mk([(1, 5, 1), (1, 5, 0), (1, 5, 0)], [(1, 2), (2, 3)])
         sol = Solution({3: 1}, {(1, 3): 1}, 1)
         report = verify_solution(inst, sol, UNSPLIT)
-        assert any("outside the closed neighborhood" in v for v in report.violations)
+        assert any("outside the closed neighborhood" in v for v in report.problems)
 
     def test_model_monotone(self):
         for seed in range(20):
@@ -174,7 +174,7 @@ class TestMinimumMultiplicities:
                 weakened[v] -= 1
                 cost = sol.cost - inst.weight(v)
                 report = verify_solution(inst, Solution(weakened, sol.assignment, cost), UNSPLIT)
-                assert any(f"capacity violated at vertex {v}" in x for x in report.violations)
+                assert any(f"capacity violated at vertex {v}" in x for x in report.problems)
 
 
 class TestRandomInstance:

@@ -44,15 +44,8 @@ UNSPLIT = DemandModel.UNSPLITTABLE
 SPLIT = DemandModel.SPLITTABLE
 
 
-def unsplit_state(inst):
-    return GreedyState(
-        residue_demand={},
-        undominated={v for v in inst.vertices() if inst.demand(v) > 0},
-        map_sets={},
-        partial_assignment={},
-        running_cost=0,
-        base_demand={v: inst.demand(v) for v in inst.vertices()},
-    )
+def initial_undominated(inst):
+    return {v for v in inst.vertices() if inst.demand(v) > 0}
 
 
 def split_state(inst, residues=None):
@@ -60,10 +53,8 @@ def split_state(inst, residues=None):
     rd = dict(base) if residues is None else dict(residues)
     return GreedyState(
         residue_demand=rd,
-        undominated=set(),
         map_sets={},
         partial_assignment={},
-        running_cost=0,
         base_demand=base,
     )
 
@@ -78,32 +69,32 @@ class TestUnsplitEfficiency:
     def test_prefix_two_wins(self):
         # server 1: w=2 c=5; undominated closed neighbors with demands 2,3,4
         inst = star((2, 5, 0), [(1, 1, 2), (1, 1, 3), (1, 1, 4)])
-        quote = unsplit_efficiency(inst, unsplit_state(inst), 1)
+        quote = unsplit_efficiency(inst, initial_undominated(inst), 1)
         assert (quote.prefix_len, quote.numerator, quote.denominator) == (2, 2, 2)
 
     def test_single_candidate_single_copy(self):
         inst = star((1, 10, 0), [(1, 1, 1)])
-        quote = unsplit_efficiency(inst, unsplit_state(inst), 1)
+        quote = unsplit_efficiency(inst, initial_undominated(inst), 1)
         assert (quote.prefix_len, quote.numerator, quote.denominator) == (1, 1, 1)
 
     def test_multi_copy_candidate(self):
         inst = star((1, 1, 0), [(1, 1, 3)])
-        quote = unsplit_efficiency(inst, unsplit_state(inst), 1)
+        quote = unsplit_efficiency(inst, initial_undominated(inst), 1)
         assert (quote.prefix_len, quote.numerator, quote.denominator) == (1, 1, 3)
 
     def test_no_candidates(self):
         inst = star((1, 5, 0), [(1, 1, 0)])
         with pytest.raises(NoCandidates):
-            unsplit_efficiency(inst, unsplit_state(inst), 1)
+            unsplit_efficiency(inst, initial_undominated(inst), 1)
 
     def test_zero_capacity_never_selectable(self):
         inst = star((1, 0, 1), [(1, 5, 0)])
-        assert unsplit_efficiency(inst, unsplit_state(inst), 1) is None
+        assert unsplit_efficiency(inst, initial_undominated(inst), 1) is None
 
     def test_ratio_tie_takes_longer_prefix(self):
         # prefixes 1 and 2 both quote ratio 1/w with c = 2: pick i = 2
         inst = star((1, 2, 0), [(1, 1, 1), (1, 1, 1)])
-        quote = unsplit_efficiency(inst, unsplit_state(inst), 1)
+        quote = unsplit_efficiency(inst, initial_undominated(inst), 1)
         assert quote.prefix_len == 2
 
 
@@ -315,19 +306,20 @@ def _reference_pick_best(quotes):
 def reference_greedy_unsplittable(inst):
     if not is_feasible(inst):
         raise InfeasibleInstance("a vertex with demand has no usable server")
-    state = unsplit_state(inst)
+    undominated = initial_undominated(inst)
+    assignment = {}
     trace = []
     undominated_before = []
     iteration = 0
-    while state.undominated:
+    while undominated:
         iteration += 1
         quotes = []
         for u in inst.vertices():
             if inst.capacity(u) == 0:
                 continue
-            if not (state.undominated & inst.closed_neighborhood(u)):
+            if not (undominated & inst.closed_neighborhood(u)):
                 continue
-            q = unsplit_efficiency(inst, state, u)
+            q = unsplit_efficiency(inst, undominated, u)
             if q is not None:
                 quotes.append(q)
         if not quotes:
@@ -335,19 +327,18 @@ def reference_greedy_unsplittable(inst):
         best = _reference_pick_best(quotes)
         u = best.vertex
         chosen = sorted(
-            state.undominated & inst.closed_neighborhood(u),
+            undominated & inst.closed_neighborhood(u),
             key=lambda v: (inst.demand(v), v),
         )[: best.prefix_len]
-        undominated_before.append(frozenset(state.undominated))
+        undominated_before.append(frozenset(undominated))
         prefix = 0
         for v in chosen:
-            _add(state.partial_assignment, v, u, inst.demand(v))
+            _add(assignment, v, u, inst.demand(v))
             prefix += inst.demand(v)
-            state.undominated.discard(v)
+            undominated.discard(v)
         iter_cost = inst.weight(u) * ceil_div(prefix, inst.capacity(u))
-        state.running_cost += iter_cost
         trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
-    solution = minimum_multiplicities(inst, state.partial_assignment)
+    solution = minimum_multiplicities(inst, assignment)
     return GreedyResult(
         solution, trace, undominated_before=undominated_before, model=UNSPLIT
     )
@@ -395,7 +386,6 @@ def _reference_split_iteration(inst, state, iteration, trace):
                 state.residue_demand[nxt] -= spare
                 state.map_sets.setdefault(nxt, set()).add(u)
         iter_cost = inst.weight(u)
-    state.running_cost += iter_cost
     trace.append(TraceEntry(iteration, u, j, iter_cost, 1))
 
 
@@ -404,10 +394,8 @@ def reference_greedy_splittable(inst):
         raise InfeasibleInstance("a vertex with demand has no usable server")
     state = GreedyState(
         residue_demand={v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0},
-        undominated=set(),
         map_sets={},
         partial_assignment={},
-        running_cost=0,
         base_demand={v: inst.demand(v) for v in inst.vertices()},
     )
     trace = []
@@ -461,10 +449,8 @@ def reference_greedy_unweighted_splittable(inst):
         residue[v] = inst.demand(v) - cg * copies
     state = GreedyState(
         residue_demand={v: r for v, r in residue.items() if r > 0},
-        undominated=set(),
         map_sets={},
         partial_assignment=assignment,
-        running_cost=phase0_cost,
         base_demand={v: r for v, r in residue.items() if r > 0},
     )
     boundary = []

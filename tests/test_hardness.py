@@ -44,6 +44,10 @@ class TestCliqueInstance:
         with pytest.raises(InvalidCliqueInstance):
             CliqueInstance(2, ((1, 2), (3,)), frozenset({(1, 2)}))
 
+    def test_rejects_edge_to_unknown_label(self):
+        with pytest.raises(InvalidCliqueInstance):
+            CliqueInstance(2, ((1,), (2,)), frozenset({(1, 9)}))
+
     def test_has_clique(self):
         assert tiny_clique().has_clique()
         assert not CliqueInstance(2, ((1,), (2,)), frozenset()).has_clique()

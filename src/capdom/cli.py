@@ -82,7 +82,9 @@ def _run_baker(inst, model, args):
 
 
 def _run_oracle(inst, model, args):
-    return oracle.exact_solve(inst, model, oracle.SearchBudget(max_nodes=args.budget)), [], []
+    # `solve` leaves --budget unset unless given; SearchBudget() holds the default.
+    budget = oracle.SearchBudget() if args.budget is None else oracle.SearchBudget(args.budget)
+    return oracle.exact_solve(inst, model, budget), [], []
 
 
 # name -> (model the algorithm forces or None, greedy ratio bound as a
@@ -121,7 +123,14 @@ def _model_for(algo: str, flag: str | None) -> DemandModel:
     return forced
 
 
+# `solve` flags that only one algorithm reads, by argparse dest.
+SOLVE_ONLY_FLAGS = {"td": "dp", "k": "baker", "budget": "oracle"}
+
+
 def _solve(args) -> int:
+    for dest, algo in SOLVE_ONLY_FLAGS.items():
+        if getattr(args, dest) is not None and args.algo != algo:
+            raise _Usage(f"--{dest} applies only to --algo {algo}")
     inst = fileio.load_instance(_read(args.instance))
     model = _model_for(args.algo, args.model)
     solution, trace_lines, comments = ALGOS[args.algo][2](inst, model, args)
@@ -262,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=int, help="band width for the shifting scheme")
     solve.add_argument("--td", help="tree decomposition file for --algo dp")
     solve.add_argument("--trace", action="store_true", help="append iteration trace lines")
-    solve.add_argument("--budget", type=_positive_int, default=5_000_000, help="oracle node limit")
+    solve.add_argument("--budget", type=_positive_int, help="oracle node limit (default 5000000)")
     solve.add_argument("-o", "--output")
     solve.add_argument("instance")
 
@@ -323,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return _bench(args)
         parser.error(f"unknown command {args.command}")
-    except _Usage as exc:
+    except (_Usage, greedy.NotUnweighted) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except ParseError as exc:

@@ -347,9 +347,13 @@ def load_clique_instance(text: str) -> CliqueInstance:
             continue
         tokens = line.split()
         if tokens[0] == "p":
+            if k >= 0:
+                raise ParseError(line_no, "duplicate header line")
             if len(tokens) != 5 or tokens[1] != "mcq":
                 raise ParseError(line_no, "header must be 'p mcq <k> <N> <|E|>'")
             k, n, m = parse_ints(tokens[2:], line_no)
+            if min(k, n, m) < 0:
+                raise ParseError(line_no, "header values must be nonnegative")
         elif tokens[0] == "part":
             if k < 0:
                 raise ParseError(line_no, "part line before header")

@@ -93,23 +93,76 @@ def dp_leaf(inst: Instance, v: int, model: DemandModel) -> DPTable:
     return table
 
 
-_Partial = tuple[int, tuple[Triple, ...], Key]  # cost, triples so far, child key
+# A row under construction: (cost, triples so far, child key).
+_Partial = tuple[int, tuple[Triple, ...], Key]
 
 
-def _dedup_stage(rows: dict[Key, _Partial], expand) -> dict[Key, _Partial]:
-    """Apply one micro-transition, keeping the cheapest row per configuration.
-
-    Sound because completion cost depends only on the configuration, never
-    on how it was reached; iteration over sorted keys keeps ties stable.
+def _unsplit_stage(
+    rows: dict[Key, _Partial],
+    consumer: int,
+    amount: int,
+    servers: list[tuple[int, int, int, tuple[Triple, ...]]],
+) -> dict[Key, _Partial]:
+    """One unsplittable micro-transition: keep each row, or route the whole
+    `amount` of an unserved `consumer` to one of `servers`, given as
+    (bag position, capacity, weight, triple) in the order they are offered.
     """
     out: dict[Key, _Partial] = {}
+    get = out.get
     for key in sorted(rows):
-        cost, triples, origin = rows[key]
-        for new_key, dcost, dtriples in expand(key):
-            candidate = (cost + dcost, triples + dtriples, origin)
-            old = out.get(new_key)
-            if old is None or candidate[0] < old[0]:
-                out[new_key] = candidate
+        entry = rows[key]
+        cost = entry[0]
+        old = get(key)
+        if old is None or cost < old[0]:
+            out[key] = entry
+        state, rc = key
+        if consumer in state:
+            continue
+        served = tuple(sorted(state + (consumer,)))
+        for pos, c, w, triple in servers:
+            spare = rc[pos]
+            new_cost = cost + w * -((spare - amount) // c) if amount > spare else cost
+            new_key = (served, rc[:pos] + ((spare - amount) % c,) + rc[pos + 1 :])
+            old = get(new_key)
+            if old is None or new_cost < old[0]:
+                out[new_key] = (new_cost, entry[1] + triple, entry[2])
+    return out
+
+
+def _split_stage(
+    rows: dict[Key, _Partial], src: int, dst: int, c: int, w: int, consumer: int, server: int
+) -> dict[Key, _Partial]:
+    """One splittable micro-transition: keep each row, or move 1..rd units of
+    the residual demand at bag position `src` onto the copies of the server
+    at position `dst`, which has capacity c > 0 and weight w.
+
+    A move lowers the residual at `src` and changes no other state entry,
+    so it lands on a key that sorts before its source row.  Keys are
+    visited in sorted order, so no row reaches a key before that key's own
+    keep move, and the keep move needs no cost test.
+    """
+    out: dict[Key, _Partial] = {}
+    get = out.get
+    for key in sorted(rows):
+        entry = rows[key]
+        out[key] = entry
+        cost = entry[0]
+        state, rc = key
+        left = state[src]
+        if not left:
+            continue
+        spare = rc[dst]
+        state_head, state_tail = state[:src], state[src + 1 :]
+        rc_head, rc_tail = rc[:dst], rc[dst + 1 :]
+        for amount in range(1, left + 1):
+            new_cost = cost + w * -((spare - amount) // c) if amount > spare else cost
+            new_key = (
+                state_head + (left - amount,) + state_tail,
+                rc_head + ((spare - amount) % c,) + rc_tail,
+            )
+            old = get(new_key)
+            if old is None or new_cost < old[0]:
+                out[new_key] = (new_cost, entry[1] + ((consumer, server, amount),), entry[2])
     return out
 
 
@@ -122,10 +175,14 @@ def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -
     pending, or split across several of them in the splittable model.
     Transitions run one bag vertex at a time with dedup in between, so the
     work stays proportional to the configuration space, not to the number
-    of assignment paths.
+    of assignment paths.  Dedup is sound because completion cost depends
+    only on the configuration, never on how it was reached.  Each stage
+    walks its rows in sorted key order, offers a row's keep move before its
+    other moves and lets only a strictly cheaper candidate replace a row,
+    so ties always resolve the same way.
     """
     new_bag = tuple(sorted(set(child.bag) | {v}))
-    if tuple(sorted(bag)) != new_bag:
+    if v in child.bag or tuple(sorted(bag)) != new_bag:
         raise ValueError("bag must be the child bag plus the introduced vertex")
     idx = new_bag.index(v)
     nbrs = inst.neighbors(v)
@@ -137,89 +194,45 @@ def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -
         if (u == v or u in nbrs) and inst.capacity(u) > 0
     ]
 
-    # Seed: v joins the bag with no copies bought, so spare 0.
+    # Seed: v joins the bag with no copies bought, so spare 0.  Child keys
+    # map one-to-one onto seeded keys, so no two rows collide.
     rows: dict[Key, _Partial] = {}
-    for key in sorted(child.rows):
+    for key, row in child.rows.items():
         state, rc = key
-        row = child.rows[key]
-        rc_full = rc[:idx] + (0,) + rc[idx:]
-        if unsplit:
-            seeded: Key = (state, rc_full)
-        else:
-            seeded = (state[:idx] + (dv,) + state[idx:], rc_full)
-        old = rows.get(seeded)
-        if old is None or row.cost < old[0]:
-            rows[seeded] = (row.cost, (), key)
+        if not unsplit:
+            state = state[:idx] + (dv,) + state[idx:]
+        rows[(state, rc[:idx] + (0,) + rc[idx:])] = (row.cost, (), key)
 
     if cv > 0:
-        # Pull stage: serve bag neighbors with copies of v, one at a time.
+        # Pull stages: serve bag neighbors with copies of v, one at a time.
+        # A neighbor without demand has nothing to pull: its stage would
+        # only keep every row.
         for pos, u in enumerate(new_bag):
-            if u == v or u not in nbrs:
-                continue
             du = inst.demand(u)
-
+            if u == v or u not in nbrs or du == 0:
+                continue
             if unsplit:
-                def pull(key, pos=pos, u=u, du=du):
-                    state, rc = key
-                    yield key, 0, ()
-                    if du > 0 and u not in state:
-                        spare = rc[idx]
-                        dcost = wv * ceil_div(max(0, du - spare), cv)
-                        rc2 = rc[:idx] + ((spare - du) % cv,) + rc[idx + 1 :]
-                        yield (tuple(sorted(state + (u,))), rc2), dcost, ((u, v, du),)
+                rows = _unsplit_stage(rows, u, du, [(idx, cv, wv, ((u, v, du),))])
             else:
-                def pull(key, pos=pos, u=u):
-                    state, rc = key
-                    yield key, 0, ()
-                    spare = rc[idx]
-                    for take in range(1, state[pos] + 1):
-                        dcost = wv * ceil_div(max(0, take - spare), cv)
-                        rc2 = rc[:idx] + ((spare - take) % cv,) + rc[idx + 1 :]
-                        state2 = state[:pos] + (state[pos] - take,) + state[pos + 1 :]
-                        yield (state2, rc2), dcost, ((u, v, take),)
-
-            rows = _dedup_stage(rows, pull)
+                rows = _split_stage(rows, pos, idx, cv, wv, u, v)
 
     # Routing stage: v's own demand.
-    if unsplit:
-        if dv == 0:
-            def route(key):
-                state, rc = key
-                yield (tuple(sorted(state + (v,))), rc), 0, ()
-        else:
-            def route(key):
-                state, rc = key
-                yield key, 0, ()  # v stays pending
-                served = tuple(sorted(state + (v,)))
-                for pos, s in server_pos:
-                    cs = inst.capacity(s)
-                    spare = rc[pos]
-                    dcost = inst.weight(s) * ceil_div(max(0, dv - spare), cs)
-                    rc2 = rc[:pos] + ((spare - dv) % cs,) + rc[pos + 1 :]
-                    yield (served, rc2), dcost, ((v, s, dv),)
-
-        rows = _dedup_stage(rows, route)
-    else:
+    if unsplit and dv == 0:
+        # v counts as served; v is in no state yet, so keys stay distinct.
+        rows = {(tuple(sorted(state + (v,))), rc): entry for (state, rc), entry in rows.items()}
+    elif unsplit:
+        servers = [
+            (pos, inst.capacity(s), inst.weight(s), ((v, s, dv),)) for pos, s in server_pos
+        ]
+        rows = _unsplit_stage(rows, v, dv, servers)
+    elif dv > 0:
         for pos, s in server_pos:
-            cs = inst.capacity(s)
-            ws = inst.weight(s)
-
-            def spread(key, pos=pos, s=s, cs=cs, ws=ws):
-                state, rc = key
-                yield key, 0, ()
-                spare = rc[pos]
-                for give in range(1, state[idx] + 1):
-                    dcost = ws * ceil_div(max(0, give - spare), cs)
-                    rc2 = rc[:pos] + ((spare - give) % cs,) + rc[pos + 1 :]
-                    state2 = state[:idx] + (state[idx] - give,) + state[idx + 1 :]
-                    yield (state2, rc2), dcost, ((v, s, give),)
-
-            rows = _dedup_stage(rows, spread)
+            rows = _split_stage(rows, idx, pos, inst.capacity(s), inst.weight(s), v, s)
 
     table = DPTable(child.model, new_bag, {})
     for key in sorted(rows):
         cost, triples, origin = rows[key]
-        _insert(table, key, cost, triples, (origin,))
+        table.rows[key] = DPRow(cost, triples, (origin,))
     return table
 
 
@@ -271,22 +284,46 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable, bag: tuple[int, ...] 
     weights = [inst.weight(u) for u in vs]
     demands = [inst.demand(u) for u in vs]
     unsplit = left.model is DemandModel.UNSPLITTABLE
-    positive = {u for u, d in zip(vs, demands) if d > 0}
 
-    def buckets(table: DPTable) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], int, Key]]]:
-        # state -> [(spare vector, cost, key)], both levels in sorted key order
-        out: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, Key]]] = {}
+    # Served-states become ints, so a pair of states is tested with one
+    # `&`.  Unsplittable: a bitmask over bag positions; two states clash
+    # when they share a position with positive demand.  Splittable: the
+    # served amounts d - rd packed as B-bit digits, with B one bit wider
+    # than the largest demand so no digit sum carries.  Left codes carry a
+    # guard of 2^(B-1) - 1 - d per digit, so a digit of the sum reaches its
+    # top bit exactly when the two served amounts exceed d.  Either way
+    # `merged_of` maps the combined int back to the merged state tuple.
+    if unsplit:
+        pos_of = {u: i for i, u in enumerate(vs)}
+        clash = sum(1 << i for i, d in enumerate(demands) if d > 0)
+        guard = 0
+
+        def code(state: tuple[int, ...]) -> int:
+            return sum(1 << pos_of[u] for u in state)
+
+        def merged_of(combined: int) -> tuple[int, ...]:
+            return tuple(u for i, u in enumerate(vs) if combined >> i & 1)
+    else:
+        width = max(demands, default=0).bit_length() + 1
+        digit = (1 << width) - 1
+        clash = sum(1 << (width * i + width - 1) for i in range(len(vs)))
+        guard = sum(((1 << (width - 1)) - 1 - d) << (width * i) for i, d in enumerate(demands))
+
+        def code(state: tuple[int, ...]) -> int:
+            return sum((d - r) << (width * i) for i, (d, r) in enumerate(zip(demands, state)))
+
+        def merged_of(combined: int) -> tuple[int, ...]:
+            combined -= guard
+            return tuple(d - (combined >> (width * i) & digit) for i, d in enumerate(demands))
+
+    Bucket = list[tuple[tuple[int, ...], int, Key]]  # (spare vector, cost, key)
+
+    def buckets(table: DPTable, offset: int) -> list[tuple[int, Bucket]]:
+        # (state code + offset, bucket), both levels in sorted key order
+        by_state: dict[tuple[int, ...], Bucket] = {}
         for key in sorted(table.rows):
-            out.setdefault(key[0], []).append((key[1], table.rows[key].cost, key))
-        return out
-
-    def merge_states(state1: tuple[int, ...], state2: tuple[int, ...]) -> tuple[int, ...] | None:
-        if unsplit:
-            if not positive.intersection(state1).isdisjoint(state2):
-                return None
-            return tuple(sorted(set(state1).union(state2)))
-        merged = tuple(a + b - d for a, b, d in zip(state1, state2, demands))
-        return None if any(x < 0 for x in merged) else merged
+            by_state.setdefault(key[0], []).append((key[1], table.rows[key].cost, key))
+        return [(code(state) + offset, rows) for state, rows in by_state.items()]
 
     def merge_spares(rc1: tuple[int, ...], rc2: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         refund = 0
@@ -299,22 +336,31 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable, bag: tuple[int, ...] 
                 rc_merged.append(0)
         return refund, tuple(rc_merged)
 
-    right_buckets = buckets(right)
+    right_buckets = buckets(right, 0)
+    merged_states: dict[int, tuple[int, ...]] = {}
     spares: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, tuple[int, ...]]]] = {}
     # merged state -> merged spare vector -> (cost, left key, right key);
     # `order` records each merged key when first reached.
     best: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, Key, Key]]] = {}
     order: list[Key] = []
-    for state1, rows1 in buckets(left).items():
+    for code1, rows1 in buckets(left, guard):
         partners = []
-        for state2, rows2 in right_buckets.items():
-            merged_state = merge_states(state1, state2)
-            if merged_state is not None:
-                partners.append((merged_state, rows2))
+        for code2, rows2 in right_buckets:
+            if unsplit:
+                if code1 & code2 & clash:
+                    continue
+                combined = code1 | code2
+            else:
+                combined = code1 + code2
+                if combined & clash:
+                    continue
+            merged_state = merged_states.get(combined)
+            if merged_state is None:
+                merged_state = merged_states[combined] = merged_of(combined)
+            partners.append((merged_state, best.setdefault(merged_state, {}), rows2))
         for rc1, cost1, k1 in rows1:
             memo = spares.setdefault(rc1, {})
-            for merged_state, rows2 in partners:
-                out = best.setdefault(merged_state, {})
+            for merged_state, out, rows2 in partners:
                 for rc2, cost2, k2 in rows2:
                     merged = memo.get(rc2)
                     if merged is None:

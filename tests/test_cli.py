@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from capdom import oracle
 from capdom.cli import main
 from capdom.fileio import load_solution
 
@@ -67,8 +68,38 @@ class TestSolve:
         assert run("solve", "--algo", "baker", "--k", k, p3_file) == 2
         assert "--k >= 2" in capsys.readouterr().err
 
-    def test_unweighted_rejects_weights(self, p3_file):
-        assert run("solve", "--algo", "greedy-unweighted", p3_file) == 1
+    def test_unweighted_rejects_weights(self, p3_file, capsys):
+        assert run("solve", "--algo", "greedy-unweighted", p3_file) == 2
+        assert capsys.readouterr().err == "usage error: every vertex weight must be 1\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, algo",
+        [("--td", "TD", "oracle"), ("--td", "TD", "greedy-unsplit"), ("--k", "2", "dp"),
+         ("--k", "3", "greedy-split"), ("--budget", "5", "baker"), ("--budget", "5", "dp")],
+    )
+    def test_flag_of_another_algo_is_usage_error(
+        self, flag, value, algo, p3_file, tmp_path, capsys
+    ):
+        td_path = tmp_path / "p3.td"
+        assert run("td", "compute", p3_file, "-o", td_path) == 0
+        value = td_path if value == "TD" else value
+        assert run("solve", "--algo", algo, flag, value, p3_file) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage error: {flag} applies only to --algo ")
+        assert captured.out == ""
+
+    def test_oracle_budget_defaults_to_five_million_nodes(self, p3_file, monkeypatch):
+        budgets = []
+        solve = oracle.exact_solve
+
+        def spy(inst, model, budget):
+            budgets.append(budget.max_nodes)
+            return solve(inst, model, budget)
+
+        monkeypatch.setattr(oracle, "exact_solve", spy)
+        assert run("solve", "--algo", "oracle", p3_file) == 0
+        assert run("solve", "--algo", "oracle", "--budget", 77, p3_file) == 0
+        assert budgets == [5_000_000, 77]
 
     def test_infeasible_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cd"
@@ -127,8 +158,9 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "text, line_no",
-        [("p mcq 2 x 1\n", 1), ("p mcq 2 2 1\npart 1 1\npart\n", 3)],
-        ids=["non-integer-header", "bare-part"],
+        [("p mcq 2 x 1\n", 1), ("p mcq 2 2 1\npart 1 1\npart\n", 3),
+         ("p mcq 2 2 1\npart 1 1\np mcq 2 2 0\npart 2 2\n", 3), ("p mcq -1 2 1\n", 1)],
+        ids=["non-integer-header", "bare-part", "duplicate-header", "negative-header"],
     )
     def test_malformed_mcq_is_parse_error(self, text, line_no, tmp_path, capsys):
         clique = tmp_path / "bad.mcq"

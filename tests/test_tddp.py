@@ -8,6 +8,7 @@ from capdom.core import (
     DemandModel,
     InfeasibleInstance,
     Instance,
+    ceil_div,
     random_instance,
     verify_solution,
 )
@@ -84,6 +85,159 @@ def reference_join(inst, left, right, bag=None):
     return DPTable(left.model, vs, rows)
 
 
+def _dedup_stage(rows, expand):
+    """Apply one micro-transition, keeping the cheapest row per configuration.
+
+    Rows are visited in sorted key order and a candidate replaces a row only
+    when strictly cheaper, so ties keep the first candidate offered.
+    """
+    out = {}
+    for key in sorted(rows):
+        cost, triples, origin = rows[key]
+        for new_key, dcost, dtriples in expand(key):
+            candidate = (cost + dcost, triples + dtriples, origin)
+            old = out.get(new_key)
+            if old is None or candidate[0] < old[0]:
+                out[new_key] = candidate
+    return out
+
+
+def reference_introduce(inst, child, v, bag):
+    """Introduce with one generator per micro-transition and no shortcuts.
+
+    Slow reference for `dp_introduce`, which must build exactly this table.
+    Every pull stage runs, even for a neighbor without demand, and every
+    ceiling goes through `ceil_div`.
+    """
+    new_bag = tuple(sorted(set(child.bag) | {v}))
+    if tuple(sorted(bag)) != new_bag:
+        raise ValueError("bag must be the child bag plus the introduced vertex")
+    idx = new_bag.index(v)
+    nbrs = inst.neighbors(v)
+    cv, wv, dv = inst.capacity(v), inst.weight(v), inst.demand(v)
+    unsplit = child.model is DemandModel.UNSPLITTABLE
+    server_pos = [
+        (pos, u)
+        for pos, u in enumerate(new_bag)
+        if (u == v or u in nbrs) and inst.capacity(u) > 0
+    ]
+
+    rows = {}
+    for key in sorted(child.rows):
+        state, rc = key
+        row = child.rows[key]
+        rc_full = rc[:idx] + (0,) + rc[idx:]
+        if unsplit:
+            seeded = (state, rc_full)
+        else:
+            seeded = (state[:idx] + (dv,) + state[idx:], rc_full)
+        old = rows.get(seeded)
+        if old is None or row.cost < old[0]:
+            rows[seeded] = (row.cost, (), key)
+
+    if cv > 0:
+        for pos, u in enumerate(new_bag):
+            if u == v or u not in nbrs:
+                continue
+            du = inst.demand(u)
+
+            if unsplit:
+                def pull(key, u=u, du=du):
+                    state, rc = key
+                    yield key, 0, ()
+                    if du > 0 and u not in state:
+                        spare = rc[idx]
+                        dcost = wv * ceil_div(max(0, du - spare), cv)
+                        rc2 = rc[:idx] + ((spare - du) % cv,) + rc[idx + 1 :]
+                        yield (tuple(sorted(state + (u,))), rc2), dcost, ((u, v, du),)
+            else:
+                def pull(key, pos=pos, u=u):
+                    state, rc = key
+                    yield key, 0, ()
+                    spare = rc[idx]
+                    for take in range(1, state[pos] + 1):
+                        dcost = wv * ceil_div(max(0, take - spare), cv)
+                        rc2 = rc[:idx] + ((spare - take) % cv,) + rc[idx + 1 :]
+                        state2 = state[:pos] + (state[pos] - take,) + state[pos + 1 :]
+                        yield (state2, rc2), dcost, ((u, v, take),)
+
+            rows = _dedup_stage(rows, pull)
+
+    if unsplit:
+        if dv == 0:
+            def route(key):
+                state, rc = key
+                yield (tuple(sorted(state + (v,))), rc), 0, ()
+        else:
+            def route(key):
+                state, rc = key
+                yield key, 0, ()
+                served = tuple(sorted(state + (v,)))
+                for pos, s in server_pos:
+                    cs = inst.capacity(s)
+                    spare = rc[pos]
+                    dcost = inst.weight(s) * ceil_div(max(0, dv - spare), cs)
+                    rc2 = rc[:pos] + ((spare - dv) % cs,) + rc[pos + 1 :]
+                    yield (served, rc2), dcost, ((v, s, dv),)
+
+        rows = _dedup_stage(rows, route)
+    else:
+        for pos, s in server_pos:
+            cs = inst.capacity(s)
+            ws = inst.weight(s)
+
+            def spread(key, pos=pos, s=s, cs=cs, ws=ws):
+                state, rc = key
+                yield key, 0, ()
+                spare = rc[pos]
+                for give in range(1, state[idx] + 1):
+                    dcost = ws * ceil_div(max(0, give - spare), cs)
+                    rc2 = rc[:pos] + ((spare - give) % cs,) + rc[pos + 1 :]
+                    state2 = state[:idx] + (state[idx] - give,) + state[idx + 1 :]
+                    yield (state2, rc2), dcost, ((v, s, give),)
+
+            rows = _dedup_stage(rows, spread)
+
+    table = DPTable(child.model, new_bag, {})
+    for key in sorted(rows):
+        cost, triples, origin = rows[key]
+        if key not in table.rows or cost < table.rows[key].cost:
+            table.rows[key] = DPRow(cost, triples, (origin,))
+    return table
+
+
+def weighted_instances(seeds, n_min, n_max, edge_prob=0.2, max_c=3, max_d=3):
+    """Seeded instances with weights, capacities and demands from 0 up,
+    zero weights included; n cycles through [n_min, n_max]."""
+    for seed in seeds:
+        n = n_min + seed % (n_max - n_min + 1)
+        base = random_instance(n, edge_prob, 3, max_c, max_d, seed)
+        rng = random.Random(seed)
+        attrs = tuple(dataclasses.replace(a, weight=rng.randint(0, 3)) for a in base.attrs)
+        yield Instance(base.n, attrs, base.edges)
+
+
+def solve_checked(monkeypatch, name, reference, model, instances):
+    """Solve every instance with tddp.<name> checked against `reference`
+    on each call; returns the arguments of every call."""
+    fast = getattr(tddp, name)
+    calls = []
+
+    def checked(*args):
+        table = fast(*args)
+        expected = reference(*args)
+        assert table.bag == expected.bag
+        assert list(table.rows.items()) == list(expected.rows.items())
+        calls.append(args)
+        return table
+
+    monkeypatch.setattr(tddp, name, checked)
+    for inst in instances:
+        sol = solve_td(inst, nice_for(inst), model)
+        assert verify_solution(inst, sol, model).passed
+    return calls
+
+
 class TestLeaf:
     def test_two_rows_with_spare_capacity(self):
         # 3 copies hold demand 7, leaving 2 spare units in the last copy
@@ -135,6 +289,20 @@ class TestIntroduce:
         assert child.rows[((1,), (3,))].cost == 1
         table = dp_introduce(inst, child, 2, (1, 2))
         assert table.rows[((1, 2), (0, 0))].cost == 1  # 3 spare units absorb d=3
+
+    def test_vertex_already_in_bag_rejected(self):
+        # re-introducing a bag vertex would give keys longer than the bag
+        inst = mk([(1, 2, 1), (1, 2, 1)], [(1, 2)])
+        child = dp_leaf(inst, 1, UNSPLIT)
+        with pytest.raises(ValueError):
+            dp_introduce(inst, child, 1, (1,))
+
+    @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
+    def test_every_introduce_equals_reference(self, model, monkeypatch):
+        # weights, capacities and demands in [0,3], zero weights included
+        instances = weighted_instances(range(60), 7, 12)
+        calls = solve_checked(monkeypatch, "dp_introduce", reference_introduce, model, instances)
+        assert len(calls) >= 500
 
 
 class TestForget:
@@ -217,26 +385,17 @@ class TestJoin:
     @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
     def test_every_join_equals_reference(self, model, monkeypatch):
         # weights, capacities and demands in [0,3], zero weights included
-        fast = tddp.dp_join
-        joins = 0
+        instances = weighted_instances(range(60), 7, 12)
+        assert len(solve_checked(monkeypatch, "dp_join", reference_join, model, instances)) >= 100
 
-        def checked(inst, left, right, bag=None):
-            nonlocal joins
-            table = fast(inst, left, right, bag)
-            expected = reference_join(inst, left, right, bag)
-            assert list(table.rows.items()) == list(expected.rows.items())
-            joins += 1
-            return table
-
-        monkeypatch.setattr(tddp, "dp_join", checked)
-        for seed in range(60):
-            base = random_instance(7 + seed % 6, 0.2, 3, 3, 3, seed)
-            rng = random.Random(seed)
-            attrs = tuple(dataclasses.replace(a, weight=rng.randint(0, 3)) for a in base.attrs)
-            inst = Instance(base.n, attrs, base.edges)
-            sol = solve_td(inst, nice_for(inst), model)
-            assert verify_solution(inst, sol, model).passed
-        assert joins >= 100
+    @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
+    def test_large_demand_joins_equal_reference(self, model, monkeypatch):
+        # Demands up to 8: split served amounts are packed in digits one bit
+        # wider than the largest bag demand, so 4 bits for 4-7, 5 bits for 8.
+        instances = weighted_instances(range(200, 220), 6, 6, edge_prob=0.3, max_c=1, max_d=8)
+        calls = solve_checked(monkeypatch, "dp_join", reference_join, model, instances)
+        peaks = {max(inst.demand(u) for u in left.bag) for inst, left, right, bag in calls}
+        assert peaks & {4, 5, 6, 7} and 8 in peaks
 
 
 class TestSolve:

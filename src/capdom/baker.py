@@ -22,8 +22,10 @@ from .core import (
     induced_instance,
     is_feasible,
 )
-from .tddp import solve_td
-from .treewidth import heuristic_decomposition, make_nice
+from .tddp import choose_decomposition, solve_td
+# heuristic_decomposition stays importable from here: perfbench's tracer
+# wraps it in every module that imported it.
+from .treewidth import heuristic_decomposition, make_nice  # noqa: F401
 
 
 class Disconnected(CapdomError):
@@ -136,7 +138,7 @@ def merge_solutions(pairs: list[tuple[tuple[int, ...], Solution]]) -> Solution:
 
 
 def _solve_slice(piece: Slice, model: DemandModel) -> Solution:
-    td = heuristic_decomposition(piece.instance)
+    td = choose_decomposition(piece.instance, model)
     return solve_td(piece.instance, make_nice(td), model)
 
 

@@ -12,6 +12,7 @@ Exit codes: 0 success / verification PASS, 1 verification FAIL,
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -63,7 +64,7 @@ def _run_dp(inst, model, args):
         if not report.passed:
             raise CapdomError(f"supplied decomposition is invalid: {report}")
     else:
-        td = treewidth.heuristic_decomposition(inst)
+        td = tddp.choose_decomposition(inst, model)
     return tddp.solve_td(inst, treewidth.make_nice(td), model), [], []
 
 
@@ -123,14 +124,20 @@ def _model_for(algo: str, flag: str | None) -> DemandModel:
     return forced
 
 
-# `solve` flags that only one algorithm reads, by argparse dest.
-SOLVE_ONLY_FLAGS = {"td": "dp", "k": "baker", "budget": "oracle"}
+# `solve` flags that only some algorithms read, by argparse dest.  Only
+# the greedy runners return trace lines.
+SOLVE_ONLY_FLAGS = {
+    "td": ("dp",),
+    "k": ("baker",),
+    "budget": ("oracle",),
+    "trace": ("greedy-unsplit", "greedy-split", "greedy-unweighted"),
+}
 
 
 def _solve(args) -> int:
-    for dest, algo in SOLVE_ONLY_FLAGS.items():
-        if getattr(args, dest) is not None and args.algo != algo:
-            raise _Usage(f"--{dest} applies only to --algo {algo}")
+    for dest, algos in SOLVE_ONLY_FLAGS.items():
+        if getattr(args, dest) is not None and args.algo not in algos:
+            raise _Usage(f"--{dest} applies only to --algo {', '.join(algos)}")
     inst = fileio.load_instance(_read(args.instance))
     model = _model_for(args.algo, args.model)
     solution, trace_lines, comments = ALGOS[args.algo][2](inst, model, args)
@@ -259,7 +266,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="capdom", description="Soft-capacitated domination toolkit"
     )
@@ -270,7 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--model", choices=[m.value for m in DemandModel])
     solve.add_argument("--k", type=int, help="band width for the shifting scheme")
     solve.add_argument("--td", help="tree decomposition file for --algo dp")
-    solve.add_argument("--trace", action="store_true", help="append iteration trace lines")
+    solve.add_argument(
+        "--trace", action="store_true", default=None, help="append greedy iteration trace lines"
+    )
     solve.add_argument("--budget", type=_positive_int, help="oracle node limit (default 5000000)")
     solve.add_argument("-o", "--output")
     solve.add_argument("instance")

@@ -15,6 +15,7 @@ reconstruct, which is re-derived and checked after every solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .core import (
     CapdomError,
@@ -26,7 +27,8 @@ from .core import (
     is_feasible,
     minimum_multiplicities,
 )
-from .treewidth import FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDecomposition
+from . import treewidth
+from .treewidth import FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDecomposition, TreeDecomposition
 
 Triple = tuple[int, int, int]
 Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -378,6 +380,110 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable, bag: tuple[int, ...] 
         cost, k1, k2 = best[state][rc]
         rows[(state, rc)] = DPRow(cost, (), (k1, k2))
     return DPTable(left.model, vs, rows)
+
+
+# Cost of one predicted introduce row over that of one predicted join pair.
+# Calibrated from one traced `dp_grid` pass (`perfbench/run.py --workload
+# dp_grid --seed 7 --trace 1`, Python 3.11 on a 2-core VM): introduce_s /
+# introduce_rows = 0.142 s / 27,787 = 5.1 us per row and join_s /
+# join_pairs = 0.218 s / 4,657,173 = 0.047 us per pair, a ratio of about
+# 109.  The trace counts every row pair of a join, the prediction only the
+# compatible ones; the ranking tolerates that: any value from 43 to 2,248
+# orders min-fill and BFS on CHOICE_GRIDS in tests/test_tddp.py and on the
+# `dp_grid` grids as their measured DP times do.
+INTRODUCE_ROW_WORK = 100
+
+
+def _vertex_factors(inst: Instance, model: DemandModel) -> tuple[list[int], list[int]]:
+    """Per vertex id: the table rows and the compatible join pairs it
+    multiplies a bag's count by.
+
+    Rows: served-states times spare values.  Join pairs: pairs of
+    served-states that may merge, times pairs of spare values.
+    """
+    unsplit = model is DemandModel.UNSPLITTABLE
+    rows, pairs = [1], [1]  # vertex ids start at 1
+    for a in inst.attrs:
+        spares = a.capacity or 1
+        if unsplit:
+            states, merges = (2, 3) if a.demand else (1, 1)
+        else:
+            states, merges = a.demand + 1, (a.demand + 1) * (a.demand + 2) // 2
+        rows.append(states * spares)
+        pairs.append(merges * spares * spares)
+    return rows, pairs
+
+
+def predicted_work(inst: Instance, td: TreeDecomposition, model: DemandModel) -> int:
+    """Predicted DP work on make_nice(td), read off the plain decomposition.
+
+    Walks the bags as `make_nice` roots and chains them, without building
+    the nice form.  Each introduce costs INTRODUCE_ROW_WORK per row of its
+    bag; each join costs the rows of its two children multiplied, times the
+    fraction of compatible served-states.  Rows are the product over the
+    bag of served-states times spare values, an upper bound on what the
+    tables hold.  Leaves and forgets are not counted.
+    """
+    rows_of, pairs_of = _vertex_factors(inst, model)
+
+    def chain(rows: int, added: list[int]) -> int:
+        # rows of the introduces that add `added` in order to `rows` rows
+        total = 0
+        for v in added:
+            rows *= rows_of[v]
+            total += rows
+        return total
+
+    adj = td.neighbors()
+    lowest = min(min(bag) for bag in td.bags.values())
+    root = min(i for i, bag in td.bags.items() if lowest in bag)
+    introduce_rows = join_pairs = 0
+    stack: list[tuple[int, int | None]] = [(root, None)]
+    while stack:
+        bag_id, parent = stack.pop()
+        bag = td.bags[bag_id]
+        kids = adj[bag_id] - {parent}
+        stack.extend((k, bag_id) for k in kids)
+        if kids:
+            join_pairs += (len(kids) - 1) * prod(pairs_of[u] for u in bag)
+        else:
+            # leaf chain: the smallest vertex, then the rest in order
+            first, *rest = sorted(bag)
+            introduce_rows += chain(rows_of[first], rest)
+        if parent is not None:
+            # bridge to the parent: forgets, then introduces in order
+            above = td.bags[parent]
+            introduce_rows += chain(prod(rows_of[u] for u in bag & above), sorted(above - bag))
+    return INTRODUCE_ROW_WORK * introduce_rows + join_pairs
+
+
+def choose_decomposition(inst: Instance, model: DemandModel) -> TreeDecomposition:
+    """The min-fill or the BFS decomposition, whichever predicts less work.
+
+    Ties keep min-fill.  Min-fill is reached through
+    `treewidth.heuristic_decomposition`, so callers that patch it see it.
+    The BFS candidate is abandoned once it cannot pay: when one of its
+    bags alone predicts at least min-fill's work (every bag of two or more
+    vertices ends in an introduce of all its rows), or when its fill-in
+    work passes min-fill's predicted work, so that building it would cost
+    more than it could save (one fill-in step and one join pair take
+    about the same time).  On trees and stars, where BFS levels fill into
+    cliques, this stops it within the first few levels.
+    """
+    min_fill = treewidth.heuristic_decomposition(inst)
+    bound = predicted_work(inst, min_fill, model)
+    rows_of, _ = _vertex_factors(inst, model)
+
+    def hopeless(bag: frozenset[int], fill_work: int) -> bool:
+        return fill_work > bound or (
+            len(bag) > 1 and INTRODUCE_ROW_WORK * prod(rows_of[u] for u in bag) >= bound
+        )
+
+    try:
+        bfs = treewidth.decomposition_from_order(inst, treewidth.bfs_order(inst), hopeless)
+    except treewidth.Abandoned:
+        return min_fill
+    return bfs if predicted_work(inst, bfs, model) < bound else min_fill
 
 
 def solve_td(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> Solution:

@@ -12,6 +12,7 @@ PACE-style .td files are the on-disk format:
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .core import CapdomError, Instance, ParseError, Report, is_comment, parse_ints
@@ -137,8 +138,48 @@ def min_fill_order(inst: Instance) -> list[int]:
     return order
 
 
-def decomposition_from_order(inst: Instance, order: list[int]) -> TreeDecomposition:
-    """Standard fill-in construction along an elimination order."""
+def bfs_order(inst: Instance) -> list[int]:
+    """Breadth-first elimination order (Cuthill–McKee style).
+
+    Each component is searched from its smallest vertex id, neighbors in
+    increasing id; components follow in order of their smallest id.  On
+    grid-like graphs this sweeps level by level, which gives a path-like
+    decomposition without join nodes.
+    """
+    seen: set[int] = set()
+    order: list[int] = []
+    for start in inst.vertices():
+        if start in seen:
+            continue
+        seen.add(start)
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v in sorted(inst.neighbors(u)):
+                if v not in seen:
+                    seen.add(v)
+                    order.append(v)
+    return order
+
+
+class Abandoned(Exception):
+    """`decomposition_from_order` stopped because `give_up` said so."""
+
+
+def decomposition_from_order(
+    inst: Instance,
+    order: list[int],
+    give_up: Callable[[frozenset[int], int], bool] | None = None,
+) -> TreeDecomposition:
+    """Standard fill-in construction along an elimination order.
+
+    `give_up`, if given, sees each new bag before its fill-in, with the
+    fill-in work done so far including this bag's (the sum of |N(v)|^2
+    over the eliminated v).  When it returns true, `Abandoned` is raised
+    before that work is done.
+    """
     if sorted(order) != list(inst.vertices()):
         raise ValueError("order must be a permutation of the vertices")
     position = {v: i for i, v in enumerate(order)}
@@ -146,9 +187,14 @@ def decomposition_from_order(inst: Instance, order: list[int]) -> TreeDecomposit
     bag_of: dict[int, int] = {}
     bags: dict[int, frozenset[int]] = {}
     later_neighbor: dict[int, int | None] = {}
+    fill_work = 0
     for idx, v in enumerate(order, 1):
         nbrs = set(adj[v])
         bags[idx] = frozenset(nbrs | {v})
+        if give_up is not None:
+            fill_work += len(nbrs) ** 2
+            if give_up(bags[idx], fill_work):
+                raise Abandoned
         bag_of[v] = idx
         later_neighbor[idx] = min(nbrs, key=lambda u: position[u]) if nbrs else None
         for a in nbrs:
@@ -252,7 +298,9 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
 
     Rooted at the bag holding the smallest vertex id; forget/introduce
     chains bridge adjacent bags, joins get a binary spine, and a final
-    forget chain empties the root bag.
+    forget chain empties the root bag.  `tddp.predicted_work` walks the
+    plain decomposition the same way (root, sorted leaf chains, bridges,
+    one join per extra child) and must change with it.
     """
     if not td.bags:
         raise InvalidDecomposition("no bags")

@@ -10,6 +10,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from capdom.core import Instance, VertexAttrs
 
@@ -18,6 +19,18 @@ def mk(triples, edges=()) -> Instance:
     """Instance from a list of (weight, capacity, demand) triples."""
     attrs = tuple(VertexAttrs(w, c, d) for w, c, d in triples)
     return Instance(len(attrs), attrs, tuple(edges))
+
+
+@st.composite
+def small_instances(draw, max_n=6, max_cd=3):
+    """Hypothesis instances: weights in [0,4], capacities and demands in
+    [0,max_cd], any edge set, so zero weights and capacities and
+    infeasible and disconnected instances all occur."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    attr = st.tuples(st.integers(0, 4), st.integers(0, max_cd), st.integers(0, max_cd))
+    return mk(draw(st.lists(attr, min_size=n, max_size=n)), edges)
 
 
 def path_instance(triples) -> Instance:

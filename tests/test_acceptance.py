@@ -302,10 +302,11 @@ class TestCriterion9Determinism:
         if a.read_bytes() != b.read_bytes():
             violations.append("gen random")
         for algo in ("greedy-unsplit", "greedy-split", "dp", "baker"):
-            extra = ["--k", "3"] if algo == "baker" else []
+            # only the greedy algorithms write trace lines and take --trace
+            extra = {"dp": [], "baker": ["--k", "3"]}.get(algo, ["--trace"])
             s1, s2 = tmp_path / f"{algo}1.cd", tmp_path / f"{algo}2.cd"
-            assert main(["solve", "--algo", algo, "--trace", *extra, "-o", str(s1), str(a)]) == 0
-            assert main(["solve", "--algo", algo, "--trace", *extra, "-o", str(s2), str(a)]) == 0
+            assert main(["solve", "--algo", algo, *extra, "-o", str(s1), str(a)]) == 0
+            assert main(["solve", "--algo", algo, *extra, "-o", str(s2), str(a)]) == 0
             if s1.read_bytes() != s2.read_bytes():
                 violations.append(f"solve {algo}")
         bench_args = ["bench", "--n", "6", "--batch", "10", "--seed", "17", "--model", "unsplit"]

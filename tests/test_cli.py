@@ -88,6 +88,33 @@ class TestSolve:
         assert captured.err.startswith(f"usage error: {flag} applies only to --algo ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("algo, extra", [("dp", ()), ("baker", ("--k", "2")), ("oracle", ())])
+    def test_trace_without_greedy_is_usage_error(self, algo, extra, p3_file, capsys):
+        assert run("solve", "--algo", algo, *extra, "--trace", p3_file) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "usage error: --trace applies only to --algo "
+            "greedy-unsplit, greedy-split, greedy-unweighted\n"
+        )
+        assert captured.out == ""
+
+    def test_consecutive_calls_share_one_parser(self, p3_file, capsys):
+        # The parser is built once per process; a usage error in one call
+        # must leave the next call's parse, exit code and output unchanged.
+        ok = ("solve", "--algo", "greedy-unsplit", "--trace", p3_file)
+        assert run(*ok) == 0
+        first = capsys.readouterr()
+        assert run("solve", "--algo", "dp", "--k", "2", p3_file) == 2
+        assert capsys.readouterr().err == "usage error: --k applies only to --algo baker\n"
+        with pytest.raises(SystemExit) as info:
+            run("solve", "--algo", "nope", p3_file)
+        assert info.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert run(*ok) == 0
+        assert capsys.readouterr() == first
+        assert run("solve", "--algo", "greedy-unsplit", p3_file) == 0
+        assert not any(line.startswith("t ") for line in capsys.readouterr().out.splitlines())
+
     def test_oracle_budget_defaults_to_five_million_nodes(self, p3_file, monkeypatch):
         budgets = []
         solve = oracle.exact_solve

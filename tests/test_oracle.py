@@ -37,6 +37,7 @@ from conftest import (
     brute_unsplittable_cost,
     mk,
     p3_instance,
+    small_instances,
 )
 
 UNSPLIT = DemandModel.UNSPLITTABLE
@@ -484,15 +485,6 @@ class TestScaledSearchMatchesReference:
         assert _nodes_to_finish(fast, inst) == _nodes_to_finish(reference, inst)
         tight = SearchBudget(upper_bound=expected.cost - 1)
         assert _outcome(fast, inst, tight) == _outcome(reference, inst, tight) == CostBoundExceeded
-
-
-@st.composite
-def small_instances(draw, max_n=6):
-    n = draw(st.integers(1, max_n))
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    attr = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3))
-    return mk(draw(st.lists(attr, min_size=n, max_size=n)), edges)
 
 
 def _optimum(search, inst):

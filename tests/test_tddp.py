@@ -1,9 +1,12 @@
 import dataclasses
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capdom import tddp
+from capdom import tddp, treewidth
 from capdom.core import (
     DemandModel,
     InfeasibleInstance,
@@ -21,15 +24,20 @@ from capdom.tddp import (
     dp_introduce,
     dp_join,
     dp_leaf,
+    choose_decomposition,
+    predicted_work,
     solve_td,
 )
 from capdom.treewidth import (
+    INTRODUCE,
+    JOIN,
+    bfs_order,
     decomposition_from_order,
     heuristic_decomposition,
     make_nice,
 )
 
-from conftest import mk
+from conftest import grid_instance, mk, small_instances
 
 UNSPLIT = DemandModel.UNSPLITTABLE
 SPLIT = DemandModel.SPLITTABLE
@@ -478,3 +486,153 @@ class TestTableSizes:
                 for u in node.bag:
                     bound *= max(inst.capacity(u), 1)
                 assert len(t.rows) <= bound
+
+
+def bfs_decomposition(inst):
+    return decomposition_from_order(inst, bfs_order(inst))
+
+
+def reference_predicted_work(inst, td, model):
+    """The same prediction counted on the nodes of make_nice(td)."""
+
+    def rows(u):
+        d = inst.demand(u)
+        states = (2 if d else 1) if model is UNSPLIT else d + 1
+        return states * max(inst.capacity(u), 1)
+
+    def merges(u):
+        d = inst.demand(u)
+        pairs = (3 if d else 1) if model is UNSPLIT else (d + 1) * (d + 2) // 2
+        return pairs * max(inst.capacity(u), 1) ** 2
+
+    work = 0
+    for node in make_nice(td).post_order():
+        if node.kind == INTRODUCE:
+            product = 1
+            for u in node.bag:
+                product *= rows(u)
+            work += tddp.INTRODUCE_ROW_WORK * product
+        elif node.kind == JOIN:
+            product = 1
+            for u in node.bag:
+                product *= merges(u)
+            work += product
+    return work
+
+
+# The grids of the decomposition comparison in ROADMAP.md (unit weights):
+# (rows, cols, capacity, demand, model, order the measured DP time favors).
+# Both orders have the same width on the first four.
+CHOICE_GRIDS = [
+    (3, 3, 3, 3, SPLIT, "bfs"),
+    (4, 4, 2, 2, SPLIT, "bfs"),
+    (5, 5, 2, 1, UNSPLIT, "bfs"),
+    (3, 3, 2, 2, SPLIT, "bfs"),
+    (3, 5, 3, 2, UNSPLIT, "min-fill"),
+    (3, 6, 2, 2, SPLIT, "min-fill"),
+]
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def branching_instances(draw, max_n=7):
+    """A random tree plus up to two more edges, so min-fill decompositions
+    have joins; attributes as in `small_instances`."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    attr = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3))
+    return mk(draw(st.lists(attr, min_size=n, max_size=n)), sorted(edges))
+
+
+def _cost(inst, td, model):
+    try:
+        sol = solve_td(inst, make_nice(td), model)
+    except InfeasibleInstance:
+        return None
+    assert verify_solution(inst, sol, model).passed
+    return sol.cost
+
+
+class TestDecompositionChoice:
+    @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
+    def test_prediction_matches_nice_nodes(self, model):
+        for inst in weighted_instances(range(40), 1, 14, edge_prob=0.3):
+            for td in (heuristic_decomposition(inst), bfs_decomposition(inst)):
+                assert predicted_work(inst, td, model) == reference_predicted_work(inst, td, model)
+
+    @pytest.mark.parametrize(
+        "rows, cols, c, d, model, expected",
+        CHOICE_GRIDS,
+        ids=[f"{r}x{c}-{m.value}-c{cap}d{d}" for r, c, cap, d, m, _ in CHOICE_GRIDS],
+    )
+    def test_choice_on_grids(self, rows, cols, c, d, model, expected):
+        inst = grid_instance(rows, cols, (1, c, d))
+        candidates = {"min-fill": heuristic_decomposition(inst), "bfs": bfs_decomposition(inst)}
+        assert candidates["min-fill"] != candidates["bfs"]
+        assert choose_decomposition(inst, model) == candidates[expected]
+
+    def test_exact_tie_keeps_min_fill(self, monkeypatch):
+        inst = grid_instance(3, 3, (1, 2, 2))
+        bfs = bfs_decomposition(inst)
+        assert choose_decomposition(inst, SPLIT) == bfs
+        # both candidates now score BFS's work, which no single BFS bag
+        # reaches, so BFS is built in full and loses only on the tie
+        work = predicted_work(inst, bfs, SPLIT)
+        built = []
+        monkeypatch.setattr(tddp, "predicted_work", lambda inst, td, model: built.append(td) or work)
+        assert choose_decomposition(inst, SPLIT) == heuristic_decomposition(inst)
+        assert built == [heuristic_decomposition(inst), bfs]
+
+    @pytest.mark.parametrize("attr", [(1, 2, 2), (1, 0, 0)], ids=["c2d2", "c0d0"])
+    @pytest.mark.parametrize("shape", ["star", "binary-tree"])
+    def test_large_trees_abandon_bfs(self, shape, attr, monkeypatch):
+        # BFS eliminates parents first, so each level of a tree fills into
+        # a clique; built in full that takes about n^3/3 steps.  With
+        # c = d = 0 every vertex has one row, so only the fill-in bound
+        # stops it; otherwise one wide bag's rows do, within a few levels.
+        n = 2000
+        parent = (lambda v: 1) if shape == "star" else (lambda v: v // 2)
+        inst = mk([attr] * n, [(parent(v), v) for v in range(2, n + 1)])
+        min_fill = heuristic_decomposition(inst)
+        assert min_fill.width == 1
+        build = treewidth.decomposition_from_order
+        bags_seen, abandoned = [], []
+
+        def spy(inst, order, give_up=None):
+            if give_up is None:  # the min-fill candidate
+                return build(inst, order)
+
+            def counted(bag, fill_work):
+                bags_seen.append(len(bag))
+                return give_up(bag, fill_work)
+
+            try:
+                return build(inst, order, counted)
+            except treewidth.Abandoned:
+                abandoned.append(len(bags_seen))
+                raise
+
+        monkeypatch.setattr(treewidth, "decomposition_from_order", spy)
+        for model in (UNSPLIT, SPLIT):
+            bags_seen.clear()
+            started = time.perf_counter()
+            assert choose_decomposition(inst, model) == min_fill
+            assert time.perf_counter() - started < 10
+            assert len(bags_seen) < 100
+        assert len(abandoned) == 2
+
+    @PROPERTY
+    @given(inst=st.one_of(small_instances(), branching_instances()))
+    def test_cost_does_not_depend_on_decomposition(self, inst):
+        for model in (UNSPLIT, SPLIT):
+            tds = (
+                heuristic_decomposition(inst),
+                bfs_decomposition(inst),
+                choose_decomposition(inst, model),
+            )
+            costs = {_cost(inst, td, model) for td in tds}
+            assert len(costs) == 1

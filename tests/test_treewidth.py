@@ -7,6 +7,7 @@ from capdom.treewidth import (
     JOIN,
     LEAF,
     TreeDecomposition,
+    bfs_order,
     decomposition_from_order,
     heuristic_decomposition,
     load_td,
@@ -14,10 +15,11 @@ from capdom.treewidth import (
     min_fill_order,
     project_nice,
     save_td,
+    validate_nice,
     validate_td,
 )
 
-from conftest import cycle_instance, mk
+from conftest import cycle_instance, grid_instance, mk
 
 
 def reference_min_fill_order(inst):
@@ -128,6 +130,33 @@ class TestHeuristic:
             decomposition_from_order(p3, [1, 2])
 
 
+class TestBfsOrder:
+    def test_components_by_smallest_id_neighbors_by_id(self):
+        # components {1, 4}, {2, 3, 5, 7}, {6}
+        inst = mk([(1, 1, 1)] * 7, [(1, 4), (2, 5), (2, 7), (5, 3)])
+        assert bfs_order(inst) == [1, 4, 2, 5, 7, 3, 6]
+
+    def test_decompositions_valid_and_nice(self):
+        # n = 1 and edgeless, sparse (mostly disconnected) and dense graphs
+        densities = (0.0, 0.1, 0.25, 0.6)
+        for seed in range(80):
+            inst = random_instance(1 + seed % 13, densities[seed % 4], 3, 3, 3, seed)
+            order = bfs_order(inst)
+            assert sorted(order) == list(inst.vertices())
+            td = decomposition_from_order(inst, order)
+            assert validate_td(inst, td).passed
+            ntd = make_nice(td)
+            assert validate_nice(ntd).passed
+            assert ntd.width == td.width
+
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (4, 4), (5, 5), (3, 6)])
+    def test_grids_get_no_join(self, rows, cols):
+        inst = grid_instance(rows, cols)
+        ntd = make_nice(decomposition_from_order(inst, bfs_order(inst)))
+        assert all(node.kind != JOIN for node in ntd.post_order())
+        assert ntd.width == min(rows, cols) + (rows != cols)
+
+
 class TestMakeNice:
     def test_single_bag_leaf_then_forget(self):
         td = TreeDecomposition({1: frozenset({1})}, [])
@@ -159,8 +188,6 @@ class TestMakeNice:
         assert validate_td(inst, project_nice(ntd)).passed
 
     def test_structural_invariants_random(self):
-        from capdom.treewidth import validate_nice
-
         for seed in range(40):
             inst = random_instance(2 + seed % 10, 0.35, 3, 3, 3, seed)
             td = heuristic_decomposition(inst)

@@ -266,6 +266,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _probability(text: str) -> float:
+    """argparse type for --edge-prob: anything but a float in [0, 1] is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+    return value
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after it."""
@@ -295,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_sub = gen.add_subparsers(dest="kind", required=True)
     gen_random = gen_sub.add_parser("random")
     gen_random.add_argument("--n", type=_positive_int, required=True)
-    gen_random.add_argument("--edge-prob", type=float, default=0.3)
+    gen_random.add_argument("--edge-prob", type=_probability, default=0.3)
     gen_random.add_argument("--max-w", type=_positive_int, default=5)
     gen_random.add_argument("--max-c", type=_positive_int, default=5)
     gen_random.add_argument("--max-d", type=_positive_int, default=5)
@@ -314,11 +325,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="greedy-vs-exact ratio table as CSV")
     bench.add_argument("--n", type=_positive_int, required=True)
-    bench.add_argument("--batch", type=int, required=True)
+    bench.add_argument("--batch", type=_positive_int, required=True)
     bench.add_argument("--seed", type=int, required=True)
     bench.add_argument("--model", required=True, choices=[m.value for m in DemandModel])
     bench.add_argument("--algo", choices=[name for name, entry in ALGOS.items() if entry[1]])
-    bench.add_argument("--edge-prob", type=float, default=0.3)
+    bench.add_argument("--edge-prob", type=_probability, default=0.3)
     bench.add_argument("--max-w", type=_positive_int, default=5)
     bench.add_argument("--max-c", type=_positive_int, default=4)
     bench.add_argument("--max-d", type=_positive_int, default=4)

@@ -20,7 +20,7 @@ vertices whose demand changed are re-quoted.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
@@ -76,7 +76,11 @@ class TraceEntry:
 
 @dataclass
 class GreedyState:
-    """Mutable bookkeeping shared by the splittable variants."""
+    """Mutable bookkeeping shared by the splittable variants.
+
+    residue_demand holds only positive residues: a vertex leaves it once
+    its demand is fully routed.
+    """
 
     residue_demand: dict[int, int]
     map_sets: dict[int, set[int]]
@@ -88,8 +92,6 @@ class GreedyState:
 class GreedyResult:
     solution: Solution
     trace: list[TraceEntry]
-    undominated_before: list[frozenset[int]] = field(default_factory=list)
-    boundary_residues: list[dict[int, int]] = field(default_factory=list)
     phase0_cost: int = 0
     model: DemandModel = DemandModel.UNSPLITTABLE
 
@@ -140,7 +142,7 @@ def split_efficiency(inst: Instance, state: GreedyState, u: int) -> EfficiencyQu
     Candidates sort by their base demand (not the residue), ties by id.
     """
     candidates = sorted(
-        (v for v in inst.closed_neighborhood(u) if state.residue_demand.get(v, 0) > 0),
+        (v for v in inst.closed_neighborhood(u) if v in state.residue_demand),
         key=lambda v: (state.base_demand[v], v),
     )
     if not candidates:
@@ -177,8 +179,8 @@ def _unsplit_quote(inst: Instance, undominated: set[int], u: int) -> EfficiencyQ
 
 
 def _split_quote(inst: Instance, state: GreedyState, u: int) -> EfficiencyQuote | None:
-    if inst.capacity(u) == 0 or not any(
-        state.residue_demand.get(v, 0) > 0 for v in inst.closed_neighborhood(u)
+    if inst.capacity(u) == 0 or state.residue_demand.keys().isdisjoint(
+        inst.closed_neighborhood(u)
     ):
         return None
     return split_efficiency(inst, state, u)
@@ -218,7 +220,6 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
     assignment: dict[tuple[int, int], int] = {}
     quotes = [None] + [_unsplit_quote(inst, undominated, u) for u in inst.vertices()]
     trace: list[TraceEntry] = []
-    undominated_before: list[frozenset[int]] = []
     iteration = 0
     while undominated:
         iteration += 1
@@ -230,7 +231,6 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
             undominated & inst.closed_neighborhood(u),
             key=lambda v: (inst.demand(v), v),
         )[: best.prefix_len]
-        undominated_before.append(frozenset(undominated))
         prefix = 0
         for v in chosen:
             _add(assignment, v, u, inst.demand(v))
@@ -240,12 +240,7 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
         trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
         _requote(inst, undominated, quotes, _unsplit_quote, chosen)
     solution = minimum_multiplicities(inst, assignment)
-    return GreedyResult(
-        solution,
-        trace,
-        undominated_before=undominated_before,
-        model=DemandModel.UNSPLITTABLE,
-    )
+    return GreedyResult(solution, trace, model=DemandModel.UNSPLITTABLE)
 
 
 def _split_iteration(
@@ -260,7 +255,7 @@ def _split_iteration(
     u = best.vertex
     c = inst.capacity(u)
     candidates = sorted(
-        (v for v in inst.closed_neighborhood(u) if state.residue_demand.get(v, 0) > 0),
+        (v for v in inst.closed_neighborhood(u) if v in state.residue_demand),
         key=lambda v: (state.base_demand[v], v),
     )
     j = best.prefix_len
@@ -268,9 +263,12 @@ def _split_iteration(
         first = candidates[0]
         residue = state.residue_demand[first]
         assert residue > c, "prefix length 0 implies the first residue exceeds c(u)"
-        copies = residue // c
+        copies, rest = divmod(residue, c)
         _add(state.partial_assignment, first, u, c * copies)
-        state.residue_demand[first] = residue - c * copies
+        if rest:
+            state.residue_demand[first] = rest
+        else:
+            del state.residue_demand[first]
         state.map_sets[first] = {u}
         iter_cost = inst.weight(u) * copies
         changed = [first]
@@ -278,9 +276,9 @@ def _split_iteration(
         changed = candidates[:j]
         assigned = 0
         for v in changed:
-            _add(state.partial_assignment, v, u, state.residue_demand[v])
-            assigned += state.residue_demand[v]
-            state.residue_demand[v] = 0
+            residue = state.residue_demand.pop(v)
+            _add(state.partial_assignment, v, u, residue)
+            assigned += residue
         if j < len(candidates):
             spare = c - assigned
             if spare > 0:
@@ -299,26 +297,23 @@ def _split_greedy(
     state: GreedyState,
     trace: list[TraceEntry],
     repair: Callable[[GreedyState, list[int], int, list[TraceEntry]], None],
-) -> list[dict[int, int]]:
+) -> None:
     """Pick-and-repair loop shared by the splittable variants.
 
     After each pick, repair(state, changed, iteration, trace) restores the
-    variant's residue invariant.  It may only zero residues of vertices in
+    variant's residue invariant.  It may only clear residues of vertices in
     changed, the vertices the pick touched, so re-quoting N[changed]
-    keeps every cached quote current.  Returns the boundary residues.
+    keeps every cached quote current.
     """
     quotes = [None] + [_split_quote(inst, state, u) for u in inst.vertices()]
-    boundary: list[dict[int, int]] = []
     iteration = 0
-    while any(state.residue_demand.values()):
+    while state.residue_demand:
         iteration += 1
         if iteration > inst.n + 1:
             raise CapdomError("splittable greedy failed to make progress")
         changed = _split_iteration(inst, state, quotes, iteration, trace)
         repair(state, changed, iteration, trace)
-        boundary.append({v: r for v, r in state.residue_demand.items() if r > 0})
         _requote(inst, state, quotes, _split_quote, changed)
-    return boundary
 
 
 def _double_below_half(
@@ -328,13 +323,13 @@ def _double_below_half(
     below_half = [
         v
         for v in sorted(changed)
-        if 0 < 2 * state.residue_demand[v] < state.base_demand[v]
+        if 0 < 2 * state.residue_demand.get(v, 0) < state.base_demand[v]
     ]
     assert len(below_half) <= 1, "at most one residue can cross the half mark"
     for v in below_half:
         for server in sorted(state.map_sets.get(v, ())):
             state.partial_assignment[(v, server)] *= 2
-        state.residue_demand[v] = 0
+        del state.residue_demand[v]
         trace.append(TraceEntry(iteration, v, len(state.map_sets.get(v, ())), 0, 2))
 
 
@@ -354,14 +349,9 @@ def greedy_splittable(inst: Instance) -> GreedyResult:
         base_demand={v: inst.demand(v) for v in inst.vertices()},
     )
     trace: list[TraceEntry] = []
-    boundary = _split_greedy(inst, state, trace, _double_below_half)
+    _split_greedy(inst, state, trace, _double_below_half)
     solution = minimum_multiplicities(inst, state.partial_assignment)
-    return GreedyResult(
-        solution,
-        trace,
-        boundary_residues=boundary,
-        model=DemandModel.SPLITTABLE,
-    )
+    return GreedyResult(solution, trace, model=DemandModel.SPLITTABLE)
 
 
 def _finish_partial(
@@ -376,13 +366,12 @@ def _finish_partial(
     partial = [
         v
         for v in sorted(changed)
-        if 0 < state.residue_demand[v] < state.base_demand[v]
+        if 0 < state.residue_demand.get(v, 0) < state.base_demand[v]
     ]
     assert len(partial) <= 1, "at most one vertex is partially served per pick"
     for v in partial:
         g = best_neighbor[v]
-        _add(state.partial_assignment, v, g, state.residue_demand[v])
-        state.residue_demand[v] = 0
+        _add(state.partial_assignment, v, g, state.residue_demand.pop(v))
         trace.append(TraceEntry(iteration, g, 0, 0, 2))
 
 
@@ -424,14 +413,6 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
         partial_assignment=assignment,
         base_demand={v: r for v, r in residue.items() if r > 0},
     )
-    boundary = _split_greedy(
-        inst, state, trace, functools.partial(_finish_partial, best_neighbor)
-    )
+    _split_greedy(inst, state, trace, functools.partial(_finish_partial, best_neighbor))
     solution = minimum_multiplicities(inst, state.partial_assignment)
-    return GreedyResult(
-        solution,
-        trace,
-        boundary_residues=boundary,
-        phase0_cost=phase0_cost,
-        model=DemandModel.SPLITTABLE,
-    )
+    return GreedyResult(solution, trace, phase0_cost=phase0_cost, model=DemandModel.SPLITTABLE)

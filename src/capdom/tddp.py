@@ -435,10 +435,8 @@ def predicted_work(inst: Instance, td: TreeDecomposition, model: DemandModel) ->
         return total
 
     adj = td.neighbors()
-    lowest = min(min(bag) for bag in td.bags.values())
-    root = min(i for i, bag in td.bags.items() if lowest in bag)
     introduce_rows = join_pairs = 0
-    stack: list[tuple[int, int | None]] = [(root, None)]
+    stack: list[tuple[int, int | None]] = [(td.root_id(), None)]
     while stack:
         bag_id, parent = stack.pop()
         bag = td.bags[bag_id]

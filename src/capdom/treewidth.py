@@ -40,6 +40,11 @@ class TreeDecomposition:
             adj[b].add(a)
         return adj
 
+    def root_id(self) -> int:
+        """The bag `make_nice` roots at: the lowest-id bag holding the smallest vertex."""
+        lowest = min(min(bag) for bag in self.bags.values())
+        return min(i for i, bag in self.bags.items() if lowest in bag)
+
 
 def validate_td(inst: Instance, td: TreeDecomposition) -> Report:
     """Check tree shape, vertex and edge coverage, and bag connectivity."""
@@ -307,8 +312,6 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     if any(not bag for bag in td.bags.values()):
         raise InvalidDecomposition("empty bag")
     adj = td.neighbors()
-    lowest = min(min(bag) for bag in td.bags.values())
-    root_id = min(i for i, bag in td.bags.items() if lowest in bag)
 
     def build_leaf_chain(bag: frozenset[int]) -> NiceNode:
         ordered = sorted(bag)
@@ -335,7 +338,7 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             node = NiceNode(JOIN, bag, children=[node, other])
         return node
 
-    top = build(root_id, None)
+    top = build(td.root_id(), None)
     for v in sorted(top.bag):
         top = NiceNode(FORGET, top.bag - {v}, vertex=v, children=[top])
     return NiceTreeDecomposition(top)

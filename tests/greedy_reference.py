@@ -1,0 +1,225 @@
+"""Reference greedy solvers: the full-rescan bodies that re-quote every
+vertex at every pick.
+
+Each returns (result, snapshots).  The package solver must return a result
+equal to `result` on the same instance; `snapshots` record the state that
+the paper's per-iteration invariants speak about:
+
+* unsplittable - the undominated set before each pick;
+* splittable variants - the positive residues after each pick and the
+  repair that follows it.
+
+A test that checks an invariant on the snapshots also asserts that the
+package solver's result equals `result`, so the invariant describes the
+package's own run.
+"""
+from capdom.core import (
+    CapdomError,
+    DemandModel,
+    InfeasibleInstance,
+    ceil_div,
+    is_feasible,
+    minimum_multiplicities,
+)
+from capdom.greedy import (
+    GreedyResult,
+    GreedyState,
+    NotUnweighted,
+    TraceEntry,
+    _add,
+    split_efficiency,
+    unsplit_efficiency,
+)
+
+
+def _reference_pick_best(quotes):
+    best = quotes[0]
+    for q in quotes[1:]:
+        if q.beats(best):
+            best = q
+    return best
+
+
+def reference_greedy_unsplittable(inst):
+    """(result, undominated set before each pick)."""
+    if not is_feasible(inst):
+        raise InfeasibleInstance("a vertex with demand has no usable server")
+    undominated = {v for v in inst.vertices() if inst.demand(v) > 0}
+    assignment = {}
+    trace = []
+    undominated_before = []
+    iteration = 0
+    while undominated:
+        iteration += 1
+        quotes = []
+        for u in inst.vertices():
+            if inst.capacity(u) == 0:
+                continue
+            if not (undominated & inst.closed_neighborhood(u)):
+                continue
+            q = unsplit_efficiency(inst, undominated, u)
+            if q is not None:
+                quotes.append(q)
+        if not quotes:
+            raise InfeasibleInstance("no selectable vertex covers the remaining demand")
+        best = _reference_pick_best(quotes)
+        u = best.vertex
+        chosen = sorted(
+            undominated & inst.closed_neighborhood(u),
+            key=lambda v: (inst.demand(v), v),
+        )[: best.prefix_len]
+        undominated_before.append(frozenset(undominated))
+        prefix = 0
+        for v in chosen:
+            _add(assignment, v, u, inst.demand(v))
+            prefix += inst.demand(v)
+            undominated.discard(v)
+        iter_cost = inst.weight(u) * ceil_div(prefix, inst.capacity(u))
+        trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
+    solution = minimum_multiplicities(inst, assignment)
+    return GreedyResult(solution, trace, model=DemandModel.UNSPLITTABLE), undominated_before
+
+
+def _reference_split_iteration(inst, state, iteration, trace):
+    quotes = []
+    for u in inst.vertices():
+        if inst.capacity(u) == 0:
+            continue
+        if any(
+            state.residue_demand.get(v, 0) > 0 for v in inst.closed_neighborhood(u)
+        ):
+            quotes.append(split_efficiency(inst, state, u))
+    if not quotes:
+        raise InfeasibleInstance("no selectable vertex covers the remaining demand")
+    best = _reference_pick_best(quotes)
+    u = best.vertex
+    c = inst.capacity(u)
+    candidates = sorted(
+        (v for v in inst.closed_neighborhood(u) if state.residue_demand.get(v, 0) > 0),
+        key=lambda v: (state.base_demand[v], v),
+    )
+    j = best.prefix_len
+    if j == 0:
+        first = candidates[0]
+        residue = state.residue_demand[first]
+        assert residue > c
+        copies = residue // c
+        _add(state.partial_assignment, first, u, c * copies)
+        state.residue_demand[first] = residue - c * copies
+        state.map_sets[first] = {u}
+        iter_cost = inst.weight(u) * copies
+    else:
+        assigned = 0
+        for v in candidates[:j]:
+            _add(state.partial_assignment, v, u, state.residue_demand[v])
+            assigned += state.residue_demand[v]
+            state.residue_demand[v] = 0
+        if j < len(candidates):
+            spare = c - assigned
+            if spare > 0:
+                nxt = candidates[j]
+                _add(state.partial_assignment, nxt, u, spare)
+                state.residue_demand[nxt] -= spare
+                state.map_sets.setdefault(nxt, set()).add(u)
+        iter_cost = inst.weight(u)
+    trace.append(TraceEntry(iteration, u, j, iter_cost, 1))
+
+
+def _drop_settled(state):
+    """Keep only positive residues, as `split_efficiency` expects, and
+    return a copy of them: the snapshot after one pick and its repair."""
+    state.residue_demand = {v: r for v, r in state.residue_demand.items() if r > 0}
+    return dict(state.residue_demand)
+
+
+def reference_greedy_splittable(inst):
+    """(result, positive residues after each pick and its doubling)."""
+    if not is_feasible(inst):
+        raise InfeasibleInstance("a vertex with demand has no usable server")
+    state = GreedyState(
+        residue_demand={v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0},
+        map_sets={},
+        partial_assignment={},
+        base_demand={v: inst.demand(v) for v in inst.vertices()},
+    )
+    trace = []
+    boundary = []
+    iteration = 0
+    while any(state.residue_demand.values()):
+        iteration += 1
+        if iteration > inst.n + 1:
+            raise CapdomError("splittable greedy failed to make progress")
+        _reference_split_iteration(inst, state, iteration, trace)
+        below_half = [
+            v
+            for v in sorted(state.residue_demand)
+            if 0 < 2 * state.residue_demand[v] < state.base_demand[v]
+        ]
+        assert len(below_half) <= 1
+        for v in below_half:
+            for server in sorted(state.map_sets.get(v, ())):
+                state.partial_assignment[(v, server)] *= 2
+            state.residue_demand[v] = 0
+            trace.append(TraceEntry(iteration, v, len(state.map_sets.get(v, ())), 0, 2))
+        boundary.append(_drop_settled(state))
+    solution = minimum_multiplicities(inst, state.partial_assignment)
+    return GreedyResult(solution, trace, model=DemandModel.SPLITTABLE), boundary
+
+
+def reference_greedy_unweighted_splittable(inst):
+    """(result, positive residues after each pick and its finishing step)."""
+    if any(inst.weight(v) != 1 for v in inst.vertices()):
+        raise NotUnweighted("every vertex weight must be 1")
+    if not is_feasible(inst):
+        raise InfeasibleInstance("a vertex with demand has no usable server")
+    best_neighbor = {}
+    for v in inst.vertices():
+        if inst.demand(v) > 0:
+            best_neighbor[v] = min(
+                inst.closed_neighborhood(v),
+                key=lambda u: (-inst.capacity(u), u),
+            )
+    trace = []
+    assignment = {}
+    residue = {}
+    phase0_cost = 0
+    for v in sorted(best_neighbor):
+        g = best_neighbor[v]
+        cg = inst.capacity(g)
+        copies = inst.demand(v) // cg
+        if copies > 0:
+            _add(assignment, v, g, cg * copies)
+            phase0_cost += copies
+            trace.append(TraceEntry(0, g, 0, copies, 0))
+        residue[v] = inst.demand(v) - cg * copies
+    state = GreedyState(
+        residue_demand={v: r for v, r in residue.items() if r > 0},
+        map_sets={},
+        partial_assignment=assignment,
+        base_demand={v: r for v, r in residue.items() if r > 0},
+    )
+    boundary = []
+    iteration = 0
+    while any(state.residue_demand.values()):
+        iteration += 1
+        if iteration > inst.n + 1:
+            raise CapdomError("unweighted greedy failed to make progress")
+        _reference_split_iteration(inst, state, iteration, trace)
+        assert trace[-1].prefix_len >= 1
+        partial = [
+            v
+            for v in sorted(state.residue_demand)
+            if 0 < state.residue_demand[v] < state.base_demand[v]
+        ]
+        assert len(partial) <= 1
+        for v in partial:
+            g = best_neighbor[v]
+            _add(state.partial_assignment, v, g, state.residue_demand[v])
+            state.residue_demand[v] = 0
+            trace.append(TraceEntry(iteration, g, 0, 0, 2))
+        boundary.append(_drop_settled(state))
+    solution = minimum_multiplicities(inst, state.partial_assignment)
+    result = GreedyResult(
+        solution, trace, phase0_cost=phase0_cost, model=DemandModel.SPLITTABLE
+    )
+    return result, boundary

@@ -28,6 +28,7 @@ from capdom.tddp import solve_td
 from capdom.treewidth import heuristic_decomposition, make_nice
 
 from conftest import cycle_instance, grid_instance, harmonic, mk
+from greedy_reference import reference_greedy_splittable
 
 UNSPLIT = DemandModel.UNSPLITTABLE
 SPLIT = DemandModel.SPLITTABLE
@@ -152,8 +153,10 @@ class TestCriterion3HalfResidue:
             n = 1 + i % 12
             instances.append(random_instance(n, _adaptive(n), 4, 4, 4, 6000 + i))
         for idx, inst in enumerate(instances):
-            result = greedy_splittable(inst)
-            for snapshot in result.boundary_residues:
+            result, boundary = reference_greedy_splittable(inst)
+            if greedy_splittable(inst) != result:
+                violations.append((idx, "package run differs from the reference run"))
+            for snapshot in boundary:
                 for v, residue in snapshot.items():
                     if 0 < residue < -(-inst.demand(v) // 2):
                         violations.append((idx, v, residue))

@@ -197,7 +197,8 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--n", "0"), ("--max-w", "0"), ("--max-c", "-1"), ("--max-d", "0")],
+        [("--n", "0"), ("--max-w", "0"), ("--max-c", "-1"), ("--max-d", "0"),
+         ("--edge-prob", "1.5"), ("--edge-prob", "-1")],
     )
     def test_nonpositive_size_is_usage_error(self, flag, value, capsys):
         with pytest.raises(SystemExit) as info:
@@ -265,7 +266,8 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--n", "0"), ("--max-w", "-1"), ("--max-c", "0"), ("--max-d", "0")],
+        [("--n", "0"), ("--max-w", "-1"), ("--max-c", "0"), ("--max-d", "0"),
+         ("--batch", "-2"), ("--batch", "0"), ("--edge-prob", "1.5"), ("--edge-prob", "-1")],
     )
     def test_nonpositive_size_is_usage_error(self, flag, value, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,6 @@ from capdom.core import (
     DemandModel,
     InfeasibleInstance,
     Instance,
-    ceil_div,
-    is_feasible,
-    minimum_multiplicities,
     random_instance,
     verify_solution,
     with_demands,
@@ -22,8 +20,6 @@ from capdom.greedy import (
     GreedyState,
     NoCandidates,
     NotUnweighted,
-    TraceEntry,
-    _add,
     greedy_splittable,
     greedy_unsplittable,
     greedy_unweighted_splittable,
@@ -38,6 +34,11 @@ from conftest import (
     mk,
     p3_instance,
     path_instance,
+)
+from greedy_reference import (
+    reference_greedy_splittable,
+    reference_greedy_unsplittable,
+    reference_greedy_unweighted_splittable,
 )
 
 UNSPLIT = DemandModel.UNSPLITTABLE
@@ -159,8 +160,9 @@ class TestGreedyUnsplittable:
         for seed in range(25):
             n = 2 + seed % 5
             inst = random_instance(n, 0.5, 3, 3, 3, seed)
-            result = greedy_unsplittable(inst)
-            for entry, live in zip(result.trace, result.undominated_before):
+            result, undominated_before = reference_greedy_unsplittable(inst)
+            assert greedy_unsplittable(inst) == result
+            for entry, live in zip(result.trace, undominated_before):
                 residual = with_demands(
                     inst, {v: 0 for v in inst.vertices() if v not in live}
                 )
@@ -196,8 +198,9 @@ class TestGreedySplittable:
         for seed in range(80):
             n = 1 + seed % 8
             inst = random_instance(n, 0.45, 3, 4, 4, seed)
-            result = greedy_splittable(inst)
-            for snapshot in result.boundary_residues:
+            result, boundary = reference_greedy_splittable(inst)
+            assert greedy_splittable(inst) == result
+            for snapshot in boundary:
                 for v, residue in snapshot.items():
                     assert residue == 0 or 2 * residue >= inst.demand(v)
 
@@ -205,10 +208,11 @@ class TestGreedySplittable:
         for seed in range(40):
             n = 2 + seed % 7
             inst = random_instance(n, 0.45, 3, 4, 4, seed)
-            result = greedy_splittable(inst)
+            result, boundary = reference_greedy_splittable(inst)
+            assert greedy_splittable(inst) == result
             base = {v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0}
             levels = [sum(Fraction(1) for _ in base)]
-            for snapshot in result.boundary_residues:
+            for snapshot in boundary:
                 levels.append(
                     sum(Fraction(snapshot.get(v, 0), d) for v, d in base.items())
                 )
@@ -291,194 +295,6 @@ class TestSolutionsAlwaysVerify:
             assert parts[0] == "t" and len(parts) == 6
 
 
-# Reference greedy solvers: the full-rescan bodies that re-quote every
-# vertex at every pick.  The package solvers must return equal results.
-
-
-def _reference_pick_best(quotes):
-    best = quotes[0]
-    for q in quotes[1:]:
-        if q.beats(best):
-            best = q
-    return best
-
-
-def reference_greedy_unsplittable(inst):
-    if not is_feasible(inst):
-        raise InfeasibleInstance("a vertex with demand has no usable server")
-    undominated = initial_undominated(inst)
-    assignment = {}
-    trace = []
-    undominated_before = []
-    iteration = 0
-    while undominated:
-        iteration += 1
-        quotes = []
-        for u in inst.vertices():
-            if inst.capacity(u) == 0:
-                continue
-            if not (undominated & inst.closed_neighborhood(u)):
-                continue
-            q = unsplit_efficiency(inst, undominated, u)
-            if q is not None:
-                quotes.append(q)
-        if not quotes:
-            raise InfeasibleInstance("no selectable vertex covers the remaining demand")
-        best = _reference_pick_best(quotes)
-        u = best.vertex
-        chosen = sorted(
-            undominated & inst.closed_neighborhood(u),
-            key=lambda v: (inst.demand(v), v),
-        )[: best.prefix_len]
-        undominated_before.append(frozenset(undominated))
-        prefix = 0
-        for v in chosen:
-            _add(assignment, v, u, inst.demand(v))
-            prefix += inst.demand(v)
-            undominated.discard(v)
-        iter_cost = inst.weight(u) * ceil_div(prefix, inst.capacity(u))
-        trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
-    solution = minimum_multiplicities(inst, assignment)
-    return GreedyResult(
-        solution, trace, undominated_before=undominated_before, model=UNSPLIT
-    )
-
-
-def _reference_split_iteration(inst, state, iteration, trace):
-    quotes = []
-    for u in inst.vertices():
-        if inst.capacity(u) == 0:
-            continue
-        if any(
-            state.residue_demand.get(v, 0) > 0 for v in inst.closed_neighborhood(u)
-        ):
-            quotes.append(split_efficiency(inst, state, u))
-    if not quotes:
-        raise InfeasibleInstance("no selectable vertex covers the remaining demand")
-    best = _reference_pick_best(quotes)
-    u = best.vertex
-    c = inst.capacity(u)
-    candidates = sorted(
-        (v for v in inst.closed_neighborhood(u) if state.residue_demand.get(v, 0) > 0),
-        key=lambda v: (state.base_demand[v], v),
-    )
-    j = best.prefix_len
-    if j == 0:
-        first = candidates[0]
-        residue = state.residue_demand[first]
-        assert residue > c
-        copies = residue // c
-        _add(state.partial_assignment, first, u, c * copies)
-        state.residue_demand[first] = residue - c * copies
-        state.map_sets[first] = {u}
-        iter_cost = inst.weight(u) * copies
-    else:
-        assigned = 0
-        for v in candidates[:j]:
-            _add(state.partial_assignment, v, u, state.residue_demand[v])
-            assigned += state.residue_demand[v]
-            state.residue_demand[v] = 0
-        if j < len(candidates):
-            spare = c - assigned
-            if spare > 0:
-                nxt = candidates[j]
-                _add(state.partial_assignment, nxt, u, spare)
-                state.residue_demand[nxt] -= spare
-                state.map_sets.setdefault(nxt, set()).add(u)
-        iter_cost = inst.weight(u)
-    trace.append(TraceEntry(iteration, u, j, iter_cost, 1))
-
-
-def reference_greedy_splittable(inst):
-    if not is_feasible(inst):
-        raise InfeasibleInstance("a vertex with demand has no usable server")
-    state = GreedyState(
-        residue_demand={v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0},
-        map_sets={},
-        partial_assignment={},
-        base_demand={v: inst.demand(v) for v in inst.vertices()},
-    )
-    trace = []
-    boundary = []
-    iteration = 0
-    while any(state.residue_demand.values()):
-        iteration += 1
-        if iteration > inst.n + 1:
-            raise CapdomError("splittable greedy failed to make progress")
-        _reference_split_iteration(inst, state, iteration, trace)
-        below_half = [
-            v
-            for v in sorted(state.residue_demand)
-            if 0 < 2 * state.residue_demand[v] < state.base_demand[v]
-        ]
-        assert len(below_half) <= 1
-        for v in below_half:
-            for server in sorted(state.map_sets.get(v, ())):
-                state.partial_assignment[(v, server)] *= 2
-            state.residue_demand[v] = 0
-            trace.append(TraceEntry(iteration, v, len(state.map_sets.get(v, ())), 0, 2))
-        boundary.append({v: r for v, r in state.residue_demand.items() if r > 0})
-    solution = minimum_multiplicities(inst, state.partial_assignment)
-    return GreedyResult(solution, trace, boundary_residues=boundary, model=SPLIT)
-
-
-def reference_greedy_unweighted_splittable(inst):
-    if any(inst.weight(v) != 1 for v in inst.vertices()):
-        raise NotUnweighted("every vertex weight must be 1")
-    if not is_feasible(inst):
-        raise InfeasibleInstance("a vertex with demand has no usable server")
-    best_neighbor = {}
-    for v in inst.vertices():
-        if inst.demand(v) > 0:
-            best_neighbor[v] = min(
-                inst.closed_neighborhood(v),
-                key=lambda u: (-inst.capacity(u), u),
-            )
-    trace = []
-    assignment = {}
-    residue = {}
-    phase0_cost = 0
-    for v in sorted(best_neighbor):
-        g = best_neighbor[v]
-        cg = inst.capacity(g)
-        copies = inst.demand(v) // cg
-        if copies > 0:
-            _add(assignment, v, g, cg * copies)
-            phase0_cost += copies
-            trace.append(TraceEntry(0, g, 0, copies, 0))
-        residue[v] = inst.demand(v) - cg * copies
-    state = GreedyState(
-        residue_demand={v: r for v, r in residue.items() if r > 0},
-        map_sets={},
-        partial_assignment=assignment,
-        base_demand={v: r for v, r in residue.items() if r > 0},
-    )
-    boundary = []
-    iteration = 0
-    while any(state.residue_demand.values()):
-        iteration += 1
-        if iteration > inst.n + 1:
-            raise CapdomError("unweighted greedy failed to make progress")
-        _reference_split_iteration(inst, state, iteration, trace)
-        assert trace[-1].prefix_len >= 1
-        partial = [
-            v
-            for v in sorted(state.residue_demand)
-            if 0 < state.residue_demand[v] < state.base_demand[v]
-        ]
-        assert len(partial) <= 1
-        for v in partial:
-            g = best_neighbor[v]
-            _add(state.partial_assignment, v, g, state.residue_demand[v])
-            state.residue_demand[v] = 0
-            trace.append(TraceEntry(iteration, g, 0, 0, 2))
-        boundary.append({v: r for v, r in state.residue_demand.items() if r > 0})
-    solution = minimum_multiplicities(inst, state.partial_assignment)
-    return GreedyResult(
-        solution, trace, boundary_residues=boundary, phase0_cost=phase0_cost, model=SPLIT
-    )
-
-
 SOLVER_PAIRS = [
     (greedy_unsplittable, reference_greedy_unsplittable),
     (greedy_splittable, reference_greedy_splittable),
@@ -488,11 +304,15 @@ SOLVER_IDS = ["unsplit", "split", "unweighted"]
 
 
 def _outcome(solver, inst):
-    """The full result, or the type of the error the solver raised."""
+    """The full result, or the type of the error the solver raised.
+
+    A reference solver's snapshots are dropped: the package keeps none.
+    """
     try:
-        return solver(inst)
+        result = solver(inst)
     except CapdomError as exc:
         return type(exc)
+    return result[0] if isinstance(result, tuple) else result
 
 
 def differential_instances():
@@ -550,3 +370,22 @@ class TestIncrementalMatchesReference:
         inst = random_instance(300, 6 / 299, 1, 4, 4, 3)
         picks = sum(1 for t in fast(inst).trace if t.phase == 1)
         assert 0 < calls < 20 * picks
+
+
+class TestGreedyMemory:
+    @pytest.mark.parametrize(
+        "solver, max_w",
+        [(greedy_unsplittable, 4), (greedy_splittable, 4), (greedy_unweighted_splittable, 1)],
+        ids=SOLVER_IDS,
+    )
+    def test_state_stays_linear_in_n(self, solver, max_w):
+        # Per-pick copies of the undominated set or the residues would cost
+        # O(n * picks), 3-9 MB here; the greedy state alone is O(n).
+        inst = random_instance(1000, 6 / 999, max_w, 4, 4, 1)
+        tracemalloc.start()
+        try:
+            solver(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000

@@ -79,7 +79,7 @@ class Instance:
     n: int
     attrs: tuple[VertexAttrs, ...]
     edges: tuple[tuple[int, int], ...]
-    adj: tuple[frozenset[int], ...] = field(compare=False, repr=False, default=())
+    adj: tuple[frozenset[int], ...] = field(compare=False, repr=False, init=False)
     closed: tuple[frozenset[int], ...] = field(compare=False, repr=False, init=False)
 
     def __post_init__(self):

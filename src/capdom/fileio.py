@@ -81,8 +81,10 @@ def load_instance(text: str) -> Instance:
     if n < 0:
         raise ParseError(0, "missing 'p capdom' header")
     if len(attrs) != n:
-        missing = sorted(set(range(1, n + 1)) - set(attrs))
-        raise ParseError(0, f"missing vertex lines for {missing}")
+        # The first three missing ids are at most len(attrs) + 3, so the
+        # message stays short whatever n the header declares.
+        first = [v for v in range(1, min(n, len(attrs) + 3) + 1) if v not in attrs][:3]
+        raise ParseError(0, f"missing vertex lines for {n - len(attrs)} ids, first {first}")
     if len(edges) != m:
         raise ParseError(0, f"header declares {m} edges, found {len(edges)}")
     return Instance(n, tuple(attrs[v] for v in range(1, n + 1)), tuple(edges))

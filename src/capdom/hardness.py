@@ -360,6 +360,8 @@ def load_clique_instance(text: str) -> CliqueInstance:
             if len(tokens) < 2:
                 raise ParseError(line_no, "part line must be 'part <index> <v...>'")
             idx, *members = parse_ints(tokens[1:], line_no)
+            if not 1 <= idx <= k:
+                raise ParseError(line_no, f"part index {idx} out of range 1..{k}")
             if idx in parts:
                 raise ParseError(line_no, f"duplicate part {idx}")
             parts[idx] = tuple(sorted(members))
@@ -374,8 +376,8 @@ def load_clique_instance(text: str) -> CliqueInstance:
             raise ParseError(line_no, f"unknown line tag {tokens[0]!r}")
     if k < 0:
         raise ParseError(0, "missing 'p mcq' header")
-    if sorted(parts) != list(range(1, k + 1)):
-        raise ParseError(0, f"need part lines 1..{k}")
+    if len(parts) != k:
+        raise ParseError(0, f"need part lines 1..{k}, found {len(parts)}")
     if len(edges) != m:
         raise ParseError(0, f"header declares {m} edges, found {len(edges)}")
     cq = CliqueInstance(k, tuple(parts[i] for i in range(1, k + 1)), frozenset(edges))

@@ -1,11 +1,11 @@
 """Exact dynamic programming over a nice tree decomposition.
 
-Table rows pair a served-state for the current bag with the spare
-capacity rc(u) in [0, c(u)) left inside copies already bought:
-
-* unsplittable: served-state is the subset of bag vertices whose whole
-  demand is already routed (zero-demand vertices count as served)
-* splittable: served-state is the residual demand 0 <= rd(u) <= d(u)
+Table rows pair the residual demand 0 <= rd(u) <= d(u) still unserved at
+each bag vertex with the spare capacity rc(u) in [0, c(u)) left inside
+copies already bought.  Both demand models share this encoding; the
+unsplittable model routes each demand whole, so its residuals are 0 or
+d(u), while the splittable model moves any portion.  A zero-demand vertex
+has rd = 0 in both.
 
 Spare capacities merge additively at joins: two half-filled copies fuse
 into one full copy, refunding w(u) per completed copy.  Costs obey
@@ -64,79 +64,39 @@ def _spare(load: int, c: int) -> int:
 
 
 def dp_leaf(inst: Instance, v: int, model: DemandModel) -> DPTable:
-    """Leaf table: v unserved, or v fully routed to itself.
+    """Leaf table: v unserved, or v's demand routed to itself.
 
-    Zero-demand vertices collapse to a single already-served row; the
-    splittable model keeps one row per self-served portion.
+    The unsplittable model routes the whole demand, the splittable model
+    any portion of it.  A zero-demand vertex has the single row rd = 0.
     """
     d, c, w = inst.demand(v), inst.capacity(v), inst.weight(v)
     table = DPTable(model, (v,), {})
-    if model is DemandModel.UNSPLITTABLE:
-        if d == 0:
-            _insert(table, ((v,), (0,)), 0, (), ())
-        else:
-            _insert(table, ((), (0,)), 0, (), ())
-            if c > 0:
-                _insert(table, ((v,), (_spare(d, c),)), w * ceil_div(d, c), ((v, v, d),), ())
-    else:
-        if d == 0:
-            _insert(table, ((0,), (0,)), 0, (), ())
-        else:
-            _insert(table, ((d,), (0,)), 0, (), ())
-            if c > 0:
-                for amount in range(1, d + 1):
-                    _insert(
-                        table,
-                        ((d - amount,), (_spare(amount, c),)),
-                        w * ceil_div(amount, c),
-                        ((v, v, amount),),
-                        (),
-                    )
+    _insert(table, ((d,), (0,)), 0, (), ())
+    if d and c > 0:
+        amounts = (d,) if model is DemandModel.UNSPLITTABLE else range(1, d + 1)
+        for amount in amounts:
+            _insert(
+                table,
+                ((d - amount,), (_spare(amount, c),)),
+                w * ceil_div(amount, c),
+                ((v, v, amount),),
+                (),
+            )
     return table
 
 
 # A row under construction: (cost, triples so far, child key).
 _Partial = tuple[int, tuple[Triple, ...], Key]
 
-
-def _unsplit_stage(
-    rows: dict[Key, _Partial],
-    consumer: int,
-    amount: int,
-    servers: list[tuple[int, int, int, tuple[Triple, ...]]],
-) -> dict[Key, _Partial]:
-    """One unsplittable micro-transition: keep each row, or route the whole
-    `amount` of an unserved `consumer` to one of `servers`, given as
-    (bag position, capacity, weight, triple) in the order they are offered.
-    """
-    out: dict[Key, _Partial] = {}
-    get = out.get
-    for key in sorted(rows):
-        entry = rows[key]
-        cost = entry[0]
-        old = get(key)
-        if old is None or cost < old[0]:
-            out[key] = entry
-        state, rc = key
-        if consumer in state:
-            continue
-        served = tuple(sorted(state + (consumer,)))
-        for pos, c, w, triple in servers:
-            spare = rc[pos]
-            new_cost = cost + w * -((spare - amount) // c) if amount > spare else cost
-            new_key = (served, rc[:pos] + ((spare - amount) % c,) + rc[pos + 1 :])
-            old = get(new_key)
-            if old is None or new_cost < old[0]:
-                out[new_key] = (new_cost, entry[1] + triple, entry[2])
-    return out
+# A server offered by a stage: (bag position, capacity > 0, weight,
+# consumer, server), the last two naming the triple a move records.
+_Server = tuple[int, int, int, int, int]
 
 
-def _split_stage(
-    rows: dict[Key, _Partial], src: int, dst: int, c: int, w: int, consumer: int, server: int
-) -> dict[Key, _Partial]:
-    """One splittable micro-transition: keep each row, or move 1..rd units of
-    the residual demand at bag position `src` onto the copies of the server
-    at position `dst`, which has capacity c > 0 and weight w.
+def _stage(rows: dict[Key, _Partial], src: int, servers: list[_Server], whole: bool) -> dict[Key, _Partial]:
+    """One micro-transition: keep each row, or move the residual demand at
+    bag position `src` onto the copies of one of `servers`, offered in
+    order.  A move routes the whole residual (`whole`) or any 1..rd units.
 
     A move lowers the residual at `src` and changes no other state entry,
     so it lands on a key that sorts before its source row.  Keys are
@@ -148,32 +108,34 @@ def _split_stage(
     for key in sorted(rows):
         entry = rows[key]
         out[key] = entry
-        cost = entry[0]
         state, rc = key
         left = state[src]
         if not left:
             continue
-        spare = rc[dst]
-        state_head, state_tail = state[:src], state[src + 1 :]
-        rc_head, rc_tail = rc[:dst], rc[dst + 1 :]
-        for amount in range(1, left + 1):
-            new_cost = cost + w * -((spare - amount) // c) if amount > spare else cost
-            new_key = (
-                state_head + (left - amount,) + state_tail,
-                rc_head + ((spare - amount) % c,) + rc_tail,
-            )
-            old = get(new_key)
-            if old is None or new_cost < old[0]:
-                out[new_key] = (new_cost, entry[1] + ((consumer, server, amount),), entry[2])
+        cost = entry[0]
+        head, tail = state[:src], state[src + 1 :]
+        amounts = (left,) if whole else range(1, left + 1)
+        for dst, c, w, consumer, server in servers:
+            spare = rc[dst]
+            rc_head, rc_tail = rc[:dst], rc[dst + 1 :]
+            for amount in amounts:
+                new_cost = cost + w * -((spare - amount) // c) if amount > spare else cost
+                new_key = (
+                    head + (left - amount,) + tail,
+                    rc_head + ((spare - amount) % c,) + rc_tail,
+                )
+                old = get(new_key)
+                if old is None or new_cost < old[0]:
+                    out[new_key] = (new_cost, entry[1] + ((consumer, server, amount),), entry[2])
     return out
 
 
 def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -> DPTable:
-    """Introduce v: optionally serve bag vertices with v, then route v's demand.
+    """Introduce v: optionally serve bag neighbors with v, then route v's demand.
 
-    Serving choices cover every subset of unserved bag neighbors of v
-    (unsplittable) or every portion split (splittable); v's own demand may
-    go to any positive-capacity vertex of the new bag inside N[v], stay
+    Serving choices cover every unserved bag neighbor of v, whole
+    (unsplittable) or in any portion (splittable); v's own demand may go
+    to any positive-capacity vertex of the new bag inside N[v], stay
     pending, or split across several of them in the splittable model.
     Transitions run one bag vertex at a time with dedup in between, so the
     work stays proportional to the configuration space, not to the number
@@ -189,47 +151,33 @@ def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -
     idx = new_bag.index(v)
     nbrs = inst.neighbors(v)
     cv, wv, dv = inst.capacity(v), inst.weight(v), inst.demand(v)
-    unsplit = child.model is DemandModel.UNSPLITTABLE
-    server_pos = [
-        (pos, u)
-        for pos, u in enumerate(new_bag)
-        if (u == v or u in nbrs) and inst.capacity(u) > 0
-    ]
+    whole = child.model is DemandModel.UNSPLITTABLE
 
-    # Seed: v joins the bag with no copies bought, so spare 0.  Child keys
-    # map one-to-one onto seeded keys, so no two rows collide.
+    # Seed: v joins the bag unserved with no copies bought, so spare 0.
+    # Child keys map one-to-one onto seeded keys, so no two rows collide.
     rows: dict[Key, _Partial] = {}
     for key, row in child.rows.items():
         state, rc = key
-        if not unsplit:
-            state = state[:idx] + (dv,) + state[idx:]
-        rows[(state, rc[:idx] + (0,) + rc[idx:])] = (row.cost, (), key)
+        rows[(state[:idx] + (dv,) + state[idx:], rc[:idx] + (0,) + rc[idx:])] = (row.cost, (), key)
 
     if cv > 0:
         # Pull stages: serve bag neighbors with copies of v, one at a time.
         # A neighbor without demand has nothing to pull: its stage would
         # only keep every row.
         for pos, u in enumerate(new_bag):
-            du = inst.demand(u)
-            if u == v or u not in nbrs or du == 0:
-                continue
-            if unsplit:
-                rows = _unsplit_stage(rows, u, du, [(idx, cv, wv, ((u, v, du),))])
-            else:
-                rows = _split_stage(rows, pos, idx, cv, wv, u, v)
+            if u in nbrs and inst.demand(u):
+                rows = _stage(rows, pos, [(idx, cv, wv, u, v)], whole)
 
-    # Routing stage: v's own demand.
-    if unsplit and dv == 0:
-        # v counts as served; v is in no state yet, so keys stay distinct.
-        rows = {(tuple(sorted(state + (v,))), rc): entry for (state, rc), entry in rows.items()}
-    elif unsplit:
+    # Routing stages: v's own demand goes whole to one server, or in
+    # portions to each server in turn.
+    if dv:
         servers = [
-            (pos, inst.capacity(s), inst.weight(s), ((v, s, dv),)) for pos, s in server_pos
+            (pos, inst.capacity(s), inst.weight(s), v, s)
+            for pos, s in enumerate(new_bag)
+            if (s == v or s in nbrs) and inst.capacity(s) > 0
         ]
-        rows = _unsplit_stage(rows, v, dv, servers)
-    elif dv > 0:
-        for pos, s in server_pos:
-            rows = _split_stage(rows, idx, pos, inst.capacity(s), inst.weight(s), v, s)
+        for group in [servers] if whole else [[s] for s in servers]:
+            rows = _stage(rows, idx, group, whole)
 
     table = DPTable(child.model, new_bag, {})
     for key in sorted(rows):
@@ -241,21 +189,13 @@ def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -
 def dp_forget(child: DPTable, v: int) -> DPTable:
     """Drop v, keeping only rows where v's demand is fully routed."""
     idx = child.bag.index(v)
-    new_bag = child.bag[:idx] + child.bag[idx + 1 :]
-    table = DPTable(child.model, new_bag, {})
-    unsplit = child.model is DemandModel.UNSPLITTABLE
+    table = DPTable(child.model, child.bag[:idx] + child.bag[idx + 1 :], {})
     for key in sorted(child.rows):
         state, rc = key
-        if unsplit:
-            if v not in state:
-                continue
-            new_state = tuple(u for u in state if u != v)
-        else:
-            if state[idx] != 0:
-                continue
-            new_state = state[:idx] + state[idx + 1 :]
-        new_rc = rc[:idx] + rc[idx + 1 :]
-        _insert(table, (new_state, new_rc), child.rows[key].cost, (), (key,))
+        if state[idx] != 0:
+            continue
+        new_key = (state[:idx] + state[idx + 1 :], rc[:idx] + rc[idx + 1 :])
+        _insert(table, new_key, child.rows[key].cost, (), (key,))
     if not table.rows:
         raise EmptyTable(f"no configuration survives forgetting vertex {v}")
     return table
@@ -264,8 +204,9 @@ def dp_forget(child: DPTable, v: int) -> DPTable:
 def dp_join(inst: Instance, left: DPTable, right: DPTable, bag: tuple[int, ...] | None = None) -> DPTable:
     """Merge sibling tables over one bag.
 
-    Rows combine when no positive demand is served twice; spare capacities
-    add, and every completed copy u refunds w(u).
+    Rows combine when no bag vertex has more than its demand served by the
+    two sides together (unsplittable: no positive demand is served on both
+    sides); spare capacities add, and every completed copy u refunds w(u).
 
     Whether two rows combine depends only on their served-states, so rows
     are bucketed by state and each pair of states is tested once; every row
@@ -285,38 +226,24 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable, bag: tuple[int, ...] 
     caps = [inst.capacity(u) for u in vs]
     weights = [inst.weight(u) for u in vs]
     demands = [inst.demand(u) for u in vs]
-    unsplit = left.model is DemandModel.UNSPLITTABLE
 
     # Served-states become ints, so a pair of states is tested with one
-    # `&`.  Unsplittable: a bitmask over bag positions; two states clash
-    # when they share a position with positive demand.  Splittable: the
-    # served amounts d - rd packed as B-bit digits, with B one bit wider
-    # than the largest demand so no digit sum carries.  Left codes carry a
-    # guard of 2^(B-1) - 1 - d per digit, so a digit of the sum reaches its
-    # top bit exactly when the two served amounts exceed d.  Either way
+    # `&`: the served amounts d - rd packed as B-bit digits, with B one bit
+    # wider than the largest demand so no digit sum carries.  Left codes
+    # carry a guard of 2^(B-1) - 1 - d per digit, so a digit of the sum
+    # reaches its top bit exactly when the two served amounts exceed d.
     # `merged_of` maps the combined int back to the merged state tuple.
-    if unsplit:
-        pos_of = {u: i for i, u in enumerate(vs)}
-        clash = sum(1 << i for i, d in enumerate(demands) if d > 0)
-        guard = 0
+    width = max(demands, default=0).bit_length() + 1
+    digit = (1 << width) - 1
+    clash = sum(1 << (width * i + width - 1) for i in range(len(vs)))
+    guard = sum(((1 << (width - 1)) - 1 - d) << (width * i) for i, d in enumerate(demands))
 
-        def code(state: tuple[int, ...]) -> int:
-            return sum(1 << pos_of[u] for u in state)
+    def code(state: tuple[int, ...]) -> int:
+        return sum((d - r) << (width * i) for i, (d, r) in enumerate(zip(demands, state)))
 
-        def merged_of(combined: int) -> tuple[int, ...]:
-            return tuple(u for i, u in enumerate(vs) if combined >> i & 1)
-    else:
-        width = max(demands, default=0).bit_length() + 1
-        digit = (1 << width) - 1
-        clash = sum(1 << (width * i + width - 1) for i in range(len(vs)))
-        guard = sum(((1 << (width - 1)) - 1 - d) << (width * i) for i, d in enumerate(demands))
-
-        def code(state: tuple[int, ...]) -> int:
-            return sum((d - r) << (width * i) for i, (d, r) in enumerate(zip(demands, state)))
-
-        def merged_of(combined: int) -> tuple[int, ...]:
-            combined -= guard
-            return tuple(d - (combined >> (width * i) & digit) for i, d in enumerate(demands))
+    def merged_of(combined: int) -> tuple[int, ...]:
+        combined -= guard
+        return tuple(d - (combined >> (width * i) & digit) for i, d in enumerate(demands))
 
     Bucket = list[tuple[tuple[int, ...], int, Key]]  # (spare vector, cost, key)
 
@@ -348,14 +275,9 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable, bag: tuple[int, ...] 
     for code1, rows1 in buckets(left, guard):
         partners = []
         for code2, rows2 in right_buckets:
-            if unsplit:
-                if code1 & code2 & clash:
-                    continue
-                combined = code1 | code2
-            else:
-                combined = code1 + code2
-                if combined & clash:
-                    continue
+            combined = code1 + code2
+            if combined & clash:
+                continue
             merged_state = merged_states.get(combined)
             if merged_state is None:
                 merged_state = merged_states[combined] = merged_of(combined)

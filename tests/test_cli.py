@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,15 @@ def p3_file(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_peak(*argv):
+    """`run`, plus the peak bytes Python allocated during the call."""
+    tracemalloc.start()
+    try:
+        return run(*argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSolve:
@@ -133,6 +143,17 @@ class TestSolve:
         bad.write_text("p capdom 1 0\nv 1 1 0 2\n")
         assert run("solve", "--algo", "greedy-unsplit", bad) == 3
 
+    def test_oversized_header_is_short_parse_error(self, tmp_path, capsys):
+        # A header declaring 10^6 vertices and no vertex lines: the error
+        # must not list every missing id or allocate per declared vertex.
+        bad = tmp_path / "big.cd"
+        bad.write_text("p capdom 1000000 0\n")
+        code, peak = run_peak("solve", "--algo", "greedy-unsplit", bad)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: line 0: missing vertex lines") and len(err) < 200
+        assert peak < 4_000_000
+
     def test_budget_exhausted_exit_code(self, tmp_path):
         inst = tmp_path / "inst.cd"
         assert run("gen", "random", "--n", 8, "--seed", 5, "-o", inst) == 0
@@ -194,6 +215,22 @@ class TestGen:
         clique.write_text(text)
         assert run("gen", "mcq-reduce", clique) == 2
         assert capsys.readouterr().err.startswith(f"parse error: line {line_no}: ")
+
+    def test_oversized_mcq_header_is_short_parse_error(self, tmp_path, capsys):
+        # 10^6 declared parts and none given: checked without a list of k ids
+        clique = tmp_path / "big.mcq"
+        clique.write_text("p mcq 1000000 0 0\n")
+        code, peak = run_peak("gen", "mcq-reduce", clique)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: line 0: need part lines") and len(err) < 200
+        assert peak < 4_000_000
+
+    def test_part_index_out_of_range_is_parse_error(self, tmp_path, capsys):
+        clique = tmp_path / "bad.mcq"
+        clique.write_text("p mcq 2 2 0\npart 1 1\npart 3 2\n")
+        assert run("gen", "mcq-reduce", clique) == 2
+        assert capsys.readouterr().err == "parse error: line 3: part index 3 out of range 1..2\n"
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -94,6 +94,12 @@ class TestClosedNeighborhood:
         inst = mk([(1, 1, 0)])
         assert closed_neighborhood(inst, 1) == {1}
 
+    def test_adjacency_is_derived_not_passed(self):
+        # adj and closed are built from the edges; neither is an argument
+        with pytest.raises(TypeError):
+            Instance(2, (VertexAttrs(1, 1, 1),) * 2, ((1, 2),), adj=())
+        assert mk([(1, 1, 1)] * 2, [(1, 2)]).adj == (frozenset(), {2}, {1})
+
 
 class TestVerifySolution:
     def test_p3_center_pass(self, p3):

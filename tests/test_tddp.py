@@ -11,6 +11,7 @@ from capdom.core import (
     DemandModel,
     InfeasibleInstance,
     Instance,
+    VertexAttrs,
     ceil_div,
     random_instance,
     verify_solution,
@@ -29,8 +30,10 @@ from capdom.tddp import (
     solve_td,
 )
 from capdom.treewidth import (
+    FORGET,
     INTRODUCE,
     JOIN,
+    LEAF,
     bfs_order,
     decomposition_from_order,
     heuristic_decomposition,
@@ -61,23 +64,16 @@ def reference_join(inst, left, right, bag=None):
     caps = [inst.capacity(u) for u in vs]
     weights = [inst.weight(u) for u in vs]
     demands = [inst.demand(u) for u in vs]
-    unsplit = left.model is DemandModel.UNSPLITTABLE
     rows = {}
     for k1 in sorted(left.rows):
         state1, rc1 = k1
-        served1 = set(state1)
         for k2 in sorted(right.rows):
             state2, rc2 = k2
-            if unsplit:
-                overlap = served1 & set(state2)
-                if any(demands[vs.index(u)] > 0 for u in overlap):
-                    continue
-                merged_state = tuple(sorted(served1 | set(state2)))
-            else:
-                merged = [a + b - d for a, b, d in zip(state1, state2, demands)]
-                if any(x < 0 for x in merged):
-                    continue
-                merged_state = tuple(merged)
+            # residuals left by both sides; negative where d is served twice over
+            merged = [a + b - d for a, b, d in zip(state1, state2, demands)]
+            if any(x < 0 for x in merged):
+                continue
+            merged_state = tuple(merged)
             refund = 0
             rc_merged = []
             for s1, s2, c, w in zip(rc1, rc2, caps, weights):
@@ -134,11 +130,7 @@ def reference_introduce(inst, child, v, bag):
     for key in sorted(child.rows):
         state, rc = key
         row = child.rows[key]
-        rc_full = rc[:idx] + (0,) + rc[idx:]
-        if unsplit:
-            seeded = (state, rc_full)
-        else:
-            seeded = (state[:idx] + (dv,) + state[idx:], rc_full)
+        seeded = (state[:idx] + (dv,) + state[idx:], rc[:idx] + (0,) + rc[idx:])
         old = rows.get(seeded)
         if old is None or row.cost < old[0]:
             rows[seeded] = (row.cost, (), key)
@@ -147,17 +139,17 @@ def reference_introduce(inst, child, v, bag):
         for pos, u in enumerate(new_bag):
             if u == v or u not in nbrs:
                 continue
-            du = inst.demand(u)
 
             if unsplit:
-                def pull(key, u=u, du=du):
+                def pull(key, pos=pos, u=u, du=inst.demand(u)):
                     state, rc = key
                     yield key, 0, ()
-                    if du > 0 and u not in state:
+                    if du > 0 and state[pos] == du:
                         spare = rc[idx]
                         dcost = wv * ceil_div(max(0, du - spare), cv)
                         rc2 = rc[:idx] + ((spare - du) % cv,) + rc[idx + 1 :]
-                        yield (tuple(sorted(state + (u,))), rc2), dcost, ((u, v, du),)
+                        state2 = state[:pos] + (0,) + state[pos + 1 :]
+                        yield (state2, rc2), dcost, ((u, v, du),)
             else:
                 def pull(key, pos=pos, u=u):
                     state, rc = key
@@ -172,21 +164,18 @@ def reference_introduce(inst, child, v, bag):
             rows = _dedup_stage(rows, pull)
 
     if unsplit:
-        if dv == 0:
-            def route(key):
-                state, rc = key
-                yield (tuple(sorted(state + (v,))), rc), 0, ()
-        else:
-            def route(key):
-                state, rc = key
-                yield key, 0, ()
-                served = tuple(sorted(state + (v,)))
-                for pos, s in server_pos:
-                    cs = inst.capacity(s)
-                    spare = rc[pos]
-                    dcost = inst.weight(s) * ceil_div(max(0, dv - spare), cs)
-                    rc2 = rc[:pos] + ((spare - dv) % cs,) + rc[pos + 1 :]
-                    yield (served, rc2), dcost, ((v, s, dv),)
+        def route(key):
+            state, rc = key
+            yield key, 0, ()
+            if state[idx] == 0:
+                return
+            served = state[:idx] + (0,) + state[idx + 1 :]
+            for pos, s in server_pos:
+                cs = inst.capacity(s)
+                spare = rc[pos]
+                dcost = inst.weight(s) * ceil_div(max(0, dv - spare), cs)
+                rc2 = rc[:pos] + ((spare - dv) % cs,) + rc[pos + 1 :]
+                yield (served, rc2), dcost, ((v, s, dv),)
 
         rows = _dedup_stage(rows, route)
     else:
@@ -251,20 +240,20 @@ class TestLeaf:
         # 3 copies hold demand 7, leaving 2 spare units in the last copy
         inst = mk([(2, 3, 7)])
         table = dp_leaf(inst, 1, UNSPLIT)
-        assert table.rows[((), (0,))].cost == 0
-        assert table.rows[((1,), (2,))].cost == 6
+        assert table.rows[((7,), (0,))].cost == 0
+        assert table.rows[((0,), (2,))].cost == 6
         assert len(table.rows) == 2
 
     def test_zero_demand_single_served_row(self):
         inst = mk([(1, 5, 0)])
         table = dp_leaf(inst, 1, UNSPLIT)
-        assert list(table.rows) == [((1,), (0,))]
-        assert table.rows[((1,), (0,))].cost == 0
+        assert list(table.rows) == [((0,), (0,))]
+        assert table.rows[((0,), (0,))].cost == 0
 
     def test_zero_capacity_only_unserved_row(self):
         inst = mk([(1, 0, 2), (1, 5, 0)], [(1, 2)])
         table = dp_leaf(inst, 1, UNSPLIT)
-        assert list(table.rows) == [((), (0,))]
+        assert list(table.rows) == [((2,), (0,))]
 
     def test_splittable_enumerates_portions(self):
         inst = mk([(1, 2, 3)])
@@ -281,22 +270,22 @@ class TestIntroduce:
         # child: u served with spare 2 of c(u)=5; introduce v with d=3 routed to u
         inst = mk([(1, 5, 8), (1, 1, 3)], [(1, 2)])
         child = dp_leaf(inst, 1, UNSPLIT)
-        assert child.rows[((1,), (2,))].cost == 2
+        assert child.rows[((0,), (2,))].cost == 2
         table = dp_introduce(inst, child, 2, (1, 2))
-        row = table.rows[((1, 2), (4, 0))]
+        row = table.rows[((0, 0), (4, 0))]
         assert row.cost == 3  # one extra copy covers the deficit of 1
     def test_unassigned_carries_over(self):
         inst = mk([(1, 5, 0), (1, 1, 3)], [(1, 2)])
         child = dp_leaf(inst, 1, UNSPLIT)
         table = dp_introduce(inst, child, 2, (1, 2))
-        assert table.rows[((1,), (0, 0))].cost == 0
+        assert table.rows[((0, 3), (0, 0))].cost == 0
 
     def test_spare_fully_absorbs(self):
         inst = mk([(1, 5, 2), (1, 1, 3)], [(1, 2)])
         child = dp_leaf(inst, 1, UNSPLIT)
-        assert child.rows[((1,), (3,))].cost == 1
+        assert child.rows[((0,), (3,))].cost == 1
         table = dp_introduce(inst, child, 2, (1, 2))
-        assert table.rows[((1, 2), (0, 0))].cost == 1  # 3 spare units absorb d=3
+        assert table.rows[((0, 0), (0, 0))].cost == 1  # 3 spare units absorb d=3
 
     def test_vertex_already_in_bag_rejected(self):
         # re-introducing a bag vertex would give keys longer than the bag
@@ -328,8 +317,7 @@ class TestForget:
         # every surviving configuration carries the minimum over its preimages
         assert all(
             row.cost == min(r.cost for k, r in step.rows.items()
-                            if 2 in k[0] and tuple(u for u in k[0] if u != 2) == key[0]
-                            and k[1][:1] == key[1])
+                            if k[0][1] == 0 and k[0][:1] == key[0] and k[1][:1] == key[1])
             for key, row in table.rows.items()
         )
 
@@ -346,47 +334,43 @@ class TestJoin:
         left = dp_leaf(inst, 1, UNSPLIT)
         right = dp_leaf(inst, 1, UNSPLIT)
         # craft rows via self-serve: 12 -> 3 copies, spare 3; fake other side spare 4
-        from capdom.tddp import DPRow, DPTable
-
-        a = DPTable(UNSPLIT, (1,), {((1,), (3,)): DPRow(6, (), ())})
-        b = DPTable(UNSPLIT, (1,), {((), (4,)): DPRow(4, (), ())})
+        a = DPTable(UNSPLIT, (1,), {((0,), (3,)): DPRow(6, (), ())})
+        b = DPTable(UNSPLIT, (1,), {((12,), (4,)): DPRow(4, (), ())})
         merged = dp_join(inst, a, b, (1,))
-        row = merged.rows[((1,), (2,))]
+        row = merged.rows[((0,), (2,))]
         assert row.cost == 6 + 4 - 2  # refund w * floor((3+4)/5) = 2
 
     def test_zero_spares_no_refund(self):
-        from capdom.tddp import DPRow, DPTable
-
         inst = mk([(2, 5, 12)])
-        a = DPTable(UNSPLIT, (1,), {((1,), (0,)): DPRow(6, (), ())})
-        b = DPTable(UNSPLIT, (1,), {((), (0,)): DPRow(4, (), ())})
+        a = DPTable(UNSPLIT, (1,), {((0,), (0,)): DPRow(6, (), ())})
+        b = DPTable(UNSPLIT, (1,), {((12,), (0,)): DPRow(4, (), ())})
         merged = dp_join(inst, a, b, (1,))
-        assert merged.rows[((1,), (0,))].cost == 10
+        assert merged.rows[((0,), (0,))].cost == 10
 
     def test_incompatible_pairs_skipped(self):
-        from capdom.tddp import DPRow, DPTable
-
         inst = mk([(2, 5, 12)])
-        a = DPTable(UNSPLIT, (1,), {((1,), (0,)): DPRow(6, (), ())})
+        a = DPTable(UNSPLIT, (1,), {((0,), (0,)): DPRow(6, (), ())})
         merged = dp_join(inst, a, a, (1,))
         assert merged.rows == {}
 
     def test_zero_demand_overlap_combines(self):
-        # vertex 1 has no demand, so both sides may mark it served; vertex 2
-        # has demand, so a side serving it only pairs with a side that does not
+        # vertex 1 has no demand, so both sides have it served (rd = 0);
+        # vertex 2 has demand, so a side serving it only pairs with a side
+        # that does not.  Both pairs reaching ((0, 0), ...) cost 5; the
+        # sorted-first left key, which serves vertex 2, wins the tie.
         inst = mk([(1, 2, 0), (1, 2, 1)], [(1, 2)])
         a = DPTable(UNSPLIT, (1, 2), {
-            ((1,), (0, 0)): DPRow(1, (), ()),
-            ((1, 2), (0, 0)): DPRow(2, (), ()),
+            ((0, 1), (0, 0)): DPRow(1, (), ()),
+            ((0, 0), (0, 0)): DPRow(2, (), ()),
         })
         b = DPTable(UNSPLIT, (1, 2), {
-            ((1,), (0, 0)): DPRow(3, (), ()),
-            ((1, 2), (0, 0)): DPRow(4, (), ()),
+            ((0, 1), (0, 0)): DPRow(3, (), ()),
+            ((0, 0), (0, 0)): DPRow(4, (), ()),
         })
         merged = dp_join(inst, a, b, (1, 2))
         assert merged.rows == {
-            ((1,), (0, 0)): DPRow(4, (), (((1,), (0, 0)), ((1,), (0, 0)))),
-            ((1, 2), (0, 0)): DPRow(5, (), (((1,), (0, 0)), ((1, 2), (0, 0)))),
+            ((0, 1), (0, 0)): DPRow(4, (), (((0, 1), (0, 0)), ((0, 1), (0, 0)))),
+            ((0, 0), (0, 0)): DPRow(5, (), (((0, 0), (0, 0)), ((0, 1), (0, 0)))),
         }
         assert merged.rows == reference_join(inst, a, b, (1, 2)).rows
 
@@ -454,38 +438,48 @@ class TestSolve:
             assert cost_f == cost_b == exact_unsplittable(inst).cost
 
 
-class TestTableSizes:
-    def test_unsplittable_bound_per_node(self):
-        from capdom.tddp import DPTable
-        from capdom.treewidth import FORGET, INTRODUCE, LEAF
+def reference_rows(inst, u, model):
+    """Rows a bag vertex multiplies a table by: served-states times spares."""
+    d = inst.demand(u)
+    states = (2 if d else 1) if model is UNSPLIT else d + 1
+    return states * max(inst.capacity(u), 1)
 
+
+class TestTableSizes:
+    def _check_tables(self, model):
+        # Every state entry is a residual in the model's domain, and each
+        # table holds at most the rows `reference_predicted_work` counts.
         for seed in range(10):
             inst = random_instance(7, 0.4, 3, 3, 3, seed)
             ntd = nice_for(inst)
             tables = {}
             for node in ntd.post_order():
+                kids = [tables[id(child)] for child in node.children]
                 if node.kind == LEAF:
                     (v,) = node.bag
-                    t = dp_leaf(inst, v, UNSPLIT)
+                    t = dp_leaf(inst, v, model)
                 elif node.kind == INTRODUCE:
-                    t = dp_introduce(
-                        inst, tables[id(node.children[0])], node.vertex,
-                        tuple(sorted(node.bag)),
-                    )
+                    t = dp_introduce(inst, kids[0], node.vertex, tuple(sorted(node.bag)))
                 elif node.kind == FORGET:
-                    t = dp_forget(tables[id(node.children[0])], node.vertex)
+                    t = dp_forget(kids[0], node.vertex)
                 else:
-                    t = dp_join(
-                        inst,
-                        tables[id(node.children[0])],
-                        tables[id(node.children[1])],
-                        tuple(sorted(node.bag)),
-                    )
+                    t = dp_join(inst, *kids, tuple(sorted(node.bag)))
                 tables[id(node)] = t
-                bound = 2 ** len(node.bag)
+                demands = [inst.demand(u) for u in t.bag]
+                for state, rc in t.rows:
+                    for r, d in zip(state, demands):
+                        assert r in (0, d) if model is UNSPLIT else 0 <= r <= d
+                    assert all(0 <= s < max(inst.capacity(u), 1) for s, u in zip(rc, t.bag))
+                bound = 1
                 for u in node.bag:
-                    bound *= max(inst.capacity(u), 1)
+                    bound *= reference_rows(inst, u, model)
                 assert len(t.rows) <= bound
+
+    def test_unsplittable_bound_per_node(self):
+        self._check_tables(UNSPLIT)
+
+    def test_splittable_bound_per_node(self):
+        self._check_tables(SPLIT)
 
 
 def bfs_decomposition(inst):
@@ -494,11 +488,6 @@ def bfs_decomposition(inst):
 
 def reference_predicted_work(inst, td, model):
     """The same prediction counted on the nodes of make_nice(td)."""
-
-    def rows(u):
-        d = inst.demand(u)
-        states = (2 if d else 1) if model is UNSPLIT else d + 1
-        return states * max(inst.capacity(u), 1)
 
     def merges(u):
         d = inst.demand(u)
@@ -510,7 +499,7 @@ def reference_predicted_work(inst, td, model):
         if node.kind == INTRODUCE:
             product = 1
             for u in node.bag:
-                product *= rows(u)
+                product *= reference_rows(inst, u, model)
             work += tddp.INTRODUCE_ROW_WORK * product
         elif node.kind == JOIN:
             product = 1
@@ -636,3 +625,37 @@ class TestDecompositionChoice:
             )
             costs = {_cost(inst, td, model) for td in tds}
             assert len(costs) == 1
+
+
+def dp_cost(inst, model):
+    return _cost(inst, choose_decomposition(inst, model), model)
+
+
+def disjoint_union(a, b):
+    """a on ids 1..a.n, then b shifted to a.n + 1..a.n + b.n."""
+    shifted = tuple((u + a.n, v + a.n) for u, v in b.edges)
+    return Instance(a.n + b.n, a.attrs + b.attrs, a.edges + shifted)
+
+
+class TestMetamorphic:
+    @PROPERTY
+    @given(a=small_instances(max_n=5), b=small_instances(max_n=5))
+    def test_disjoint_union_adds_optima(self, a, b):
+        union = disjoint_union(a, b)
+        for model in (UNSPLIT, SPLIT):
+            parts = [dp_cost(a, model), dp_cost(b, model)]
+            expected = None if None in parts else sum(parts)
+            assert dp_cost(union, model) == expected
+
+    @PROPERTY
+    @given(inst=small_instances(), weight=st.integers(0, 4), spot=st.integers(0, 6))
+    def test_isolated_zero_vertex_changes_nothing(self, inst, weight, spot):
+        # a vertex with c = d = 0 and no edges, inserted as id `at`; the
+        # ids from `at` up shift by one
+        at = 1 + spot % (inst.n + 1)
+        relabel = {v: v + (v >= at) for v in inst.vertices()}
+        attrs = inst.attrs[: at - 1] + (VertexAttrs(weight, 0, 0),) + inst.attrs[at - 1 :]
+        edges = tuple((relabel[u], relabel[v]) for u, v in inst.edges)
+        grown = Instance(inst.n + 1, attrs, edges)
+        for model in (UNSPLIT, SPLIT):
+            assert dp_cost(grown, model) == dp_cost(inst, model)

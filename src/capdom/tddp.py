@@ -7,6 +7,14 @@ unsplittable model routes each demand whole, so its residuals are 0 or
 d(u), while the splittable model moves any portion.  A zero-demand vertex
 has rd = 0 in both.
 
+A row's key is one int over the sorted bag u_0 < ... < u_{k-1}, with
+mixed-radix digits rd(u_0..u_{k-1}) and then rc(u_0..u_{k-1}), most
+significant first; a residual has radix d(u) + 1, a spare max(c(u), 1).
+Every digit is below its radix and all residuals sit above all spares,
+so int order is the order of the tuple pair (residuals, spares), and
+sorts and tie-breaks are those of tuple keys.  Kernels work on the place
+values in `DPTable.places`; `encode_key` and `decode_key` are for tests.
+
 Spare capacities merge additively at joins: two half-filled copies fuse
 into one full copy, refunding w(u) per completed copy.  Costs obey
 cost = sum_u w(u) * ceil(load_u / c(u)) for the routing the back-pointers
@@ -31,7 +39,6 @@ from . import treewidth
 from .treewidth import FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDecomposition, TreeDecomposition
 
 Triple = tuple[int, int, int]
-Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class EmptyTable(CapdomError):
@@ -42,17 +49,49 @@ class EmptyTable(CapdomError):
 class DPRow:
     cost: int
     triples: tuple[Triple, ...]
-    prev: tuple[Key, ...]
+    prev: tuple[int, ...]
 
 
 @dataclass
 class DPTable:
     model: DemandModel
     bag: tuple[int, ...]
-    rows: dict[Key, DPRow]
+    rows: dict[int, DPRow]
+    # places[j] is the product of the radices of key digits j onward, so
+    # digit j has place value places[j + 1] and every key is below places[0].
+    places: tuple[int, ...]
 
 
-def _insert(table: DPTable, key: Key, cost: int, triples: tuple[Triple, ...], prev: tuple[Key, ...]):
+def _places(radices: list[int]) -> tuple[int, ...]:
+    places = [1]
+    for radix in reversed(radices):
+        places.append(places[-1] * radix)
+    return tuple(reversed(places))
+
+
+def layout(inst: Instance, bag: tuple[int, ...]) -> tuple[int, ...]:
+    """The place values of keys over `bag` (see `DPTable.places`)."""
+    return _places([inst.demand(u) + 1 for u in bag] + [max(inst.capacity(u), 1) for u in bag])
+
+
+def encode_key(table: DPTable, state: tuple[int, ...], rc: tuple[int, ...]) -> int:
+    """The key of residuals `state` and spares `rc` over the table's bag."""
+    places, digits = table.places, state + rc
+    if len(rc) != len(state) or len(digits) + 1 != len(places):
+        raise ValueError("a key has one residual and one spare per bag vertex")
+    if any(not 0 <= x < hi // lo for x, hi, lo in zip(digits, places, places[1:])):
+        raise ValueError("a key digit is outside its radix")
+    return sum(x * lo for x, lo in zip(digits, places[1:]))
+
+
+def decode_key(table: DPTable, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (residuals, spares) pair that `key` encodes."""
+    places, k = table.places, len(table.bag)
+    digits = tuple(key % hi // lo for hi, lo in zip(places, places[1:]))
+    return digits[:k], digits[k:]
+
+
+def _insert(table: DPTable, key: int, cost: int, triples: tuple[Triple, ...], prev: tuple[int, ...]):
     row = table.rows.get(key)
     if row is None or cost < row.cost:
         table.rows[key] = DPRow(cost, triples, prev)
@@ -70,14 +109,14 @@ def dp_leaf(inst: Instance, v: int, model: DemandModel) -> DPTable:
     any portion of it.  A zero-demand vertex has the single row rd = 0.
     """
     d, c, w = inst.demand(v), inst.capacity(v), inst.weight(v)
-    table = DPTable(model, (v,), {})
-    _insert(table, ((d,), (0,)), 0, (), ())
+    table = DPTable(model, (v,), {}, layout(inst, (v,)))
+    _insert(table, d * table.places[1], 0, (), ())
     if d and c > 0:
         amounts = (d,) if model is DemandModel.UNSPLITTABLE else range(1, d + 1)
         for amount in amounts:
             _insert(
                 table,
-                ((d - amount,), (_spare(amount, c),)),
+                (d - amount) * table.places[1] + _spare(amount, c),
                 w * ceil_div(amount, c),
                 ((v, v, amount),),
                 (),
@@ -86,44 +125,42 @@ def dp_leaf(inst: Instance, v: int, model: DemandModel) -> DPTable:
 
 
 # A row under construction: (cost, triples so far, child key).
-_Partial = tuple[int, tuple[Triple, ...], Key]
+_Partial = tuple[int, tuple[Triple, ...], int]
 
-# A server offered by a stage: (bag position, capacity > 0, weight,
-# consumer, server), the last two naming the triple a move records.
+# A server offered by a stage: (place of its spare digit, capacity > 0,
+# weight, consumer, server), the last two naming the triple a move records.
 _Server = tuple[int, int, int, int, int]
 
 
-def _stage(rows: dict[Key, _Partial], src: int, servers: list[_Server], whole: bool) -> dict[Key, _Partial]:
+def _stage(
+    rows: dict[int, _Partial], places: tuple[int, ...], src: int, servers: list[_Server], whole: bool
+) -> dict[int, _Partial]:
     """One micro-transition: keep each row, or move the residual demand at
     bag position `src` onto the copies of one of `servers`, offered in
     order.  A move routes the whole residual (`whole`) or any 1..rd units.
 
-    A move lowers the residual at `src` and changes no other state entry,
-    so it lands on a key that sorts before its source row.  Keys are
-    visited in sorted order, so no row reaches a key before that key's own
-    keep move, and the keep move needs no cost test.
+    A move lowers the residual at `src` and changes no other residual, so
+    it lands on a key that sorts before its source row.  Keys are visited
+    in sorted order, so no row reaches a key before that key's own keep
+    move, and the keep move needs no cost test.
     """
-    out: dict[Key, _Partial] = {}
+    unit, radix = places[src + 1], places[src] // places[src + 1]
+    out: dict[int, _Partial] = {}
     get = out.get
     for key in sorted(rows):
         entry = rows[key]
         out[key] = entry
-        state, rc = key
-        left = state[src]
+        left = key // unit % radix
         if not left:
             continue
         cost = entry[0]
-        head, tail = state[:src], state[src + 1 :]
         amounts = (left,) if whole else range(1, left + 1)
-        for dst, c, w, consumer, server in servers:
-            spare = rc[dst]
-            rc_head, rc_tail = rc[:dst], rc[dst + 1 :]
+        for at, c, w, consumer, server in servers:
+            spare = key // at % c
+            base = key - spare * at
             for amount in amounts:
                 new_cost = cost + w * -((spare - amount) // c) if amount > spare else cost
-                new_key = (
-                    head + (left - amount,) + tail,
-                    rc_head + ((spare - amount) % c,) + rc_tail,
-                )
+                new_key = base - amount * unit + (spare - amount) % c * at
                 old = get(new_key)
                 if old is None or new_cost < old[0]:
                     out[new_key] = (new_cost, entry[1] + ((consumer, server, amount),), entry[2])
@@ -148,17 +185,19 @@ def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -
     new_bag = tuple(sorted(set(child.bag) | {v}))
     if v in child.bag or tuple(sorted(bag)) != new_bag:
         raise ValueError("bag must be the child bag plus the introduced vertex")
-    idx = new_bag.index(v)
+    idx, k, places = new_bag.index(v), len(new_bag), layout(inst, new_bag)
     nbrs = inst.neighbors(v)
     cv, wv, dv = inst.capacity(v), inst.weight(v), inst.demand(v)
     whole = child.model is DemandModel.UNSPLITTABLE
 
     # Seed: v joins the bag unserved with no copies bought, so spare 0.
-    # Child keys map one-to-one onto seeded keys, so no two rows collide.
-    rows: dict[Key, _Partial] = {}
+    # Its residual and spare digits are spliced into each child key at bag
+    # position idx, so child keys map one-to-one onto seeded keys.
+    high, low = child.places[idx], child.places[k - 1 + idx]
+    top, mid, seed = places[idx], places[k + idx], dv * places[idx + 1]
+    rows: dict[int, _Partial] = {}
     for key, row in child.rows.items():
-        state, rc = key
-        rows[(state[:idx] + (dv,) + state[idx:], rc[:idx] + (0,) + rc[idx:])] = (row.cost, (), key)
+        rows[key // high * top + seed + key % high // low * mid + key % low] = (row.cost, (), key)
 
     if cv > 0:
         # Pull stages: serve bag neighbors with copies of v, one at a time.
@@ -166,20 +205,20 @@ def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -
         # only keep every row.
         for pos, u in enumerate(new_bag):
             if u in nbrs and inst.demand(u):
-                rows = _stage(rows, pos, [(idx, cv, wv, u, v)], whole)
+                rows = _stage(rows, places, pos, [(places[k + idx + 1], cv, wv, u, v)], whole)
 
     # Routing stages: v's own demand goes whole to one server, or in
     # portions to each server in turn.
     if dv:
         servers = [
-            (pos, inst.capacity(s), inst.weight(s), v, s)
+            (places[k + pos + 1], inst.capacity(s), inst.weight(s), v, s)
             for pos, s in enumerate(new_bag)
             if (s == v or s in nbrs) and inst.capacity(s) > 0
         ]
         for group in [servers] if whole else [[s] for s in servers]:
-            rows = _stage(rows, idx, group, whole)
+            rows = _stage(rows, places, idx, group, whole)
 
-    table = DPTable(child.model, new_bag, {})
+    table = DPTable(child.model, new_bag, {}, places)
     for key in sorted(rows):
         cost, triples, origin = rows[key]
         table.rows[key] = DPRow(cost, triples, (origin,))
@@ -188,13 +227,18 @@ def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -
 
 def dp_forget(child: DPTable, v: int) -> DPTable:
     """Drop v, keeping only rows where v's demand is fully routed."""
-    idx = child.bag.index(v)
-    table = DPTable(child.model, child.bag[:idx] + child.bag[idx + 1 :], {})
+    idx, k, places = child.bag.index(v), len(child.bag), child.places
+    radices = [hi // lo for hi, lo in zip(places, places[1:])]
+    del radices[k + idx], radices[idx]
+    table = DPTable(child.model, child.bag[:idx] + child.bag[idx + 1 :], {}, _places(radices))
+    # Rows keep v's residual digit 0; v's two digits are cut out and the
+    # digits above, between and below them close up.
+    high, unit, mid, low = places[idx], places[idx + 1], places[k + idx], places[k + idx + 1]
+    top = table.places[idx]
     for key in sorted(child.rows):
-        state, rc = key
-        if state[idx] != 0:
+        if key % high >= unit:
             continue
-        new_key = (state[:idx] + state[idx + 1 :], rc[:idx] + rc[idx + 1 :])
+        new_key = key // high * top + key % unit // mid * low + key % low
         _insert(table, new_key, child.rows[key].cost, (), (key,))
     if not table.rows:
         raise EmptyTable(f"no configuration survives forgetting vertex {v}")
@@ -222,97 +266,94 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable, bag: tuple[int, ...] 
         raise ValueError("join needs sibling tables over the same bag and model")
     if bag is not None and tuple(sorted(bag)) != left.bag:
         raise ValueError("bag does not match the children")
-    vs = left.bag
-    caps = [inst.capacity(u) for u in vs]
-    weights = [inst.weight(u) for u in vs]
+    vs, places = left.bag, left.places
+    k = len(vs)
+    # A key is its state part (the residual digits) times `spares`, plus
+    # its spare part (the spare digits).
+    spares = places[k]
     demands = [inst.demand(u) for u in vs]
+    spare_digits = [
+        (place, inst.capacity(u), inst.weight(u)) for place, u in zip(places[k + 1 :], vs) if inst.capacity(u)
+    ]
 
     # Served-states become ints, so a pair of states is tested with one
     # `&`: the served amounts d - rd packed as B-bit digits, with B one bit
     # wider than the largest demand so no digit sum carries.  Left codes
     # carry a guard of 2^(B-1) - 1 - d per digit, so a digit of the sum
     # reaches its top bit exactly when the two served amounts exceed d.
-    # `merged_of` maps the combined int back to the merged state tuple.
+    # `merged_of` maps the combined int back to the merged state part.
     width = max(demands, default=0).bit_length() + 1
     digit = (1 << width) - 1
-    clash = sum(1 << (width * i + width - 1) for i in range(len(vs)))
+    clash = sum(1 << (width * i + width - 1) for i in range(k))
     guard = sum(((1 << (width - 1)) - 1 - d) << (width * i) for i, d in enumerate(demands))
+    residual_digits = [(d, place, width * i) for i, (d, place) in enumerate(zip(demands, places[1:]))]
 
-    def code(state: tuple[int, ...]) -> int:
-        return sum((d - r) << (width * i) for i, (d, r) in enumerate(zip(demands, state)))
+    def code(key: int) -> int:
+        return sum((d - key // place % (d + 1)) << shift for d, place, shift in residual_digits)
 
-    def merged_of(combined: int) -> tuple[int, ...]:
+    def merged_of(combined: int) -> int:
         combined -= guard
-        return tuple(d - (combined >> (width * i) & digit) for i, d in enumerate(demands))
+        return sum((d - (combined >> shift & digit)) * place for d, place, shift in residual_digits)
 
-    Bucket = list[tuple[tuple[int, ...], int, Key]]  # (spare vector, cost, key)
+    Bucket = list[tuple[int, int, int]]  # (spare part, cost, key)
 
     def buckets(table: DPTable, offset: int) -> list[tuple[int, Bucket]]:
         # (state code + offset, bucket), both levels in sorted key order
-        by_state: dict[tuple[int, ...], Bucket] = {}
+        by_state: dict[int, Bucket] = {}
         for key in sorted(table.rows):
-            by_state.setdefault(key[0], []).append((key[1], table.rows[key].cost, key))
-        return [(code(state) + offset, rows) for state, rows in by_state.items()]
+            by_state.setdefault(key // spares, []).append((key % spares, table.rows[key].cost, key))
+        return [(code(rows[0][2]) + offset, rows) for rows in by_state.values()]
 
-    def merge_spares(rc1: tuple[int, ...], rc2: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        refund = 0
-        rc_merged = []
-        for s1, s2, c, w in zip(rc1, rc2, caps, weights):
-            if c > 0:
-                refund += w * ((s1 + s2) // c)
-                rc_merged.append((s1 + s2) % c)
-            else:
-                rc_merged.append(0)
-        return refund, tuple(rc_merged)
+    def merge_spares(rc1: int, rc2: int) -> tuple[int, int]:
+        refund = rc = 0
+        for place, c, w in spare_digits:
+            total = rc1 // place % c + rc2 // place % c
+            refund += w * (total // c)
+            rc += total % c * place
+        return refund, rc
 
     right_buckets = buckets(right, 0)
-    merged_states: dict[int, tuple[int, ...]] = {}
-    spares: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, tuple[int, ...]]]] = {}
-    # merged state -> merged spare vector -> (cost, left key, right key);
-    # `order` records each merged key when first reached.
-    best: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, Key, Key]]] = {}
-    order: list[Key] = []
+    merged_states: dict[int, int] = {}
+    merges: dict[int, dict[int, tuple[int, int]]] = {}
+    # merged key -> (cost, left key, right key), in the order first reached
+    best: dict[int, tuple[int, int, int]] = {}
     for code1, rows1 in buckets(left, guard):
         partners = []
         for code2, rows2 in right_buckets:
             combined = code1 + code2
             if combined & clash:
                 continue
-            merged_state = merged_states.get(combined)
-            if merged_state is None:
-                merged_state = merged_states[combined] = merged_of(combined)
-            partners.append((merged_state, best.setdefault(merged_state, {}), rows2))
+            state = merged_states.get(combined)
+            if state is None:
+                state = merged_states[combined] = merged_of(combined)
+            partners.append((state, rows2))
         for rc1, cost1, k1 in rows1:
-            memo = spares.setdefault(rc1, {})
-            for merged_state, out, rows2 in partners:
+            memo = merges.setdefault(rc1, {})
+            for state, rows2 in partners:
                 for rc2, cost2, k2 in rows2:
                     merged = memo.get(rc2)
                     if merged is None:
                         merged = memo[rc2] = merge_spares(rc1, rc2)
                     refund, rc = merged
                     cost = cost1 + cost2 - refund
-                    old = out.get(rc)
-                    if old is None:
-                        order.append((merged_state, rc))
-                        out[rc] = (cost, k1, k2)
-                    elif cost < old[0]:
-                        out[rc] = (cost, k1, k2)
-    rows = {}
-    for state, rc in order:
-        cost, k1, k2 = best[state][rc]
-        rows[(state, rc)] = DPRow(cost, (), (k1, k2))
-    return DPTable(left.model, vs, rows)
+                    key = state + rc
+                    old = best.get(key)
+                    if old is None or cost < old[0]:
+                        best[key] = (cost, k1, k2)
+    rows = {key: DPRow(cost, (), (k1, k2)) for key, (cost, k1, k2) in best.items()}
+    return DPTable(left.model, vs, rows, places)
 
 
 # Cost of one predicted introduce row over that of one predicted join pair.
-# Calibrated from one traced `dp_grid` pass (`perfbench/run.py --workload
-# dp_grid --seed 7 --trace 1`, Python 3.11 on a 2-core VM): introduce_s /
-# introduce_rows = 0.142 s / 27,787 = 5.1 us per row and join_s /
-# join_pairs = 0.218 s / 4,657,173 = 0.047 us per pair, a ratio of about
-# 109.  The trace counts every row pair of a join, the prediction only the
-# compatible ones; the ranking tolerates that: any value from 43 to 2,248
-# orders min-fill and BFS on CHOICE_GRIDS in tests/test_tddp.py and on the
-# `dp_grid` grids as their measured DP times do.
+# Calibrated from three traced `dp_grid` passes with int keys (`perfbench/
+# run.py --workload dp_grid --seed 7 --trace 1`, Python 3.11, 2-core VM):
+# introduce_s / introduce_rows = 1.6-2.0 us per row (27,910 rows) and
+# join_s / join_pairs = 0.024-0.029 us per pair (831,981 pairs), a ratio of
+# 65-71, near the low end of the range that works.  The trace counts every
+# row pair of a join, the prediction only the compatible ones; the ranking
+# tolerates that: any value from 43 to 2,248 orders min-fill and BFS on
+# CHOICE_GRIDS in tests/test_tddp.py and on the `dp_grid` grids as their
+# measured DP times do.
 INTRODUCE_ROW_WORK = 100
 
 
@@ -439,14 +480,13 @@ def solve_td(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> 
     except EmptyTable as exc:
         raise InfeasibleInstance(str(exc)) from exc
 
-    root_key: Key = ((), ())
-    root_row = tables[id(ntd.root)].rows.get(root_key)
+    root_row = tables[id(ntd.root)].rows.get(0)
     if root_row is None:
         raise InfeasibleInstance("no feasible configuration at the root")
     best_cost = root_row.cost
 
     assignment: dict[tuple[int, int], int] = {}
-    stack: list[tuple[object, Key]] = [(ntd.root, root_key)]
+    stack: list[tuple[object, int]] = [(ntd.root, 0)]
     while stack:
         node, key = stack.pop()
         row = tables[id(node)].rows[key]

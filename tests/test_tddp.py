@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 import random
 import time
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capdom import tddp, treewidth
@@ -21,11 +23,14 @@ from capdom.tddp import (
     DPRow,
     DPTable,
     EmptyTable,
+    decode_key,
     dp_forget,
     dp_introduce,
     dp_join,
     dp_leaf,
     choose_decomposition,
+    encode_key,
+    layout,
     predicted_work,
     solve_td,
 )
@@ -48,6 +53,38 @@ SPLIT = DemandModel.SPLITTABLE
 
 def nice_for(inst):
     return make_nice(heuristic_decomposition(inst))
+
+
+@dataclasses.dataclass
+class TupleTable:
+    """A DP table keyed by (residuals, spares) tuples, as the references
+    build and read them."""
+
+    model: DemandModel
+    bag: tuple
+    rows: dict
+
+
+def decoded(table, kids=()):
+    """`table` with tuple keys, its back-pointers decoded with the bags of
+    the child tables `kids`."""
+    rows = {}
+    for key, row in table.rows.items():
+        prev = tuple(decode_key(kid, p) for kid, p in zip(kids, row.prev))
+        rows[decode_key(table, key)] = DPRow(row.cost, row.triples, prev)
+    return TupleTable(table.model, table.bag, rows)
+
+
+def table_of(inst, model, bag, rows):
+    """An int-keyed table over `bag` holding `rows`, keyed by tuple pairs."""
+    table = DPTable(model, bag, {}, layout(inst, bag))
+    for (state, rc), row in rows.items():
+        table.rows[encode_key(table, state, rc)] = row
+    return table
+
+
+def row_at(table, state, rc):
+    return table.rows[encode_key(table, state, rc)]
 
 
 def reference_join(inst, left, right, bag=None):
@@ -86,7 +123,7 @@ def reference_join(inst, left, right, bag=None):
             cost = left.rows[k1].cost + right.rows[k2].cost - refund
             if key not in rows or cost < rows[key].cost:
                 rows[key] = DPRow(cost, (), (k1, k2))
-    return DPTable(left.model, vs, rows)
+    return TupleTable(left.model, vs, rows)
 
 
 def _dedup_stage(rows, expand):
@@ -195,11 +232,29 @@ def reference_introduce(inst, child, v, bag):
 
             rows = _dedup_stage(rows, spread)
 
-    table = DPTable(child.model, new_bag, {})
+    table = TupleTable(child.model, new_bag, {})
     for key in sorted(rows):
         cost, triples, origin = rows[key]
         if key not in table.rows or cost < table.rows[key].cost:
             table.rows[key] = DPRow(cost, triples, (origin,))
+    return table
+
+
+def reference_forget(child, v):
+    """Forget by splicing v's entries out of the tuple keys whose residual
+    at v is 0, keeping the cheapest row per key; slow reference for
+    `dp_forget`."""
+    idx = child.bag.index(v)
+    table = TupleTable(child.model, child.bag[:idx] + child.bag[idx + 1 :], {})
+    for key in sorted(child.rows):
+        state, rc = key
+        if state[idx] == 0:
+            new_key = (state[:idx] + state[idx + 1 :], rc[:idx] + rc[idx + 1 :])
+            cost = child.rows[key].cost
+            if new_key not in table.rows or cost < table.rows[new_key].cost:
+                table.rows[new_key] = DPRow(cost, (), (key,))
+    if not table.rows:
+        raise EmptyTable(f"no configuration survives forgetting vertex {v}")
     return table
 
 
@@ -216,15 +271,18 @@ def weighted_instances(seeds, n_min, n_max, edge_prob=0.2, max_c=3, max_d=3):
 
 def solve_checked(monkeypatch, name, reference, model, instances):
     """Solve every instance with tddp.<name> checked against `reference`
-    on each call; returns the arguments of every call."""
+    on each call; returns the arguments of every call.  The reference
+    reads the child tables decoded to tuple keys; the fast table is
+    decoded, back-pointers with the child bags, before the comparison."""
     fast = getattr(tddp, name)
     calls = []
 
     def checked(*args):
         table = fast(*args)
-        expected = reference(*args)
+        kids = [a for a in args if isinstance(a, DPTable)]
+        expected = reference(*(decoded(a) if isinstance(a, DPTable) else a for a in args))
         assert table.bag == expected.bag
-        assert list(table.rows.items()) == list(expected.rows.items())
+        assert list(decoded(table, kids).rows.items()) == list(expected.rows.items())
         calls.append(args)
         return table
 
@@ -240,28 +298,28 @@ class TestLeaf:
         # 3 copies hold demand 7, leaving 2 spare units in the last copy
         inst = mk([(2, 3, 7)])
         table = dp_leaf(inst, 1, UNSPLIT)
-        assert table.rows[((7,), (0,))].cost == 0
-        assert table.rows[((0,), (2,))].cost == 6
+        assert row_at(table, (7,), (0,)).cost == 0
+        assert row_at(table, (0,), (2,)).cost == 6
         assert len(table.rows) == 2
 
     def test_zero_demand_single_served_row(self):
         inst = mk([(1, 5, 0)])
         table = dp_leaf(inst, 1, UNSPLIT)
-        assert list(table.rows) == [((0,), (0,))]
-        assert table.rows[((0,), (0,))].cost == 0
+        assert list(table.rows) == [encode_key(table, (0,), (0,))]
+        assert row_at(table, (0,), (0,)).cost == 0
 
     def test_zero_capacity_only_unserved_row(self):
         inst = mk([(1, 0, 2), (1, 5, 0)], [(1, 2)])
         table = dp_leaf(inst, 1, UNSPLIT)
-        assert list(table.rows) == [((2,), (0,))]
+        assert list(table.rows) == [encode_key(table, (2,), (0,))]
 
     def test_splittable_enumerates_portions(self):
         inst = mk([(1, 2, 3)])
         table = dp_leaf(inst, 1, SPLIT)
         # portions 0..3 of the demand self-served
-        assert table.rows[((3,), (0,))].cost == 0
-        assert table.rows[((2,), (1,))].cost == 1
-        assert table.rows[((0,), (1,))].cost == 2
+        assert row_at(table, (3,), (0,)).cost == 0
+        assert row_at(table, (2,), (1,)).cost == 1
+        assert row_at(table, (0,), (1,)).cost == 2
         assert len(table.rows) == 4
 
 
@@ -270,22 +328,22 @@ class TestIntroduce:
         # child: u served with spare 2 of c(u)=5; introduce v with d=3 routed to u
         inst = mk([(1, 5, 8), (1, 1, 3)], [(1, 2)])
         child = dp_leaf(inst, 1, UNSPLIT)
-        assert child.rows[((0,), (2,))].cost == 2
+        assert row_at(child, (0,), (2,)).cost == 2
         table = dp_introduce(inst, child, 2, (1, 2))
-        row = table.rows[((0, 0), (4, 0))]
+        row = row_at(table, (0, 0), (4, 0))
         assert row.cost == 3  # one extra copy covers the deficit of 1
     def test_unassigned_carries_over(self):
         inst = mk([(1, 5, 0), (1, 1, 3)], [(1, 2)])
         child = dp_leaf(inst, 1, UNSPLIT)
         table = dp_introduce(inst, child, 2, (1, 2))
-        assert table.rows[((0, 3), (0, 0))].cost == 0
+        assert row_at(table, (0, 3), (0, 0)).cost == 0
 
     def test_spare_fully_absorbs(self):
         inst = mk([(1, 5, 2), (1, 1, 3)], [(1, 2)])
         child = dp_leaf(inst, 1, UNSPLIT)
-        assert child.rows[((0,), (3,))].cost == 1
+        assert row_at(child, (0,), (3,)).cost == 1
         table = dp_introduce(inst, child, 2, (1, 2))
-        assert table.rows[((0, 0), (0, 0))].cost == 1  # 3 spare units absorb d=3
+        assert row_at(table, (0, 0), (0, 0)).cost == 1  # 3 spare units absorb d=3
 
     def test_vertex_already_in_bag_rejected(self):
         # re-introducing a bag vertex would give keys longer than the bag
@@ -306,25 +364,33 @@ class TestForget:
     def test_drops_unserved_rows(self):
         inst = mk([(2, 3, 7)])
         table = dp_forget(dp_leaf(inst, 1, UNSPLIT), 1)
-        assert list(table.rows) == [((), ())]
-        assert table.rows[((), ())].cost == 6
+        assert list(table.rows) == [encode_key(table, (), ())]
+        assert row_at(table, (), ()).cost == 6
 
     def test_collision_keeps_cheaper(self):
         inst = mk([(1, 2, 2), (1, 4, 2)], [(1, 2)])
         child = dp_leaf(inst, 1, UNSPLIT)
         step = dp_introduce(inst, child, 2, (1, 2))
         table = dp_forget(step, 2)
+        preimages = decoded(step).rows
         # every surviving configuration carries the minimum over its preimages
         assert all(
-            row.cost == min(r.cost for k, r in step.rows.items()
+            row.cost == min(r.cost for k, r in preimages.items()
                             if k[0][1] == 0 and k[0][:1] == key[0] and k[1][:1] == key[1])
-            for key, row in table.rows.items()
+            for key, row in decoded(table).rows.items()
         )
 
     def test_empty_table_raised(self):
         inst = mk([(1, 0, 2), (1, 5, 0)], [(1, 2)])
         with pytest.raises(EmptyTable):
             dp_forget(dp_leaf(inst, 1, UNSPLIT), 1)
+
+    @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
+    def test_every_forget_equals_reference(self, model, monkeypatch):
+        # weights, capacities and demands in [0,3], zero weights included
+        instances = weighted_instances(range(60), 7, 12)
+        calls = solve_checked(monkeypatch, "dp_forget", reference_forget, model, instances)
+        assert len(calls) >= 500
 
 
 class TestJoin:
@@ -334,22 +400,22 @@ class TestJoin:
         left = dp_leaf(inst, 1, UNSPLIT)
         right = dp_leaf(inst, 1, UNSPLIT)
         # craft rows via self-serve: 12 -> 3 copies, spare 3; fake other side spare 4
-        a = DPTable(UNSPLIT, (1,), {((0,), (3,)): DPRow(6, (), ())})
-        b = DPTable(UNSPLIT, (1,), {((12,), (4,)): DPRow(4, (), ())})
+        a = table_of(inst, UNSPLIT, (1,), {((0,), (3,)): DPRow(6, (), ())})
+        b = table_of(inst, UNSPLIT, (1,), {((12,), (4,)): DPRow(4, (), ())})
         merged = dp_join(inst, a, b, (1,))
-        row = merged.rows[((0,), (2,))]
+        row = row_at(merged, (0,), (2,))
         assert row.cost == 6 + 4 - 2  # refund w * floor((3+4)/5) = 2
 
     def test_zero_spares_no_refund(self):
         inst = mk([(2, 5, 12)])
-        a = DPTable(UNSPLIT, (1,), {((0,), (0,)): DPRow(6, (), ())})
-        b = DPTable(UNSPLIT, (1,), {((12,), (0,)): DPRow(4, (), ())})
+        a = table_of(inst, UNSPLIT, (1,), {((0,), (0,)): DPRow(6, (), ())})
+        b = table_of(inst, UNSPLIT, (1,), {((12,), (0,)): DPRow(4, (), ())})
         merged = dp_join(inst, a, b, (1,))
-        assert merged.rows[((0,), (0,))].cost == 10
+        assert row_at(merged, (0,), (0,)).cost == 10
 
     def test_incompatible_pairs_skipped(self):
         inst = mk([(2, 5, 12)])
-        a = DPTable(UNSPLIT, (1,), {((0,), (0,)): DPRow(6, (), ())})
+        a = table_of(inst, UNSPLIT, (1,), {((0,), (0,)): DPRow(6, (), ())})
         merged = dp_join(inst, a, a, (1,))
         assert merged.rows == {}
 
@@ -359,20 +425,20 @@ class TestJoin:
         # that does not.  Both pairs reaching ((0, 0), ...) cost 5; the
         # sorted-first left key, which serves vertex 2, wins the tie.
         inst = mk([(1, 2, 0), (1, 2, 1)], [(1, 2)])
-        a = DPTable(UNSPLIT, (1, 2), {
+        a = table_of(inst, UNSPLIT, (1, 2), {
             ((0, 1), (0, 0)): DPRow(1, (), ()),
             ((0, 0), (0, 0)): DPRow(2, (), ()),
         })
-        b = DPTable(UNSPLIT, (1, 2), {
+        b = table_of(inst, UNSPLIT, (1, 2), {
             ((0, 1), (0, 0)): DPRow(3, (), ()),
             ((0, 0), (0, 0)): DPRow(4, (), ()),
         })
-        merged = dp_join(inst, a, b, (1, 2))
+        merged = decoded(dp_join(inst, a, b, (1, 2)), (a, b))
         assert merged.rows == {
             ((0, 1), (0, 0)): DPRow(4, (), (((0, 1), (0, 0)), ((0, 1), (0, 0)))),
             ((0, 0), (0, 0)): DPRow(5, (), (((0, 0), (0, 0)), ((0, 1), (0, 0)))),
         }
-        assert merged.rows == reference_join(inst, a, b, (1, 2)).rows
+        assert merged.rows == reference_join(inst, decoded(a), decoded(b), (1, 2)).rows
 
     @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
     def test_every_join_equals_reference(self, model, monkeypatch):
@@ -466,7 +532,7 @@ class TestTableSizes:
                     t = dp_join(inst, *kids, tuple(sorted(node.bag)))
                 tables[id(node)] = t
                 demands = [inst.demand(u) for u in t.bag]
-                for state, rc in t.rows:
+                for state, rc in decoded(t).rows:
                     for r, d in zip(state, demands):
                         assert r in (0, d) if model is UNSPLIT else 0 <= r <= d
                     assert all(0 <= s < max(inst.capacity(u), 1) for s, u in zip(rc, t.bag))
@@ -659,3 +725,91 @@ class TestMetamorphic:
         grown = Instance(inst.n + 1, attrs, edges)
         for model in (UNSPLIT, SPLIT):
             assert dp_cost(grown, model) == dp_cost(inst, model)
+
+
+@st.composite
+def keyed_bags(draw):
+    """An edgeless instance and an empty table over a bag of its vertices:
+    demands 0..9 and capacities 0..4, so zero demands and capacities and
+    demands of 8 and more all occur."""
+    n = draw(st.integers(1, 6))
+    attr = st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 9))
+    inst = mk(draw(st.lists(attr, min_size=n, max_size=n)))
+    bag = tuple(sorted(draw(st.sets(st.integers(1, n), max_size=4))))
+    return inst, DPTable(draw(st.sampled_from([UNSPLIT, SPLIT])), bag, {}, layout(inst, bag))
+
+
+def key_pairs(inst, bag):
+    """(residuals, spares) pairs with every entry inside its radix."""
+    return st.tuples(
+        st.tuples(*(st.integers(0, inst.demand(u)) for u in bag)),
+        st.tuples(*(st.integers(0, max(inst.capacity(u), 1) - 1) for u in bag)),
+    )
+
+
+class TestKeyLayout:
+    @PROPERTY
+    @given(bag=keyed_bags(), data=st.data())
+    def test_round_trip_in_tuple_order(self, bag, data):
+        inst, table = bag
+        pairs = data.draw(st.lists(key_pairs(inst, table.bag), min_size=2, max_size=6))
+        keys = [encode_key(table, *pair) for pair in pairs]
+        assert [decode_key(table, key) for key in keys] == pairs
+        for a, key_a in zip(pairs, keys):
+            for b, key_b in zip(pairs, keys):
+                assert (a < b) == (key_a < key_b)
+        radices = [range(inst.demand(u) + 1) for u in table.bag]
+        radices += [range(max(inst.capacity(u), 1)) for u in table.bag]
+        if prod(map(len, radices)) <= 600:
+            # every pair, in tuple order, encodes to 0, 1, 2, ... in turn
+            k = len(table.bag)
+            every = [encode_key(table, d[:k], d[k:]) for d in itertools.product(*radices)]
+            assert every == list(range(table.places[0]))
+
+    def test_out_of_radix_digit_rejected(self):
+        inst = mk([(1, 2, 3)])
+        table = dp_leaf(inst, 1, SPLIT)
+        for state, rc in [((4,), (0,)), ((0,), (2,)), ((-1,), (0,)), ((0, 0), (0, 0))]:
+            with pytest.raises(ValueError):
+                encode_key(table, state, rc)
+
+    @PROPERTY
+    @given(bag=keyed_bags(), data=st.data())
+    def test_introduce_inserts_two_digits(self, bag, data):
+        # v has no neighbors, so the rows keeping its whole demand are
+        # exactly the seeded ones: each child key with v's digits spliced in
+        inst, child = bag
+        outside = [u for u in inst.vertices() if u not in child.bag]
+        assume(outside)
+        v = data.draw(st.sampled_from(outside))
+        pairs = data.draw(st.lists(key_pairs(inst, child.bag), unique=True, max_size=8))
+        for cost, pair in enumerate(pairs):
+            child.rows[encode_key(child, *pair)] = DPRow(cost, (), ())
+        table = dp_introduce(inst, child, v, tuple(sorted(child.bag + (v,))))
+        assert table.places == layout(inst, table.bag)
+        idx, dv = table.bag.index(v), inst.demand(v)
+        seeded = {
+            (state[:idx] + (dv,) + state[idx:], rc[:idx] + (0,) + rc[idx:]): DPRow(cost, (), ((state, rc),))
+            for cost, (state, rc) in enumerate(pairs)
+        }
+        rows = decoded(table, [child]).rows
+        assert [(key, row) for key, row in rows.items() if key[0][idx] == dv] == sorted(seeded.items())
+
+    @PROPERTY
+    @given(bag=keyed_bags(), data=st.data())
+    def test_forget_drops_two_digits(self, bag, data):
+        inst, child = bag
+        assume(child.bag)
+        v = data.draw(st.sampled_from(child.bag))
+        pairs = data.draw(st.lists(key_pairs(inst, child.bag), unique=True, min_size=1, max_size=8))
+        for cost, pair in enumerate(pairs):
+            child.rows[encode_key(child, *pair)] = DPRow(cost % 3, (), ())  # ties collide
+        try:
+            expected = reference_forget(decoded(child), v)
+        except EmptyTable:
+            with pytest.raises(EmptyTable):
+                dp_forget(child, v)
+            return
+        table = dp_forget(child, v)
+        assert table.places == layout(inst, expected.bag)
+        assert list(decoded(table, [child]).rows.items()) == list(expected.rows.items())

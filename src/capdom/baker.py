@@ -22,9 +22,10 @@ from .core import (
     induced_instance,
     is_feasible,
 )
-from .tddp import choose_decomposition, solve_td
-# heuristic_decomposition stays importable from here: perfbench's tracer
-# wraps it in every module that imported it.
+from . import tddp
+# These stay importable from here: perfbench's tracer wraps them in every
+# module that imported them.  Slices reach them through `tddp.solve`.
+from .tddp import solve_td  # noqa: F401
 from .treewidth import heuristic_decomposition, make_nice  # noqa: F401
 
 
@@ -137,11 +138,6 @@ def merge_solutions(pairs: list[tuple[tuple[int, ...], Solution]]) -> Solution:
     return Solution(multiplicity, assignment, cost)
 
 
-def _solve_slice(piece: Slice, model: DemandModel) -> Solution:
-    td = choose_decomposition(piece.instance, model)
-    return solve_td(piece.instance, make_nice(td), model)
-
-
 def baker_solve(inst: Instance, k: int, model: DemandModel) -> BakerResult:
     """Best-shift band solution; components are processed independently.
 
@@ -178,7 +174,7 @@ def baker_solve(inst: Instance, k: int, model: DemandModel) -> BakerResult:
         for r in range(k):
             slices = make_slices(comp_inst, levels, k, r)
             merged = merge_solutions(
-                [(piece.orig_of, _solve_slice(piece, model)) for piece in slices]
+                [(piece.orig_of, tddp.solve(piece.instance, model)) for piece in slices]
             )
             costs.append(merged.cost)
             if best is None or merged.cost < best.cost:

@@ -58,14 +58,13 @@ def _greedy_result(result: greedy.GreedyResult) -> tuple[Solution, list[str], li
 
 
 def _run_dp(inst, model, args):
+    td = None
     if getattr(args, "td", None):  # bench has no --td flag
         td = treewidth.load_td(_read(args.td))
         report = treewidth.validate_td(inst, td)
         if not report.passed:
             raise CapdomError(f"supplied decomposition is invalid: {report}")
-    else:
-        td = tddp.choose_decomposition(inst, model)
-    return tddp.solve_td(inst, treewidth.make_nice(td), model), [], []
+    return tddp.solve(inst, model, td), [], []
 
 
 def _run_baker(inst, model, args):

@@ -317,26 +317,32 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
         for v in inst.vertices()
         if demand[v] > 0
     ]
+    # tail_rates[v][j]: the least rate among consumer j's servers u > v,
+    # or None when it has none.
+    tail_rates = [
+        [min((rates[u] for u in closed if u > v and rates[u] is not None), default=None) for _, closed in consumers]
+        for v in range(n + 1)
+    ]
 
-    def completion_bound(prefix: tuple[int, ...]) -> int | None:
-        """L times an admissible extra cost to finish the vector, or None if hopeless."""
-        i = len(prefix)
-        covered = sum(capacity[v] * prefix[v - 1] for v in range(1, i + 1))
+    def completion_bound(v: int, covered: int, served: list[int], added: int) -> int | None:
+        """L times an admissible extra cost to finish a vector whose entries
+        up to v cover `covered` units, or None if hopeless.  `served` holds
+        each consumer's units covered by servers u < v, and `added` is the
+        capacity of v's copies."""
         shortfall = total_demand - covered
         best = 0
         if shortfall > 0:
-            rate = suffix_rate[i + 1]
+            rate = suffix_rate[v + 1]
             if rate is None:
                 return None
             best = shortfall * rate
-        for d, closed in consumers:
-            need = d - sum(capacity[u] * prefix[u - 1] for u in closed if u <= i)
+        for (d, closed), got, tail in zip(consumers, served, tail_rates[v]):
+            need = d - got - (added if v in closed else 0)
             if need <= 0:
                 continue
-            options = [rates[u] for u in closed if u > i and rates[u] is not None]
-            if not options:
+            if tail is None:
                 return None
-            local = need * min(options)
+            local = need * tail
             if local > best:
                 best = local
         return best
@@ -356,19 +362,22 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
                 continue
             return Solution(multiplicity, assignment, cost)
         v = len(prefix) + 1
-        w = weight[v]
+        w, c = weight[v], capacity[v]
+        # The prefix's amounts, shared by every child.
+        covered = sum(capacity[u] * x for u, x in enumerate(prefix, 1))
+        served = [sum(capacity[u] * prefix[u - 1] for u in closed if u < v) for _, closed in consumers]
         for copies in range(max_copies[v] + 1):
             child_cost = cost + w * copies
             if child_cost > bound_cost:
                 break
-            child = prefix + (copies,)
-            extra = completion_bound(child)
+            added = c * copies
+            extra = completion_bound(v, covered + added, served, added)
             if extra is None:
                 continue
             key = child_cost * scale + extra
             if key > bound_scaled:
                 continue
-            heapq.heappush(heap, (key, child, child_cost))
+            heapq.heappush(heap, (key, prefix + (copies,), child_cost))
     raise CostBoundExceeded(bound_cost)
 
 

@@ -15,6 +15,9 @@ so int order is the order of the tuple pair (residuals, spares), and
 sorts and tie-breaks are those of tuple keys.  Kernels work on the place
 values in `DPTable.places`; `encode_key` and `decode_key` are for tests.
 
+Splittable demands are capped by capacity before a solve (`cap_demands`,
+used by `solve`), so residual radices depend on capacities, not demands.
+
 Spare capacities merge additively at joins: two half-filled copies fuse
 into one full copy, refunding w(u) per completed copy.  Costs obey
 cost = sum_u w(u) * ceil(load_u / c(u)) for the routing the back-pointers
@@ -23,7 +26,7 @@ reconstruct, which is re-derived and checked after every solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import lcm, prod
 
 from .core import (
     CapdomError,
@@ -34,6 +37,8 @@ from .core import (
     ceil_div,
     is_feasible,
     minimum_multiplicities,
+    verify_solution,
+    with_demands,
 )
 from . import treewidth
 from .treewidth import FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDecomposition, TreeDecomposition
@@ -502,3 +507,83 @@ def solve_td(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> 
             f"reconstruction cost {solution.cost} disagrees with table cost {best_cost}"
         )
     return solution
+
+
+def cap_demands(inst: Instance) -> tuple[Instance, dict[tuple[int, int], int]]:
+    """Splittable demands capped by capacity, and the units routed ahead.
+
+    For each v with demand, u* is the server of N[v] with the least rate
+    w/c (ties to the smallest id) and B(v) is the sum of
+    lcm(c(u), c(u*)) - 1 over the other servers u of N[v].  If d(v) > B(v),
+    t = (d(v) - B(v)) // c(u*) full copies of u* are set aside for v:
+    t * c(u*) units of v route to u* ahead of the DP and v keeps the rest.
+
+    Exchange: a server u != u* carrying lcm(c(u), c(u*)) units of v can
+    hand them to u*, dropping lcm/c(u) copies of u for lcm/c(u*) copies
+    of u*, which costs no more.  So some optimum routes at least
+    d(v) - B(v) units of v to u*, and removing t * c(u*) of them frees
+    exactly t copies: OPT = OPT(capped) + sum of t * w(u*).  That holds in
+    the splittable model only.  Returns `inst` itself when nothing is
+    capped.
+    """
+    attrs, closed = inst.attrs, inst.closed
+    # d(v) - B(v) >= c(u*) needs d(v) >= every capacity in N[v], so a
+    # demand below the least positive capacity is never capped.
+    least = min((a.capacity for a in attrs if a.capacity), default=0)
+    demands: dict[int, int] = {}
+    routed: dict[tuple[int, int], int] = {}
+    for v, a in enumerate(attrs, 1):
+        d = a.demand
+        if not d or d < least:
+            continue
+        servers = [(u, attrs[u - 1]) for u in closed[v] if attrs[u - 1].capacity]
+        if not servers:
+            continue
+        star, best = servers[0]
+        for u, b in servers:
+            # b's rate is below best's, or equal with the smaller id
+            below = b.weight * best.capacity - best.weight * b.capacity
+            if below < 0 or (below == 0 and u < star):
+                star, best = u, b
+        cs = best.capacity
+        slack = d - sum(lcm(b.capacity, cs) - 1 for u, b in servers if u != star)
+        t = slack // cs
+        if t > 0:
+            demands[v] = d - t * cs
+            routed[(v, star)] = t * cs
+    if not routed:
+        return inst, routed
+    return with_demands(inst, demands), routed
+
+
+def solve(inst: Instance, model: DemandModel, td: TreeDecomposition | None = None) -> Solution:
+    """The DP optimum of `inst`, over `td` or the chosen decomposition.
+
+    Splittable demands are capped first (`cap_demands`), so the tables'
+    residual digits depend on capacities rather than on demands; the
+    capped optimum is lifted by adding the units routed ahead, and the
+    lifted solution is verified against `inst`.  An instance left without
+    demand builds no table.  Decompositions and nice forms are reached
+    through the `treewidth` and `tddp` module attributes, so callers that
+    patch them see every call.
+    """
+    capped, routed = (inst, {}) if model is DemandModel.UNSPLITTABLE else cap_demands(inst)
+    if not capped.total_demand():
+        solution = Solution.empty()
+    else:
+        if td is None:
+            td = choose_decomposition(capped, model)
+        solution = solve_td(capped, treewidth.make_nice(td), model)
+    if not routed:
+        return solution
+    assignment = dict(solution.assignment)
+    for pair, amount in routed.items():
+        assignment[pair] = assignment.get(pair, 0) + amount
+    lifted = minimum_multiplicities(inst, assignment)
+    expected = solution.cost + sum(
+        amount // inst.capacity(u) * inst.weight(u) for (_, u), amount in routed.items()
+    )
+    report = verify_solution(inst, lifted, model)
+    if lifted.cost != expected or not report.passed:
+        raise CapdomError(f"lifted solution of cost {lifted.cost} (expected {expected}): {report}")
+    return lifted

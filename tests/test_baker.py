@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from capdom import tddp
 from capdom.baker import (
     Disconnected,
     MergeConflict,
@@ -221,3 +222,38 @@ class TestBakerSolve:
                     )
                 merged = merge_solutions([(piece.orig_of, sol) for piece, sol in pairs])
                 assert verify_solution(inst, merged, UNSPLIT).passed
+
+
+def weighted_grid(rows, cols, c, d):
+    """A rows x cols grid with weights 4..7 and capacity c, demand d."""
+    edges = grid_instance(rows, cols).edges
+    return mk([(4 + v * 5 % 4, c, d) for v in range(1, rows * cols + 1)], edges)
+
+
+class TestDemandCap:
+    # (rows, cols, c, d, k): every demand capped, and 4 of 12 capped
+    @pytest.mark.parametrize("rows, cols, c, d, k", [(4, 5, 1, 1, 2), (4, 5, 1, 1, 3), (3, 4, 2, 4, 2)])
+    def test_shift_costs_equal_uncapped_slices(self, rows, cols, c, d, k):
+        inst = weighted_grid(rows, cols, c, d)
+        assert tddp.cap_demands(inst)[1]
+        levels = bfs_levels(inst, 1)
+        res = baker_solve(inst, k, SPLIT)
+        assert verify_solution(inst, res.solution, SPLIT).passed
+        uncapped = [
+            sum(
+                solve_td(piece.instance, make_nice(heuristic_decomposition(piece.instance)), SPLIT).cost
+                for piece in make_slices(inst, levels, k, r)
+            )
+            for r in range(k)
+        ]
+        assert res.shift_costs == [uncapped]
+
+    def test_unit_capacity_grid_builds_no_table(self, monkeypatch):
+        # c = 1 gives B(v) = 0 everywhere, so every demand is set aside
+        calls = []
+        solve_td_of = tddp.solve_td
+        monkeypatch.setattr(tddp, "solve_td", lambda *args: calls.append(args) or solve_td_of(*args))
+        inst = weighted_grid(10, 10, 1, 1)
+        res = baker_solve(inst, 3, SPLIT)
+        assert calls == []
+        assert verify_solution(inst, res.solution, SPLIT).passed

@@ -1,4 +1,5 @@
 import hashlib
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -6,7 +7,9 @@ import pytest
 
 from capdom import oracle
 from capdom.cli import main
-from capdom.fileio import load_solution
+from capdom.fileio import load_solution, save_instance
+
+from conftest import grid_instance, mk
 
 P3_TEXT = "p capdom 3 2\nv 1 1 1 1\nv 2 3 10 1\nv 3 1 1 1\ne 1 2\ne 2 3\n"
 
@@ -371,6 +374,19 @@ class TestBench:
         )
         for line in out.read_text().splitlines()[1:]:
             assert line.split(",")[3] == "greedy-unweighted"
+
+
+def test_large_split_demands_solve_fast(tmp_path):
+    # 3x4 grid, c = 2, d = 8: the uncapped split DP took over a minute here;
+    # 212 is its optimum, computed once with that DP.
+    weights = [5, 4, 7, 6, 4, 6, 5, 7, 6, 4, 5, 7]
+    path = tmp_path / "grid.cd"
+    path.write_text(save_instance(mk([(w, 2, 8) for w in weights], grid_instance(3, 4).edges)))
+    out = tmp_path / "sol.cd"
+    start = time.perf_counter()
+    assert run("solve", "--algo", "dp", "--model", "split", "-o", out, path) == 0
+    assert time.perf_counter() - start < 2
+    assert load_solution(out.read_text())[0].cost == 212
 
 
 # sha256 of stdout for commands on two `gen random` instances: A is

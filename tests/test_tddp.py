@@ -45,7 +45,7 @@ from capdom.treewidth import (
     make_nice,
 )
 
-from conftest import grid_instance, mk, small_instances
+from conftest import grid_instance, mk, path_instance, small_instances
 
 UNSPLIT = DemandModel.UNSPLITTABLE
 SPLIT = DemandModel.SPLITTABLE
@@ -590,16 +590,19 @@ CHOICE_GRIDS = [
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
+# (weight, capacity, demand) draws as in `small_instances`
+SMALL_ATTRS = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3))
+
+
 @st.composite
-def branching_instances(draw, max_n=7):
+def branching_instances(draw, max_n=7, attr=SMALL_ATTRS):
     """A random tree plus up to two more edges, so min-fill decompositions
-    have joins; attributes as in `small_instances`."""
+    have joins; attributes drawn from `attr`."""
     n = draw(st.integers(1, max_n))
     edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     if pairs:
         edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
-    attr = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3))
     return mk(draw(st.lists(attr, min_size=n, max_size=n)), sorted(edges))
 
 
@@ -725,6 +728,62 @@ class TestMetamorphic:
         grown = Instance(inst.n + 1, attrs, edges)
         for model in (UNSPLIT, SPLIT):
             assert dp_cost(grown, model) == dp_cost(inst, model)
+
+
+# Demands up to 12 over capacities 1..3: most demands exceed their bound
+# B(v), and the uncapped oracle still solves five vertices quickly.
+CAPPED_ATTRS = st.tuples(st.integers(0, 4), st.integers(1, 3), st.integers(0, 12))
+
+
+class TestDemandCap:
+    def test_rule_on_a_path(self):
+        # Vertex 2's servers: 1 (rate 4/2), 2 (3/3) and 3 (1/1).  The tie at
+        # rate 1 goes to id 2, so u* = 2 and B = (lcm(2, 3) - 1) +
+        # (lcm(1, 3) - 1) = 7: one copy of 2 (3 units) is set aside and 7
+        # stay.  Vertex 1 has B = 5 >= d = 1 and keeps its demand.
+        inst = mk([(4, 2, 1), (3, 3, 10), (1, 1, 0)], [(1, 2), (2, 3)])
+        capped, routed = tddp.cap_demands(inst)
+        assert routed == {(2, 2): 3}
+        assert [a.demand for a in capped.attrs] == [1, 7, 0]
+        assert (capped.edges, [a.weight for a in capped.attrs]) == (inst.edges, [4, 3, 1])
+
+    def test_lone_server_takes_every_full_copy(self):
+        # B = 0 with a single server: all whole copies are set aside
+        inst = mk([(2, 3, 7), (5, 0, 0)], [(1, 2)])
+        capped, routed = tddp.cap_demands(inst)
+        assert routed == {(1, 1): 6} and capped.demand(1) == 1
+
+    def test_nothing_capped_returns_the_instance(self):
+        inst = grid_instance(3, 3, attr=(1, 2, 1))
+        capped, routed = tddp.cap_demands(inst)
+        assert capped is inst and routed == {}
+
+    def test_unsplittable_is_not_capped(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tddp, "cap_demands", lambda inst: calls.append(inst))
+        inst = mk([(2, 3, 7), (5, 1, 0)], [(1, 2)])
+        assert tddp.solve(inst, UNSPLIT).cost == exact_unsplittable(inst).cost
+        assert calls == []
+
+    def test_no_demand_left_builds_no_table(self, monkeypatch):
+        monkeypatch.setattr(tddp, "solve_td", None)  # any table build would fail
+        inst = path_instance([(2, 1, 3), (4, 0, 0), (3, 1, 2)])
+        sol = tddp.solve(inst, SPLIT)
+        assert sol.assignment == {(1, 1): 3, (3, 3): 2} and sol.cost == 12
+
+    @PROPERTY
+    @given(inst=branching_instances(max_n=5, attr=CAPPED_ATTRS))
+    def test_capped_optimum_plus_set_aside_is_optimum(self, inst):
+        capped, routed = tddp.cap_demands(inst)
+        set_aside = sum(amount // inst.capacity(u) * inst.weight(u) for (_, u), amount in routed.items())
+        assert dp_cost(capped, SPLIT) + set_aside == exact_splittable(inst).cost
+
+    @PROPERTY
+    @given(inst=branching_instances(max_n=5, attr=CAPPED_ATTRS))
+    def test_lifted_solution_is_a_verified_optimum(self, inst):
+        sol = tddp.solve(inst, SPLIT)
+        assert verify_solution(inst, sol, SPLIT).passed
+        assert sol.cost == exact_splittable(inst).cost
 
 
 @st.composite

@@ -69,20 +69,27 @@ def count_directly(monkeypatch) -> Counter:
     observe(tddp, "dp_introduce", rows("tddp.introduce_rows"))
     observe(tddp, "dp_forget", rows("tddp.forget_rows"))
     observe(tddp, "dp_join", rows("tddp.join_rows"))
-    for module in (tddp, baker):  # baker calls the solve_td it imported
+    for module in (tddp, baker):  # baker keeps the solve_td it imported
         observe(module, "solve_td", lambda arguments, solution: counts.update(["tddp.solves"]))
     return counts
 
 
-@pytest.mark.parametrize("algo", [["dp"], ["baker", "--k", "2"]], ids=["dp", "baker"])
-def test_traced_dp_counters_equal_direct_counts(algo, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "algo, model",
+    [(["dp"], "unsplit"), (["baker", "--k", "2"], "unsplit"), (["dp"], "split"), (["baker", "--k", "2"], "split")],
+    ids=["dp", "baker", "dp-split", "baker-split"],
+)
+def test_traced_dp_counters_equal_direct_counts(algo, model, tmp_path, monkeypatch):
+    # The spider's demands (d = 1 against c = 2) stay uncapped in the
+    # split model, so its tables are built there too.
     path = tmp_path / "spider.cd"
     path.write_text(save_instance(SPIDER))
     direct = count_directly(monkeypatch)
     main, tracer = cli.main, load_tracer()
     tracer.install()
     try:
-        assert cli.main(["solve", "--algo", *algo, "-o", str(tmp_path / "out.cd"), str(path)]) == 0
+        argv = ["solve", "--algo", *algo, "--model", model, "-o", str(tmp_path / "out.cd"), str(path)]
+        assert cli.main(argv) == 0
     finally:
         tracer.uninstall()
     assert cli.main is main

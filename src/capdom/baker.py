@@ -1,16 +1,17 @@
 """Shifting scheme: slice into bounded bands, solve bands exactly, merge.
 
-Levels come from BFS layering, which gives the one property the scheme
-needs: every edge joins vertices at most one level apart.  For each shift
-r the graph is cut into bands of k interior levels padded by one zeroed
-boundary level on each side, every band is solved exactly with the
-tree-decomposition DP, and the cheapest shift wins.  Planarity is the
-caller's claim; any input yields a feasible solution, only the ratio
-guarantee needs it.
+Levels come from BFS layering (`treewidth.bfs_levels`), which gives the
+one property the scheme needs: every edge joins vertices at most one
+level apart.  Each component is levelled from its smallest vertex id, and
+for each shift r its levels are cut into bands of k interior levels
+padded by one zeroed boundary level on each side.  Bands are induced
+straight from the input instance, every band is solved exactly with the
+tree-decomposition DP, and per component the cheapest shift wins.
+Planarity is the caller's claim; any input yields a feasible solution,
+only the ratio guarantee needs it.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .core import (
@@ -23,24 +24,15 @@ from .core import (
     is_feasible,
 )
 from . import tddp
+from .treewidth import LevelAssignment, bfs_levels
 # These stay importable from here: perfbench's tracer wraps them in every
 # module that imported them.  Slices reach them through `tddp.solve`.
 from .tddp import solve_td  # noqa: F401
 from .treewidth import heuristic_decomposition, make_nice  # noqa: F401
 
 
-class Disconnected(CapdomError):
-    """BFS leveling was asked for on a disconnected instance."""
-
-
 class MergeConflict(CapdomError):
     """A consumer received demand in two slices; the slicing is broken."""
-
-
-@dataclass(frozen=True)
-class LevelAssignment:
-    level: dict[int, int]
-    num_levels: int
 
 
 @dataclass(frozen=True)
@@ -59,23 +51,6 @@ class Slice:
 class BakerResult:
     solution: Solution
     shift_costs: list[list[int]] = field(default_factory=list)
-
-
-def bfs_levels(inst: Instance, root: int) -> LevelAssignment:
-    """Levels by BFS distance; adjacent vertices differ by at most one."""
-    level = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(inst.neighbors(u)):
-            if v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
-    if len(level) != inst.n:
-        raise Disconnected(
-            f"only {len(level)} of {inst.n} vertices reachable from {root}"
-        )
-    return LevelAssignment(level, max(level.values()) + 1)
 
 
 def make_slices(
@@ -141,44 +116,28 @@ def merge_solutions(pairs: list[tuple[tuple[int, ...], Solution]]) -> Solution:
 def baker_solve(inst: Instance, k: int, model: DemandModel) -> BakerResult:
     """Best-shift band solution; components are processed independently.
 
-    Trying every shift dominates the existential choice the analysis makes,
-    so the merged cost is within (1 + 4/(k-1)) of optimal on planar inputs
-    and exactly optimal once k reaches the number of BFS levels.
+    A shift's cost is the sum of its band optima, and the first cheapest
+    shift of each component wins; one merge joins the winning bands of
+    all components.  Trying every shift dominates the existential choice
+    the analysis makes, so the merged cost is within (1 + 4/(k-1)) of
+    optimal on planar inputs and exactly optimal once k reaches the number
+    of BFS levels.
     """
     if k < 2:
         raise ValueError("band width k must be at least 2")
     if not is_feasible(inst):
         raise InfeasibleInstance("a vertex with demand has no usable server")
-    remaining = set(inst.vertices())
-    components: list[list[int]] = []
-    while remaining:
-        start = min(remaining)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in inst.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        components.append(sorted(seen))
-        remaining -= seen
-
     chosen: list[tuple[tuple[int, ...], Solution]] = []
     shift_costs: list[list[int]] = []
-    for comp in components:
-        comp_inst, comp_orig = induced_instance(inst, comp)
-        levels = bfs_levels(comp_inst, 1)
-        best: Solution | None = None
-        costs: list[int] = []
+    unseen = set(inst.vertices())
+    while unseen:
+        levels = bfs_levels(inst, min(unseen))
+        unseen -= levels.level.keys()
+        shifts = []
         for r in range(k):
-            slices = make_slices(comp_inst, levels, k, r)
-            merged = merge_solutions(
-                [(piece.orig_of, tddp.solve(piece.instance, model)) for piece in slices]
-            )
-            costs.append(merged.cost)
-            if best is None or merged.cost < best.cost:
-                best = merged
+            bands = make_slices(inst, levels, k, r)
+            shifts.append([(piece.orig_of, tddp.solve(piece.instance, model)) for piece in bands])
+        costs = [sum(sol.cost for _, sol in bands) for bands in shifts]
         shift_costs.append(costs)
-        chosen.append((comp_orig, best))
+        chosen += shifts[costs.index(min(costs))]
     return BakerResult(merge_solutions(chosen), shift_costs)

@@ -44,6 +44,26 @@ def parse_ints(parts: list[str], line_no: int) -> list[int]:
     return out
 
 
+def parse_edge(parts: list[str], line_no: int, n: int, seen: set[tuple[int, int]]) -> tuple[int, int]:
+    """The edge (u, v) with u < v of an 'e <u> <v>' line over ids 1..n.
+
+    A malformed line, a self-loop, an id out of range or an edge already
+    in `seen` is a ParseError at line_no; otherwise the edge joins `seen`.
+    """
+    if len(parts) != 3:
+        raise ParseError(line_no, "edge line must be 'e <u> <v>'")
+    u, v = parse_ints(parts[1:], line_no)
+    if u == v:
+        raise ParseError(line_no, f"self-loop at vertex {u}")
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ParseError(line_no, f"edge ({u},{v}) out of range")
+    key = (min(u, v), max(u, v))
+    if key in seen:
+        raise ParseError(line_no, f"duplicate edge ({u},{v})")
+    seen.add(key)
+    return key
+
+
 class InfeasibleInstance(CapdomError):
     """Some vertex has positive demand but only zero-capacity closed neighbors."""
 

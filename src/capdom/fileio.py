@@ -24,6 +24,7 @@ from .core import (
     Solution,
     VertexAttrs,
     is_comment,
+    parse_edge,
     parse_ints,
 )
 
@@ -64,18 +65,7 @@ def load_instance(text: str) -> Instance:
         elif tag == "e":
             if n < 0:
                 raise ParseError(line_no, "edge line before header")
-            if len(parts) != 3:
-                raise ParseError(line_no, "edge line must be 'e <u> <v>'")
-            u, v = parse_ints(parts[1:], line_no)
-            if u == v:
-                raise ParseError(line_no, f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(line_no, f"edge ({u},{v}) out of range")
-            key = (min(u, v), max(u, v))
-            if key in edge_keys:
-                raise ParseError(line_no, f"duplicate edge ({u},{v})")
-            edge_keys.add(key)
-            edges.append(key)
+            edges.append(parse_edge(parts, line_no, n, edge_keys))
         else:
             raise ParseError(line_no, f"unknown line tag {tag!r}")
     if n < 0:

@@ -24,6 +24,7 @@ from .core import (
     VertexAttrs,
     is_comment,
     is_feasible,
+    parse_edge,
     parse_ints,
     DemandModel,
 )
@@ -340,6 +341,7 @@ def load_clique_instance(text: str) -> CliqueInstance:
     """Parse 'p mcq <k> <N> <|E|>' followed by part and edge lines."""
     k = n = m = -1
     parts: dict[int, tuple[int, ...]] = {}
+    labels: set[int] = set()
     edges: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -364,14 +366,17 @@ def load_clique_instance(text: str) -> CliqueInstance:
                 raise ParseError(line_no, f"part index {idx} out of range 1..{k}")
             if idx in parts:
                 raise ParseError(line_no, f"duplicate part {idx}")
+            for x in members:
+                if not 1 <= x <= n:
+                    raise ParseError(line_no, f"label {x} out of range 1..{n}")
+                if x in labels:
+                    raise ParseError(line_no, f"duplicate label {x}")
+                labels.add(x)
             parts[idx] = tuple(sorted(members))
         elif tokens[0] == "e":
             if k < 0:
                 raise ParseError(line_no, "edge line before header")
-            if len(tokens) != 3:
-                raise ParseError(line_no, "edge line must be 'e <u> <v>'")
-            u, v = parse_ints(tokens[1:], line_no)
-            edges.add((min(u, v), max(u, v)))
+            parse_edge(tokens, line_no, n, edges)
         else:
             raise ParseError(line_no, f"unknown line tag {tokens[0]!r}")
     if k < 0:

@@ -382,52 +382,30 @@ def _vertex_factors(inst: Instance, model: DemandModel) -> tuple[list[int], list
     return rows, pairs
 
 
-def predicted_work(inst: Instance, td: TreeDecomposition, model: DemandModel) -> int:
-    """Predicted DP work on make_nice(td), read off the plain decomposition.
+def predicted_work(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> int:
+    """Predicted DP work on `ntd`.
 
-    Walks the bags as `make_nice` roots and chains them, without building
-    the nice form.  Each introduce costs INTRODUCE_ROW_WORK per row of its
-    bag; each join costs the rows of its two children multiplied, times the
-    fraction of compatible served-states.  Rows are the product over the
-    bag of served-states times spare values, an upper bound on what the
-    tables hold.  Leaves and forgets are not counted.
+    Each introduce costs INTRODUCE_ROW_WORK per row of its bag; each join
+    costs the rows of its two children multiplied, times the fraction of
+    compatible served-states.  Rows are the product over the bag of
+    served-states times spare values, an upper bound on what the tables
+    hold.  Leaves and forgets are not counted.
     """
     rows_of, pairs_of = _vertex_factors(inst, model)
-
-    def chain(rows: int, added: list[int]) -> int:
-        # rows of the introduces that add `added` in order to `rows` rows
-        total = 0
-        for v in added:
-            rows *= rows_of[v]
-            total += rows
-        return total
-
-    adj = td.neighbors()
-    introduce_rows = join_pairs = 0
-    stack: list[tuple[int, int | None]] = [(td.root_id(), None)]
-    while stack:
-        bag_id, parent = stack.pop()
-        bag = td.bags[bag_id]
-        kids = adj[bag_id] - {parent}
-        stack.extend((k, bag_id) for k in kids)
-        if kids:
-            join_pairs += (len(kids) - 1) * prod(pairs_of[u] for u in bag)
-        else:
-            # leaf chain: the smallest vertex, then the rest in order
-            first, *rest = sorted(bag)
-            introduce_rows += chain(rows_of[first], rest)
-        if parent is not None:
-            # bridge to the parent: forgets, then introduces in order
-            above = td.bags[parent]
-            introduce_rows += chain(prod(rows_of[u] for u in bag & above), sorted(above - bag))
-    return INTRODUCE_ROW_WORK * introduce_rows + join_pairs
+    work = 0
+    for node in ntd.post_order():
+        if node.kind == INTRODUCE:
+            work += INTRODUCE_ROW_WORK * prod(rows_of[u] for u in node.bag)
+        elif node.kind == JOIN:
+            work += prod(pairs_of[u] for u in node.bag)
+    return work
 
 
-def choose_decomposition(inst: Instance, model: DemandModel) -> TreeDecomposition:
-    """The min-fill or the BFS decomposition, whichever predicts less work.
+def choose_decomposition(inst: Instance, model: DemandModel) -> NiceTreeDecomposition:
+    """The nice min-fill or BFS decomposition, whichever predicts less work.
 
-    Ties keep min-fill.  Min-fill is reached through
-    `treewidth.heuristic_decomposition`, so callers that patch it see it.
+    Ties keep min-fill.  Decompositions and nice forms are reached through
+    `treewidth` module attributes, so callers that patch them see them.
     The BFS candidate is abandoned once it cannot pay: when one of its
     bags alone predicts at least min-fill's work (every bag of two or more
     vertices ends in an introduce of all its rows), or when its fill-in
@@ -436,7 +414,7 @@ def choose_decomposition(inst: Instance, model: DemandModel) -> TreeDecompositio
     about the same time).  On trees and stars, where BFS levels fill into
     cliques, this stops it within the first few levels.
     """
-    min_fill = treewidth.heuristic_decomposition(inst)
+    min_fill = treewidth.make_nice(treewidth.heuristic_decomposition(inst))
     bound = predicted_work(inst, min_fill, model)
     rows_of, _ = _vertex_factors(inst, model)
 
@@ -449,6 +427,7 @@ def choose_decomposition(inst: Instance, model: DemandModel) -> TreeDecompositio
         bfs = treewidth.decomposition_from_order(inst, treewidth.bfs_order(inst), hopeless)
     except treewidth.Abandoned:
         return min_fill
+    bfs = treewidth.make_nice(bfs)
     return bfs if predicted_work(inst, bfs, model) < bound else min_fill
 
 
@@ -571,9 +550,8 @@ def solve(inst: Instance, model: DemandModel, td: TreeDecomposition | None = Non
     if not capped.total_demand():
         solution = Solution.empty()
     else:
-        if td is None:
-            td = choose_decomposition(capped, model)
-        solution = solve_td(capped, treewidth.make_nice(td), model)
+        ntd = choose_decomposition(capped, model) if td is None else treewidth.make_nice(td)
+        solution = solve_td(capped, ntd, model)
     if not routed:
         return solution
     assignment = dict(solution.assignment)

@@ -40,11 +40,6 @@ class TreeDecomposition:
             adj[b].add(a)
         return adj
 
-    def root_id(self) -> int:
-        """The bag `make_nice` roots at: the lowest-id bag holding the smallest vertex."""
-        lowest = min(min(bag) for bag in self.bags.values())
-        return min(i for i, bag in self.bags.items() if lowest in bag)
-
 
 def validate_td(inst: Instance, td: TreeDecomposition) -> Report:
     """Check tree shape, vertex and edge coverage, and bag connectivity."""
@@ -143,30 +138,42 @@ def min_fill_order(inst: Instance) -> list[int]:
     return order
 
 
+@dataclass(frozen=True)
+class LevelAssignment:
+    level: dict[int, int]
+    num_levels: int
+
+
+def bfs_levels(inst: Instance, root: int) -> LevelAssignment:
+    """BFS distances from `root` over its component, neighbors in id order.
+
+    `level` lists the component in visiting order; adjacent vertices
+    differ by at most one level.
+    """
+    level = {root: 0}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in sorted(inst.neighbors(u)):
+            if v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return LevelAssignment(level, max(level.values()) + 1)
+
+
 def bfs_order(inst: Instance) -> list[int]:
     """Breadth-first elimination order (Cuthill–McKee style).
 
-    Each component is searched from its smallest vertex id, neighbors in
-    increasing id; components follow in order of their smallest id.  On
-    grid-like graphs this sweeps level by level, which gives a path-like
-    decomposition without join nodes.
+    The `bfs_levels` visiting orders of the components, each searched from
+    its smallest vertex id, in order of that id.  On grid-like graphs this
+    sweeps level by level, which gives a path-like decomposition without
+    join nodes.
     """
-    seen: set[int] = set()
-    order: list[int] = []
+    visited: dict[int, int] = {}
     for start in inst.vertices():
-        if start in seen:
-            continue
-        seen.add(start)
-        head = len(order)
-        order.append(start)
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for v in sorted(inst.neighbors(u)):
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
-    return order
+        if start not in visited:
+            visited.update(bfs_levels(inst, start).level)
+    return list(visited)
 
 
 class Abandoned(Exception):
@@ -301,11 +308,11 @@ class NiceTreeDecomposition:
 def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Convert a valid decomposition to nice form of the same width.
 
-    Rooted at the bag holding the smallest vertex id; forget/introduce
-    chains bridge adjacent bags, joins get a binary spine, and a final
-    forget chain empties the root bag.  `tddp.predicted_work` walks the
-    plain decomposition the same way (root, sorted leaf chains, bridges,
-    one join per extra child) and must change with it.
+    Rooted at the lowest-id bag holding the smallest vertex id;
+    forget/introduce chains bridge adjacent bags, the children of a bag
+    are joined in id order along a binary spine, and a final forget chain
+    empties the root bag.  Bags are built children first from a
+    breadth-first listing, so deep decompositions need no recursion.
     """
     if not td.bags:
         raise InvalidDecomposition("no bags")
@@ -327,18 +334,26 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             node = NiceNode(INTRODUCE, node.bag | {v}, vertex=v, children=[node])
         return node
 
-    def build(bag_id: int, parent: int | None) -> NiceNode:
+    lowest = min(min(bag) for bag in td.bags.values())
+    root = min(i for i, bag in td.bags.items() if lowest in bag)
+    kids: dict[int, list[int]] = {root: []}
+    order = [root]
+    for bag_id in order:
+        for k in sorted(adj[bag_id]):
+            if k not in kids:
+                kids[bag_id].append(k)
+                kids[k] = []
+                order.append(k)
+    built: dict[int, NiceNode] = {}
+    for bag_id in reversed(order):
         bag = td.bags[bag_id]
-        kids = sorted(k for k in adj[bag_id] if k != parent)
-        if not kids:
-            return build_leaf_chain(bag)
-        subtrees = [adapt(build(k, bag_id), bag) for k in kids]
-        node = subtrees[0]
+        subtrees = [adapt(built.pop(k), bag) for k in kids[bag_id]]
+        node = subtrees[0] if subtrees else build_leaf_chain(bag)
         for other in subtrees[1:]:
             node = NiceNode(JOIN, bag, children=[node, other])
-        return node
+        built[bag_id] = node
 
-    top = build(td.root_id(), None)
+    top = built[root]
     for v in sorted(top.bag):
         top = NiceNode(FORGET, top.bag - {v}, vertex=v, children=[top])
     return NiceTreeDecomposition(top)

@@ -4,7 +4,6 @@ import pytest
 
 from capdom import tddp
 from capdom.baker import (
-    Disconnected,
     MergeConflict,
     Slice,
     baker_solve,
@@ -14,6 +13,7 @@ from capdom.baker import (
 )
 from capdom.core import (
     DemandModel,
+    Instance,
     Solution,
     random_instance,
     verify_solution,
@@ -49,20 +49,20 @@ class TestLevels:
         }
         assert levels.level == expected
 
-    def test_disconnected_raises(self):
-        inst = mk([(1, 1, 1)] * 3, [(1, 2)])
-        with pytest.raises(Disconnected):
-            bfs_levels(inst, 1)
+    def test_levels_cover_root_component(self):
+        # components {1, 2, 4} and {3, 5}
+        inst = mk([(1, 1, 1)] * 5, [(2, 4), (1, 2), (3, 5)])
+        assert bfs_levels(inst, 4).level == {4: 0, 2: 1, 1: 2}
+        levels = bfs_levels(inst, 3)
+        assert levels.level == {3: 0, 5: 1} and levels.num_levels == 2
 
     def test_edge_level_gap_at_most_one(self):
         for seed in range(20):
             inst = random_instance(9, 0.45, 3, 3, 3, seed)
-            try:
-                levels = bfs_levels(inst, 1)
-            except Disconnected:
-                continue
+            levels = bfs_levels(inst, 1)
             for u, v in inst.edges:
-                assert abs(levels.level[u] - levels.level[v]) <= 1
+                if u in levels.level:
+                    assert abs(levels.level[u] - levels.level[v]) <= 1
 
 
 class TestSlices:
@@ -198,6 +198,27 @@ class TestBakerSolve:
         assert verify_solution(inst, res.solution, UNSPLIT).passed
         assert res.solution.cost == exact_unsplittable(inst).cost
         assert len(res.shift_costs) == 2
+
+    @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
+    def test_interleaved_components_match_separate_runs(self, model):
+        # a 2x4 grid on ids 1, 3, ..., 15 and a 3x3 grid on 2, 4, ..., 16
+        # and 17, so the largest id lies in the second component
+        a = weighted_grid(2, 4, 2, 1)
+        b = weighted_grid(3, 3, 3, 2)
+        new_id = [dict(zip(a.vertices(), range(1, 16, 2))), dict(zip(b.vertices(), [*range(2, 17, 2), 17]))]
+        attrs = [None] * (a.n + b.n)
+        edges = []
+        for part, ids in zip((a, b), new_id):
+            for v in part.vertices():
+                attrs[ids[v] - 1] = part.attrs[v - 1]
+            edges += [tuple(sorted((ids[u], ids[v]))) for u, v in part.edges]
+        union = Instance(a.n + b.n, tuple(attrs), tuple(sorted(edges)))
+        for k in (2, 3):
+            alone = [baker_solve(part, k, model) for part in (a, b)]
+            res = baker_solve(union, k, model)
+            assert res.shift_costs == [part.shift_costs[0] for part in alone]
+            assert res.solution.cost == sum(part.solution.cost for part in alone)
+            assert verify_solution(union, res.solution, model).passed
 
     def test_feasible_even_off_planar(self):
         for seed in range(15):

@@ -9,7 +9,7 @@ from capdom import oracle
 from capdom.cli import main
 from capdom.fileio import load_solution, save_instance
 
-from conftest import grid_instance, mk
+from conftest import grid_instance, mk, path_instance
 
 P3_TEXT = "p capdom 3 2\nv 1 1 1 1\nv 2 3 10 1\nv 3 1 1 1\ne 1 2\ne 2 3\n"
 
@@ -210,8 +210,15 @@ class TestGen:
     @pytest.mark.parametrize(
         "text, line_no",
         [("p mcq 2 x 1\n", 1), ("p mcq 2 2 1\npart 1 1\npart\n", 3),
-         ("p mcq 2 2 1\npart 1 1\np mcq 2 2 0\npart 2 2\n", 3), ("p mcq -1 2 1\n", 1)],
-        ids=["non-integer-header", "bare-part", "duplicate-header", "negative-header"],
+         ("p mcq 2 2 1\npart 1 1\np mcq 2 2 0\npart 2 2\n", 3), ("p mcq -1 2 1\n", 1),
+         ("p mcq 2 2 1\npart 1 1\npart 2 2\ne 1 1\n", 4),
+         ("p mcq 2 2 1\npart 1 1\npart 2 2\ne 1 9\n", 4),
+         ("p mcq 2 2 1\npart 1 1 1\npart 2 2\n", 2),
+         ("p mcq 2 2 0\npart 1 1\npart 2 3\n", 3),
+         ("p mcq 2 2 1\npart 1 1\npart 2 2\ne 1 2\ne 2 1\n", 5)],
+        ids=["non-integer-header", "bare-part", "duplicate-header", "negative-header",
+             "self-loop", "edge-label-out-of-range", "repeated-part-label", "part-label-out-of-range",
+             "duplicate-edge"],
     )
     def test_malformed_mcq_is_parse_error(self, text, line_no, tmp_path, capsys):
         clique = tmp_path / "bad.mcq"
@@ -387,6 +394,29 @@ def test_large_split_demands_solve_fast(tmp_path):
     assert run("solve", "--algo", "dp", "--model", "split", "-o", out, path) == 0
     assert time.perf_counter() - start < 2
     assert load_solution(out.read_text())[0].cost == 212
+
+
+@pytest.fixture(scope="module")
+def long_path(tmp_path_factory):
+    # 2,000 vertices with w = 1, c = 2, d = 1: one copy per two vertices
+    path = tmp_path_factory.mktemp("long") / "path.cd"
+    path.write_text(save_instance(path_instance([(1, 2, 1)] * 2000)))
+    return path
+
+
+@pytest.mark.parametrize("model", ["unsplit", "split"])
+def test_long_path_solves_by_dp(model, long_path, tmp_path):
+    # its decompositions are 2,000 bags deep; a recursive nice-form build
+    # overflowed the stack here
+    out = tmp_path / "sol.cd"
+    start = time.perf_counter()
+    assert run("solve", "--algo", "dp", "--model", model, "-o", out, long_path) == 0
+    assert time.perf_counter() - start < 10
+    assert load_solution(out.read_text())[0].cost == 1000
+
+
+def test_long_path_nice_decomposition(long_path, tmp_path):
+    assert run("td", "nice", long_path, "-o", tmp_path / "nice.td") == 0
 
 
 # sha256 of stdout for commands on two `gen random` instances: A is

@@ -37,12 +37,12 @@ from capdom.tddp import (
 from capdom.treewidth import (
     FORGET,
     INTRODUCE,
-    JOIN,
     LEAF,
     bfs_order,
     decomposition_from_order,
     heuristic_decomposition,
     make_nice,
+    project_nice,
 )
 
 from conftest import grid_instance, mk, path_instance, small_instances
@@ -514,7 +514,7 @@ def reference_rows(inst, u, model):
 class TestTableSizes:
     def _check_tables(self, model):
         # Every state entry is a residual in the model's domain, and each
-        # table holds at most the rows `reference_predicted_work` counts.
+        # table holds at most the rows `predicted_work` counts for its bag.
         for seed in range(10):
             inst = random_instance(7, 0.4, 3, 3, 3, seed)
             ntd = nice_for(inst)
@@ -552,29 +552,6 @@ def bfs_decomposition(inst):
     return decomposition_from_order(inst, bfs_order(inst))
 
 
-def reference_predicted_work(inst, td, model):
-    """The same prediction counted on the nodes of make_nice(td)."""
-
-    def merges(u):
-        d = inst.demand(u)
-        pairs = (3 if d else 1) if model is UNSPLIT else (d + 1) * (d + 2) // 2
-        return pairs * max(inst.capacity(u), 1) ** 2
-
-    work = 0
-    for node in make_nice(td).post_order():
-        if node.kind == INTRODUCE:
-            product = 1
-            for u in node.bag:
-                product *= reference_rows(inst, u, model)
-            work += tddp.INTRODUCE_ROW_WORK * product
-        elif node.kind == JOIN:
-            product = 1
-            for u in node.bag:
-                product *= merges(u)
-            work += product
-    return work
-
-
 # The grids of the decomposition comparison in ROADMAP.md (unit weights):
 # (rows, cols, capacity, demand, model, order the measured DP time favors).
 # Both orders have the same width on the first four.
@@ -606,9 +583,9 @@ def branching_instances(draw, max_n=7, attr=SMALL_ATTRS):
     return mk(draw(st.lists(attr, min_size=n, max_size=n)), sorted(edges))
 
 
-def _cost(inst, td, model):
+def _cost(inst, ntd, model):
     try:
-        sol = solve_td(inst, make_nice(td), model)
+        sol = solve_td(inst, ntd, model)
     except InfeasibleInstance:
         return None
     assert verify_solution(inst, sol, model).passed
@@ -616,12 +593,6 @@ def _cost(inst, td, model):
 
 
 class TestDecompositionChoice:
-    @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
-    def test_prediction_matches_nice_nodes(self, model):
-        for inst in weighted_instances(range(40), 1, 14, edge_prob=0.3):
-            for td in (heuristic_decomposition(inst), bfs_decomposition(inst)):
-                assert predicted_work(inst, td, model) == reference_predicted_work(inst, td, model)
-
     @pytest.mark.parametrize(
         "rows, cols, c, d, model, expected",
         CHOICE_GRIDS,
@@ -631,19 +602,24 @@ class TestDecompositionChoice:
         inst = grid_instance(rows, cols, (1, c, d))
         candidates = {"min-fill": heuristic_decomposition(inst), "bfs": bfs_decomposition(inst)}
         assert candidates["min-fill"] != candidates["bfs"]
-        assert choose_decomposition(inst, model) == candidates[expected]
+        chosen = choose_decomposition(inst, model)
+        assert project_nice(chosen) == project_nice(make_nice(candidates[expected]))
 
     def test_exact_tie_keeps_min_fill(self, monkeypatch):
         inst = grid_instance(3, 3, (1, 2, 2))
-        bfs = bfs_decomposition(inst)
-        assert choose_decomposition(inst, SPLIT) == bfs
+        bfs = project_nice(make_nice(bfs_decomposition(inst)))
+        min_fill = project_nice(make_nice(heuristic_decomposition(inst)))
+        chosen = choose_decomposition(inst, SPLIT)
+        assert project_nice(chosen) == bfs
         # both candidates now score BFS's work, which no single BFS bag
         # reaches, so BFS is built in full and loses only on the tie
-        work = predicted_work(inst, bfs, SPLIT)
-        built = []
-        monkeypatch.setattr(tddp, "predicted_work", lambda inst, td, model: built.append(td) or work)
-        assert choose_decomposition(inst, SPLIT) == heuristic_decomposition(inst)
-        assert built == [heuristic_decomposition(inst), bfs]
+        work = predicted_work(inst, chosen, SPLIT)
+        scored = []
+        monkeypatch.setattr(
+            tddp, "predicted_work", lambda inst, ntd, model: scored.append(project_nice(ntd)) or work
+        )
+        assert project_nice(choose_decomposition(inst, SPLIT)) == min_fill
+        assert scored == [min_fill, bfs]
 
     @pytest.mark.parametrize("attr", [(1, 2, 2), (1, 0, 0)], ids=["c2d2", "c0d0"])
     @pytest.mark.parametrize("shape", ["star", "binary-tree"])
@@ -657,6 +633,7 @@ class TestDecompositionChoice:
         inst = mk([attr] * n, [(parent(v), v) for v in range(2, n + 1)])
         min_fill = heuristic_decomposition(inst)
         assert min_fill.width == 1
+        min_fill_nice = project_nice(make_nice(min_fill))
         build = treewidth.decomposition_from_order
         bags_seen, abandoned = [], []
 
@@ -678,7 +655,7 @@ class TestDecompositionChoice:
         for model in (UNSPLIT, SPLIT):
             bags_seen.clear()
             started = time.perf_counter()
-            assert choose_decomposition(inst, model) == min_fill
+            assert project_nice(choose_decomposition(inst, model)) == min_fill_nice
             assert time.perf_counter() - started < 10
             assert len(bags_seen) < 100
         assert len(abandoned) == 2
@@ -687,12 +664,12 @@ class TestDecompositionChoice:
     @given(inst=st.one_of(small_instances(), branching_instances()))
     def test_cost_does_not_depend_on_decomposition(self, inst):
         for model in (UNSPLIT, SPLIT):
-            tds = (
-                heuristic_decomposition(inst),
-                bfs_decomposition(inst),
+            ntds = (
+                make_nice(heuristic_decomposition(inst)),
+                make_nice(bfs_decomposition(inst)),
                 choose_decomposition(inst, model),
             )
-            costs = {_cost(inst, td, model) for td in tds}
+            costs = {_cost(inst, ntd, model) for ntd in ntds}
             assert len(costs) == 1
 
 

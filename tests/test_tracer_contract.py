@@ -2,9 +2,11 @@
 
 `perfbench/tracing.py` wraps the public DP kernels from outside capdom:
 it counts `len(result.rows)` of every table and multiplies the row counts
-of `dp_join`'s second and third arguments.  These tests install that
-tracer, run the CLI, and count the same things by parameter name, so a
-kernel change that breaks what the tracer reads fails here.
+of `dp_join`'s second and third arguments.  For Baker it counts the calls
+of `baker.make_slices` as shifts and the bands they return as slices.
+These tests install that tracer, run the CLI, and count the same things
+by parameter name, so a change that breaks what the tracer reads fails
+here.
 """
 import importlib.util
 import inspect
@@ -32,6 +34,7 @@ COUNTERS = (
     "tddp.table_rows_max",
     "tddp.solves",
 )
+BAKER_COUNTERS = ("baker.shifts", "baker.slices")
 
 
 def load_tracer():
@@ -42,7 +45,8 @@ def load_tracer():
 
 
 def count_directly(monkeypatch) -> Counter:
-    """Wrap the DP kernels to count rows, join pairs and solves."""
+    """Wrap the DP kernels and Baker's slicer to count rows, join pairs,
+    solves, shifts and bands."""
     counts = Counter()
 
     def observe(module, name, record):
@@ -71,6 +75,12 @@ def count_directly(monkeypatch) -> Counter:
     observe(tddp, "dp_join", rows("tddp.join_rows"))
     for module in (tddp, baker):  # baker keeps the solve_td it imported
         observe(module, "solve_td", lambda arguments, solution: counts.update(["tddp.solves"]))
+
+    def sliced(arguments, bands):
+        counts["baker.shifts"] += 1
+        counts["baker.slices"] += len(bands)
+
+    observe(baker, "make_slices", sliced)
     return counts
 
 
@@ -93,5 +103,5 @@ def test_traced_dp_counters_equal_direct_counts(algo, model, tmp_path, monkeypat
     finally:
         tracer.uninstall()
     assert cli.main is main
-    for name in COUNTERS:
+    for name in COUNTERS + (BAKER_COUNTERS if algo[0] == "baker" else ()):
         assert tracer.counts[name] == direct[name] > 0, name

@@ -1,11 +1,15 @@
 import pytest
 
+from capdom.baker import bfs_levels, make_slices
 from capdom.core import random_instance
 from capdom.treewidth import (
     FORGET,
+    INTRODUCE,
     InvalidDecomposition,
     JOIN,
     LEAF,
+    NiceNode,
+    NiceTreeDecomposition,
     TreeDecomposition,
     bfs_order,
     decomposition_from_order,
@@ -19,7 +23,7 @@ from capdom.treewidth import (
     validate_td,
 )
 
-from conftest import cycle_instance, grid_instance, mk
+from conftest import cycle_instance, grid_instance, mk, path_instance
 
 
 def reference_min_fill_order(inst):
@@ -157,7 +161,77 @@ class TestBfsOrder:
         assert ntd.width == min(rows, cols) + (rows != cols)
 
 
+def reference_make_nice(td):
+    """The recursive construction: one call per bag, children in id order."""
+    adj = td.neighbors()
+
+    def build_leaf_chain(bag):
+        ordered = sorted(bag)
+        node = NiceNode(LEAF, frozenset([ordered[0]]))
+        for v in ordered[1:]:
+            node = NiceNode(INTRODUCE, node.bag | {v}, vertex=v, children=[node])
+        return node
+
+    def adapt(node, target):
+        for v in sorted(node.bag - target):
+            node = NiceNode(FORGET, node.bag - {v}, vertex=v, children=[node])
+        for v in sorted(target - node.bag):
+            node = NiceNode(INTRODUCE, node.bag | {v}, vertex=v, children=[node])
+        return node
+
+    def build(bag_id, parent):
+        bag = td.bags[bag_id]
+        kids = sorted(k for k in adj[bag_id] if k != parent)
+        if not kids:
+            return build_leaf_chain(bag)
+        subtrees = [adapt(build(k, bag_id), bag) for k in kids]
+        node = subtrees[0]
+        for other in subtrees[1:]:
+            node = NiceNode(JOIN, bag, children=[node, other])
+        return node
+
+    lowest = min(min(bag) for bag in td.bags.values())
+    top = build(min(i for i, bag in td.bags.items() if lowest in bag), None)
+    for v in sorted(top.bag):
+        top = NiceNode(FORGET, top.bag - {v}, vertex=v, children=[top])
+    return NiceTreeDecomposition(top)
+
+
+def nice_shape(ntd):
+    """Bags and tree edges, plus each node's kind and vertex in post-order."""
+    return project_nice(ntd), [(node.kind, node.vertex) for node in ntd.post_order()]
+
+
+def reference_cases():
+    """Decompositions of random graphs (both orders), grids and Baker bands."""
+    for seed in range(40):
+        inst = random_instance(2 + seed % 12, (0.15, 0.35, 0.6)[seed % 3], 3, 3, 3, seed)
+        yield heuristic_decomposition(inst)
+        yield decomposition_from_order(inst, bfs_order(inst))
+    for rows, cols in [(3, 3), (4, 5), (2, 7)]:
+        inst = grid_instance(rows, cols)
+        yield heuristic_decomposition(inst)
+        yield decomposition_from_order(inst, bfs_order(inst))
+    inst = grid_instance(6, 6)
+    levels = bfs_levels(inst, 1)
+    for k, r in [(2, 0), (2, 1), (3, 2)]:
+        for piece in make_slices(inst, levels, k, r):
+            yield heuristic_decomposition(piece.instance)
+
+
 class TestMakeNice:
+    def test_matches_recursive_reference(self):
+        for td in reference_cases():
+            assert nice_shape(make_nice(td)) == nice_shape(reference_make_nice(td))
+
+    def test_deep_path_needs_no_recursion(self):
+        # 2,000 bags in a chain: the recursive reference would overflow
+        inst = path_instance([(1, 2, 1)] * 2000)
+        td = heuristic_decomposition(inst)
+        ntd = make_nice(td)
+        assert validate_nice(ntd).passed
+        assert ntd.width == td.width == 1
+
     def test_single_bag_leaf_then_forget(self):
         td = TreeDecomposition({1: frozenset({1})}, [])
         ntd = make_nice(td)

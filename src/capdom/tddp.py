@@ -15,6 +15,12 @@ so int order is the order of the tuple pair (residuals, spares), and
 sorts and tie-breaks are those of tuple keys.  Kernels work on the place
 values in `DPTable.places`; `encode_key` and `decode_key` are for tests.
 
+A table row is the tuple (cost, triples, prev): its cost, the
+(consumer, server, amount) triples the node itself routes, and the child
+keys it came from, one per child.  Every kernel writes rows of this one
+shape, and a leaf is an introduce into the one-row table over the empty
+bag.
+
 Splittable demands are capped by capacity before a solve (`cap_demands`,
 used by `solve`), so residual radices depend on capacities, not demands.
 
@@ -34,7 +40,6 @@ from .core import (
     InfeasibleInstance,
     Instance,
     Solution,
-    ceil_div,
     is_feasible,
     minimum_multiplicities,
     verify_solution,
@@ -50,18 +55,15 @@ class EmptyTable(CapdomError):
     """No configuration survived a forget node; propagates infeasibility."""
 
 
-@dataclass
-class DPRow:
-    cost: int
-    triples: tuple[Triple, ...]
-    prev: tuple[int, ...]
+# (cost, triples, prev), as the module docstring describes
+Row = tuple[int, tuple[Triple, ...], tuple[int, ...]]
 
 
 @dataclass
 class DPTable:
     model: DemandModel
     bag: tuple[int, ...]
-    rows: dict[int, DPRow]
+    rows: dict[int, Row]
     # places[j] is the product of the radices of key digits j onward, so
     # digit j has place value places[j + 1] and every key is below places[0].
     places: tuple[int, ...]
@@ -96,41 +98,10 @@ def decode_key(table: DPTable, key: int) -> tuple[tuple[int, ...], tuple[int, ..
     return digits[:k], digits[k:]
 
 
-def _insert(table: DPTable, key: int, cost: int, triples: tuple[Triple, ...], prev: tuple[int, ...]):
-    row = table.rows.get(key)
-    if row is None or cost < row.cost:
-        table.rows[key] = DPRow(cost, triples, prev)
-
-
-def _spare(load: int, c: int) -> int:
-    # Unused capacity of the ceil(load/c) copies holding the load.
-    return (-load) % c if c > 0 else 0
-
-
 def dp_leaf(inst: Instance, v: int, model: DemandModel) -> DPTable:
-    """Leaf table: v unserved, or v's demand routed to itself.
+    """Leaf table: v introduced into the one-row table over the empty bag."""
+    return dp_introduce(inst, DPTable(model, (), {0: (0, (), ())}, (1,)), v)
 
-    The unsplittable model routes the whole demand, the splittable model
-    any portion of it.  A zero-demand vertex has the single row rd = 0.
-    """
-    d, c, w = inst.demand(v), inst.capacity(v), inst.weight(v)
-    table = DPTable(model, (v,), {}, layout(inst, (v,)))
-    _insert(table, d * table.places[1], 0, (), ())
-    if d and c > 0:
-        amounts = (d,) if model is DemandModel.UNSPLITTABLE else range(1, d + 1)
-        for amount in amounts:
-            _insert(
-                table,
-                (d - amount) * table.places[1] + _spare(amount, c),
-                w * ceil_div(amount, c),
-                ((v, v, amount),),
-                (),
-            )
-    return table
-
-
-# A row under construction: (cost, triples so far, child key).
-_Partial = tuple[int, tuple[Triple, ...], int]
 
 # A server offered by a stage: (place of its spare digit, capacity > 0,
 # weight, consumer, server), the last two naming the triple a move records.
@@ -138,8 +109,8 @@ _Server = tuple[int, int, int, int, int]
 
 
 def _stage(
-    rows: dict[int, _Partial], places: tuple[int, ...], src: int, servers: list[_Server], whole: bool
-) -> dict[int, _Partial]:
+    rows: dict[int, Row], places: tuple[int, ...], src: int, servers: list[_Server], whole: bool
+) -> dict[int, Row]:
     """One micro-transition: keep each row, or move the residual demand at
     bag position `src` onto the copies of one of `servers`, offered in
     order.  A move routes the whole residual (`whole`) or any 1..rd units.
@@ -150,7 +121,7 @@ def _stage(
     move, and the keep move needs no cost test.
     """
     unit, radix = places[src + 1], places[src] // places[src + 1]
-    out: dict[int, _Partial] = {}
+    out: dict[int, Row] = {}
     get = out.get
     for key in sorted(rows):
         entry = rows[key]
@@ -172,7 +143,7 @@ def _stage(
     return out
 
 
-def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -> DPTable:
+def dp_introduce(inst: Instance, child: DPTable, v: int) -> DPTable:
     """Introduce v: optionally serve bag neighbors with v, then route v's demand.
 
     Serving choices cover every unserved bag neighbor of v, whole
@@ -187,9 +158,9 @@ def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -
     other moves and lets only a strictly cheaper candidate replace a row,
     so ties always resolve the same way.
     """
-    new_bag = tuple(sorted(set(child.bag) | {v}))
-    if v in child.bag or tuple(sorted(bag)) != new_bag:
-        raise ValueError("bag must be the child bag plus the introduced vertex")
+    if v in child.bag:
+        raise ValueError(f"vertex {v} is already in the child bag")
+    new_bag = tuple(sorted(child.bag + (v,)))
     idx, k, places = new_bag.index(v), len(new_bag), layout(inst, new_bag)
     nbrs = inst.neighbors(v)
     cv, wv, dv = inst.capacity(v), inst.weight(v), inst.demand(v)
@@ -200,9 +171,10 @@ def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -
     # position idx, so child keys map one-to-one onto seeded keys.
     high, low = child.places[idx], child.places[k - 1 + idx]
     top, mid, seed = places[idx], places[k + idx], dv * places[idx + 1]
-    rows: dict[int, _Partial] = {}
-    for key, row in child.rows.items():
-        rows[key // high * top + seed + key % high // low * mid + key % low] = (row.cost, (), key)
+    rows = {
+        key // high * top + seed + key % high // low * mid + key % low: (row[0], (), (key,))
+        for key, row in child.rows.items()
+    }
 
     if cv > 0:
         # Pull stages: serve bag neighbors with copies of v, one at a time.
@@ -223,11 +195,7 @@ def dp_introduce(inst: Instance, child: DPTable, v: int, bag: tuple[int, ...]) -
         for group in [servers] if whole else [[s] for s in servers]:
             rows = _stage(rows, places, idx, group, whole)
 
-    table = DPTable(child.model, new_bag, {}, places)
-    for key in sorted(rows):
-        cost, triples, origin = rows[key]
-        table.rows[key] = DPRow(cost, triples, (origin,))
-    return table
+    return DPTable(child.model, new_bag, {key: rows[key] for key in sorted(rows)}, places)
 
 
 def dp_forget(child: DPTable, v: int) -> DPTable:
@@ -239,18 +207,20 @@ def dp_forget(child: DPTable, v: int) -> DPTable:
     # Rows keep v's residual digit 0; v's two digits are cut out and the
     # digits above, between and below them close up.
     high, unit, mid, low = places[idx], places[idx + 1], places[k + idx], places[k + idx + 1]
-    top = table.places[idx]
+    top, rows = table.places[idx], table.rows
     for key in sorted(child.rows):
         if key % high >= unit:
             continue
         new_key = key // high * top + key % unit // mid * low + key % low
-        _insert(table, new_key, child.rows[key].cost, (), (key,))
-    if not table.rows:
+        cost, old = child.rows[key][0], rows.get(new_key)
+        if old is None or cost < old[0]:
+            rows[new_key] = (cost, (), (key,))
+    if not rows:
         raise EmptyTable(f"no configuration survives forgetting vertex {v}")
     return table
 
 
-def dp_join(inst: Instance, left: DPTable, right: DPTable, bag: tuple[int, ...] | None = None) -> DPTable:
+def dp_join(inst: Instance, left: DPTable, right: DPTable) -> DPTable:
     """Merge sibling tables over one bag.
 
     Rows combine when no bag vertex has more than its demand served by the
@@ -269,8 +239,6 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable, bag: tuple[int, ...] 
     """
     if left.bag != right.bag or left.model is not right.model:
         raise ValueError("join needs sibling tables over the same bag and model")
-    if bag is not None and tuple(sorted(bag)) != left.bag:
-        raise ValueError("bag does not match the children")
     vs, places = left.bag, left.places
     k = len(vs)
     # A key is its state part (the residual digits) times `spares`, plus
@@ -306,7 +274,7 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable, bag: tuple[int, ...] 
         # (state code + offset, bucket), both levels in sorted key order
         by_state: dict[int, Bucket] = {}
         for key in sorted(table.rows):
-            by_state.setdefault(key // spares, []).append((key % spares, table.rows[key].cost, key))
+            by_state.setdefault(key // spares, []).append((key % spares, table.rows[key][0], key))
         return [(code(rows[0][2]) + offset, rows) for rows in by_state.values()]
 
     def merge_spares(rc1: int, rc2: int) -> tuple[int, int]:
@@ -320,8 +288,8 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable, bag: tuple[int, ...] 
     right_buckets = buckets(right, 0)
     merged_states: dict[int, int] = {}
     merges: dict[int, dict[int, tuple[int, int]]] = {}
-    # merged key -> (cost, left key, right key), in the order first reached
-    best: dict[int, tuple[int, int, int]] = {}
+    # merged key -> row, in the order first reached
+    best: dict[int, Row] = {}
     for code1, rows1 in buckets(left, guard):
         partners = []
         for code2, rows2 in right_buckets:
@@ -344,21 +312,20 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable, bag: tuple[int, ...] 
                     key = state + rc
                     old = best.get(key)
                     if old is None or cost < old[0]:
-                        best[key] = (cost, k1, k2)
-    rows = {key: DPRow(cost, (), (k1, k2)) for key, (cost, k1, k2) in best.items()}
-    return DPTable(left.model, vs, rows, places)
+                        best[key] = (cost, (), (k1, k2))
+    return DPTable(left.model, vs, best, places)
 
 
 # Cost of one predicted introduce row over that of one predicted join pair.
-# Calibrated from three traced `dp_grid` passes with int keys (`perfbench/
-# run.py --workload dp_grid --seed 7 --trace 1`, Python 3.11, 2-core VM):
-# introduce_s / introduce_rows = 1.6-2.0 us per row (27,910 rows) and
-# join_s / join_pairs = 0.024-0.029 us per pair (831,981 pairs), a ratio of
-# 65-71, near the low end of the range that works.  The trace counts every
-# row pair of a join, the prediction only the compatible ones; the ranking
-# tolerates that: any value from 43 to 2,248 orders min-fill and BFS on
-# CHOICE_GRIDS in tests/test_tddp.py and on the `dp_grid` grids as their
-# measured DP times do.
+# Measured on three traced `dp_grid` passes (`perfbench/run.py --workload
+# dp_grid --seed 7 --seconds 0 --trace 1`, Python 3.11, 2-core VM):
+# introduce_s / introduce_rows = 1.5-1.6 us per row (27,935 rows, leaves
+# included) and join_s / join_pairs = 0.031-0.035 us per pair (831,981
+# pairs), a ratio of 47-48, near the low end of the range that works.  The
+# trace counts every row pair of a join, the prediction only the compatible
+# ones; the ranking tolerates that: any value from 43 to 2,248 orders
+# min-fill and BFS on CHOICE_GRIDS in tests/test_tddp.py and on the
+# `dp_grid` grids as their measured DP times do.
 INTRODUCE_ROW_WORK = 100
 
 
@@ -442,23 +409,16 @@ def solve_td(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> 
     tables: dict[int, DPTable] = {}
     try:
         for node in ntd.post_order():
+            kids = [tables[id(child)] for child in node.children]
             if node.kind == LEAF:
                 (v,) = node.bag
                 tables[id(node)] = dp_leaf(inst, v, model)
             elif node.kind == INTRODUCE:
-                child = tables[id(node.children[0])]
-                tables[id(node)] = dp_introduce(
-                    inst, child, node.vertex, tuple(sorted(node.bag))
-                )
+                tables[id(node)] = dp_introduce(inst, kids[0], node.vertex)
             elif node.kind == FORGET:
-                tables[id(node)] = dp_forget(tables[id(node.children[0])], node.vertex)
+                tables[id(node)] = dp_forget(kids[0], node.vertex)
             elif node.kind == JOIN:
-                tables[id(node)] = dp_join(
-                    inst,
-                    tables[id(node.children[0])],
-                    tables[id(node.children[1])],
-                    tuple(sorted(node.bag)),
-                )
+                tables[id(node)] = dp_join(inst, *kids)
             else:
                 raise ValueError(f"unknown node kind {node.kind!r}")
     except EmptyTable as exc:
@@ -467,17 +427,17 @@ def solve_td(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> 
     root_row = tables[id(ntd.root)].rows.get(0)
     if root_row is None:
         raise InfeasibleInstance("no feasible configuration at the root")
-    best_cost = root_row.cost
+    best_cost = root_row[0]
 
     assignment: dict[tuple[int, int], int] = {}
     stack: list[tuple[object, int]] = [(ntd.root, 0)]
     while stack:
         node, key = stack.pop()
-        row = tables[id(node)].rows[key]
-        for consumer, server, amount in row.triples:
+        _, triples, prev = tables[id(node)].rows[key]
+        for consumer, server, amount in triples:
             pair = (consumer, server)
             assignment[pair] = assignment.get(pair, 0) + amount
-        for child, child_key in zip(node.children, row.prev):
+        for child, child_key in zip(node.children, prev):
             stack.append((child, child_key))
 
     solution = minimum_multiplicities(inst, assignment) if assignment else Solution.empty()

@@ -75,29 +75,27 @@ def validate_td(inst: Instance, td: TreeDecomposition) -> Report:
     if problems:
         return Report(False, problems)
 
-    covered = frozenset().union(*td.bags.values())
-    missing = set(inst.vertices()) - covered
+    holding: dict[int, set[int]] = {}
+    for i, bag in td.bags.items():
+        for v in bag:
+            holding.setdefault(v, set()).add(i)
+    vertices = set(inst.vertices())
+    missing = vertices - holding.keys()
     if missing:
         problems.append(f"vertices in no bag: {sorted(missing)}")
-    for v in sorted(covered - set(inst.vertices())):
+    for v in sorted(holding.keys() - vertices):
         problems.append(f"bag contains unknown vertex {v}")
     for u, v in inst.edges:
-        if not any(u in bag and v in bag for bag in td.bags.values()):
+        if u not in holding or holding[u].isdisjoint(holding.get(v, ())):
             problems.append(f"edge ({u},{v}) not covered by any bag")
+    # The bag graph is a tree, so the bags holding v are connected exactly
+    # when the tree edges joining two of them are one fewer than the bags.
+    inside = dict.fromkeys(holding, 0)
+    for a, b in td.tree_edges:
+        for v in td.bags[a] & td.bags[b]:
+            inside[v] += 1
     for v in inst.vertices():
-        holding = {i for i, bag in td.bags.items() if v in bag}
-        if not holding:
-            continue
-        start = min(holding)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nxt in adj[cur]:
-                if nxt in holding and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        if seen != holding:
+        if v in holding and inside[v] != len(holding[v]) - 1:
             problems.append(f"bags containing vertex {v} are not connected")
     return Report(not problems, problems)
 
@@ -311,12 +309,14 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     Rooted at the lowest-id bag holding the smallest vertex id;
     forget/introduce chains bridge adjacent bags, the children of a bag
     are joined in id order along a binary spine, and a final forget chain
-    empties the root bag.  Bags are built children first from a
-    breadth-first listing, so deep decompositions need no recursion.
+    empties the root bag.  An empty bag without children adds no node,
+    so nice forms, whose root bag is empty, convert again.  Bags are
+    built children first from a breadth-first listing, so deep
+    decompositions need no recursion.
     """
     if not td.bags:
         raise InvalidDecomposition("no bags")
-    if any(not bag for bag in td.bags.values()):
+    if not any(td.bags.values()):
         raise InvalidDecomposition("empty bag")
     adj = td.neighbors()
 
@@ -334,7 +334,7 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             node = NiceNode(INTRODUCE, node.bag | {v}, vertex=v, children=[node])
         return node
 
-    lowest = min(min(bag) for bag in td.bags.values())
+    lowest = min(min(bag) for bag in td.bags.values() if bag)
     root = min(i for i, bag in td.bags.items() if lowest in bag)
     kids: dict[int, list[int]] = {root: []}
     order = [root]
@@ -344,11 +344,12 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
                 kids[bag_id].append(k)
                 kids[k] = []
                 order.append(k)
-    built: dict[int, NiceNode] = {}
+    built: dict[int, NiceNode | None] = {}
     for bag_id in reversed(order):
         bag = td.bags[bag_id]
-        subtrees = [adapt(built.pop(k), bag) for k in kids[bag_id]]
-        node = subtrees[0] if subtrees else build_leaf_chain(bag)
+        children = [built.pop(k) for k in kids[bag_id]]
+        subtrees = [adapt(child, bag) for child in children if child is not None]
+        node = subtrees[0] if subtrees else (build_leaf_chain(bag) if bag else None)
         for other in subtrees[1:]:
             node = NiceNode(JOIN, bag, children=[node, other])
         built[bag_id] = node

@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 from math import prod
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +21,6 @@ from capdom.core import (
 )
 from capdom.oracle import exact_splittable, exact_unsplittable
 from capdom.tddp import (
-    DPRow,
     DPTable,
     EmptyTable,
     decode_key,
@@ -55,6 +55,15 @@ def nice_for(inst):
     return make_nice(heuristic_decomposition(inst))
 
 
+class DPRow(NamedTuple):
+    """A table row with named fields; equal to the plain tuple rows the
+    kernels write."""
+
+    cost: int
+    triples: tuple
+    prev: tuple
+
+
 @dataclasses.dataclass
 class TupleTable:
     """A DP table keyed by (residuals, spares) tuples, as the references
@@ -69,9 +78,9 @@ def decoded(table, kids=()):
     """`table` with tuple keys, its back-pointers decoded with the bags of
     the child tables `kids`."""
     rows = {}
-    for key, row in table.rows.items():
-        prev = tuple(decode_key(kid, p) for kid, p in zip(kids, row.prev))
-        rows[decode_key(table, key)] = DPRow(row.cost, row.triples, prev)
+    for key, (cost, triples, prev) in table.rows.items():
+        prev = tuple(decode_key(kid, p) for kid, p in zip(kids, prev))
+        rows[decode_key(table, key)] = DPRow(cost, triples, prev)
     return TupleTable(table.model, table.bag, rows)
 
 
@@ -84,10 +93,30 @@ def table_of(inst, model, bag, rows):
 
 
 def row_at(table, state, rc):
-    return table.rows[encode_key(table, state, rc)]
+    return DPRow(*table.rows[encode_key(table, state, rc)])
 
 
-def reference_join(inst, left, right, bag=None):
+def reference_leaf(inst, v, model):
+    """Leaf rows built directly: v unserved, or its demand routed to itself
+    (whole when unsplittable, any portion when splittable).  Slow reference
+    for `dp_leaf`, keyed like it and without back-pointers."""
+    d, c, w = inst.demand(v), inst.capacity(v), inst.weight(v)
+    table = DPTable(model, (v,), {}, layout(inst, (v,)))
+
+    def insert(state, rc, cost, triples):
+        key = encode_key(table, state, rc)
+        if key not in table.rows or cost < table.rows[key][0]:
+            table.rows[key] = (cost, triples)
+
+    insert((d,), (0,), 0, ())
+    if d and c > 0:
+        amounts = (d,) if model is UNSPLIT else range(1, d + 1)
+        for amount in amounts:
+            insert((d - amount,), ((-amount) % c,), w * ceil_div(amount, c), ((v, v, amount),))
+    return table
+
+
+def reference_join(inst, left, right):
     """The plain join over every pair of sorted row keys, one check per pair.
 
     Slow reference for `dp_join`, which must build exactly this table:
@@ -95,8 +124,6 @@ def reference_join(inst, left, right, bag=None):
     """
     if left.bag != right.bag or left.model is not right.model:
         raise ValueError("join needs sibling tables over the same bag and model")
-    if bag is not None and tuple(sorted(bag)) != left.bag:
-        raise ValueError("bag does not match the children")
     vs = left.bag
     caps = [inst.capacity(u) for u in vs]
     weights = [inst.weight(u) for u in vs]
@@ -143,16 +170,16 @@ def _dedup_stage(rows, expand):
     return out
 
 
-def reference_introduce(inst, child, v, bag):
+def reference_introduce(inst, child, v):
     """Introduce with one generator per micro-transition and no shortcuts.
 
     Slow reference for `dp_introduce`, which must build exactly this table.
     Every pull stage runs, even for a neighbor without demand, and every
     ceiling goes through `ceil_div`.
     """
-    new_bag = tuple(sorted(set(child.bag) | {v}))
-    if tuple(sorted(bag)) != new_bag:
-        raise ValueError("bag must be the child bag plus the introduced vertex")
+    if v in child.bag:
+        raise ValueError(f"vertex {v} is already in the child bag")
+    new_bag = tuple(sorted(child.bag + (v,)))
     idx = new_bag.index(v)
     nbrs = inst.neighbors(v)
     cv, wv, dv = inst.capacity(v), inst.weight(v), inst.demand(v)
@@ -322,6 +349,22 @@ class TestLeaf:
         assert row_at(table, (0,), (1,)).cost == 2
         assert len(table.rows) == 4
 
+    @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
+    def test_every_leaf_equals_reference(self, model):
+        instances = itertools.chain(
+            weighted_instances(range(40), 4, 8),
+            weighted_instances(range(200, 220), 6, 6, edge_prob=0.3, max_c=3, max_d=8),
+        )
+        leaves = [(inst, v) for inst in instances for v in inst.vertices()]
+        attrs = [inst.attrs[v - 1] for inst, v in leaves]
+        # zero weights, capacities and demands all occur, and demand 8
+        assert min(a.weight for a in attrs) == min(a.capacity for a in attrs) == 0
+        assert {0, 8} <= {a.demand for a in attrs}
+        for inst, v in leaves:
+            table, expected = dp_leaf(inst, v, model), reference_leaf(inst, v, model)
+            assert (table.bag, table.places) == (expected.bag, expected.places)
+            assert {key: row[:2] for key, row in table.rows.items()} == expected.rows
+
 
 class TestIntroduce:
     def test_spare_absorbs_then_buys(self):
@@ -329,20 +372,20 @@ class TestIntroduce:
         inst = mk([(1, 5, 8), (1, 1, 3)], [(1, 2)])
         child = dp_leaf(inst, 1, UNSPLIT)
         assert row_at(child, (0,), (2,)).cost == 2
-        table = dp_introduce(inst, child, 2, (1, 2))
+        table = dp_introduce(inst, child, 2)
         row = row_at(table, (0, 0), (4, 0))
         assert row.cost == 3  # one extra copy covers the deficit of 1
     def test_unassigned_carries_over(self):
         inst = mk([(1, 5, 0), (1, 1, 3)], [(1, 2)])
         child = dp_leaf(inst, 1, UNSPLIT)
-        table = dp_introduce(inst, child, 2, (1, 2))
+        table = dp_introduce(inst, child, 2)
         assert row_at(table, (0, 3), (0, 0)).cost == 0
 
     def test_spare_fully_absorbs(self):
         inst = mk([(1, 5, 2), (1, 1, 3)], [(1, 2)])
         child = dp_leaf(inst, 1, UNSPLIT)
         assert row_at(child, (0,), (3,)).cost == 1
-        table = dp_introduce(inst, child, 2, (1, 2))
+        table = dp_introduce(inst, child, 2)
         assert row_at(table, (0, 0), (0, 0)).cost == 1  # 3 spare units absorb d=3
 
     def test_vertex_already_in_bag_rejected(self):
@@ -350,7 +393,7 @@ class TestIntroduce:
         inst = mk([(1, 2, 1), (1, 2, 1)], [(1, 2)])
         child = dp_leaf(inst, 1, UNSPLIT)
         with pytest.raises(ValueError):
-            dp_introduce(inst, child, 1, (1,))
+            dp_introduce(inst, child, 1)
 
     @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
     def test_every_introduce_equals_reference(self, model, monkeypatch):
@@ -370,7 +413,7 @@ class TestForget:
     def test_collision_keeps_cheaper(self):
         inst = mk([(1, 2, 2), (1, 4, 2)], [(1, 2)])
         child = dp_leaf(inst, 1, UNSPLIT)
-        step = dp_introduce(inst, child, 2, (1, 2))
+        step = dp_introduce(inst, child, 2)
         table = dp_forget(step, 2)
         preimages = decoded(step).rows
         # every surviving configuration carries the minimum over its preimages
@@ -402,7 +445,7 @@ class TestJoin:
         # craft rows via self-serve: 12 -> 3 copies, spare 3; fake other side spare 4
         a = table_of(inst, UNSPLIT, (1,), {((0,), (3,)): DPRow(6, (), ())})
         b = table_of(inst, UNSPLIT, (1,), {((12,), (4,)): DPRow(4, (), ())})
-        merged = dp_join(inst, a, b, (1,))
+        merged = dp_join(inst, a, b)
         row = row_at(merged, (0,), (2,))
         assert row.cost == 6 + 4 - 2  # refund w * floor((3+4)/5) = 2
 
@@ -410,14 +453,21 @@ class TestJoin:
         inst = mk([(2, 5, 12)])
         a = table_of(inst, UNSPLIT, (1,), {((0,), (0,)): DPRow(6, (), ())})
         b = table_of(inst, UNSPLIT, (1,), {((12,), (0,)): DPRow(4, (), ())})
-        merged = dp_join(inst, a, b, (1,))
+        merged = dp_join(inst, a, b)
         assert row_at(merged, (0,), (0,)).cost == 10
 
     def test_incompatible_pairs_skipped(self):
         inst = mk([(2, 5, 12)])
         a = table_of(inst, UNSPLIT, (1,), {((0,), (0,)): DPRow(6, (), ())})
-        merged = dp_join(inst, a, a, (1,))
+        merged = dp_join(inst, a, a)
         assert merged.rows == {}
+
+    def test_siblings_over_other_bags_or_models_rejected(self):
+        inst = mk([(1, 2, 1), (1, 2, 1)], [(1, 2)])
+        one, two = dp_leaf(inst, 1, UNSPLIT), dp_leaf(inst, 2, UNSPLIT)
+        for right in (two, dp_leaf(inst, 1, SPLIT)):
+            with pytest.raises(ValueError):
+                dp_join(inst, one, right)
 
     def test_zero_demand_overlap_combines(self):
         # vertex 1 has no demand, so both sides have it served (rd = 0);
@@ -433,12 +483,12 @@ class TestJoin:
             ((0, 1), (0, 0)): DPRow(3, (), ()),
             ((0, 0), (0, 0)): DPRow(4, (), ()),
         })
-        merged = decoded(dp_join(inst, a, b, (1, 2)), (a, b))
+        merged = decoded(dp_join(inst, a, b), (a, b))
         assert merged.rows == {
             ((0, 1), (0, 0)): DPRow(4, (), (((0, 1), (0, 0)), ((0, 1), (0, 0)))),
             ((0, 0), (0, 0)): DPRow(5, (), (((0, 0), (0, 0)), ((0, 1), (0, 0)))),
         }
-        assert merged.rows == reference_join(inst, decoded(a), decoded(b), (1, 2)).rows
+        assert merged.rows == reference_join(inst, decoded(a), decoded(b)).rows
 
     @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
     def test_every_join_equals_reference(self, model, monkeypatch):
@@ -452,7 +502,7 @@ class TestJoin:
         # wider than the largest bag demand, so 4 bits for 4-7, 5 bits for 8.
         instances = weighted_instances(range(200, 220), 6, 6, edge_prob=0.3, max_c=1, max_d=8)
         calls = solve_checked(monkeypatch, "dp_join", reference_join, model, instances)
-        peaks = {max(inst.demand(u) for u in left.bag) for inst, left, right, bag in calls}
+        peaks = {max(inst.demand(u) for u in left.bag) for inst, left, right in calls}
         assert peaks & {4, 5, 6, 7} and 8 in peaks
 
 
@@ -525,11 +575,11 @@ class TestTableSizes:
                     (v,) = node.bag
                     t = dp_leaf(inst, v, model)
                 elif node.kind == INTRODUCE:
-                    t = dp_introduce(inst, kids[0], node.vertex, tuple(sorted(node.bag)))
+                    t = dp_introduce(inst, kids[0], node.vertex)
                 elif node.kind == FORGET:
                     t = dp_forget(kids[0], node.vertex)
                 else:
-                    t = dp_join(inst, *kids, tuple(sorted(node.bag)))
+                    t = dp_join(inst, *kids)
                 tables[id(node)] = t
                 demands = [inst.demand(u) for u in t.bag]
                 for state, rc in decoded(t).rows:
@@ -821,7 +871,7 @@ class TestKeyLayout:
         pairs = data.draw(st.lists(key_pairs(inst, child.bag), unique=True, max_size=8))
         for cost, pair in enumerate(pairs):
             child.rows[encode_key(child, *pair)] = DPRow(cost, (), ())
-        table = dp_introduce(inst, child, v, tuple(sorted(child.bag + (v,))))
+        table = dp_introduce(inst, child, v)
         assert table.places == layout(inst, table.bag)
         idx, dv = table.bag.index(v), inst.demand(v)
         seeded = {

@@ -1,7 +1,11 @@
+import random
+from collections import deque
+
 import pytest
 
 from capdom.baker import bfs_levels, make_slices
-from capdom.core import random_instance
+from capdom.core import DemandModel, Report, random_instance
+from capdom.tddp import solve_td
 from capdom.treewidth import (
     FORGET,
     INTRODUCE,
@@ -62,7 +66,107 @@ def tree_instance():
     return mk([(1, 1, 1)] * 6, [(1, 2), (1, 3), (3, 4), (3, 5), (5, 6)])
 
 
+def reference_validate_td(inst, td):
+    """The direct check: each edge scans every bag, each vertex runs a BFS
+    over the bags holding it.  Quadratic in the bags; slow reference for
+    `validate_td`, which must report the same problems in the same order."""
+    problems = []
+    if not td.bags:
+        return Report(False, ["decomposition has no bags"])
+    ids = set(td.bags)
+    for a, b in td.tree_edges:
+        if a not in ids or b not in ids:
+            problems.append(f"tree edge ({a},{b}) references a missing bag")
+        if a == b:
+            problems.append(f"tree edge ({a},{b}) is a self-loop")
+    if problems:
+        return Report(False, problems)
+    if len(set(map(lambda e: (min(e), max(e)), td.tree_edges))) != len(td.tree_edges):
+        problems.append("duplicate tree edges")
+    if len(td.tree_edges) != len(td.bags) - 1:
+        problems.append(
+            f"bag graph has {len(td.tree_edges)} edges over {len(td.bags)} bags, not a tree"
+        )
+    adj = td.neighbors()
+    start = min(ids)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nxt in adj[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    if seen != ids:
+        problems.append("bag graph is disconnected")
+    if problems:
+        return Report(False, problems)
+
+    covered = frozenset().union(*td.bags.values())
+    missing = set(inst.vertices()) - covered
+    if missing:
+        problems.append(f"vertices in no bag: {sorted(missing)}")
+    for v in sorted(covered - set(inst.vertices())):
+        problems.append(f"bag contains unknown vertex {v}")
+    for u, v in inst.edges:
+        if not any(u in bag and v in bag for bag in td.bags.values()):
+            problems.append(f"edge ({u},{v}) not covered by any bag")
+    for v in inst.vertices():
+        holding = {i for i, bag in td.bags.items() if v in bag}
+        if not holding:
+            continue
+        start = min(holding)
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            cur = queue.popleft()
+            for nxt in adj[cur]:
+                if nxt in holding and nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        if seen != holding:
+            problems.append(f"bags containing vertex {v} are not connected")
+    return Report(not problems, problems)
+
+
+def corrupted(td, rng):
+    """`td` with a leaf bag and its edge removed, with one vertex taken out
+    of one inner bag (which may split the bags holding it), and with one
+    vertex taken out of every bag."""
+    adj = td.neighbors()
+    leaves = [i for i in sorted(td.bags) if len(adj[i]) == 1]
+    if leaves:
+        gone = rng.choice(leaves)
+        edges = [e for e in td.tree_edges if gone not in e]
+        yield TreeDecomposition({i: b for i, b in td.bags.items() if i != gone}, edges)
+    inner = [(i, v) for i in sorted(td.bags) if len(adj[i]) > 1 for v in sorted(td.bags[i])]
+    if inner:
+        at, v = rng.choice(inner)
+        yield TreeDecomposition({**td.bags, at: td.bags[at] - {v}}, td.tree_edges)
+    v = rng.choice(sorted(frozenset().union(*td.bags.values())))
+    yield TreeDecomposition({i: b - {v} for i, b in td.bags.items()}, td.tree_edges)
+
+
+# what the corruptions above must break
+PROBLEM_KINDS = ("vertices in no bag", "not covered by any bag", "are not connected")
+
+
 class TestValidate:
+    def test_matches_reference_on_valid_and_corrupted(self):
+        rng = random.Random(5)
+        kinds = set()
+        for seed in range(60):
+            inst = random_instance(2 + seed % 12, (0.15, 0.35, 0.6)[seed % 3], 3, 3, 3, seed)
+            td = heuristic_decomposition(inst)
+            for valid in (td, project_nice(make_nice(td))):
+                assert validate_td(inst, valid) == reference_validate_td(inst, valid)
+                assert validate_td(inst, valid).passed
+                for bad in corrupted(valid, rng):
+                    report = validate_td(inst, bad)
+                    assert report == reference_validate_td(inst, bad)
+                    kinds |= {kind for p in report.problems for kind in PROBLEM_KINDS if kind in p}
+        assert kinds == set(PROBLEM_KINDS)
+
     def test_path_decomposition_passes(self, p3):
         td = TreeDecomposition({1: frozenset({1, 2}), 2: frozenset({2, 3})}, [(1, 2)])
         report = validate_td(p3, td)
@@ -271,6 +375,23 @@ class TestMakeNice:
             assert validate_td(inst, project_nice(ntd)).passed
             # linear-size guarantee: O(n * width) nodes
             assert ntd.node_count() <= 6 * inst.n * (td.width + 2)
+
+    def test_empty_bags_add_no_leaf_and_join_their_children(self):
+        # Components 1-2, 3-4 and 5 linked through the empty bag 3, plus an
+        # empty bag 5 without children hanging off the root bag 1.
+        inst = mk([(1, 2, 1), (2, 1, 1), (1, 1, 2), (3, 2, 1), (2, 1, 1)], [(1, 2), (3, 4)])
+        bags = {1: {1, 2}, 2: {3, 4}, 3: set(), 4: {5}, 5: set()}
+        td = TreeDecomposition({i: frozenset(b) for i, b in bags.items()}, [(1, 3), (2, 3), (3, 4), (1, 5)])
+        assert validate_td(inst, td).passed
+        ntd = make_nice(td)
+        assert validate_nice(ntd).passed
+        nodes = ntd.post_order()
+        assert [n.bag for n in nodes if n.kind == LEAF] == [{3}, {5}]
+        assert [n.bag for n in nodes if n.kind == JOIN] == [frozenset()]
+        for model in DemandModel:
+            expected = solve_td(inst, make_nice(heuristic_decomposition(inst)), model).cost
+            assert solve_td(inst, ntd, model).cost == expected
+        assert validate_nice(make_nice(project_nice(ntd))).passed
 
     def test_rejects_empty_bag(self):
         with pytest.raises(InvalidDecomposition):

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 from .core import (
     CapdomError,
     DemandModel,
-    InfeasibleInstance,
     Instance,
     Solution,
     induced_instance,
-    is_feasible,
+    require_feasible,
 )
 from . import tddp
 from .treewidth import LevelAssignment, bfs_levels
@@ -125,8 +124,7 @@ def baker_solve(inst: Instance, k: int, model: DemandModel) -> BakerResult:
     """
     if k < 2:
         raise ValueError("band width k must be at least 2")
-    if not is_feasible(inst):
-        raise InfeasibleInstance("a vertex with demand has no usable server")
+    require_feasible(inst)
     chosen: list[tuple[tuple[int, ...], Solution]] = []
     shift_costs: list[list[int]] = []
     unseen = set(inst.vertices())

@@ -184,6 +184,12 @@ def is_feasible(inst: Instance) -> bool:
     return True
 
 
+def require_feasible(inst: Instance) -> None:
+    """Raise `InfeasibleInstance` unless the instance `is_feasible`."""
+    if not is_feasible(inst):
+        raise InfeasibleInstance("a vertex with demand has no usable server")
+
+
 def with_demands(inst: Instance, demands: Mapping[int, int]) -> Instance:
     """Copy of the instance with the listed vertices' demands replaced."""
     attrs = [

@@ -25,13 +25,12 @@ from typing import Callable
 
 from .core import (
     CapdomError,
-    DemandModel,
     InfeasibleInstance,
     Instance,
     Solution,
     ceil_div,
-    is_feasible,
     minimum_multiplicities,
+    require_feasible,
 )
 
 
@@ -93,7 +92,6 @@ class GreedyResult:
     solution: Solution
     trace: list[TraceEntry]
     phase0_cost: int = 0
-    model: DemandModel = DemandModel.UNSPLITTABLE
 
     def trace_lines(self) -> list[str]:
         return [t.line() for t in self.trace]
@@ -214,8 +212,7 @@ def _pick_best(quotes: list[EfficiencyQuote | None]) -> EfficiencyQuote:
 
 def greedy_unsplittable(inst: Instance) -> GreedyResult:
     """Whole-demand greedy: logarithmic-ratio solver for the unsplittable model."""
-    if not is_feasible(inst):
-        raise InfeasibleInstance("a vertex with demand has no usable server")
+    require_feasible(inst)
     undominated = {v for v in inst.vertices() if inst.demand(v) > 0}
     assignment: dict[tuple[int, int], int] = {}
     quotes = [None] + [_unsplit_quote(inst, undominated, u) for u in inst.vertices()]
@@ -240,7 +237,7 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
         trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
         _requote(inst, undominated, quotes, _unsplit_quote, chosen)
     solution = minimum_multiplicities(inst, assignment)
-    return GreedyResult(solution, trace, model=DemandModel.UNSPLITTABLE)
+    return GreedyResult(solution, trace)
 
 
 def _split_iteration(
@@ -340,8 +337,7 @@ def greedy_splittable(inst: Instance) -> GreedyResult:
     its demand: whenever a residue drops below half, the assignments from
     the servers that partially served it are doubled, satisfying it.
     """
-    if not is_feasible(inst):
-        raise InfeasibleInstance("a vertex with demand has no usable server")
+    require_feasible(inst)
     state = GreedyState(
         residue_demand={v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0},
         map_sets={},
@@ -351,7 +347,7 @@ def greedy_splittable(inst: Instance) -> GreedyResult:
     trace: list[TraceEntry] = []
     _split_greedy(inst, state, trace, _double_below_half)
     solution = minimum_multiplicities(inst, state.partial_assignment)
-    return GreedyResult(solution, trace, model=DemandModel.SPLITTABLE)
+    return GreedyResult(solution, trace)
 
 
 def _finish_partial(
@@ -385,8 +381,7 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
     """
     if any(inst.weight(v) != 1 for v in inst.vertices()):
         raise NotUnweighted("every vertex weight must be 1")
-    if not is_feasible(inst):
-        raise InfeasibleInstance("a vertex with demand has no usable server")
+    require_feasible(inst)
     best_neighbor: dict[int, int] = {}
     for v in inst.vertices():
         if inst.demand(v) > 0:
@@ -415,4 +410,4 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
     )
     _split_greedy(inst, state, trace, functools.partial(_finish_partial, best_neighbor))
     solution = minimum_multiplicities(inst, state.partial_assignment)
-    return GreedyResult(solution, trace, phase0_cost=phase0_cost, model=DemandModel.SPLITTABLE)
+    return GreedyResult(solution, trace, phase0_cost=phase0_cost)

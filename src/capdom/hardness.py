@@ -17,6 +17,7 @@ from itertools import product
 
 from .core import (
     CapdomError,
+    InfeasibleInstance,
     Instance,
     ParseError,
     Report,
@@ -31,7 +32,6 @@ from .core import (
 from .oracle import (
     BudgetExhausted,
     CostBoundExceeded,
-    InfeasibleInstance,
     SearchBudget,
     exact_solve,
 )

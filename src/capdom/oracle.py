@@ -28,11 +28,10 @@ from dataclasses import dataclass
 from .core import (
     CapdomError,
     DemandModel,
-    InfeasibleInstance,
     Instance,
     Solution,
     ceil_div,
-    is_feasible,
+    require_feasible,
 )
 from .greedy import greedy_splittable, greedy_unsplittable
 
@@ -195,8 +194,7 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
     optima the lexicographically smallest multiplicity vector wins, so the
     witness is a stable fixture.
     """
-    if not is_feasible(inst):
-        raise InfeasibleInstance("a vertex with demand has no usable server")
+    require_feasible(inst)
     # Per-vertex attributes indexed by vertex id; index 0 is unused.
     capacity = [0] + [a.capacity for a in inst.attrs]
     weight = [0] + [a.weight for a in inst.attrs]
@@ -281,8 +279,7 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
     admitting a feasible flow is optimal and lexicographically smallest
     among the optima.  Heap keys are L * (cost + bound), exact ints.
     """
-    if not is_feasible(inst):
-        raise InfeasibleInstance("a vertex with demand has no usable server")
+    require_feasible(inst)
     total_demand = inst.total_demand()
     if total_demand == 0:
         return Solution.empty()

@@ -40,8 +40,8 @@ from .core import (
     InfeasibleInstance,
     Instance,
     Solution,
-    is_feasible,
     minimum_multiplicities,
+    require_feasible,
     verify_solution,
     with_demands,
 )
@@ -404,8 +404,7 @@ def solve_td(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> 
     The returned solution's cost always equals the root table's optimum;
     a mismatch would mean a table rule is wrong, so it is re-checked here.
     """
-    if not is_feasible(inst):
-        raise InfeasibleInstance("a vertex with demand has no usable server")
+    require_feasible(inst)
     tables: dict[int, DPTable] = {}
     try:
         for node in ntd.post_order():

@@ -100,8 +100,9 @@ def validate_td(inst: Instance, td: TreeDecomposition) -> Report:
     return Report(not problems, problems)
 
 
-def min_fill_order(inst: Instance) -> list[int]:
-    """Elimination order greedily minimizing fill edges, ties by vertex id.
+def min_fill_order(inst: Instance) -> tuple[list[int], list[frozenset[int]]]:
+    """Elimination order greedily minimizing fill edges, ties by vertex id,
+    with the bag N(x) + x of each eliminated x, in that order.
 
     fill[v] counts the non-adjacent pairs in N(v).  It is kept by deltas:
     eliminating x and adding the fill edges that make N(x) a clique only
@@ -112,6 +113,7 @@ def min_fill_order(inst: Instance) -> list[int]:
         v: sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2 for v, nbrs in adj.items()
     }
     order: list[int] = []
+    bags: list[frozenset[int]] = []
     while fill:
         _, x = min((f, v) for v, f in fill.items())
         del fill[x]
@@ -133,7 +135,8 @@ def min_fill_order(inst: Instance) -> list[int]:
                     adj[a].add(b)
                     adj[b].add(a)
         order.append(x)
-    return order
+        bags.append(frozenset(nbrs) | {x})
+    return order, bags
 
 
 @dataclass(frozen=True)
@@ -192,77 +195,59 @@ def decomposition_from_order(
     """
     if sorted(order) != list(inst.vertices()):
         raise ValueError("order must be a permutation of the vertices")
-    position = {v: i for i, v in enumerate(order)}
     adj: dict[int, set[int]] = {v: set(inst.neighbors(v)) for v in inst.vertices()}
-    bag_of: dict[int, int] = {}
-    bags: dict[int, frozenset[int]] = {}
-    later_neighbor: dict[int, int | None] = {}
+    bags: list[frozenset[int]] = []
     fill_work = 0
-    for idx, v in enumerate(order, 1):
-        nbrs = set(adj[v])
-        bags[idx] = frozenset(nbrs | {v})
-        if give_up is not None:
-            fill_work += len(nbrs) ** 2
-            if give_up(bags[idx], fill_work):
-                raise Abandoned
-        bag_of[v] = idx
-        later_neighbor[idx] = min(nbrs, key=lambda u: position[u]) if nbrs else None
+    for v in order:
+        nbrs = adj.pop(v)
+        bags.append(frozenset(nbrs) | {v})
+        fill_work += len(nbrs) ** 2
+        if give_up is not None and give_up(bags[-1], fill_work):
+            raise Abandoned
         for a in nbrs:
-            adj[a].discard(v)
-            for b in nbrs:
-                if a != b:
-                    adj[a].add(b)
-        del adj[v]
+            adj[a] |= nbrs
+            adj[a] -= {a, v}
+    return _tree_from_elimination(order, bags)
+
+
+def _tree_from_elimination(order: list[int], bags: list[frozenset[int]]) -> TreeDecomposition:
+    """The tree of an elimination, where bags[i] holds order[i] and its
+    later neighbors.  Each bag hangs below the bag of its first-eliminated
+    later neighbor, and the roots are chained.  One pass in bag order then
+    contracts each bag that is a subset of a current neighbor into the
+    lowest such neighbor; the survivors keep their order, renumbered from 1.
+    """
+    position = {v: i for i, v in enumerate(order)}
     edges: list[tuple[int, int]] = []
     roots: list[int] = []
-    for idx in sorted(bags):
-        nxt = later_neighbor[idx]
-        if nxt is None:
-            roots.append(idx)
+    for i, (v, bag) in enumerate(zip(order, bags)):
+        if len(bag) > 1:
+            edges.append((i, min(position[u] for u in bag if u != v)))
         else:
-            edges.append((idx, bag_of[nxt]))
-    for a, b in zip(roots, roots[1:]):
-        edges.append((a, b))
-    td = TreeDecomposition(bags, edges)
-    return _absorb_subset_bags(td)
-
-
-def _absorb_subset_bags(td: TreeDecomposition) -> TreeDecomposition:
-    """Contract bags that are subsets of a neighbor; then reindex densely."""
-    bags = dict(td.bags)
-    adj = td.neighbors()
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(bags):
-            for j in sorted(adj[i]):
-                if bags[i] <= bags[j]:
-                    for other in adj[i]:
-                        if other != j:
-                            adj[other].discard(i)
-                            adj[other].add(j)
-                            adj[j].add(other)
-                    adj[j].discard(i)
-                    del bags[i]
-                    del adj[i]
-                    changed = True
-                    break
-            if changed:
-                break
-    rename = {old: new for new, old in enumerate(sorted(bags), 1)}
-    new_bags = {rename[i]: bag for i, bag in bags.items()}
-    new_edges = sorted(
-        (min(rename[a], rename[b]), max(rename[a], rename[b]))
-        for a in adj
-        for b in adj[a]
-        if a < b
+            roots.append(i)
+    edges += zip(roots, roots[1:])
+    adj = TreeDecomposition(dict(enumerate(bags)), edges).neighbors()
+    kept: list[int] = []
+    for i, bag in enumerate(bags):
+        into = min((j for j in adj[i] if bag <= bags[j]), default=None)
+        if into is None:
+            kept.append(i)
+            continue
+        adj[into].discard(i)
+        for other in adj[i] - {into}:
+            adj[other].discard(i)
+            adj[other].add(into)
+            adj[into].add(other)
+    rename = {old: new for new, old in enumerate(kept, 1)}
+    return TreeDecomposition(
+        {rename[i]: bags[i] for i in kept},
+        sorted((rename[a], rename[b]) for a in kept for b in adj[a] if a < b),
     )
-    return TreeDecomposition(new_bags, new_edges)
 
 
 def heuristic_decomposition(inst: Instance) -> TreeDecomposition:
     """Valid decomposition via min-fill; deterministic, no width guarantee."""
-    return decomposition_from_order(inst, min_fill_order(inst))
+    return _tree_from_elimination(*min_fill_order(inst))
 
 
 LEAF = "leaf"
@@ -425,6 +410,8 @@ def load_td(text: str) -> TreeDecomposition:
             bag_id, *members = parse_ints(parts[1:], line_no)
             if bag_id in bags:
                 raise ParseError(line_no, f"duplicate bag {bag_id}")
+            if not all(1 <= v <= declared[2] for v in members):
+                raise ParseError(line_no, f"bag {bag_id} holds a vertex outside 1..{declared[2]}")
             bags[bag_id] = frozenset(members)
         else:
             if declared is None:
@@ -437,6 +424,9 @@ def load_td(text: str) -> TreeDecomposition:
         raise ParseError(0, "missing 's td' header")
     if len(bags) != declared[0]:
         raise ParseError(0, f"header declares {declared[0]} bags, found {len(bags)}")
+    largest = max(map(len, bags.values()), default=0)
+    if largest != declared[1]:
+        raise ParseError(0, f"header declares max bag size {declared[1]}, found {largest}")
     return TreeDecomposition(bags, edges)
 
 

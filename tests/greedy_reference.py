@@ -15,7 +15,6 @@ package's own run.
 """
 from capdom.core import (
     CapdomError,
-    DemandModel,
     InfeasibleInstance,
     ceil_div,
     is_feasible,
@@ -77,7 +76,7 @@ def reference_greedy_unsplittable(inst):
         iter_cost = inst.weight(u) * ceil_div(prefix, inst.capacity(u))
         trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
     solution = minimum_multiplicities(inst, assignment)
-    return GreedyResult(solution, trace, model=DemandModel.UNSPLITTABLE), undominated_before
+    return GreedyResult(solution, trace), undominated_before
 
 
 def _reference_split_iteration(inst, state, iteration, trace):
@@ -163,7 +162,7 @@ def reference_greedy_splittable(inst):
             trace.append(TraceEntry(iteration, v, len(state.map_sets.get(v, ())), 0, 2))
         boundary.append(_drop_settled(state))
     solution = minimum_multiplicities(inst, state.partial_assignment)
-    return GreedyResult(solution, trace, model=DemandModel.SPLITTABLE), boundary
+    return GreedyResult(solution, trace), boundary
 
 
 def reference_greedy_unweighted_splittable(inst):
@@ -219,7 +218,5 @@ def reference_greedy_unweighted_splittable(inst):
             trace.append(TraceEntry(iteration, g, 0, 0, 2))
         boundary.append(_drop_settled(state))
     solution = minimum_multiplicities(inst, state.partial_assignment)
-    result = GreedyResult(
-        solution, trace, phase0_cost=phase0_cost, model=DemandModel.SPLITTABLE
-    )
+    result = GreedyResult(solution, trace, phase0_cost=phase0_cost)
     return result, boundary

@@ -306,6 +306,24 @@ class TestTd:
         assert run(*(files.get(a, a) for a in argv)) == 2
         assert capsys.readouterr().err.startswith("parse error: line 2: ")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["s td 2 9 99\nb 1 1 2\nb 2 2 3\n1 2\n", "s td 2 2 2\nb 1 1 2\nb 2 2 3\n1 2\n"],
+        ids=["max-bag-size", "vertex-above-n"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [("td", "validate", "P3", "TD"), ("td", "nice", "P3", "TD"),
+         ("solve", "--algo", "dp", "--td", "TD", "P3")],
+        ids=["validate", "nice", "solve-dp"],
+    )
+    def test_header_disagreeing_with_bags_is_parse_error(self, text, argv, p3_file, tmp_path, capsys):
+        td_path = tmp_path / "bad.td"
+        td_path.write_text(text)
+        files = {"P3": p3_file, "TD": td_path}
+        assert run(*(files.get(a, a) for a in argv)) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+
     def test_validate_without_file_is_usage_error(self, p3_file, capsys):
         assert run("td", "validate", p3_file) == 2
         assert "decomposition file" in capsys.readouterr().err

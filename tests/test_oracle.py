@@ -15,6 +15,7 @@ from capdom.core import (
     InfeasibleInstance,
     Instance,
     Solution,
+    VertexAttrs,
     ceil_div,
     is_feasible,
     random_instance,
@@ -535,3 +536,19 @@ class TestOptimumProperties:
         edges = tuple((label[u], label[v]) for u, v in inst.edges)
         relabeled = Instance(inst.n, tuple(attrs), edges)
         assert _optimum(search, relabeled) == _optimum(search, inst)
+
+    @SEARCHES
+    @PROPERTY
+    @given(a=small_instances(max_n=4), b=small_instances(max_n=4))
+    def test_disjoint_union_adds_optima(self, search, a, b):
+        shifted = tuple((u + a.n, v + a.n) for u, v in b.edges)
+        union = Instance(a.n + b.n, a.attrs + b.attrs, a.edges + shifted)
+        parts = [_optimum(search, a), _optimum(search, b)]
+        assert _optimum(search, union) == (None if None in parts else sum(parts))
+
+    @SEARCHES
+    @PROPERTY
+    @given(inst=small_instances(), weight=st.integers(0, 4))
+    def test_appended_isolated_zero_vertex_changes_nothing(self, search, inst, weight):
+        grown = Instance(inst.n + 1, inst.attrs + (VertexAttrs(weight, 0, 0),), inst.edges)
+        assert _optimum(search, grown) == _optimum(search, inst)

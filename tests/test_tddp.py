@@ -687,10 +687,7 @@ class TestDecompositionChoice:
         build = treewidth.decomposition_from_order
         bags_seen, abandoned = [], []
 
-        def spy(inst, order, give_up=None):
-            if give_up is None:  # the min-fill candidate
-                return build(inst, order)
-
+        def spy(inst, order, give_up):
             def counted(bag, fill_work):
                 bags_seen.append(len(bag))
                 return give_up(bag, fill_work)

@@ -4,9 +4,10 @@ from collections import deque
 import pytest
 
 from capdom.baker import bfs_levels, make_slices
-from capdom.core import DemandModel, Report, random_instance
+from capdom.core import DemandModel, ParseError, Report, random_instance
 from capdom.tddp import solve_td
 from capdom.treewidth import (
+    Abandoned,
     FORGET,
     INTRODUCE,
     InvalidDecomposition,
@@ -196,6 +197,145 @@ class TestValidate:
         assert any("vertex 1 are not connected" in p for p in report.problems)
 
 
+def reference_elimination(inst, order):
+    """The fill-in construction before any contraction: bag i + 1 holds
+    order[i] and its later neighbors, hangs below the bag of its
+    first-eliminated later neighbor, and the roots are chained."""
+    position = {v: i for i, v in enumerate(order)}
+    adj = {v: set(inst.neighbors(v)) for v in inst.vertices()}
+    bag_of, bags, later_neighbor = {}, {}, {}
+    for idx, v in enumerate(order, 1):
+        nbrs = set(adj[v])
+        bags[idx] = frozenset(nbrs | {v})
+        bag_of[v] = idx
+        later_neighbor[idx] = min(nbrs, key=lambda u: position[u]) if nbrs else None
+        for a in nbrs:
+            adj[a].discard(v)
+            for b in nbrs:
+                if a != b:
+                    adj[a].add(b)
+        del adj[v]
+    edges, roots = [], []
+    for idx in sorted(bags):
+        nxt = later_neighbor[idx]
+        if nxt is None:
+            roots.append(idx)
+        else:
+            edges.append((idx, bag_of[nxt]))
+    edges += zip(roots, roots[1:])
+    return TreeDecomposition(bags, edges)
+
+
+def reference_absorb_subset_bags(td):
+    """Contract bags that are subsets of a neighbor, restarting the scan
+    after every contraction; then reindex densely."""
+    bags = dict(td.bags)
+    adj = td.neighbors()
+    changed = True
+    while changed:
+        changed = False
+        for i in sorted(bags):
+            for j in sorted(adj[i]):
+                if bags[i] <= bags[j]:
+                    for other in adj[i]:
+                        if other != j:
+                            adj[other].discard(i)
+                            adj[other].add(j)
+                            adj[j].add(other)
+                    adj[j].discard(i)
+                    del bags[i]
+                    del adj[i]
+                    changed = True
+                    break
+            if changed:
+                break
+    rename = {old: new for new, old in enumerate(sorted(bags), 1)}
+    new_bags = {rename[i]: bag for i, bag in bags.items()}
+    new_edges = sorted(
+        (min(rename[a], rename[b]), max(rename[a], rename[b]))
+        for a in adj
+        for b in adj[a]
+        if a < b
+    )
+    return TreeDecomposition(new_bags, new_edges)
+
+
+def reference_decomposition(inst, order):
+    return reference_absorb_subset_bags(reference_elimination(inst, order))
+
+
+def relabeled(inst, rng):
+    """`inst` with its vertex ids shuffled."""
+    label = list(inst.vertices())
+    rng.shuffle(label)
+    edges = [(min(label[u - 1], label[v - 1]), max(label[u - 1], label[v - 1])) for u, v in inst.edges]
+    return mk([(1, 1, 1)] * inst.n, edges)
+
+
+def random_tree(n, rng):
+    return mk([(1, 1, 1)] * n, [(rng.randint(1, v - 1), v) for v in range(2, n + 1)])
+
+
+def elimination_inputs():
+    """Every Baker band of the benchmark's grids at k = 2 and 3 (row-major
+    8x8 and 10x10, shuffled 6x6), the DP grids, sparse graphs with
+    average degree 6 at n = 150-300, random graphs with isolated vertices
+    and several components, n = 1, and random trees."""
+    rng = random.Random(14)
+    grids = [grid_instance(8, 8), grid_instance(10, 10)]
+    grids += [relabeled(grid_instance(6, 6), rng) for _ in range(4)]
+    for inst in grids:
+        levels = bfs_levels(inst, 1)
+        for k in (2, 3):
+            for r in range(k):
+                for piece in make_slices(inst, levels, k, r):
+                    yield piece.instance
+    for rows, cols in ((4, 4), (3, 5), (3, 3), (3, 4), (2, 8)):
+        yield grid_instance(rows, cols)
+    for n in (150, 200, 250, 300):
+        yield random_instance(n, 6 / (n - 1), 3, 3, 3, n)
+    for seed in range(150):
+        yield random_instance(1 + seed % 40, (0.02, 0.05, 0.1)[seed % 3], 3, 3, 3, seed)
+    yield mk([(1, 1, 1)])
+    for n in (2, 3, 10, 100, 500):
+        yield random_tree(n, rng)
+
+
+class TestElimination:
+    """The one-pass builders against the double elimination and restart
+    scan they replace: same bags, same ids, same tree edges."""
+
+    def test_min_fill_builds_reference_decomposition(self):
+        for inst in elimination_inputs():
+            order, bags = min_fill_order(inst)
+            assert bags == list(reference_elimination(inst, order).bags.values())
+            assert heuristic_decomposition(inst) == reference_decomposition(inst, order)
+
+    def test_fixed_orders_build_reference_decomposition(self):
+        rng = random.Random(7)
+        for inst in elimination_inputs():
+            orders = [bfs_order(inst)]
+            if inst.n <= 100:  # random orders fill sparse graphs into large cliques
+                orders.append(rng.sample(list(inst.vertices()), inst.n))
+            for order in orders:
+                assert decomposition_from_order(inst, order) == reference_decomposition(inst, order)
+
+    def test_give_up_sees_each_bag_before_its_fill_in(self):
+        inst = grid_instance(3, 3)
+        order = bfs_order(inst)
+        bags = list(reference_elimination(inst, order).bags.values())
+        seen = []
+
+        def give_up(bag, fill_work):
+            seen.append((bag, fill_work))
+            return len(seen) == 4
+
+        with pytest.raises(Abandoned):
+            decomposition_from_order(inst, order, give_up)
+        work = [len(bag) - 1 for bag in bags[:4]]
+        assert seen == [(bag, sum(w * w for w in work[: i + 1])) for i, bag in enumerate(bags[:4])]
+
+
 class TestHeuristic:
     def test_tree_width_one(self):
         td = heuristic_decomposition(tree_instance())
@@ -228,10 +368,10 @@ class TestHeuristic:
         for seed in range(600):
             density = (0.05, 0.15, 0.3, 0.5, 0.8)[seed % 5]
             inst = random_instance(1 + seed % 30, density, 3, 3, 3, seed)
-            assert min_fill_order(inst) == reference_min_fill_order(inst)
+            assert min_fill_order(inst)[0] == reference_min_fill_order(inst)
         for n, seed in ((150, 1), (200, 2)):
             inst = random_instance(n, 6 / (n - 1), 3, 3, 3, seed)
-            assert min_fill_order(inst) == reference_min_fill_order(inst)
+            assert min_fill_order(inst)[0] == reference_min_fill_order(inst)
 
     def test_from_order_rejects_non_permutation(self, p3):
         with pytest.raises(ValueError):
@@ -416,3 +556,21 @@ class TestPaceFormat:
     def test_load_rejects_bag_count_mismatch(self):
         with pytest.raises(Exception):
             load_td("s td 2 1 1\nb 1 1\n")
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [("s td 2 9 99\nb 1 1 2\nb 2 2 3\n1 2\n", 0),
+         ("s td 2 1 3\nb 1 1 2\nb 2 3\n1 2\n", 0),
+         ("s td 2 2 2\nb 1 1 2\nb 2 2 3\n1 2\n", 3),
+         ("s td 1 1 3\nb 1 0\n", 2)],
+        ids=["max-bag-too-large", "max-bag-too-small", "vertex-above-n", "vertex-zero"],
+    )
+    def test_load_checks_header_against_bags(self, text, line_no):
+        with pytest.raises(ParseError) as info:
+            load_td(text)
+        assert info.value.line_no == line_no
+
+    def test_load_accepts_empty_bags_and_saved_headers(self):
+        td = TreeDecomposition({1: frozenset(), 2: frozenset({2})}, [(1, 2)])
+        assert load_td(save_td(td, 2)) == td
+        assert load_td("s td 1 0 0\nb 1\n").bags == {1: frozenset()}

@@ -120,7 +120,9 @@ def baker_solve(inst: Instance, k: int, model: DemandModel) -> BakerResult:
     all components.  Trying every shift dominates the existential choice
     the analysis makes, so the merged cost is within (1 + 4/(k-1)) of
     optimal on planar inputs and exactly optimal once k reaches the number
-    of BFS levels.
+    of BFS levels.  A component with L levels tries min(k, L) shifts:
+    every r >= L - 1 cuts it as one unzeroed band, so r = L - 1 stands in
+    for all of them.
     """
     if k < 2:
         raise ValueError("band width k must be at least 2")
@@ -132,7 +134,7 @@ def baker_solve(inst: Instance, k: int, model: DemandModel) -> BakerResult:
         levels = bfs_levels(inst, min(unseen))
         unseen -= levels.level.keys()
         shifts = []
-        for r in range(k):
+        for r in range(min(k, levels.num_levels)):
             bands = make_slices(inst, levels, k, r)
             shifts.append([(piece.orig_of, tddp.solve(piece.instance, model)) for piece in bands])
         costs = [sum(sol.cost for _, sol in bands) for bands in shifts]

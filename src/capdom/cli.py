@@ -53,6 +53,23 @@ class _Usage(Exception):
     pass
 
 
+def _load_instance(path: str) -> Instance:
+    """Parse an instance file; attributes past the 64-bit audit are a parse error."""
+    text = _read(path)
+    try:
+        return fileio.load_instance(text)
+    except OverflowError as exc:
+        raise ParseError(0, str(exc)) from None
+
+
+def _random_instance(args, seed: int) -> Instance:
+    """`random_instance` from the flags; attributes past the 64-bit audit are a usage error."""
+    try:
+        return random_instance(args.n, args.edge_prob, args.max_w, args.max_c, args.max_d, seed)
+    except OverflowError as exc:
+        raise _Usage(f"{exc}; lower --max-w, --max-c or --max-d") from None
+
+
 def _greedy_result(result: greedy.GreedyResult) -> tuple[Solution, list[str], list[str]]:
     return result.solution, result.trace_lines(), []
 
@@ -137,7 +154,7 @@ def _solve(args) -> int:
     for dest, algos in SOLVE_ONLY_FLAGS.items():
         if getattr(args, dest) is not None and args.algo not in algos:
             raise _Usage(f"--{dest} applies only to --algo {', '.join(algos)}")
-    inst = fileio.load_instance(_read(args.instance))
+    inst = _load_instance(args.instance)
     model = _model_for(args.algo, args.model)
     solution, trace_lines, comments = ALGOS[args.algo][2](inst, model, args)
     report = verify_solution(inst, solution, model)
@@ -157,7 +174,7 @@ def _solve(args) -> int:
 
 
 def _verify(args) -> int:
-    inst = fileio.load_instance(_read(args.instance))
+    inst = _load_instance(args.instance)
     solution, file_model = fileio.load_solution(_read(args.solution))
     model = DemandModel(args.model) if args.model else file_model
     report = verify_solution(inst, solution, model)
@@ -167,9 +184,7 @@ def _verify(args) -> int:
 
 def _gen(args) -> int:
     if args.kind == "random":
-        inst = random_instance(
-            args.n, args.edge_prob, args.max_w, args.max_c, args.max_d, args.seed
-        )
+        inst = _random_instance(args, args.seed)
         _emit(fileio.save_instance(inst), args.output)
         return EXIT_OK
     cq = hardness.load_clique_instance(_read(args.clique))
@@ -191,7 +206,7 @@ def _td(args) -> int:
         raise _Usage("td validate needs a decomposition file")
     if args.action == "compute" and args.td_file is not None:
         raise _Usage("td compute takes no decomposition file; write one with -o")
-    inst = fileio.load_instance(_read(args.instance))
+    inst = _load_instance(args.instance)
     if args.action == "compute":
         td = treewidth.heuristic_decomposition(inst)
         _emit(treewidth.save_td(td, inst.n), args.output)
@@ -233,14 +248,7 @@ def _bench(args) -> int:
     rng = random.Random(args.seed)
     rows = ["index,n,m,algo,model,cost,opt,opt_algo,ratio,bound"]
     for index in range(args.batch):
-        inst = random_instance(
-            args.n,
-            args.edge_prob,
-            args.max_w,
-            args.max_c,
-            args.max_d,
-            rng.randrange(2**32),
-        )
+        inst = _random_instance(args, rng.randrange(2**32))
         cost = runner(inst, model, args)[0].cost
         opt_algo = "oracle" if args.n <= args.oracle_threshold else "dp"
         opt = ALGOS[opt_algo][2](inst, model, args)[0].cost

@@ -13,15 +13,16 @@ They differ in how partially served demand is handled:
 Efficiency ratios are kept as exact integer fractions and compared by
 cross-multiplication; nothing here touches floating point.
 
-Each solver caches one quote per vertex.  A quote of u reads only the
-state of N[u], so after a pick only the closed neighborhoods of the
-vertices whose demand changed are re-quoted.
+All three run one loop, `_greedy_loop`, which caches one quote per
+vertex.  A quote of u reads only the state of N[u], so after a pick only
+the closed neighborhoods of the vertices whose demand changed are
+re-quoted.  Each quote keeps the sorted candidates it priced, and the
+pick routes a prefix of that list.
 """
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Collection
 
 from .core import (
     CapdomError,
@@ -47,13 +48,15 @@ class EfficiencyQuote:
     """One vertex's best coverage-per-cost offer, as an unreduced fraction.
 
     Zero-weight vertices quote denominator 0 (infinite efficiency);
-    cross-multiplication still orders those correctly.
+    cross-multiplication still orders those correctly.  candidates is the
+    sorted list the quote was priced over; a pick routes its prefix.
     """
 
     vertex: int
     prefix_len: int
     numerator: int
     denominator: int
+    candidates: list[int] = field(default_factory=list, compare=False, repr=False)
 
     def beats(self, other: "EfficiencyQuote") -> bool:
         return self.numerator * other.denominator > other.numerator * self.denominator
@@ -121,7 +124,7 @@ def unsplit_efficiency(inst: Instance, undominated: set[int], u: int) -> Efficie
         return None
     w = inst.weight(u)
     if w == 0:
-        return EfficiencyQuote(u, len(candidates), 1, 0)
+        return EfficiencyQuote(u, len(candidates), 1, 0, candidates)
     best: tuple[int, int, int] | None = None
     prefix = 0
     for i, v in enumerate(candidates, 1):
@@ -129,7 +132,7 @@ def unsplit_efficiency(inst: Instance, undominated: set[int], u: int) -> Efficie
         num, den = i, w * ceil_div(prefix, c)
         if best is None or num * best[1] >= best[0] * den:
             best = (num, den, i)
-    return EfficiencyQuote(u, best[2], best[0], best[1])
+    return EfficiencyQuote(u, best[2], best[0], best[1], candidates)
 
 
 def split_efficiency(inst: Instance, state: GreedyState, u: int) -> EfficiencyQuote:
@@ -167,7 +170,7 @@ def split_efficiency(inst: Instance, state: GreedyState, u: int) -> EfficiencyQu
     )
     if j < len(candidates):
         numerator += (c - prefix) * (common // state.base_demand[candidates[j]])
-    return EfficiencyQuote(u, j, numerator, common * inst.weight(u))
+    return EfficiencyQuote(u, j, numerator, common * inst.weight(u), candidates)
 
 
 def _unsplit_quote(inst: Instance, undominated: set[int], u: int) -> EfficiencyQuote | None:
@@ -184,21 +187,6 @@ def _split_quote(inst: Instance, state: GreedyState, u: int) -> EfficiencyQuote 
     return split_efficiency(inst, state, u)
 
 
-def _requote(
-    inst: Instance,
-    state: GreedyState | set[int],
-    quotes: list[EfficiencyQuote | None],
-    quote: Callable[[Instance, GreedyState | set[int], int], EfficiencyQuote | None],
-    changed: list[int],
-) -> None:
-    """Refresh the cached quotes of N[v] for every changed vertex v."""
-    dirty: set[int] = set()
-    for v in changed:
-        dirty |= inst.closed_neighborhood(v)
-    for u in dirty:
-        quotes[u] = quote(inst, state, u)
-
-
 def _pick_best(quotes: list[EfficiencyQuote | None]) -> EfficiencyQuote:
     """The first maximum of the cached quotes, scanned in vertex order."""
     best = None
@@ -210,24 +198,43 @@ def _pick_best(quotes: list[EfficiencyQuote | None]) -> EfficiencyQuote:
     return best
 
 
+def _greedy_loop(
+    inst: Instance,
+    pending: Collection[int],
+    quote: Callable[[int], EfficiencyQuote | None],
+    take: Callable[[EfficiencyQuote, int], list[int]],
+) -> None:
+    """Buy the best-quoted vertex until nothing is pending.
+
+    quote(u) prices u against the solver's current state.  take(best,
+    iteration) routes the pick, repairs the state, and returns every
+    vertex whose demand changed; since a quote of u reads only N[u],
+    re-quoting N[changed] keeps every cached quote, and so every cached
+    candidate list, current.
+    """
+    quotes = [None] + [quote(u) for u in inst.vertices()]
+    iteration = 0
+    while pending:
+        iteration += 1
+        if iteration > inst.n + 1:
+            raise CapdomError("greedy failed to make progress")
+        dirty: set[int] = set()
+        for v in take(_pick_best(quotes), iteration):
+            dirty |= inst.closed_neighborhood(v)
+        for u in dirty:
+            quotes[u] = quote(u)
+
+
 def greedy_unsplittable(inst: Instance) -> GreedyResult:
     """Whole-demand greedy: logarithmic-ratio solver for the unsplittable model."""
     require_feasible(inst)
     undominated = {v for v in inst.vertices() if inst.demand(v) > 0}
     assignment: dict[tuple[int, int], int] = {}
-    quotes = [None] + [_unsplit_quote(inst, undominated, u) for u in inst.vertices()]
     trace: list[TraceEntry] = []
-    iteration = 0
-    while undominated:
-        iteration += 1
-        if iteration > inst.n:
-            raise CapdomError("unsplittable greedy failed to make progress")
-        best = _pick_best(quotes)
+
+    def take(best: EfficiencyQuote, iteration: int) -> list[int]:
         u = best.vertex
-        chosen = sorted(
-            undominated & inst.closed_neighborhood(u),
-            key=lambda v: (inst.demand(v), v),
-        )[: best.prefix_len]
+        chosen = best.candidates[: best.prefix_len]
         prefix = 0
         for v in chosen:
             _add(assignment, v, u, inst.demand(v))
@@ -235,26 +242,23 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
             undominated.discard(v)
         iter_cost = inst.weight(u) * ceil_div(prefix, inst.capacity(u))
         trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
-        _requote(inst, undominated, quotes, _unsplit_quote, chosen)
-    solution = minimum_multiplicities(inst, assignment)
-    return GreedyResult(solution, trace)
+        return chosen
+
+    _greedy_loop(inst, undominated, lambda u: _unsplit_quote(inst, undominated, u), take)
+    return GreedyResult(minimum_multiplicities(inst, assignment), trace)
 
 
-def _split_iteration(
+def _split_pick(
     inst: Instance,
     state: GreedyState,
-    quotes: list[EfficiencyQuote | None],
+    best: EfficiencyQuote,
     iteration: int,
     trace: list[TraceEntry],
 ) -> list[int]:
-    """One first-greedy-choice step; returns the vertices whose residue changed."""
-    best = _pick_best(quotes)
+    """Route one first-greedy-choice pick; returns the vertices whose residue changed."""
     u = best.vertex
     c = inst.capacity(u)
-    candidates = sorted(
-        (v for v in inst.closed_neighborhood(u) if v in state.residue_demand),
-        key=lambda v: (state.base_demand[v], v),
-    )
+    candidates = best.candidates
     j = best.prefix_len
     if j == 0:
         first = candidates[0]
@@ -289,47 +293,6 @@ def _split_iteration(
     return changed
 
 
-def _split_greedy(
-    inst: Instance,
-    state: GreedyState,
-    trace: list[TraceEntry],
-    repair: Callable[[GreedyState, list[int], int, list[TraceEntry]], None],
-) -> None:
-    """Pick-and-repair loop shared by the splittable variants.
-
-    After each pick, repair(state, changed, iteration, trace) restores the
-    variant's residue invariant.  It may only clear residues of vertices in
-    changed, the vertices the pick touched, so re-quoting N[changed]
-    keeps every cached quote current.
-    """
-    quotes = [None] + [_split_quote(inst, state, u) for u in inst.vertices()]
-    iteration = 0
-    while state.residue_demand:
-        iteration += 1
-        if iteration > inst.n + 1:
-            raise CapdomError("splittable greedy failed to make progress")
-        changed = _split_iteration(inst, state, quotes, iteration, trace)
-        repair(state, changed, iteration, trace)
-        _requote(inst, state, quotes, _split_quote, changed)
-
-
-def _double_below_half(
-    state: GreedyState, changed: list[int], iteration: int, trace: list[TraceEntry]
-) -> None:
-    # Only a vertex the pick touched can have dropped below half its demand.
-    below_half = [
-        v
-        for v in sorted(changed)
-        if 0 < 2 * state.residue_demand.get(v, 0) < state.base_demand[v]
-    ]
-    assert len(below_half) <= 1, "at most one residue can cross the half mark"
-    for v in below_half:
-        for server in sorted(state.map_sets.get(v, ())):
-            state.partial_assignment[(v, server)] *= 2
-        del state.residue_demand[v]
-        trace.append(TraceEntry(iteration, v, len(state.map_sets.get(v, ())), 0, 2))
-
-
 def greedy_splittable(inst: Instance) -> GreedyResult:
     """Split-demand greedy with the doubling rule.
 
@@ -345,30 +308,25 @@ def greedy_splittable(inst: Instance) -> GreedyResult:
         base_demand={v: inst.demand(v) for v in inst.vertices()},
     )
     trace: list[TraceEntry] = []
-    _split_greedy(inst, state, trace, _double_below_half)
-    solution = minimum_multiplicities(inst, state.partial_assignment)
-    return GreedyResult(solution, trace)
 
+    def take(best: EfficiencyQuote, iteration: int) -> list[int]:
+        changed = _split_pick(inst, state, best, iteration, trace)
+        # Only a vertex the pick touched can have dropped below half its demand.
+        below_half = [
+            v
+            for v in sorted(changed)
+            if 0 < 2 * state.residue_demand.get(v, 0) < state.base_demand[v]
+        ]
+        assert len(below_half) <= 1, "at most one residue can cross the half mark"
+        for v in below_half:
+            for server in sorted(state.map_sets.get(v, ())):
+                state.partial_assignment[(v, server)] *= 2
+            del state.residue_demand[v]
+            trace.append(TraceEntry(iteration, v, len(state.map_sets.get(v, ())), 0, 2))
+        return changed
 
-def _finish_partial(
-    best_neighbor: dict[int, int],
-    state: GreedyState,
-    changed: list[int],
-    iteration: int,
-    trace: list[TraceEntry],
-) -> None:
-    assert trace[-1].prefix_len >= 1, "rebased demands always fit one copy"
-    # Only a vertex the pick touched can be partially served.
-    partial = [
-        v
-        for v in sorted(changed)
-        if 0 < state.residue_demand.get(v, 0) < state.base_demand[v]
-    ]
-    assert len(partial) <= 1, "at most one vertex is partially served per pick"
-    for v in partial:
-        g = best_neighbor[v]
-        _add(state.partial_assignment, v, g, state.residue_demand.pop(v))
-        trace.append(TraceEntry(iteration, g, 0, 0, 2))
+    _greedy_loop(inst, state.residue_demand, lambda u: _split_quote(inst, state, u), take)
+    return GreedyResult(minimum_multiplicities(inst, state.partial_assignment), trace)
 
 
 def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
@@ -408,6 +366,23 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
         partial_assignment=assignment,
         base_demand={v: r for v, r in residue.items() if r > 0},
     )
-    _split_greedy(inst, state, trace, functools.partial(_finish_partial, best_neighbor))
+
+    def take(best: EfficiencyQuote, iteration: int) -> list[int]:
+        assert best.prefix_len >= 1, "rebased demands always fit one copy"
+        changed = _split_pick(inst, state, best, iteration, trace)
+        # Only a vertex the pick touched can be partially served.
+        partial = [
+            v
+            for v in sorted(changed)
+            if 0 < state.residue_demand.get(v, 0) < state.base_demand[v]
+        ]
+        assert len(partial) <= 1, "at most one vertex is partially served per pick"
+        for v in partial:
+            g = best_neighbor[v]
+            _add(state.partial_assignment, v, g, state.residue_demand.pop(v))
+            trace.append(TraceEntry(iteration, g, 0, 0, 2))
+        return changed
+
+    _greedy_loop(inst, state.residue_demand, lambda u: _split_quote(inst, state, u), take)
     solution = minimum_multiplicities(inst, state.partial_assignment)
     return GreedyResult(solution, trace, phase0_cost=phase0_cost)

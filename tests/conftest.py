@@ -1,4 +1,4 @@
-"""Shared brute-force oracles and instance builders.
+"""Shared brute-force oracles, instance builders and fixtures.
 
 The brute forcers enumerate raw assignment spaces directly and never call
 the package's search or DP code, so they stay independent of the paths
@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from capdom import baker
 from capdom.core import Instance, VertexAttrs
 
 
@@ -185,3 +186,22 @@ def brute_assignment_exists(inst: Instance, multiplicity) -> bool:
 @pytest.fixture(scope="session")
 def p3():
     return p3_instance()
+
+
+@pytest.fixture
+def baker_shifts(monkeypatch):
+    """The shift r of every `baker.make_slices` call, in order.
+
+    The 13th call fails at once, so a run that tries far too many shifts
+    stops there instead of running on.
+    """
+    shifts = []
+    make_slices = baker.make_slices
+
+    def counted(inst, levels, k, r):
+        shifts.append(r)
+        assert len(shifts) <= 12, "too many shifts"
+        return make_slices(inst, levels, k, r)
+
+    monkeypatch.setattr(baker, "make_slices", counted)
+    return shifts

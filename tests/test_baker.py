@@ -230,6 +230,13 @@ class TestBakerSolve:
         res = baker_solve(p3, 3, UNSPLIT)
         assert len(res.shift_costs) == 1 and len(res.shift_costs[0]) == 3
 
+    def test_shifts_stop_at_bfs_depth(self, baker_shifts):
+        # One level: every shift r cuts the vertex as the same single band,
+        # so r = 0 is the only one solved.
+        res = baker_solve(mk([(2, 1, 1)]), 5, UNSPLIT)
+        assert res.shift_costs == [[2]]
+        assert baker_shifts == [0]
+
     def test_every_shift_merges_feasibly(self):
         inst = grid_instance(3, 4, attr=(1, 2, 1))
         levels = bfs_levels(inst, 1)

@@ -21,6 +21,23 @@ def p3_file(tmp_path):
     return path
 
 
+# Past the instance's 64-bit audit as any one attribute.
+BIG = "99999999999999999999"
+
+
+@pytest.fixture
+def oversized_file(tmp_path):
+    path = tmp_path / "oversized.cd"
+    path.write_text(f"p capdom 1 0\nv 1 1 1 {BIG}\n")
+    return path
+
+
+def assert_audit_error(capsys, kind):
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{kind}: ") and "64-bit" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -61,6 +78,17 @@ class TestSolve:
         shift_lines = [l for l in captured.splitlines() if l.startswith("c shift")]
         assert len(shift_lines) == 2
         assert shift_lines[0] == f"c shift component=0 r=0 cost={3}"
+
+    def test_baker_shifts_stop_at_bfs_depth(self, p3_file, capsys, baker_shifts):
+        # p3 has three BFS levels: every shift r >= 2 repeats the one band
+        # of r = 2, so a huge k solves the k = 3 shifts and no more.
+        assert run("solve", "--algo", "baker", "--k", 3, p3_file) == 0
+        at_three = capsys.readouterr().out
+        assert run("solve", "--algo", "baker", "--k", 10**6, p3_file) == 0
+        at_million = capsys.readouterr().out
+        assert baker_shifts == [0, 1, 2] * 2
+        assert len([l for l in at_million.splitlines() if l.startswith("c shift")]) == 3
+        assert at_million == at_three
 
     def test_dp_with_supplied_decomposition(self, p3_file, tmp_path):
         td_path = tmp_path / "p3.td"
@@ -169,6 +197,10 @@ class TestSolve:
         assert info.value.code == 2
         assert "--budget" in capsys.readouterr().err
 
+    def test_oversized_attributes_are_parse_error(self, oversized_file, capsys):
+        assert run("solve", "--algo", "greedy-unsplit", oversized_file) == 2
+        assert_audit_error(capsys, "parse error")
+
 
 class TestVerify:
     def test_pass_and_fail(self, p3_file, tmp_path, capsys):
@@ -186,6 +218,12 @@ class TestVerify:
         sol = tmp_path / "sol.cd"
         assert run("solve", "--algo", "greedy-split", "-o", sol, p3_file) == 0
         assert run("verify", p3_file, sol) == 0
+
+    def test_oversized_attributes_are_parse_error(self, oversized_file, tmp_path, capsys):
+        sol = tmp_path / "sol.cd"
+        sol.write_text("s capdom 1 unsplit\nx 1 1\n")
+        assert run("verify", oversized_file, sol) == 2
+        assert_audit_error(capsys, "parse error")
 
 
 class TestGen:
@@ -252,6 +290,10 @@ class TestGen:
             run("gen", "random", "--n", 5, "--seed", 1, flag, value)
         assert info.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_oversized_max_d_is_usage_error(self, capsys):
+        assert run("gen", "random", "--n", 3, "--seed", 1, "--max-d", BIG) == 2
+        assert_audit_error(capsys, "usage error")
 
 
 class TestTd:
@@ -335,6 +377,12 @@ class TestTd:
         assert "-o" in captured.err and captured.out == ""
         assert not td_path.exists()
 
+    def test_oversized_attributes_are_parse_error(self, oversized_file, tmp_path, capsys):
+        td_path = tmp_path / "out.td"
+        assert run("td", "compute", oversized_file, "-o", td_path) == 2
+        assert_audit_error(capsys, "parse error")
+        assert not td_path.exists()
+
 
 class TestBench:
     @pytest.mark.parametrize("budget", ["0", "-3"])
@@ -356,6 +404,11 @@ class TestBench:
                 flag, value)
         assert info.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_oversized_max_w_is_usage_error(self, capsys):
+        assert run("bench", "--n", 3, "--batch", 1, "--seed", 1, "--model", "unsplit",
+                   "--max-w", BIG) == 2
+        assert_audit_error(capsys, "usage error")
 
     def test_csv_schema_and_bounds(self, tmp_path):
         out = tmp_path / "bench.csv"

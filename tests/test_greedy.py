@@ -99,6 +99,12 @@ class TestUnsplitEfficiency:
         assert quote.prefix_len == 2
 
 
+    def test_candidates_sorted_by_demand_then_id(self):
+        # demands 3, 2, 1, 2, 0: vertex 5 is dominated, and 2 and 4 tie
+        inst = star((1, 5, 3), [(1, 1, 2), (1, 1, 1), (1, 1, 2), (1, 1, 0)])
+        quote = unsplit_efficiency(inst, initial_undominated(inst), 1)
+        assert quote.candidates == [3, 2, 4, 1]
+
 class TestSplitEfficiency:
     def test_mixed_residues(self):
         inst = star((1, 5, 0), [(1, 1, 2), (1, 1, 3), (1, 1, 4)])
@@ -123,6 +129,13 @@ class TestSplitEfficiency:
         with pytest.raises(NoCandidates):
             split_efficiency(inst, split_state(inst), 1)
 
+
+    def test_candidates_sorted_by_base_demand_then_id(self):
+        # base demands 3, 2, 1, 2, 4; by residue, vertex 5 would come second
+        inst = star((1, 5, 3), [(1, 1, 2), (1, 1, 1), (1, 1, 2), (1, 1, 4)])
+        state = split_state(inst, residues={1: 3, 2: 2, 3: 1, 4: 2, 5: 1})
+        quote = split_efficiency(inst, state, 1)
+        assert quote.candidates == [3, 2, 4, 1, 5]
 
 class TestGreedyUnsplittable:
     def test_p3_cost_three(self):

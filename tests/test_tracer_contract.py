@@ -1,12 +1,15 @@
-"""The DP counters of the benchmark's tracer equal direct counts.
+"""The DP, Baker and greedy counters of the benchmark's tracer equal
+direct counts.
 
 `perfbench/tracing.py` wraps the public DP kernels from outside capdom:
 it counts `len(result.rows)` of every table and multiplies the row counts
 of `dp_join`'s second and third arguments.  For Baker it counts the calls
 of `baker.make_slices` as shifts and the bands they return as slices.
+For the greedies it counts the calls of `unsplit_efficiency` and
+`split_efficiency` as quotes and the phase-1 trace entries as picks.
 These tests install that tracer, run the CLI, and count the same things
-by parameter name, so a change that breaks what the tracer reads fails
-here.
+by parameter name or from the written trace, so a change that breaks
+what the tracer reads fails here.
 """
 import importlib.util
 import inspect
@@ -15,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from capdom import baker, cli, tddp
+from capdom import baker, cli, greedy, tddp
+from capdom.core import random_instance
 from capdom.fileio import save_instance
 
 from conftest import mk
@@ -105,3 +109,29 @@ def test_traced_dp_counters_equal_direct_counts(algo, model, tmp_path, monkeypat
     assert cli.main is main
     for name in COUNTERS + (BAKER_COUNTERS if algo[0] == "baker" else ()):
         assert tracer.counts[name] == direct[name] > 0, name
+
+
+@pytest.mark.parametrize("algo", ["greedy-unsplit", "greedy-split", "greedy-unweighted"])
+def test_traced_greedy_counters_equal_direct_counts(algo, tmp_path, monkeypatch):
+    # Unit weights, so the unweighted greedy runs on it too.
+    path = tmp_path / "unit.cd"
+    path.write_text(save_instance(random_instance(12, 0.3, 1, 3, 3, 5)))
+    quotes = 0
+    for name in ("unsplit_efficiency", "split_efficiency"):
+        def counted(*args, _efficiency=getattr(greedy, name)):
+            nonlocal quotes
+            quotes += 1
+            return _efficiency(*args)
+
+        monkeypatch.setattr(greedy, name, counted)
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        out = tmp_path / "out.cd"
+        assert cli.main(["solve", "--algo", algo, "--trace", "-o", str(out), str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    trace = [line.split() for line in out.read_text().splitlines() if line.startswith("t ")]
+    picks = sum(1 for fields in trace if fields[5] == "1")  # t <iter> <chosen> <prefix> <cost> <phase>
+    assert tracer.counts["greedy.quotes"] == quotes > 0
+    assert tracer.counts["greedy.picks"] == picks > 0

@@ -20,6 +20,7 @@ from .core import (
     Instance,
     Solution,
     induced_instance,
+    minimum_multiplicities,
     require_feasible,
 )
 from . import tddp
@@ -83,21 +84,17 @@ def make_slices(
     return slices
 
 
-def merge_solutions(pairs: list[tuple[tuple[int, ...], Solution]]) -> Solution:
-    """Sum multiplicities and concatenate assignments back in original ids.
+def merge_solutions(inst: Instance, pairs: list[tuple[tuple[int, ...], Solution]]) -> Solution:
+    """Join the band routings in original ids and buy the copies they need.
 
     Each pair holds a sub-instance's solution and its orig_of tuple, which
-    maps sub-instance id i+1 to the original id.
+    maps sub-instance id i+1 to the original id.  Copies follow the merged
+    load (`minimum_multiplicities`): a server that several bands load costs
+    ceil(total load / c), never more than the bands' copies added up.
     """
-    multiplicity: dict[int, int] = {}
     assignment: dict[tuple[int, int], int] = {}
     consumers_seen: dict[int, int] = {}
-    cost = 0
     for index, (orig_of, sol) in enumerate(pairs):
-        cost += sol.cost
-        for v, count in sol.multiplicity.items():
-            orig = orig_of[v - 1]
-            multiplicity[orig] = multiplicity.get(orig, 0) + count
         for (consumer, server), amount in sol.assignment.items():
             orig_c = orig_of[consumer - 1]
             orig_s = orig_of[server - 1]
@@ -109,7 +106,7 @@ def merge_solutions(pairs: list[tuple[tuple[int, ...], Solution]]) -> Solution:
             consumers_seen[orig_c] = index
             key = (orig_c, orig_s)
             assignment[key] = assignment.get(key, 0) + amount
-    return Solution(multiplicity, assignment, cost)
+    return minimum_multiplicities(inst, assignment)
 
 
 def baker_solve(inst: Instance, k: int, model: DemandModel) -> BakerResult:
@@ -117,12 +114,13 @@ def baker_solve(inst: Instance, k: int, model: DemandModel) -> BakerResult:
 
     A shift's cost is the sum of its band optima, and the first cheapest
     shift of each component wins; one merge joins the winning bands of
-    all components.  Trying every shift dominates the existential choice
-    the analysis makes, so the merged cost is within (1 + 4/(k-1)) of
-    optimal on planar inputs and exactly optimal once k reaches the number
-    of BFS levels.  A component with L levels tries min(k, L) shifts:
-    every r >= L - 1 cuts it as one unzeroed band, so r = L - 1 stands in
-    for all of them.
+    all components and buys copies for the merged load, which costs at
+    most the winning shifts' sum.  Trying every shift dominates the
+    existential choice the analysis makes, so the merged cost is within
+    (1 + 4/(k-1)) of optimal on planar inputs and exactly optimal once k
+    reaches the number of BFS levels.  A component with L levels tries
+    min(k, L) shifts: every r >= L - 1 cuts it as one unzeroed band, so
+    r = L - 1 stands in for all of them.
     """
     if k < 2:
         raise ValueError("band width k must be at least 2")
@@ -140,4 +138,4 @@ def baker_solve(inst: Instance, k: int, model: DemandModel) -> BakerResult:
         costs = [sum(sol.cost for _, sol in bands) for bands in shifts]
         shift_costs.append(costs)
         chosen += shifts[costs.index(min(costs))]
-    return BakerResult(merge_solutions(chosen), shift_costs)
+    return BakerResult(merge_solutions(inst, chosen), shift_costs)

@@ -74,13 +74,18 @@ def _greedy_result(result: greedy.GreedyResult) -> tuple[Solution, list[str], li
     return result.solution, result.trace_lines(), []
 
 
+def _checked_td(inst: Instance, td: treewidth.TreeDecomposition) -> treewidth.TreeDecomposition:
+    """The decomposition itself; one that fails `validate_td` on inst is an error."""
+    report = treewidth.validate_td(inst, td)
+    if not report.passed:
+        raise CapdomError(f"decomposition is invalid: {report}")
+    return td
+
+
 def _run_dp(inst, model, args):
     td = None
     if getattr(args, "td", None):  # bench has no --td flag
-        td = treewidth.load_td(_read(args.td))
-        report = treewidth.validate_td(inst, td)
-        if not report.passed:
-            raise CapdomError(f"supplied decomposition is invalid: {report}")
+        td = _checked_td(inst, treewidth.load_td(_read(args.td)))
     return tddp.solve(inst, model, td), [], []
 
 
@@ -216,15 +221,8 @@ def _td(args) -> int:
         report = treewidth.validate_td(inst, td)
         sys.stdout.write(str(report) + "\n")
         return EXIT_OK if report.passed else EXIT_FAIL
-    td = (
-        treewidth.load_td(_read(args.td_file))
-        if args.td_file
-        else treewidth.heuristic_decomposition(inst)
-    )
-    report = treewidth.validate_td(inst, td)
-    if not report.passed:
-        raise CapdomError(f"decomposition is invalid: {report}")
-    ntd = treewidth.make_nice(td)
+    td = treewidth.load_td(_read(args.td_file)) if args.td_file else treewidth.heuristic_decomposition(inst)
+    ntd = treewidth.make_nice(_checked_td(inst, td))
     projected = treewidth.project_nice(ntd)
     _emit(treewidth.save_td(projected, inst.n), args.output)
     return EXIT_OK

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 INT64_MAX = 2**63 - 1
 
@@ -28,9 +28,27 @@ class ParseError(CapdomError):
         self.reason = reason
 
 
-def is_comment(line: str) -> bool:
-    """True for a stripped 'c' comment line of the text formats."""
-    return line == "c" or line.startswith("c ")
+def records(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of every record of a text format, header first.
+
+    Blank lines and lines whose first token is 'c' are skipped.  The first
+    record must carry the tag of `header` (say "p capdom" for tag 'p') and
+    no later one may; a record before the header and a second header are
+    ParseErrors at their line, a file without a header one at line 0.
+    """
+    tag = header.split()[0]
+    seen = False
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        tokens = raw.split()
+        if not tokens or tokens[0] == "c":
+            continue
+        if (tokens[0] == tag) is seen:  # a header once seen, or a record before it
+            reason = "duplicate header line" if seen else f"{tokens[0]!r} record before header"
+            raise ParseError(line_no, reason)
+        seen = True
+        yield line_no, tokens
+    if not seen:
+        raise ParseError(0, f"missing {header!r} header")
 
 
 def parse_ints(parts: list[str], line_no: int) -> list[int]:

@@ -23,35 +23,27 @@ from .core import (
     ParseError,
     Solution,
     VertexAttrs,
-    is_comment,
     parse_edge,
     parse_ints,
+    records,
 )
 
 
 def load_instance(text: str) -> Instance:
     """Parse instance text, rejecting every format violation with a line number."""
-    n = m = -1
     attrs: dict[int, VertexAttrs] = {}
     edges: list[tuple[int, int]] = []
     edge_keys: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or is_comment(line):
-            continue
-        parts = line.split()
+    lines = records(text, "p capdom")
+    line_no, parts = next(lines)
+    if len(parts) != 4 or parts[1] != "capdom":
+        raise ParseError(line_no, "header must be 'p capdom <n> <m>'")
+    n, m = parse_ints(parts[2:], line_no)
+    if n < 1 or m < 0:
+        raise ParseError(line_no, "need n >= 1 and m >= 0")
+    for line_no, parts in lines:
         tag = parts[0]
-        if tag == "p":
-            if n >= 0:
-                raise ParseError(line_no, "duplicate header line")
-            if len(parts) != 4 or parts[1] != "capdom":
-                raise ParseError(line_no, "header must be 'p capdom <n> <m>'")
-            n, m = parse_ints(parts[2:], line_no)
-            if n < 1 or m < 0:
-                raise ParseError(line_no, "need n >= 1 and m >= 0")
-        elif tag == "v":
-            if n < 0:
-                raise ParseError(line_no, "vertex line before header")
+        if tag == "v":
             if len(parts) != 5:
                 raise ParseError(line_no, "vertex line must be 'v <id> <w> <c> <d>'")
             vid, w, c, d = parse_ints(parts[1:], line_no)
@@ -63,13 +55,9 @@ def load_instance(text: str) -> Instance:
                 raise ParseError(line_no, "vertex attributes must be nonnegative")
             attrs[vid] = VertexAttrs(w, c, d)
         elif tag == "e":
-            if n < 0:
-                raise ParseError(line_no, "edge line before header")
             edges.append(parse_edge(parts, line_no, n, edge_keys))
         else:
             raise ParseError(line_no, f"unknown line tag {tag!r}")
-    if n < 0:
-        raise ParseError(0, "missing 'p capdom' header")
     if len(attrs) != n:
         # The first three missing ids are at most len(attrs) + 3, so the
         # message stays short whatever n the header declares.
@@ -92,30 +80,21 @@ def save_instance(inst: Instance, comments: list[str] | None = None) -> str:
 
 
 def load_solution(text: str) -> tuple[Solution, DemandModel]:
-    """Parse a solution file; trailing trace lines ('t ...') are ignored."""
-    cost = None
-    model = None
+    """Parse a solution file; trace lines ('t ...') after the header are ignored."""
     multiplicity: dict[int, int] = {}
     assignment: dict[tuple[int, int], int] = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or is_comment(line) or line.startswith("t "):
-            continue
-        parts = line.split()
+    lines = records(text, "s capdom")
+    line_no, parts = next(lines)
+    if len(parts) != 4 or parts[1] != "capdom":
+        raise ParseError(line_no, "header must be 's capdom <cost> <model>'")
+    (cost,) = parse_ints(parts[2:3], line_no)
+    try:
+        model = DemandModel(parts[3])
+    except ValueError:
+        raise ParseError(line_no, f"unknown model {parts[3]!r}") from None
+    for line_no, parts in lines:
         tag = parts[0]
-        if tag == "s":
-            if cost is not None:
-                raise ParseError(line_no, "duplicate solution header")
-            if len(parts) != 4 or parts[1] != "capdom":
-                raise ParseError(line_no, "header must be 's capdom <cost> <model>'")
-            (cost,) = parse_ints(parts[2:3], line_no)
-            try:
-                model = DemandModel(parts[3])
-            except ValueError:
-                raise ParseError(line_no, f"unknown model {parts[3]!r}") from None
-        elif tag == "x":
-            if cost is None:
-                raise ParseError(line_no, "multiplicity line before header")
+        if tag == "x":
             if len(parts) != 3:
                 raise ParseError(line_no, "multiplicity line must be 'x <vertex> <count>'")
             v, count = parse_ints(parts[1:], line_no)
@@ -125,8 +104,6 @@ def load_solution(text: str) -> tuple[Solution, DemandModel]:
                 raise ParseError(line_no, f"duplicate multiplicity line for {v}")
             multiplicity[v] = count
         elif tag == "a":
-            if cost is None:
-                raise ParseError(line_no, "assignment line before header")
             if len(parts) != 4:
                 raise ParseError(line_no, "assignment line must be 'a <consumer> <server> <amount>'")
             consumer, server, amount = parse_ints(parts[1:], line_no)
@@ -135,10 +112,8 @@ def load_solution(text: str) -> tuple[Solution, DemandModel]:
             if (consumer, server) in assignment:
                 raise ParseError(line_no, f"duplicate assignment line ({consumer},{server})")
             assignment[(consumer, server)] = amount
-        else:
+        elif tag != "t":
             raise ParseError(line_no, f"unknown line tag {tag!r}")
-    if cost is None or model is None:
-        raise ParseError(0, "missing 's capdom' header")
     return Solution(multiplicity, assignment, cost), model
 
 

@@ -23,10 +23,10 @@ from .core import (
     Report,
     Solution,
     VertexAttrs,
-    is_comment,
     is_feasible,
     parse_edge,
     parse_ints,
+    records,
     DemandModel,
 )
 from .oracle import (
@@ -339,27 +339,20 @@ def clique_witness_solution(
 
 def load_clique_instance(text: str) -> CliqueInstance:
     """Parse 'p mcq <k> <N> <|E|>' followed by part and edge lines."""
-    k = n = m = -1
     parts: dict[int, tuple[int, ...]] = {}
-    labels: set[int] = set()
+    color: dict[int, int] = {}  # label -> its part
     edges: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or is_comment(line):
-            continue
-        tokens = line.split()
-        if tokens[0] == "p":
-            if k >= 0:
-                raise ParseError(line_no, "duplicate header line")
-            if len(tokens) != 5 or tokens[1] != "mcq":
-                raise ParseError(line_no, "header must be 'p mcq <k> <N> <|E|>'")
-            k, n, m = parse_ints(tokens[2:], line_no)
-            if min(k, n, m) < 0:
-                raise ParseError(line_no, "header values must be nonnegative")
-        elif tokens[0] == "part":
-            if k < 0:
-                raise ParseError(line_no, "part line before header")
-            if len(tokens) < 2:
+    edge_lines: list[tuple[int, tuple[int, int]]] = []
+    lines = records(text, "p mcq")
+    line_no, tokens = next(lines)
+    if len(tokens) != 5 or tokens[1] != "mcq":
+        raise ParseError(line_no, "header must be 'p mcq <k> <N> <|E|>'")
+    k, n, m = parse_ints(tokens[2:], line_no)
+    if k < 2 or min(n, m) < 0:
+        raise ParseError(line_no, "need k >= 2, N >= 0 and |E| >= 0")
+    for line_no, tokens in lines:
+        if tokens[0] == "part":
+            if len(tokens) < 3:
                 raise ParseError(line_no, "part line must be 'part <index> <v...>'")
             idx, *members = parse_ints(tokens[1:], line_no)
             if not 1 <= idx <= k:
@@ -369,26 +362,24 @@ def load_clique_instance(text: str) -> CliqueInstance:
             for x in members:
                 if not 1 <= x <= n:
                     raise ParseError(line_no, f"label {x} out of range 1..{n}")
-                if x in labels:
+                if x in color:
                     raise ParseError(line_no, f"duplicate label {x}")
-                labels.add(x)
+                color[x] = idx
             parts[idx] = tuple(sorted(members))
         elif tokens[0] == "e":
-            if k < 0:
-                raise ParseError(line_no, "edge line before header")
-            parse_edge(tokens, line_no, n, edges)
+            edge_lines.append((line_no, parse_edge(tokens, line_no, n, edges)))
         else:
             raise ParseError(line_no, f"unknown line tag {tokens[0]!r}")
-    if k < 0:
-        raise ParseError(0, "missing 'p mcq' header")
     if len(parts) != k:
         raise ParseError(0, f"need part lines 1..{k}, found {len(parts)}")
     if len(edges) != m:
         raise ParseError(0, f"header declares {m} edges, found {len(edges)}")
-    cq = CliqueInstance(k, tuple(parts[i] for i in range(1, k + 1)), frozenset(edges))
-    if cq.num_labels != n:
-        raise ParseError(0, f"header declares {n} vertices, parts hold {cq.num_labels}")
-    return cq
+    if len(color) != n:
+        raise ParseError(0, f"header declares {n} vertices, parts hold {len(color)}")
+    for line_no, (u, v) in edge_lines:
+        if color[u] == color[v]:
+            raise ParseError(line_no, f"edge ({u},{v}) inside part {color[u]}")
+    return CliqueInstance(k, tuple(parts[i] for i in range(1, k + 1)), frozenset(edges))
 
 
 def save_clique_instance(cq: CliqueInstance) -> str:

@@ -15,7 +15,7 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .core import CapdomError, Instance, ParseError, Report, is_comment, parse_ints
+from .core import CapdomError, Instance, ParseError, Report, parse_ints, records
 
 
 class InvalidDecomposition(CapdomError):
@@ -390,43 +390,31 @@ def project_nice(ntd: NiceTreeDecomposition) -> TreeDecomposition:
 def load_td(text: str) -> TreeDecomposition:
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
-    declared = None
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or is_comment(line):
-            continue
-        parts = line.split()
-        if parts[0] == "s":
-            if declared is not None:
-                raise ParseError(line_no, "duplicate header")
-            if len(parts) != 5 or parts[1] != "td":
-                raise ParseError(line_no, "header must be 's td <#bags> <max_bag_size> <n>'")
-            declared = parse_ints(parts[2:], line_no)
-        elif parts[0] == "b":
-            if declared is None:
-                raise ParseError(line_no, "bag line before header")
+    lines = records(text, "s td")
+    line_no, parts = next(lines)
+    if len(parts) != 5 or parts[1] != "td":
+        raise ParseError(line_no, "header must be 's td <#bags> <max_bag_size> <n>'")
+    num_bags, max_bag, n = parse_ints(parts[2:], line_no)
+    for line_no, parts in lines:
+        if parts[0] == "b":
             if len(parts) < 2:
                 raise ParseError(line_no, "bag line must be 'b <bag_id> <v...>'")
             bag_id, *members = parse_ints(parts[1:], line_no)
             if bag_id in bags:
                 raise ParseError(line_no, f"duplicate bag {bag_id}")
-            if not all(1 <= v <= declared[2] for v in members):
-                raise ParseError(line_no, f"bag {bag_id} holds a vertex outside 1..{declared[2]}")
+            if not all(1 <= v <= n for v in members):
+                raise ParseError(line_no, f"bag {bag_id} holds a vertex outside 1..{n}")
             bags[bag_id] = frozenset(members)
         else:
-            if declared is None:
-                raise ParseError(line_no, "tree edge before header")
             if len(parts) != 2:
                 raise ParseError(line_no, "tree edge must be '<bag> <bag>'")
             a, b = parse_ints(parts, line_no)
             edges.append((a, b))
-    if declared is None:
-        raise ParseError(0, "missing 's td' header")
-    if len(bags) != declared[0]:
-        raise ParseError(0, f"header declares {declared[0]} bags, found {len(bags)}")
+    if len(bags) != num_bags:
+        raise ParseError(0, f"header declares {num_bags} bags, found {len(bags)}")
     largest = max(map(len, bags.values()), default=0)
-    if largest != declared[1]:
-        raise ParseError(0, f"header declares max bag size {declared[1]}, found {largest}")
+    if largest != max_bag:
+        raise ParseError(0, f"header declares max bag size {max_bag}, found {largest}")
     return TreeDecomposition(bags, edges)
 
 

@@ -135,22 +135,35 @@ class TestMerge:
         for piece in slices:
             td = heuristic_decomposition(piece.instance)
             pairs.append((piece, solve_td(piece.instance, make_nice(td), UNSPLIT)))
-        merged = merge_solutions([(piece.orig_of, sol) for piece, sol in pairs])
+        merged = merge_solutions(inst, [(piece.orig_of, sol) for piece, sol in pairs])
         assert merged.cost == sum(sol.cost for _, sol in pairs)
         assert verify_solution(inst, merged, UNSPLIT).passed
 
-    def test_double_buy_counts_twice(self):
-        inst = path_instance([(1, 2, 1)] * 3)
+    @staticmethod
+    def merge_shared_server(capacity):
+        # Two bands each buy one copy of server 2: loads 2 and 1.
+        inst = path_instance([(1, capacity, 1)] * 3)
         a = Slice(inst, (1, 2, 3), frozenset({1, 2}), frozenset({3}), 0, 3)
         b = Slice(inst, (1, 2, 3), frozenset({3}), frozenset({1, 2}), 2, 5)
         sol_a = Solution({2: 1}, {(1, 2): 1, (2, 2): 1}, 1)
         sol_b = Solution({2: 1}, {(3, 2): 1}, 1)
-        merged = merge_solutions([(a.orig_of, sol_a), (b.orig_of, sol_b)])
+        return merge_solutions(inst, [(a.orig_of, sol_a), (b.orig_of, sol_b)])
+
+    def test_copies_follow_merged_load(self):
+        # merged load 3 over capacity 2 still needs both copies
+        merged = self.merge_shared_server(2)
         assert merged.multiplicity == {2: 2}
         assert merged.cost == 2
 
-    def test_empty_list(self):
-        merged = merge_solutions([])
+    def test_shared_server_saves_a_copy(self):
+        # merged load 3 fits one copy of capacity 3; the bands bought two
+        merged = self.merge_shared_server(3)
+        assert merged.multiplicity == {2: 1}
+        assert merged.cost == 1
+        assert merged.assignment == {(1, 2): 1, (2, 2): 1, (3, 2): 1}
+
+    def test_empty_list(self, p3):
+        merged = merge_solutions(p3, [])
         assert merged.cost == 0 and merged.multiplicity == {}
 
     def test_conflict_detected(self):
@@ -159,7 +172,7 @@ class TestMerge:
         b = Slice(inst, (1, 2, 3), frozenset({1}), frozenset({2, 3}), 2, 5)
         sol = Solution({1: 1}, {(1, 1): 1}, 1)
         with pytest.raises(MergeConflict):
-            merge_solutions([(a.orig_of, sol), (b.orig_of, sol)])
+            merge_solutions(inst, [(a.orig_of, sol), (b.orig_of, sol)])
 
 
 class TestBakerSolve:
@@ -248,7 +261,7 @@ class TestBakerSolve:
                     pairs.append(
                         (piece, solve_td(piece.instance, make_nice(td), UNSPLIT))
                     )
-                merged = merge_solutions([(piece.orig_of, sol) for piece, sol in pairs])
+                merged = merge_solutions(inst, [(piece.orig_of, sol) for piece, sol in pairs])
                 assert verify_solution(inst, merged, UNSPLIT).passed
 
 

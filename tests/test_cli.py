@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from capdom import oracle, tddp
+from capdom import oracle, tddp, treewidth
 from capdom.cli import main
 from capdom.fileio import load_solution, save_instance
 
@@ -52,6 +52,14 @@ def run_peak(*argv):
 
 
 class TestSolve:
+    def test_tab_comment_is_skipped(self, p3_file, tmp_path, capsys):
+        commented = tmp_path / "commented.cd"
+        commented.write_text("c\tp3 with a tab\n" + P3_TEXT.replace("\nv 2", "\nc\tmiddle\nv 2"))
+        assert run("solve", "--algo", "greedy-unsplit", p3_file) == 0
+        plain = capsys.readouterr().out
+        assert run("solve", "--algo", "greedy-unsplit", commented) == 0
+        assert capsys.readouterr().out == plain
+
     def test_greedy_unsplit(self, p3_file, tmp_path):
         out = tmp_path / "sol.cd"
         assert run("solve", "--algo", "greedy-unsplit", "-o", out, p3_file) == 0
@@ -253,10 +261,14 @@ class TestGen:
          ("p mcq 2 2 1\npart 1 1\npart 2 2\ne 1 9\n", 4),
          ("p mcq 2 2 1\npart 1 1 1\npart 2 2\n", 2),
          ("p mcq 2 2 0\npart 1 1\npart 2 3\n", 3),
-         ("p mcq 2 2 1\npart 1 1\npart 2 2\ne 1 2\ne 2 1\n", 5)],
+         ("p mcq 2 2 1\npart 1 1\npart 2 2\ne 1 2\ne 2 1\n", 5),
+         ("p mcq 1 1 0\npart 1 1\n", 1),
+         ("p mcq 2 2 0\npart 1 1\npart 2\n", 3),
+         ("p mcq 2 3 0\npart 1 1\npart 2 3\n", 0),
+         ("p mcq 2 3 1\npart 1 1 2\npart 2 3\ne 1 2\n", 4)],
         ids=["non-integer-header", "bare-part", "duplicate-header", "negative-header",
              "self-loop", "edge-label-out-of-range", "repeated-part-label", "part-label-out-of-range",
-             "duplicate-edge"],
+             "duplicate-edge", "one-part", "empty-part", "labels-skip-one", "edge-inside-part"],
     )
     def test_malformed_mcq_is_parse_error(self, text, line_no, tmp_path, capsys):
         clique = tmp_path / "bad.mcq"
@@ -326,6 +338,29 @@ class TestTd:
             assert run("solve", "--algo", "dp", "--model", model, *extra, "-o", out, p3_file) == 0
             costs.append(load_solution(out.read_text())[0].cost)
         assert costs == [3, 3, 3]
+
+    def test_tab_comment_is_skipped(self, p3_file, tmp_path, capsys):
+        td_path = tmp_path / "p3.td"
+        td_path.write_text("c\tone bag\ns td 1 3 3\nc\tits members\nb 1 1 2 3\n")
+        assert run("td", "validate", p3_file, td_path) == 0
+        assert capsys.readouterr().out == "PASS\n"
+
+    @pytest.mark.parametrize(
+        "argv", [("td", "nice", "P3", "TD"), ("solve", "--algo", "dp", "--td", "TD", "P3")],
+        ids=["nice", "solve-dp"],
+    )
+    def test_invalid_decomposition_is_one_error(self, argv, p3_file, tmp_path, capsys):
+        td_path = tmp_path / "broken.td"
+        td_path.write_text("s td 2 1 3\nb 1 1\nb 2 3\n1 2\n")
+        files = {"P3": p3_file, "TD": td_path}
+        assert run(*(files.get(a, a) for a in argv)) == 1
+        assert capsys.readouterr().err.startswith("error: decomposition is invalid: FAIL\n")
+
+    def test_nice_validates_its_own_decomposition(self, p3_file, monkeypatch, capsys):
+        broken = treewidth.TreeDecomposition({1: frozenset({1, 2})}, [])
+        monkeypatch.setattr(treewidth, "heuristic_decomposition", lambda inst: broken)
+        assert run("td", "nice", p3_file) == 1
+        assert capsys.readouterr().err.startswith("error: decomposition is invalid: FAIL\n")
 
     def test_validate_rejects_broken_file(self, p3_file, tmp_path):
         td_path = tmp_path / "broken.td"
@@ -543,7 +578,7 @@ PINNED_STDOUT = [
     (("solve", "--algo", "baker", "--k", "2", "--model", "unsplit", "A"),
      "bed7b17c79f8009948b8dc7ed4dfc1e72ec89995dd7dc697877aaf8cf7fe9515"),
     (("solve", "--algo", "baker", "--k", "2", "--model", "split", "A"),
-     "cbbd037412f41248086b9d4d1553886b295a1d01f6cc668755b94eed6e8f43f9"),
+     "42cbb997d003db9bd7c00b2696a82100b44721dedfe83d20e52fbb5ed8d838c7"),
     (("solve", "--algo", "oracle", "--model", "unsplit", "A"),
      "44fb2f20f3c4d62ba6fe52bc5d511ad9d1c6c4f9e86d089f8f5bf2a6e47b34ce"),
     (("solve", "--algo", "oracle", "--model", "split", "A"),

@@ -17,6 +17,8 @@ from capdom.core import (
 )
 from capdom.fileio import load_instance, load_solution, save_instance, save_solution
 from capdom.greedy import greedy_unsplittable
+from capdom.hardness import load_clique_instance
+from capdom.treewidth import load_td
 
 from conftest import mk, p3_instance
 
@@ -62,6 +64,44 @@ class TestLoadInstance:
         big = 2**62
         with pytest.raises(OverflowError):
             load_instance(f"p capdom 2 0\nv 1 {big} 1 1\nv 2 1 1 {big}\n")
+
+
+# (loader, header, body records) of each text format; the last body record
+# is the one placed before the header.
+FORMATS = {
+    "instance": (load_instance, "p capdom 2 1", ["v 1 1 1 1", "v 2 1 1 1", "e 1 2"]),
+    "solution": (load_solution, "s capdom 1 split", ["x 1 1", "a 1 1 1", "t 1 1 1 1 1"]),
+    "td": (load_td, "s td 2 2 3", ["b 1 1 2", "b 2 2 3", "1 2"]),
+    "mcq": (load_clique_instance, "p mcq 2 2 1", ["part 1 1", "part 2 2", "e 1 2"]),
+}
+
+
+@pytest.mark.parametrize("fmt", list(FORMATS))
+class TestHeaderRules:
+    def test_comments_and_blanks_before_header(self, fmt):
+        load, header, body = FORMATS[fmt]
+        plain = "\n".join([header, *body]) + "\n"
+        commented = "c note\n\n  \nc\ttab note\nc\n" + plain.replace("\n", "\nc mid\n\n", 1)
+        assert load(commented) == load(plain)
+
+    @pytest.mark.parametrize(
+        "case, line_no, fragment",
+        [("wrong-magic", 1, "header must be"), ("record-before-header", 2, "record before header"),
+         ("second-header", 5, "duplicate header"), ("no-header", 0, "missing")],
+        ids=["wrong-magic", "record-before-header", "second-header", "no-header"],
+    )
+    def test_rejects(self, fmt, case, line_no, fragment):
+        load, header, body = FORMATS[fmt]
+        tag, _, *values = header.split()
+        lines = {
+            "wrong-magic": [" ".join([tag, "foo", *values]), *body],
+            "record-before-header": ["c note", body[-1], header, *body],
+            "second-header": [header, *body, header],
+            "no-header": ["c note", ""],
+        }[case]
+        with pytest.raises(ParseError, match=fragment) as info:
+            load("\n".join(lines) + "\n")
+        assert info.value.line_no == line_no
 
 
 class TestRoundTrip:

@@ -24,7 +24,7 @@ from .core import (
     require_feasible,
 )
 from . import tddp
-from .treewidth import LevelAssignment, bfs_levels
+from .treewidth import LevelAssignment, bfs_levels, components  # noqa: F401 (bfs_levels re-exported)
 # These stay importable from here: perfbench's tracer wraps them in every
 # module that imported them.  Slices reach them through `tddp.solve`.
 from .tddp import solve_td  # noqa: F401
@@ -127,10 +127,7 @@ def baker_solve(inst: Instance, k: int, model: DemandModel) -> BakerResult:
     require_feasible(inst)
     chosen: list[tuple[tuple[int, ...], Solution]] = []
     shift_costs: list[list[int]] = []
-    unseen = set(inst.vertices())
-    while unseen:
-        levels = bfs_levels(inst, min(unseen))
-        unseen -= levels.level.keys()
+    for levels in components(inst):
         shifts = []
         for r in range(min(k, levels.num_levels)):
             bands = make_slices(inst, levels, k, r)

@@ -155,6 +155,14 @@ SOLVE_ONLY_FLAGS = {
 }
 
 
+def _unverified(inst: Instance, solution: Solution, model: DemandModel) -> bool:
+    """True, after reporting it, when a solver's output fails `verify_solution`."""
+    report = verify_solution(inst, solution, model)
+    if not report.passed:
+        sys.stderr.write(f"internal error: produced solution failed verification\n{report}\n")
+    return not report.passed
+
+
 def _solve(args) -> int:
     for dest, algos in SOLVE_ONLY_FLAGS.items():
         if getattr(args, dest) is not None and args.algo not in algos:
@@ -162,9 +170,7 @@ def _solve(args) -> int:
     inst = _load_instance(args.instance)
     model = _model_for(args.algo, args.model)
     solution, trace_lines, comments = ALGOS[args.algo][2](inst, model, args)
-    report = verify_solution(inst, solution, model)
-    if not report.passed:
-        sys.stderr.write(f"internal error: produced solution failed verification\n{report}\n")
+    if _unverified(inst, solution, model):
         return EXIT_FAIL
     _emit(
         fileio.save_solution(
@@ -243,15 +249,17 @@ def _bench(args) -> int:
     if algo == "greedy-unweighted" and args.max_w != 1:
         raise _Usage("greedy-unweighted requires --max-w 1")
 
+    opt_algo = "oracle" if args.n <= args.oracle_threshold else "dp"
+    bound = float(bound_of(_harmonic(args.n)))
     rng = random.Random(args.seed)
     rows = ["index,n,m,algo,model,cost,opt,opt_algo,ratio,bound"]
     for index in range(args.batch):
         inst = _random_instance(args, rng.randrange(2**32))
-        cost = runner(inst, model, args)[0].cost
-        opt_algo = "oracle" if args.n <= args.oracle_threshold else "dp"
-        opt = ALGOS[opt_algo][2](inst, model, args)[0].cost
+        solutions = [runner(inst, model, args)[0], ALGOS[opt_algo][2](inst, model, args)[0]]
+        if any(_unverified(inst, solution, model) for solution in solutions):
+            return EXIT_FAIL
+        cost, opt = (solution.cost for solution in solutions)
         ratio = 1.0 if opt == 0 else cost / opt
-        bound = float(bound_of(_harmonic(args.n)))
         rows.append(
             f"{index},{inst.n},{len(inst.edges)},{algo},{model.value},"
             f"{cost},{opt},{opt_algo},{ratio:.6f},{bound:.6f}"

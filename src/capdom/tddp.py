@@ -51,10 +51,6 @@ from .treewidth import FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDecomposition, Tre
 Triple = tuple[int, int, int]
 
 
-class EmptyTable(CapdomError):
-    """No configuration survived a forget node; propagates infeasibility."""
-
-
 # (cost, triples, prev), as the module docstring describes
 Row = tuple[int, tuple[Triple, ...], tuple[int, ...]]
 
@@ -216,7 +212,7 @@ def dp_forget(child: DPTable, v: int) -> DPTable:
         if old is None or cost < old[0]:
             rows[new_key] = (cost, (), (key,))
     if not rows:
-        raise EmptyTable(f"no configuration survives forgetting vertex {v}")
+        raise InfeasibleInstance(f"no configuration survives forgetting vertex {v}")
     return table
 
 
@@ -406,22 +402,19 @@ def solve_td(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> 
     """
     require_feasible(inst)
     tables: dict[int, DPTable] = {}
-    try:
-        for node in ntd.post_order():
-            kids = [tables[id(child)] for child in node.children]
-            if node.kind == LEAF:
-                (v,) = node.bag
-                tables[id(node)] = dp_leaf(inst, v, model)
-            elif node.kind == INTRODUCE:
-                tables[id(node)] = dp_introduce(inst, kids[0], node.vertex)
-            elif node.kind == FORGET:
-                tables[id(node)] = dp_forget(kids[0], node.vertex)
-            elif node.kind == JOIN:
-                tables[id(node)] = dp_join(inst, *kids)
-            else:
-                raise ValueError(f"unknown node kind {node.kind!r}")
-    except EmptyTable as exc:
-        raise InfeasibleInstance(str(exc)) from exc
+    for node in ntd.post_order():
+        kids = [tables[id(child)] for child in node.children]
+        if node.kind == LEAF:
+            (v,) = node.bag
+            tables[id(node)] = dp_leaf(inst, v, model)
+        elif node.kind == INTRODUCE:
+            tables[id(node)] = dp_introduce(inst, kids[0], node.vertex)
+        elif node.kind == FORGET:
+            tables[id(node)] = dp_forget(kids[0], node.vertex)
+        elif node.kind == JOIN:
+            tables[id(node)] = dp_join(inst, *kids)
+        else:
+            raise ValueError(f"unknown node kind {node.kind!r}")
 
     root_row = tables[id(ntd.root)].rows.get(0)
     if root_row is None:

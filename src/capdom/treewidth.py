@@ -11,8 +11,7 @@ PACE-style .td files are the on-disk format:
 """
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .core import CapdomError, Instance, ParseError, Report, parse_ints, records
@@ -24,10 +23,11 @@ class InvalidDecomposition(CapdomError):
 
 @dataclass
 class TreeDecomposition:
-    """Bags indexed by id plus tree edges between bag ids."""
+    """Bags indexed by id plus tree edges between bag ids, and a loaded file's header n."""
 
     bags: dict[int, frozenset[int]]
     tree_edges: list[tuple[int, int]]
+    n: int | None = field(default=None, compare=False)
 
     @property
     def width(self) -> int:
@@ -60,17 +60,7 @@ def validate_td(inst: Instance, td: TreeDecomposition) -> Report:
         problems.append(
             f"bag graph has {len(td.tree_edges)} edges over {len(td.bags)} bags, not a tree"
         )
-    adj = td.neighbors()
-    start = min(ids)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if seen != ids:
+    if bfs_parents(min(ids), td.neighbors()).keys() != ids:
         problems.append("bag graph is disconnected")
     if problems:
         return Report(False, problems)
@@ -79,6 +69,8 @@ def validate_td(inst: Instance, td: TreeDecomposition) -> Report:
     for i, bag in td.bags.items():
         for v in bag:
             holding.setdefault(v, set()).add(i)
+    if td.n is not None and td.n != inst.n:
+        problems.append(f"header declares {td.n} vertices, instance has {inst.n}")
     vertices = set(inst.vertices())
     missing = vertices - holding.keys()
     if missing:
@@ -145,36 +137,55 @@ class LevelAssignment:
     num_levels: int
 
 
+def bfs_parents(
+    root: int, neighbors: Mapping[int, Iterable[int]] | Sequence[Iterable[int]]
+) -> dict[int, int | None]:
+    """Breadth-first search from `root`, visiting neighbors in id order.
+
+    Maps each node reached to the node it was first reached from, in
+    visiting order; the root maps to None.
+    """
+    parent: dict[int, int | None] = {root: None}
+    queue = [root]
+    for u in queue:
+        for v in sorted(neighbors[u]):
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
 def bfs_levels(inst: Instance, root: int) -> LevelAssignment:
     """BFS distances from `root` over its component, neighbors in id order.
 
     `level` lists the component in visiting order; adjacent vertices
     differ by at most one level.
     """
-    level = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(inst.neighbors(u)):
-            if v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
+    level: dict[int, int] = {}
+    for v, u in bfs_parents(root, inst.adj).items():
+        level[v] = 0 if u is None else level[u] + 1
     return LevelAssignment(level, max(level.values()) + 1)
+
+
+def components(inst: Instance) -> Iterator[LevelAssignment]:
+    """`bfs_levels` of each component, searched from its smallest vertex
+    id, in order of that id."""
+    seen: set[int] = set()
+    for start in inst.vertices():
+        if start not in seen:
+            levels = bfs_levels(inst, start)
+            seen.update(levels.level)
+            yield levels
 
 
 def bfs_order(inst: Instance) -> list[int]:
     """Breadth-first elimination order (Cuthill–McKee style).
 
-    The `bfs_levels` visiting orders of the components, each searched from
-    its smallest vertex id, in order of that id.  On grid-like graphs this
-    sweeps level by level, which gives a path-like decomposition without
-    join nodes.
+    The `bfs_levels` visiting orders of the `components`.  On grid-like
+    graphs this sweeps level by level, which gives a path-like
+    decomposition without join nodes.
     """
-    visited: dict[int, int] = {}
-    for start in inst.vertices():
-        if start not in visited:
-            visited.update(bfs_levels(inst, start).level)
-    return list(visited)
+    return [v for levels in components(inst) for v in levels.level]
 
 
 class Abandoned(Exception):
@@ -303,14 +314,6 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         raise InvalidDecomposition("no bags")
     if not any(td.bags.values()):
         raise InvalidDecomposition("empty bag")
-    adj = td.neighbors()
-
-    def build_leaf_chain(bag: frozenset[int]) -> NiceNode:
-        ordered = sorted(bag)
-        node = NiceNode(LEAF, frozenset([ordered[0]]))
-        for v in ordered[1:]:
-            node = NiceNode(INTRODUCE, node.bag | {v}, vertex=v, children=[node])
-        return node
 
     def adapt(node: NiceNode, target: frozenset[int]) -> NiceNode:
         for v in sorted(node.bag - target):
@@ -321,28 +324,20 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
 
     lowest = min(min(bag) for bag in td.bags.values() if bag)
     root = min(i for i, bag in td.bags.items() if lowest in bag)
-    kids: dict[int, list[int]] = {root: []}
-    order = [root]
-    for bag_id in order:
-        for k in sorted(adj[bag_id]):
-            if k not in kids:
-                kids[bag_id].append(k)
-                kids[k] = []
-                order.append(k)
-    built: dict[int, NiceNode | None] = {}
-    for bag_id in reversed(order):
+    parent = bfs_parents(root, td.neighbors())
+    subtrees: dict[int, list[NiceNode]] = {bag_id: [] for bag_id in parent}
+    for bag_id in reversed(parent):
         bag = td.bags[bag_id]
-        children = [built.pop(k) for k in kids[bag_id]]
-        subtrees = [adapt(child, bag) for child in children if child is not None]
-        node = subtrees[0] if subtrees else (build_leaf_chain(bag) if bag else None)
-        for other in subtrees[1:]:
+        below = subtrees.pop(bag_id)[::-1]  # children finish last-visited first
+        if not below and bag:
+            below = [adapt(NiceNode(LEAF, frozenset({min(bag)})), bag)]
+        node = below[0] if below else None
+        for other in below[1:]:
             node = NiceNode(JOIN, bag, children=[node, other])
-        built[bag_id] = node
-
-    top = built[root]
-    for v in sorted(top.bag):
-        top = NiceNode(FORGET, top.bag - {v}, vertex=v, children=[top])
-    return NiceTreeDecomposition(top)
+        up = parent[bag_id]
+        if up is not None and node is not None:
+            subtrees[up].append(adapt(node, td.bags[up]))
+    return NiceTreeDecomposition(adapt(node, frozenset()))  # the root's node, built last
 
 
 def validate_nice(ntd: NiceTreeDecomposition) -> Report:
@@ -415,7 +410,7 @@ def load_td(text: str) -> TreeDecomposition:
     largest = max(map(len, bags.values()), default=0)
     if largest != max_bag:
         raise ParseError(0, f"header declares max bag size {max_bag}, found {largest}")
-    return TreeDecomposition(bags, edges)
+    return TreeDecomposition(bags, edges, n)
 
 
 def save_td(td: TreeDecomposition, n: int) -> str:

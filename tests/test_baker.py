@@ -20,7 +20,7 @@ from capdom.core import (
 )
 from capdom.oracle import exact_unsplittable
 from capdom.tddp import solve_td
-from capdom.treewidth import heuristic_decomposition, make_nice
+from capdom.treewidth import components, heuristic_decomposition, make_nice
 
 from conftest import cycle_instance, grid_instance, mk, path_instance
 
@@ -288,6 +288,28 @@ class TestDemandCap:
             for r in range(k)
         ]
         assert res.shift_costs == [uncapped]
+
+    def test_band_cap_is_input_cap_on_kept_vertices(self):
+        # N[v] of a kept vertex lies inside its band and ids keep their
+        # order, so capping each band equals capping the input once
+        capped_bands = 0
+        for seed in range(120):
+            inst = random_instance(2 + seed % 29, (0.1, 0.2, 0.4)[seed % 3], 5, 4, 12, seed)
+            demands, routed = tddp.cap_demands(inst)
+            for levels in components(inst):
+                for k in (2, 3, 4):
+                    for r in range(k):
+                        for piece in make_slices(inst, levels, k, r):
+                            band, band_routed = tddp.cap_demands(piece.instance)
+                            capped_bands += bool(band_routed)
+                            orig = piece.orig_of
+                            for v in piece.instance.vertices():
+                                want = demands.demand(orig[v - 1]) if orig[v - 1] in piece.kept else 0
+                                assert band.demand(v) == want
+                            assert {(orig[c - 1], orig[s - 1]): t for (c, s), t in band_routed.items()} == {
+                                key: t for key, t in routed.items() if key[0] in piece.kept
+                            }
+        assert capped_bands > 2000
 
     def test_unit_capacity_grid_builds_no_table(self, monkeypatch):
         # c = 1 gives B(v) = 0 everywhere, so every demand is set aside

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from capdom import oracle, tddp, treewidth
+from capdom import greedy, oracle, tddp, treewidth
+from capdom.core import Solution
 from capdom.cli import main
 from capdom.fileio import load_solution, save_instance
 
@@ -401,6 +402,20 @@ class TestTd:
         assert run(*(files.get(a, a) for a in argv)) == 2
         assert capsys.readouterr().err.startswith("parse error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("td", "validate", "P3", "TD"), ("td", "nice", "P3", "TD"),
+         ("solve", "--algo", "dp", "--td", "TD", "P3")],
+        ids=["validate", "nice", "solve-dp"],
+    )
+    def test_header_vertex_count_must_match_instance(self, argv, p3_file, tmp_path, capsys):
+        td_path = tmp_path / "wrong-n.td"
+        td_path.write_text("s td 2 2 99\nb 1 1 2\nb 2 2 3\n1 2\n")
+        files = {"P3": p3_file, "TD": td_path}
+        assert run(*(files.get(a, a) for a in argv)) == 1
+        captured = capsys.readouterr()
+        assert "header declares 99 vertices, instance has 3\n" in captured.out + captured.err
+
     def test_validate_without_file_is_usage_error(self, p3_file, capsys):
         assert run("td", "validate", p3_file) == 2
         assert "decomposition file" in capsys.readouterr().err
@@ -482,6 +497,14 @@ class TestBench:
         assert run(*args, "-o", a) == 0
         assert run(*args, "-o", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unverified_solution_fails_without_csv(self, tmp_path, monkeypatch, capsys):
+        empty = greedy.GreedyResult(Solution({}, {}, 0), [])
+        monkeypatch.setattr(greedy, "greedy_unsplittable", lambda inst: empty)
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--n", 5, "--batch", 2, "--seed", 1, "--model", "unsplit", "-o", out) == 1
+        assert capsys.readouterr().err.startswith("internal error: produced solution failed verification\n")
+        assert not out.exists()
 
     def test_unweighted_requires_unit_weights(self, tmp_path):
         assert (

@@ -22,7 +22,6 @@ from capdom.core import (
 from capdom.oracle import exact_splittable, exact_unsplittable
 from capdom.tddp import (
     DPTable,
-    EmptyTable,
     decode_key,
     dp_forget,
     dp_introduce,
@@ -281,7 +280,7 @@ def reference_forget(child, v):
             if new_key not in table.rows or cost < table.rows[new_key].cost:
                 table.rows[new_key] = DPRow(cost, (), (key,))
     if not table.rows:
-        raise EmptyTable(f"no configuration survives forgetting vertex {v}")
+        raise InfeasibleInstance(f"no configuration survives forgetting vertex {v}")
     return table
 
 
@@ -425,7 +424,7 @@ class TestForget:
 
     def test_empty_table_raised(self):
         inst = mk([(1, 0, 2), (1, 5, 0)], [(1, 2)])
-        with pytest.raises(EmptyTable):
+        with pytest.raises(InfeasibleInstance):
             dp_forget(dp_leaf(inst, 1, UNSPLIT), 1)
 
     @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
@@ -889,8 +888,8 @@ class TestKeyLayout:
             child.rows[encode_key(child, *pair)] = DPRow(cost % 3, (), ())  # ties collide
         try:
             expected = reference_forget(decoded(child), v)
-        except EmptyTable:
-            with pytest.raises(EmptyTable):
+        except InfeasibleInstance:
+            with pytest.raises(InfeasibleInstance):
                 dp_forget(child, v)
             return
         table = dp_forget(child, v)

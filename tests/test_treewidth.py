@@ -196,6 +196,16 @@ class TestValidate:
         assert not report.passed
         assert any("vertex 1 are not connected" in p for p in report.problems)
 
+    def test_cycle_beside_lone_bag_is_disconnected(self):
+        # n - 1 distinct edges, but they close the cycle 1-2-3 and leave
+        # bag 4 unreached; coverage and each vertex's bags would pass
+        inst = mk([(1, 1, 1)] * 5, [(1, 2), (2, 3), (3, 4)])
+        bags = {1: {1, 2}, 2: {2, 3}, 3: {3, 4}, 4: {5}}
+        td = TreeDecomposition({i: frozenset(b) for i, b in bags.items()}, [(1, 2), (2, 3), (3, 1)])
+        report = validate_td(inst, td)
+        assert report.problems == ["bag graph is disconnected"]
+        assert report == reference_validate_td(inst, td)
+
 
 def reference_elimination(inst, order):
     """The fill-in construction before any contraction: bag i + 1 holds

@@ -104,7 +104,7 @@ def _run_baker(inst, model, args):
 
 
 def _run_oracle(inst, model, args):
-    # `solve` leaves --budget unset unless given; SearchBudget() holds the default.
+    # --budget is unset unless given; SearchBudget() holds the default.
     budget = oracle.SearchBudget() if args.budget is None else oracle.SearchBudget(args.budget)
     return oracle.exact_solve(inst, model, budget), [], []
 
@@ -306,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--trace", action="store_true", default=None, help="append greedy iteration trace lines"
     )
-    solve.add_argument("--budget", type=_positive_int, help="oracle node limit (default 5000000)")
+    budget_help = f"oracle node limit (default {oracle.SearchBudget.max_nodes})"
+    solve.add_argument("--budget", type=_positive_int, help=budget_help)
     solve.add_argument("-o", "--output")
     solve.add_argument("instance")
 
@@ -347,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--max-c", type=_positive_int, default=4)
     bench.add_argument("--max-d", type=_positive_int, default=4)
     bench.add_argument("--oracle-threshold", type=int, default=9)
-    bench.add_argument("--budget", type=_positive_int, default=5_000_000)
+    bench.add_argument("--budget", type=_positive_int, help=budget_help)
     bench.add_argument("-o", "--output")
     return parser
 

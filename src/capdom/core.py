@@ -7,8 +7,9 @@ are soft: a vertex may be bought any number of times.
 """
 from __future__ import annotations
 
+import copy
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
@@ -209,12 +210,19 @@ def require_feasible(inst: Instance) -> None:
 
 
 def with_demands(inst: Instance, demands: Mapping[int, int]) -> Instance:
-    """Copy of the instance with the listed vertices' demands replaced."""
-    attrs = [
-        VertexAttrs(a.weight, a.capacity, demands.get(v, a.demand))
-        for v, a in zip(inst.vertices(), inst.attrs)
-    ]
-    return Instance(inst.n, tuple(attrs), inst.edges)
+    """Copy of the instance with the listed vertices' demands replaced, sharing
+    its edges and adjacency; an id outside 1..n or a negative demand raises."""
+    attrs = list(inst.attrs)
+    for v, d in demands.items():
+        if not 1 <= v <= inst.n:
+            raise ValueError(f"vertex {v} out of range")
+        if d < 0:
+            raise ValueError("vertex attributes must be nonnegative")
+        attrs[v - 1] = replace(attrs[v - 1], demand=d)
+    changed = copy.copy(inst)
+    object.__setattr__(changed, "attrs", tuple(attrs))
+    changed._audit_overflow()
+    return changed
 
 
 def induced_instance(
@@ -228,6 +236,8 @@ def induced_instance(
     orig = tuple(sorted(set(vertices)))
     if not orig:
         raise ValueError("induced instance needs at least one vertex")
+    if orig[0] < 1 or orig[-1] > inst.n:
+        raise ValueError(f"induced vertices must lie in 1..{inst.n}")
     zeroed = set(zero_demand)
     new_id = {v: i + 1 for i, v in enumerate(orig)}
     attrs = tuple(

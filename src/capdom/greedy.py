@@ -94,7 +94,6 @@ class GreedyState:
 class GreedyResult:
     solution: Solution
     trace: list[TraceEntry]
-    phase0_cost: int = 0
 
     def trace_lines(self) -> list[str]:
         return [t.line() for t in self.trace]
@@ -350,14 +349,12 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
     trace: list[TraceEntry] = []
     assignment: dict[tuple[int, int], int] = {}
     residue: dict[int, int] = {}
-    phase0_cost = 0
     for v in sorted(best_neighbor):
         g = best_neighbor[v]
         cg = inst.capacity(g)
         copies = inst.demand(v) // cg
         if copies > 0:
             _add(assignment, v, g, cg * copies)
-            phase0_cost += copies
             trace.append(TraceEntry(0, g, 0, copies, 0))
         residue[v] = inst.demand(v) - cg * copies
     state = GreedyState(
@@ -385,4 +382,4 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
 
     _greedy_loop(inst, state.residue_demand, lambda u: _split_quote(inst, state, u), take)
     solution = minimum_multiplicities(inst, state.partial_assignment)
-    return GreedyResult(solution, trace, phase0_cost=phase0_cost)
+    return GreedyResult(solution, trace)

@@ -17,12 +17,15 @@ positive capacities: the rate w(s) / c(s) is held as w(s) * (L // c(s)),
 so the bound times L is an exact int, and it is compared with L times
 the incumbent cost.  Scaling both sides by the same positive L keeps
 every comparison, heap order and tie exactly as in rational arithmetic.
+
+The splittable search checks each complete vector with `feasibility_flow`:
+fixed copy counts leave a transportation problem, solved by shortest
+augmenting paths read off the instance and the current routing.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .core import (
@@ -65,113 +68,62 @@ class CostBoundExceeded(CapdomError):
         self.bound = bound
 
 
-class _Dinic:
-    """Max flow on a small integer-capacity network."""
-
-    def __init__(self, nodes: int):
-        self.nodes = nodes
-        self.head: list[list[int]] = [[] for _ in range(nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
-
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.nodes
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for idx in self.head[u]:
-                v = self.to[idx]
-                if self.cap[idx] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = self._levels(s, t)
-            if level is None:
-                return flow
-            it = [0] * self.nodes
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    idx = self.head[u][it[u]]
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[idx]))
-                        if got > 0:
-                            self.cap[idx] -= got
-                            self.cap[idx ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 62)
-                if pushed == 0:
-                    break
-                flow += pushed
-
-    def flow_on(self, idx: int) -> int:
-        return self.cap[idx ^ 1]
-
-
-def feasibility_flow(
-    inst: Instance, multiplicity: dict[int, int]
-) -> dict[tuple[int, int], int] | None:
+def feasibility_flow(inst: Instance, multiplicity: dict[int, int]) -> dict[tuple[int, int], int] | None:
     """Assignment saturating every demand under the given copy counts, or None.
 
-    Reduces to max flow: source -> consumers (cap d) -> closed-neighborhood
-    servers (cap d) -> sink (cap c * x); integral capacities make the
-    extracted assignment integral.
+    Each consumer in id order pushes its demand along shortest augmenting
+    paths: a breadth-first search steps to the servers with room in N[x]
+    and from a full server back to the consumers routed to it, up to a
+    server with spare room.  A consumer with no such path means no
+    assignment exists.  Amounts stay integral.
     """
-    consumers = [v for v in inst.vertices() if inst.demand(v) > 0]
-    total = sum(inst.demand(v) for v in consumers)
-    if total == 0:
-        return {}
-    consumer_idx = {v: 1 + i for i, v in enumerate(consumers)}
-    server_cap = {
-        u: inst.capacity(u) * multiplicity.get(u, 0)
-        for u in inst.vertices()
-        if inst.capacity(u) * multiplicity.get(u, 0) > 0
+    spare = {u: inst.capacity(u) * multiplicity.get(u, 0) for u in inst.vertices()}
+    # options[v]: the servers with room in N[v]; routed[u][x]: x's units on u.
+    options = {
+        v: [u for u in sorted(inst.closed_neighborhood(v)) if spare[u] > 0]
+        for v in inst.vertices()
+        if inst.demand(v)
     }
-    servers = sorted(server_cap)
-    server_idx = {u: 1 + len(consumers) + i for i, u in enumerate(servers)}
-    sink = 1 + len(consumers) + len(servers)
-    net = _Dinic(sink + 1)
-    for v in consumers:
-        net.add_edge(0, consumer_idx[v], inst.demand(v))
-    middle: list[tuple[int, int, int]] = []
-    for v in consumers:
-        for u in sorted(inst.closed_neighborhood(v)):
-            if u in server_idx:
-                middle.append(
-                    (v, u, net.add_edge(consumer_idx[v], server_idx[u], inst.demand(v)))
-                )
-    for u in servers:
-        net.add_edge(server_idx[u], sink, server_cap[u])
-    if net.max_flow(0, sink) < total:
-        return None
-    assignment: dict[tuple[int, int], int] = {}
-    for v, u, idx in middle:
-        amount = net.flow_on(idx)
-        if amount > 0:
-            assignment[(v, u)] = amount
-    return assignment
+    routed: dict[int, dict[int, int]] = {u: {} for u in spare}
+    for v in options:
+        need = inst.demand(v)
+        while need:
+            # came_from[u]: the consumer server u was reached from; back_from[x]:
+            # the server consumer x was reached back from (0 for v itself).
+            came_from: dict[int, int] = {}
+            back_from = {v: 0}
+            frontier = [v]
+            end = 0
+            for x in frontier:
+                for u in options[x]:
+                    if u in came_from:
+                        continue
+                    came_from[u] = x
+                    if spare[u]:
+                        end = u
+                        break
+                    for y, amount in routed[u].items():
+                        if amount and y not in back_from:
+                            back_from[y] = u
+                            frontier.append(y)
+                if end:
+                    break
+            if not end:
+                return None
+            # Walk back from end: each (x, u) hands x's units on u onward.
+            hops = []
+            x = came_from[end]
+            while x != v:
+                hops.append((x, back_from[x]))
+                x = came_from[hops[-1][1]]
+            push = min(need, spare[end], *(routed[u][x] for x, u in hops))
+            need -= push
+            spare[end] -= push
+            for x, u in hops:
+                routed[u][x] -= push
+            for u in [end] + [u for _, u in hops]:
+                routed[u][came_from[u]] = routed[u].get(came_from[u], 0) + push
+    return dict(sorted(((x, u), a) for u, by in routed.items() for x, a in by.items() if a))
 
 
 def _vector_of(sol: Solution, inst: Instance) -> tuple[int, ...]:

@@ -149,6 +149,19 @@ def brute_splittable_cost(inst: Instance):
     return best
 
 
+def hall_condition_holds(inst: Instance, multiplicity) -> bool:
+    """Whether every set S of consumers has d(S) <= the room c(u) * x(u)
+    summed over N[S]: the supply-demand condition for a routing to exist."""
+    consumers = [v for v in inst.vertices() if inst.demand(v) > 0]
+    for size in range(1, len(consumers) + 1):
+        for subset in itertools.combinations(consumers, size):
+            reach = set().union(*(inst.closed_neighborhood(v) for v in subset))
+            room = sum(inst.capacity(u) * multiplicity.get(u, 0) for u in reach)
+            if sum(inst.demand(v) for v in subset) > room:
+                return False
+    return True
+
+
 def brute_assignment_exists(inst: Instance, multiplicity) -> bool:
     """Backtracking check that the copy counts support some integral routing."""
     caps = {

@@ -181,14 +181,12 @@ def reference_greedy_unweighted_splittable(inst):
     trace = []
     assignment = {}
     residue = {}
-    phase0_cost = 0
     for v in sorted(best_neighbor):
         g = best_neighbor[v]
         cg = inst.capacity(g)
         copies = inst.demand(v) // cg
         if copies > 0:
             _add(assignment, v, g, cg * copies)
-            phase0_cost += copies
             trace.append(TraceEntry(0, g, 0, copies, 0))
         residue[v] = inst.demand(v) - cg * copies
     state = GreedyState(
@@ -218,5 +216,5 @@ def reference_greedy_unweighted_splittable(inst):
             trace.append(TraceEntry(iteration, g, 0, 0, 2))
         boundary.append(_drop_settled(state))
     solution = minimum_multiplicities(inst, state.partial_assignment)
-    result = GreedyResult(solution, trace, phase0_cost=phase0_cost)
+    result = GreedyResult(solution, trace)
     return result, boundary

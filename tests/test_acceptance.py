@@ -167,7 +167,8 @@ class TestCriterion4PrepassBound:
     def test_phase0_within_optimum(self, oracle_unweighted_batch):
         violations = []
         for idx, (inst, opt) in enumerate(oracle_unweighted_batch):
-            phase0 = greedy_unweighted_splittable(inst).phase0_cost
+            trace = greedy_unweighted_splittable(inst).trace
+            phase0 = sum(t.iter_cost for t in trace if t.phase == 0)
             if phase0 > opt.cost:
                 violations.append((idx, phase0, opt.cost))
         _report(4, violations, "pre-pass cost <= OPT on 200 unit-weight instances")

@@ -177,6 +177,10 @@ class TestSolve:
         assert run("solve", "--algo", "oracle", p3_file) == 0
         assert run("solve", "--algo", "oracle", "--budget", 77, p3_file) == 0
         assert budgets == [5_000_000, 77]
+        bench = ("bench", "--n", 4, "--batch", 2, "--seed", 1, "--model", "unsplit")
+        assert run(*bench) == 0
+        assert run(*bench, "--budget", 88) == 0
+        assert budgets == [5_000_000, 77] + [5_000_000] * 2 + [88] * 2
 
     def test_infeasible_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cd"

@@ -255,11 +255,28 @@ class TestInstanceHelpers:
         assert changed.demand(2) == 0 and changed.demand(1) == 1
         assert changed.edges == p3.edges
 
+    def test_with_demands_shares_the_parent_graph(self, p3):
+        changed = with_demands(p3, {1: 4})
+        assert changed.adj is p3.adj and changed.closed is p3.closed
+        assert changed.demand(1) == 4 and p3.demand(1) == 1
+        with pytest.raises(ValueError, match="nonnegative"):
+            with_demands(p3, {2: -1})
+
+    def test_with_demands_rejects_unknown_ids(self, p3):
+        for v in (0, 4, 7):
+            with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+                with_demands(p3, {v: 5})
+
     def test_induced_instance(self, p3):
         sub, orig = induced_instance(p3, [2, 3], zero_demand=[3])
         assert sub.n == 2 and orig == (2, 3)
         assert sub.edges == ((1, 2),)
         assert sub.demand(1) == 1 and sub.demand(2) == 0
+
+    def test_induced_instance_rejects_unknown_ids(self, p3):
+        for ids in ([0, 1], [2, 4], [-1, 5]):
+            with pytest.raises(ValueError, match="must lie in 1..3"):
+                induced_instance(p3, ids)
 
     def test_instance_rejects_bad_edges(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,7 @@ from conftest import (
     brute_splittable_cost,
     brute_unsplittable,
     brute_unsplittable_cost,
+    hall_condition_holds,
     mk,
     p3_instance,
     small_instances,
@@ -86,6 +87,31 @@ class TestFeasibilityFlow:
                 for v in inst.vertices():
                     assert served.get(v, 0) >= inst.demand(v)
                     assert load.get(v, 0) <= inst.capacity(v) * mult.get(v, 0)
+
+
+class TestFeasibilityFlowHall:
+    def test_routes_exactly_when_hall_condition_holds(self):
+        outcomes = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = 6 + seed % 5
+            inst = random_instance(n, rng.choice([0.2, 0.35, 0.5]), 3, 3, 5, seed)
+            mult = {v: rng.randint(0, 2) for v in inst.vertices()}
+            got = feasibility_flow(inst, mult)
+            assert (got is not None) == hall_condition_holds(inst, mult), seed
+            outcomes.add(got is not None)
+            if got is None:
+                continue
+            served = dict.fromkeys(inst.vertices(), 0)
+            load = dict.fromkeys(inst.vertices(), 0)
+            for (v, u), amount in got.items():
+                assert amount > 0 and u in inst.closed_neighborhood(v)
+                served[v] += amount
+                load[u] += amount
+            for v in inst.vertices():
+                assert served[v] == inst.demand(v)
+                assert load[v] <= inst.capacity(v) * mult.get(v, 0)
+        assert outcomes == {True, False}
 
 
 class TestExactUnsplittable:

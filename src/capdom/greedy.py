@@ -22,7 +22,7 @@ pick routes a prefix of that list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection
+from typing import AbstractSet, Callable
 
 from .core import (
     CapdomError,
@@ -172,20 +172,6 @@ def split_efficiency(inst: Instance, state: GreedyState, u: int) -> EfficiencyQu
     return EfficiencyQuote(u, j, numerator, common * inst.weight(u), candidates)
 
 
-def _unsplit_quote(inst: Instance, undominated: set[int], u: int) -> EfficiencyQuote | None:
-    if inst.capacity(u) == 0 or undominated.isdisjoint(inst.closed_neighborhood(u)):
-        return None
-    return unsplit_efficiency(inst, undominated, u)
-
-
-def _split_quote(inst: Instance, state: GreedyState, u: int) -> EfficiencyQuote | None:
-    if inst.capacity(u) == 0 or state.residue_demand.keys().isdisjoint(
-        inst.closed_neighborhood(u)
-    ):
-        return None
-    return split_efficiency(inst, state, u)
-
-
 def _pick_best(quotes: list[EfficiencyQuote | None]) -> EfficiencyQuote:
     """The first maximum of the cached quotes, scanned in vertex order."""
     best = None
@@ -199,19 +185,26 @@ def _pick_best(quotes: list[EfficiencyQuote | None]) -> EfficiencyQuote:
 
 def _greedy_loop(
     inst: Instance,
-    pending: Collection[int],
+    pending: AbstractSet[int],
     quote: Callable[[int], EfficiencyQuote | None],
     take: Callable[[EfficiencyQuote, int], list[int]],
 ) -> None:
     """Buy the best-quoted vertex until nothing is pending.
 
-    quote(u) prices u against the solver's current state.  take(best,
-    iteration) routes the pick, repairs the state, and returns every
-    vertex whose demand changed; since a quote of u reads only N[u],
-    re-quoting N[changed] keeps every cached quote, and so every cached
-    candidate list, current.
+    quote(u) prices u against the solver's current state; it is called only
+    for a u with capacity and a pending closed neighbor, and every other
+    vertex caches None, unselectable.  take(best, iteration) routes the
+    pick, repairs the state, and returns every vertex whose demand changed;
+    since a quote of u reads only N[u], re-quoting N[changed] keeps every
+    cached quote, and so every cached candidate list, current.
     """
-    quotes = [None] + [quote(u) for u in inst.vertices()]
+
+    def quoted(u: int) -> EfficiencyQuote | None:
+        if inst.capacity(u) == 0 or pending.isdisjoint(inst.closed_neighborhood(u)):
+            return None
+        return quote(u)
+
+    quotes = [None] + [quoted(u) for u in inst.vertices()]
     iteration = 0
     while pending:
         iteration += 1
@@ -221,7 +214,7 @@ def _greedy_loop(
         for v in take(_pick_best(quotes), iteration):
             dirty |= inst.closed_neighborhood(v)
         for u in dirty:
-            quotes[u] = quote(u)
+            quotes[u] = quoted(u)
 
 
 def greedy_unsplittable(inst: Instance) -> GreedyResult:
@@ -243,7 +236,7 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
         trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
         return chosen
 
-    _greedy_loop(inst, undominated, lambda u: _unsplit_quote(inst, undominated, u), take)
+    _greedy_loop(inst, undominated, lambda u: unsplit_efficiency(inst, undominated, u), take)
     return GreedyResult(minimum_multiplicities(inst, assignment), trace)
 
 
@@ -324,7 +317,7 @@ def greedy_splittable(inst: Instance) -> GreedyResult:
             trace.append(TraceEntry(iteration, v, len(state.map_sets.get(v, ())), 0, 2))
         return changed
 
-    _greedy_loop(inst, state.residue_demand, lambda u: _split_quote(inst, state, u), take)
+    _greedy_loop(inst, state.residue_demand.keys(), lambda u: split_efficiency(inst, state, u), take)
     return GreedyResult(minimum_multiplicities(inst, state.partial_assignment), trace)
 
 
@@ -380,6 +373,6 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
             trace.append(TraceEntry(iteration, g, 0, 0, 2))
         return changed
 
-    _greedy_loop(inst, state.residue_demand, lambda u: _split_quote(inst, state, u), take)
+    _greedy_loop(inst, state.residue_demand.keys(), lambda u: split_efficiency(inst, state, u), take)
     solution = minimum_multiplicities(inst, state.partial_assignment)
     return GreedyResult(solution, trace)

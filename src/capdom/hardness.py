@@ -83,10 +83,9 @@ class CliqueInstance:
 
     def has_clique(self) -> bool:
         """Exhaustive check for one-vertex-per-part cliques."""
-        normalized = {(min(u, v), max(u, v)) for u, v in self.edges}
         for pick in product(*self.parts):
             if all(
-                (min(a, b), max(a, b)) in normalized
+                (min(a, b), max(a, b)) in self.edges
                 for idx, a in enumerate(pick)
                 for b in pick[idx + 1 :]
             ):
@@ -156,15 +155,20 @@ def reduce(cq: CliqueInstance) -> GadgetInstance:
     for i, j in sorted(ordered_pairs):
         for alpha in (1, 2):
             bridge[(alpha, i, j)] = new_node(f"bridge:{alpha}:{i}:{j}", 1, 0, 1)
+    # each bridge's closed-neighborhood demand: its own 1 plus its propagators'
+    load = dict.fromkeys(bridge, 1)
 
-    color = cq.color_of()
+    def propagate(tag: str, demand: int, target: int, key: tuple[int, int, int]) -> None:
+        node = new_node(tag, heavy, 0, demand)
+        edges.append((node, target))
+        edges.append((node, bridge[key]))
+        load[key] += demand
+
     for i, j in sorted(ordered_pairs):
         for v in cq.parts[i - 1]:
             demands = {1: v, 2: n_labels - v}
             for alpha in (1, 2):
-                node = new_node(f"vprop:{alpha}:{v}:{i}:{j}", heavy, 0, demands[alpha])
-                edges.append((node, vertex_node[v]))
-                edges.append((node, bridge[(alpha, i, j)]))
+                propagate(f"vprop:{alpha}:{v}:{i}:{j}", demands[alpha], vertex_node[v], (alpha, i, j))
 
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
@@ -173,22 +177,12 @@ def reduce(cq: CliqueInstance) -> GadgetInstance:
                 for a, b, end in ((i, j, u), (j, i, v)):
                     demands = {1: n_labels - end, 2: end}
                     for alpha in (1, 2):
-                        node = new_node(
-                            f"eprop:{alpha}:{u}:{v}:{a}:{b}", heavy, 0, demands[alpha]
+                        propagate(
+                            f"eprop:{alpha}:{u}:{v}:{a}:{b}", demands[alpha], enode, (alpha, a, b)
                         )
-                        edges.append((node, enode))
-                        edges.append((node, bridge[(alpha, a, b)]))
 
-    adjacency: dict[int, set[int]] = {v: set() for v in range(1, len(attrs) + 1)}
-    for a, b in edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    for (alpha, i, j), node in sorted(bridge.items()):
-        demand_sum = attrs[node - 1].demand + sum(
-            attrs[u - 1].demand for u in adjacency[node]
-        )
-        capacity = max(0, demand_sum - n_labels)
-        attrs[node - 1] = VertexAttrs(1, capacity, 1)
+    for key, node in bridge.items():
+        attrs[node - 1] = VertexAttrs(1, max(0, load[key] - n_labels), 1)
 
     inst = Instance(len(attrs), tuple(attrs), tuple(edges))
     return GadgetInstance(inst, roles, k_star, k, n_labels)

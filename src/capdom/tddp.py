@@ -224,54 +224,53 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable) -> DPTable:
     sides); spare capacities add, and every completed copy u refunds w(u).
 
     Whether two rows combine depends only on their served-states, so rows
-    are bucketed by state and each pair of states is tested once; every row
-    of a left bucket then meets every row of each compatible right bucket.
-    Spare merges depend only on the two spare vectors and are memoized per
-    join.  The work grows with compatible state pairs times their
-    spare-vector pairs, not with all row pairs.  Pairs are visited in
-    sorted (left key, right key) order and only a strictly cheaper pair
-    replaces a row, so keys, costs, back-pointers and row order are those
-    of a plain double loop over the sorted keys.
+    are bucketed by state and each pair of states is tested once, by one
+    `&` on packed codes; the merged state part then comes from key
+    arithmetic, not from the codes.  Every row of a left bucket meets every
+    row of each compatible right bucket.  Spare merges depend only on the
+    two spare vectors and are memoized per join.  The work grows with
+    compatible state pairs times their spare-vector pairs, not with all row
+    pairs.  Pairs are visited in sorted (left key, right key) order and only
+    a strictly cheaper pair replaces a row, so keys, costs, back-pointers
+    and row order are those of a plain double loop over the sorted keys.
     """
     if left.bag != right.bag or left.model is not right.model:
         raise ValueError("join needs sibling tables over the same bag and model")
     vs, places = left.bag, left.places
     k = len(vs)
-    # A key is its state part (the residual digits) times `spares`, plus
-    # its spare part (the spare digits).
+    # A key is its state part (residual digits at their places, a multiple
+    # of `spares`) plus its spare part.  A compatible pair's merged residual
+    # is rd1 + rd2 - d per bag vertex, within [0, d], so no digit carries or
+    # borrows: the merged state part is state1 + state2 - unserved.
     spares = places[k]
     demands = [inst.demand(u) for u in vs]
     spare_digits = [
         (place, inst.capacity(u), inst.weight(u)) for place, u in zip(places[k + 1 :], vs) if inst.capacity(u)
     ]
+    unserved = sum(d * place for d, place in zip(demands, places[1:]))
 
-    # Served-states become ints, so a pair of states is tested with one
-    # `&`: the served amounts d - rd packed as B-bit digits, with B one bit
-    # wider than the largest demand so no digit sum carries.  Left codes
-    # carry a guard of 2^(B-1) - 1 - d per digit, so a digit of the sum
-    # reaches its top bit exactly when the two served amounts exceed d.
-    # `merged_of` maps the combined int back to the merged state part.
+    # Compatibility is one `&` on ints: the served amounts d - rd packed as
+    # B-bit digits, with B one bit wider than the largest demand so no digit
+    # sum carries.  Left codes carry a guard of 2^(B-1) - 1 - d per digit,
+    # so a digit of the sum reaches its top bit exactly when the two served
+    # amounts exceed d.
     width = max(demands, default=0).bit_length() + 1
-    digit = (1 << width) - 1
     clash = sum(1 << (width * i + width - 1) for i in range(k))
     guard = sum(((1 << (width - 1)) - 1 - d) << (width * i) for i, d in enumerate(demands))
     residual_digits = [(d, place, width * i) for i, (d, place) in enumerate(zip(demands, places[1:]))]
 
-    def code(key: int) -> int:
-        return sum((d - key // place % (d + 1)) << shift for d, place, shift in residual_digits)
-
-    def merged_of(combined: int) -> int:
-        combined -= guard
-        return sum((d - (combined >> shift & digit)) * place for d, place, shift in residual_digits)
+    def code(state: int) -> int:
+        return sum((d - state // place % (d + 1)) << shift for d, place, shift in residual_digits)
 
     Bucket = list[tuple[int, int, int]]  # (spare part, cost, key)
 
-    def buckets(table: DPTable, offset: int) -> list[tuple[int, Bucket]]:
-        # (state code + offset, bucket), both levels in sorted key order
+    def buckets(table: DPTable, offset: int) -> list[tuple[int, int, Bucket]]:
+        # (state code + offset, state part, bucket), both levels in sorted key order
         by_state: dict[int, Bucket] = {}
         for key in sorted(table.rows):
-            by_state.setdefault(key // spares, []).append((key % spares, table.rows[key][0], key))
-        return [(code(rows[0][2]) + offset, rows) for rows in by_state.values()]
+            rc = key % spares
+            by_state.setdefault(key - rc, []).append((rc, table.rows[key][0], key))
+        return [(code(state) + offset, state, rows) for state, rows in by_state.items()]
 
     def merge_spares(rc1: int, rc2: int) -> tuple[int, int]:
         refund = rc = 0
@@ -282,20 +281,12 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable) -> DPTable:
         return refund, rc
 
     right_buckets = buckets(right, 0)
-    merged_states: dict[int, int] = {}
     merges: dict[int, dict[int, tuple[int, int]]] = {}
     # merged key -> row, in the order first reached
     best: dict[int, Row] = {}
-    for code1, rows1 in buckets(left, guard):
-        partners = []
-        for code2, rows2 in right_buckets:
-            combined = code1 + code2
-            if combined & clash:
-                continue
-            state = merged_states.get(combined)
-            if state is None:
-                state = merged_states[combined] = merged_of(combined)
-            partners.append((state, rows2))
+    for code1, state1, rows1 in buckets(left, guard):
+        base = state1 - unserved
+        partners = [(base + s2, rows2) for c2, s2, rows2 in right_buckets if not (code1 + c2) & clash]
         for rc1, cost1, k1 in rows1:
             memo = merges.setdefault(rc1, {})
             for state, rows2 in partners:

@@ -582,9 +582,10 @@ def test_long_path_nice_decomposition(long_path, tmp_path):
     assert run("td", "nice", long_path, "-o", tmp_path / "nice.td") == 0
 
 
-# sha256 of stdout for commands on two `gen random` instances: A is
-# `--n 9 --seed 5`, U is `--n 8 --seed 4 --max-w 1`.  A digest changes only
-# when an output byte changes, so refactors must leave every one of them alone.
+# sha256 of stdout for commands on two `gen random` instances, A is
+# `--n 9 --seed 5` and U is `--n 8 --seed 4 --max-w 1`, and on the 3-part
+# clique question M.  A digest changes only when an output byte changes, so
+# refactors must leave every one of them alone.
 PINNED_STDOUT = [
     (("solve", "--algo", "greedy-unsplit", "A"),
      "5ace7a518ebcb612076125f04e59d21f75084cfe2f4a3339a8e0a51082af0e46"),
@@ -621,15 +622,21 @@ PINNED_STDOUT = [
      "8d139ed2cdbea5f7f203567c32faf1b2a7004d7b3d812e5dbb412d1bc1586a03"),
     (("td", "nice", "A"),
      "5a260ebc92d122d1fa1490890151843426154bd078287f21b6b06a0c20312ac5"),
+    (("gen", "mcq-reduce", "M"),
+     "b7f29b78fddd39331565b3a7183079b9a5eb655de060eac3472f62faf2ab1698"),
 ]
 
 
 @pytest.fixture(scope="module")
 def pinned_instances(tmp_path_factory):
     root = tmp_path_factory.mktemp("pinned")
-    files = {"A": root / "a.cd", "U": root / "u.cd"}
+    files = {"A": root / "a.cd", "U": root / "u.cd", "M": root / "m.mcq"}
     assert run("gen", "random", "--n", 9, "--seed", 5, "-o", files["A"]) == 0
     assert run("gen", "random", "--n", 8, "--seed", 4, "--max-w", 1, "-o", files["U"]) == 0
+    files["M"].write_text(
+        "p mcq 3 6 5\npart 1 1 2\npart 2 3 4\npart 3 5 6\n"
+        "e 1 3\ne 1 5\ne 2 4\ne 3 5\ne 4 6\n"
+    )
     return files
 
 

@@ -13,7 +13,7 @@ k* = 2k(k-1) + k(k+1)/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .core import (
     CapdomError,
@@ -218,20 +218,16 @@ def verify_structure(g: GadgetInstance) -> Report:
             problems.append(
                 f"bridge {b} capacity {inst.capacity(b)} != expected {expected}"
             )
-    for v in g.nodes_with_role("vnode"):
-        expected = 1 + (k - 1) * n_labels
-        if inst.capacity(v) != expected:
-            problems.append(f"vertex node {v} capacity != {expected}")
-        demand_sum = sum(inst.demand(u) for u in inst.closed_neighborhood(v))
-        if demand_sum != expected:
-            problems.append(f"vertex node {v} neighborhood demand {demand_sum} != {expected}")
-    for v in g.nodes_with_role("enode"):
-        expected = 1 + 2 * n_labels
-        if inst.capacity(v) != expected:
-            problems.append(f"edge node {v} capacity != {expected}")
-        demand_sum = sum(inst.demand(u) for u in inst.closed_neighborhood(v))
-        if demand_sum != expected:
-            problems.append(f"edge node {v} neighborhood demand {demand_sum} != {expected}")
+    for role, name, expected in (
+        ("vnode", "vertex node", 1 + (k - 1) * n_labels),
+        ("enode", "edge node", 1 + 2 * n_labels),
+    ):
+        for v in g.nodes_with_role(role):
+            if inst.capacity(v) != expected:
+                problems.append(f"{name} {v} capacity != {expected}")
+            demand_sum = sum(inst.demand(u) for u in inst.closed_neighborhood(v))
+            if demand_sum != expected:
+                problems.append(f"{name} {v} neighborhood demand {demand_sum} != {expected}")
     return Report(not problems, problems)
 
 
@@ -277,58 +273,29 @@ def verify_semantics(
 def clique_witness_solution(
     cq: CliqueInstance, g: GadgetInstance, pick: tuple[int, ...]
 ) -> Solution:
-    """Budget-cost solution encoding a known clique, for the yes-side check.
+    """Budget-cost solution encoding a clique, for the yes-side check.
 
-    Buys every bridge once plus the star members matching the pick; star
-    members absorb their selector and propagation pairs, every other
-    propagation node falls back to its bridge.
+    Buys one copy of every bridge and of the star nodes of the picked
+    labels and pairs.  Each demand goes whole to a bought node of its
+    closed neighborhood, a star node before a bridge, then the lowest id.
     """
     color = cq.color_of()
-    chosen_vertex = {color[v]: v for v in pick}
-    chosen_edge: dict[tuple[int, int], tuple[int, int]] = {}
-    for idx, a in enumerate(pick):
-        for b in pick[idx + 1 :]:
-            i, j = sorted((color[a], color[b]))
-            chosen_edge[(i, j)] = (a, b) if color[a] == i else (b, a)
-
-    inst = g.instance
-    by_tag = {tag: node for node, tag in g.roles.items()}
-    assignment: dict[tuple[int, int], int] = {}
-    multiplicity: dict[int, int] = {}
-    served: set[int] = set()
-
-    def route(consumer: int, server: int):
-        if inst.demand(consumer) > 0:
-            assignment[(consumer, server)] = inst.demand(consumer)
-            served.add(consumer)
-
-    for tag, node in sorted(by_tag.items()):
-        if tag.startswith("bridge:"):
-            multiplicity[node] = 1
-            route(node, node)
-    for i in range(1, g.k + 1):
-        u = chosen_vertex[i]
-        vnode = by_tag[f"vnode:{u}"]
-        multiplicity[vnode] = 1
-        route(by_tag[f"vsel:{i}"], vnode)
-        for j in range(1, g.k + 1):
-            if j != i:
-                for alpha in (1, 2):
-                    route(by_tag[f"vprop:{alpha}:{u}:{i}:{j}"], vnode)
-    for (i, j), (u, v) in sorted(chosen_edge.items()):
-        enode = by_tag[f"enode:{u}:{v}"]
-        multiplicity[enode] = 1
-        route(by_tag[f"esel:{i}:{j}"], enode)
-        for a, b in ((i, j), (j, i)):
-            for alpha in (1, 2):
-                route(by_tag[f"eprop:{alpha}:{u}:{v}:{a}:{b}"], enode)
-    for node in g.nodes_with_role("vprop") + g.nodes_with_role("eprop"):
-        if inst.demand(node) > 0 and node not in served:
-            fields = g.roles[node].split(":")
-            alpha, i, j = int(fields[1]), int(fields[-2]), int(fields[-1])
-            route(node, by_tag[f"bridge:{alpha}:{i}:{j}"])
-    cost = sum(inst.weight(v) * x for v, x in multiplicity.items())
-    return Solution(multiplicity, assignment, cost)
+    if sorted(color.get(v, 0) for v in pick) != list(range(1, cq.k + 1)):
+        raise ValueError(f"pick {pick} does not hold one label per part")
+    pairs = list(combinations(sorted(pick, key=color.__getitem__), 2))
+    for a, b in pairs:
+        if (min(a, b), max(a, b)) not in cq.edges:
+            raise ValueError(f"pick {pick} is no clique: labels {a} and {b} share no edge")
+    stars = {f"vnode:{v}" for v in pick} | {f"enode:{a}:{b}" for a, b in pairs}
+    inst, bridges = g.instance, set(g.nodes_with_role("bridge"))
+    bought = bridges | {node for node, tag in g.roles.items() if tag in stars}
+    assignment = {}
+    for v in inst.vertices():
+        if inst.demand(v) > 0:
+            server = min(bought & inst.closed_neighborhood(v), key=lambda u: (u in bridges, u))
+            assignment[(v, server)] = inst.demand(v)
+    cost = sum(inst.weight(v) for v in bought)
+    return Solution(dict.fromkeys(sorted(bought), 1), assignment, cost)
 
 
 def load_clique_instance(text: str) -> CliqueInstance:

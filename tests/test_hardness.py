@@ -1,8 +1,10 @@
-from itertools import combinations
+import random
+from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 
-from capdom.core import DemandModel, verify_solution
+from capdom.core import DemandModel, Solution, verify_solution
 from capdom.hardness import (
     CliqueInstance,
     InvalidCliqueInstance,
@@ -163,6 +165,32 @@ class TestStructure:
         assert not report.passed
         assert any("capacity" in p for p in report.problems)
 
+    @pytest.mark.parametrize(
+        "role, field, message",
+        [
+            ("vnode", "capacity", "vertex node {node} capacity != 3"),
+            ("enode", "capacity", "edge node {node} capacity != 5"),
+            ("vnode", "demand", "vertex node {node} neighborhood demand 4 != 3"),
+            ("enode", "demand", "edge node {node} neighborhood demand 6 != 5"),
+        ],
+    )
+    def test_perturbed_star_node_fails(self, role, field, message):
+        # k = 2, N = 2: vertex nodes expect 1 + (k-1)N = 3, edge nodes 1 + 2N = 5
+        gadget = reduce(tiny_clique())
+        node = gadget.nodes_with_role(role)[0]
+        attrs = list(gadget.instance.attrs)
+        old = attrs[node - 1]
+        attrs[node - 1] = replace(old, **{field: getattr(old, field) + 1})
+        tampered = gadget.__class__(
+            Instance(gadget.instance.n, tuple(attrs), gadget.instance.edges),
+            gadget.roles,
+            gadget.budget,
+            gadget.k,
+            gadget.num_labels,
+        )
+        report = verify_structure(tampered)
+        assert report.problems == [message.format(node=node)]
+
     def test_intra_star_edge_breaks_forest(self):
         gadget = reduce(CliqueInstance(2, ((1, 2), (3,)),
                                        frozenset({(1, 3), (2, 3)})))
@@ -266,10 +294,103 @@ class TestSemantics:
                 assert witness.cost == gadget.budget
                 assert verify_solution(gadget.instance, witness, UNSPLIT).passed
 
+    def test_witness_rejects_a_missing_edge(self):
+        cq = CliqueInstance(2, ((1, 2), (3,)), frozenset({(1, 3)}))
+        with pytest.raises(ValueError, match="labels 2 and 3 share no edge"):
+            clique_witness_solution(cq, reduce(cq), (2, 3))
+
+    @pytest.mark.parametrize("pick", [(1, 2), (3,), (1, 3, 3), (1, 9)])
+    def test_witness_rejects_a_pick_off_one_label_per_part(self, pick):
+        cq = CliqueInstance(2, ((1, 2), (3,)), frozenset({(1, 3), (2, 3)}))
+        with pytest.raises(ValueError, match="one label per part"):
+            clique_witness_solution(cq, reduce(cq), pick)
+
+    def test_witness_matches_tag_based_reference(self):
+        picks = 0
+        for seed in range(300):
+            cq = random_clique_instance(random.Random(seed))
+            gadget = reduce(cq)
+            for pick in [p for p in _picks(cq) if _is_clique(cq, p)]:
+                witness = clique_witness_solution(cq, gadget, pick)
+                assert witness == reference_clique_witness(cq, gadget, pick)
+                assert witness.cost == gadget.budget
+                assert verify_solution(gadget.instance, witness, UNSPLIT).passed
+                picks += 1
+        assert picks == 1519
+
+
+def random_clique_instance(rng):
+    """k = 2-4 parts of 1-3 labels each, cross edges kept with one density."""
+    k = rng.randint(2, 4)
+    sizes = [rng.randint(1, 3) for _ in range(k)]
+    labels = list(range(1, sum(sizes) + 1))
+    rng.shuffle(labels)
+    parts, start = [], 0
+    for size in sizes:
+        parts.append(tuple(sorted(labels[start : start + size])))
+        start += size
+    color = {v: i for i, part in enumerate(parts) for v in part}
+    density = rng.choice((0.5, 0.8, 1.0))
+    edges = frozenset(
+        (a, b)
+        for a, b in combinations(range(1, start + 1), 2)
+        if color[a] != color[b] and rng.random() < density
+    )
+    return CliqueInstance(k, tuple(parts), edges)
+
+
+def reference_clique_witness(cq, g, pick):
+    """The tag-based construction: format each star's role tag, then parse
+    the tags of unpicked propagation nodes back to find their bridge."""
+    color = cq.color_of()
+    chosen_vertex = {color[v]: v for v in pick}
+    chosen_edge = {}
+    for idx, a in enumerate(pick):
+        for b in pick[idx + 1 :]:
+            i, j = sorted((color[a], color[b]))
+            chosen_edge[(i, j)] = (a, b) if color[a] == i else (b, a)
+
+    inst = g.instance
+    by_tag = {tag: node for node, tag in g.roles.items()}
+    assignment = {}
+    multiplicity = {}
+    served = set()
+
+    def route(consumer, server):
+        if inst.demand(consumer) > 0:
+            assignment[(consumer, server)] = inst.demand(consumer)
+            served.add(consumer)
+
+    for tag, node in sorted(by_tag.items()):
+        if tag.startswith("bridge:"):
+            multiplicity[node] = 1
+            route(node, node)
+    for i in range(1, g.k + 1):
+        u = chosen_vertex[i]
+        vnode = by_tag[f"vnode:{u}"]
+        multiplicity[vnode] = 1
+        route(by_tag[f"vsel:{i}"], vnode)
+        for j in range(1, g.k + 1):
+            if j != i:
+                for alpha in (1, 2):
+                    route(by_tag[f"vprop:{alpha}:{u}:{i}:{j}"], vnode)
+    for (i, j), (u, v) in sorted(chosen_edge.items()):
+        enode = by_tag[f"enode:{u}:{v}"]
+        multiplicity[enode] = 1
+        route(by_tag[f"esel:{i}:{j}"], enode)
+        for a, b in ((i, j), (j, i)):
+            for alpha in (1, 2):
+                route(by_tag[f"eprop:{alpha}:{u}:{v}:{a}:{b}"], enode)
+    for node in g.nodes_with_role("vprop") + g.nodes_with_role("eprop"):
+        if inst.demand(node) > 0 and node not in served:
+            fields = g.roles[node].split(":")
+            alpha, i, j = int(fields[1]), int(fields[-2]), int(fields[-1])
+            route(node, by_tag[f"bridge:{alpha}:{i}:{j}"])
+    cost = sum(inst.weight(v) * x for v, x in multiplicity.items())
+    return Solution(multiplicity, assignment, cost)
+
 
 def _picks(cq):
-    from itertools import product
-
     return product(*cq.parts)
 
 

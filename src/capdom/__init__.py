@@ -9,7 +9,6 @@ from .core import (
     Report,
     Solution,
     VertexAttrs,
-    closed_neighborhood,
     induced_instance,
     is_feasible,
     minimum_multiplicities,

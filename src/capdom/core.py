@@ -186,13 +186,6 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def closed_neighborhood(inst: Instance, v: int) -> frozenset[int]:
-    """N(v) together with v itself."""
-    if not 1 <= v <= inst.n:
-        raise ValueError(f"vertex {v} out of range")
-    return inst.closed_neighborhood(v)
-
-
 def is_feasible(inst: Instance) -> bool:
     """False iff some vertex has demand but no positive-capacity server in N[v]."""
     for v in inst.vertices():

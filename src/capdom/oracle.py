@@ -18,6 +18,13 @@ so the bound times L is an exact int, and it is compared with L times
 the incumbent cost.  Scaling both sides by the same positive L keeps
 every comparison, heap order and tie exactly as in rational arithmetic.
 
+The unsplittable search descends into each server load vector at most
+once: positive demands make the loads fix the depth, the cost so far and
+every completion with its multiplicity vector.  A repeat's subtree was
+searched under an incumbent no better than the current one, and a tie
+replaces the incumbent only with a strictly smaller vector, so a skip
+changes nothing but the node count.
+
 The splittable search checks each complete vector with `feasibility_flow`:
 fixed copy counts leave a transportation problem, solved by shortest
 augmenting paths read off the instance and the current routing.
@@ -158,13 +165,14 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
     if not consumers:
         return Solution.empty()
     scale, rates = _scaled_rates(capacity, weight)
-    # options[i]: (server, c, w, scaled fractional cost of serving consumer i)
+    # options[i]: (server, c, w, scaled fractional cost, load-key step) for consumer i
+    radix = sum(demand) + 1
     options = []
     pending_steps = []
     for v in consumers:
         servers = sorted(u for u in inst.closed_neighborhood(v) if capacity[u] > 0)
         d = demand[v]
-        options.append([(u, capacity[u], weight[u], rates[u] * d) for u in servers])
+        options.append([(u, capacity[u], weight[u], rates[u] * d, d * radix**u) for u in servers])
         pending_steps.append(min(rates[u] for u in servers) * d)
 
     greedy = greedy_unsplittable(inst).solution
@@ -181,8 +189,10 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
     loads = [0] * (inst.n + 1)
     choice: list[int] = [0] * last
     nodes = 0
+    # Keys sum(loads[u] * radix**u) of the load vectors already descended into.
+    seen: set[int] = set()
 
-    def descend(i: int, cost_int: int, cost_frac: int, pending: int):
+    def descend(i: int, cost_int: int, cost_frac: int, pending: int, key: int):
         # cost_frac and pending are scaled by L; cost_int is not.
         nonlocal nodes, incumbent_cost, incumbent, best_vec
         if i == last:
@@ -204,7 +214,7 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
             return
         d = demand[consumers[i]]
         pending -= pending_steps[i]
-        for u, c, w, frac_step in options[i]:
+        for u, c, w, frac_step, key_step in options[i]:
             nodes += 1
             if nodes > max_nodes:
                 raise BudgetExhausted(nodes, incumbent)
@@ -212,12 +222,19 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
             child_int = cost_int + w * (ceil_div(old_load + d, c) - ceil_div(old_load, c))
             child_frac = cost_frac + frac_step
             if child_int <= incumbent_cost and child_frac + pending <= incumbent_cost * scale:
+                child_key = key + key_step
+                if child_key in seen:
+                    continue
+                seen.add(child_key)
                 loads[u] = old_load + d
                 choice[i] = u
-                descend(i + 1, child_int, child_frac, pending)
+                descend(i + 1, child_int, child_frac, pending, child_key)
                 loads[u] = old_load
 
-    descend(0, 0, 0, sum(pending_steps))
+    try:
+        descend(0, 0, 0, sum(pending_steps), 0)
+    finally:
+        seen.clear()  # descend's closure cycle would keep the set until a GC
     if incumbent is None:
         raise CostBoundExceeded(budget.upper_bound)
     return incumbent
@@ -273,11 +290,10 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
         for v in range(n + 1)
     ]
 
-    def completion_bound(v: int, covered: int, served: list[int], added: int) -> int | None:
+    def completion_bound(v: int, covered: int, served: list[int]) -> int | None:
         """L times an admissible extra cost to finish a vector whose entries
         up to v cover `covered` units, or None if hopeless.  `served` holds
-        each consumer's units covered by servers u < v, and `added` is the
-        capacity of v's copies."""
+        each consumer's units covered by servers u <= v."""
         shortfall = total_demand - covered
         best = 0
         if shortfall > 0:
@@ -285,8 +301,8 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
             if rate is None:
                 return None
             best = shortfall * rate
-        for (d, closed), got, tail in zip(consumers, served, tail_rates[v]):
-            need = d - got - (added if v in closed else 0)
+        for (d, _), got, tail in zip(consumers, served, tail_rates[v]):
+            need = d - got
             if need <= 0:
                 continue
             if tail is None:
@@ -297,10 +313,11 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
         return best
 
     bound_scaled = bound_cost * scale
-    heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0)]
+    # (key, prefix, cost, covered, served): unique prefixes end every comparison.
+    heap: list[tuple[int, tuple[int, ...], int, int, list[int]]] = [(0, (), 0, 0, [0] * len(consumers))]
     nodes = 0
     while heap:
-        _, prefix, cost = heapq.heappop(heap)
+        _, prefix, cost, covered, served = heapq.heappop(heap)
         nodes += 1
         if nodes > budget.max_nodes:
             raise BudgetExhausted(nodes, greedy if greedy.cost <= bound_cost else None)
@@ -312,21 +329,19 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
             return Solution(multiplicity, assignment, cost)
         v = len(prefix) + 1
         w, c = weight[v], capacity[v]
-        # The prefix's amounts, shared by every child.
-        covered = sum(capacity[u] * x for u, x in enumerate(prefix, 1))
-        served = [sum(capacity[u] * prefix[u - 1] for u in closed if u < v) for _, closed in consumers]
         for copies in range(max_copies[v] + 1):
             child_cost = cost + w * copies
             if child_cost > bound_cost:
                 break
             added = c * copies
-            extra = completion_bound(v, covered + added, served, added)
+            child_served = [got + added if v in closed else got for got, (_, closed) in zip(served, consumers)]
+            extra = completion_bound(v, covered + added, child_served)
             if extra is None:
                 continue
             key = child_cost * scale + extra
             if key > bound_scaled:
                 continue
-            heapq.heappush(heap, (key, prefix + (copies,), child_cost))
+            heapq.heappush(heap, (key, prefix + (copies,), child_cost, covered + added, child_served))
     raise CostBoundExceeded(bound_cost)
 
 

@@ -6,7 +6,6 @@ from capdom.core import (
     ParseError,
     Solution,
     VertexAttrs,
-    closed_neighborhood,
     induced_instance,
     is_feasible,
     minimum_multiplicities,
@@ -125,14 +124,14 @@ class TestRoundTrip:
 
 class TestClosedNeighborhood:
     def test_middle_of_path(self, p3):
-        assert closed_neighborhood(p3, 2) == {1, 2, 3}
+        assert p3.closed_neighborhood(2) == {1, 2, 3}
 
     def test_end_of_path(self, p3):
-        assert closed_neighborhood(p3, 1) == {1, 2}
+        assert p3.closed_neighborhood(1) == {1, 2}
 
     def test_isolated_vertex(self):
         inst = mk([(1, 1, 0)])
-        assert closed_neighborhood(inst, 1) == {1}
+        assert inst.closed_neighborhood(1) == {1}
 
     def test_adjacency_is_derived_not_passed(self):
         # adj and closed are built from the edges; neither is an argument

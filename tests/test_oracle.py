@@ -36,6 +36,7 @@ from conftest import (
     brute_splittable_cost,
     brute_unsplittable,
     brute_unsplittable_cost,
+    grid_instance,
     hall_condition_holds,
     mk,
     p3_instance,
@@ -216,8 +217,12 @@ class TestExactSplittable:
 # tree, so every outcome below, node counts included, must match exactly.
 
 
-def reference_exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> Solution:
-    """exact_unsplittable with its bound held in Fractions."""
+def reference_exact_unsplittable(
+    inst: Instance, budget: SearchBudget = SearchBudget(), skip_repeats: bool = True
+) -> Solution:
+    """exact_unsplittable with its bound held in Fractions.  With
+    skip_repeats=False it descends into every load vector however often
+    it is reached, as the search did before it skipped repeats."""
     if not is_feasible(inst):
         raise InfeasibleInstance("a vertex with demand has no usable server")
     consumers = sorted(
@@ -230,8 +235,12 @@ def reference_exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBu
         v: sorted(u for u in inst.closed_neighborhood(v) if inst.capacity(u) > 0)
         for v in consumers
     }
-    min_rate = {
-        v: min(Fraction(inst.weight(u), inst.capacity(u)) for u in servers[v])
+    rate = {u: Fraction(inst.weight(u), inst.capacity(u)) for v in consumers for u in servers[v]}
+    pending_step = {v: min(rate[u] for u in servers[v]) * inst.demand(v) for v in consumers}
+    # frac_steps[v]: (u, what serving v on u adds to the fractional bound):
+    # v's fractional cost on u less v's share of the pending bound.
+    frac_steps = {
+        v: [(u, rate[u] * inst.demand(v) - pending_step[v]) for u in servers[v]]
         for v in consumers
     }
 
@@ -247,15 +256,14 @@ def reference_exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBu
         best_vec = None
 
     loads: dict[int, int] = {}
+    seen: set[frozenset[tuple[int, int]]] = set()
     choice: list[int] = [0] * len(consumers)
     nodes = 0
-    cost_int = 0
-    cost_frac = Fraction(0)
-    pending = sum((min_rate[v] * inst.demand(v) for v in consumers), Fraction(0))
 
-    def descend(i: int):
+    def descend(i: int, cost_int: int, frac_bound: Fraction):
+        # frac_bound: the fractional cost so far plus the pending demand at
+        # its cheapest rates.
         nonlocal nodes, incumbent_cost, incumbent, best_vec
-        nonlocal cost_int, cost_frac, pending
         if i == len(consumers):
             vec = tuple(
                 ceil_div(loads[v], inst.capacity(v)) if v in loads else 0
@@ -275,31 +283,27 @@ def reference_exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBu
             return
         v = consumers[i]
         d = inst.demand(v)
-        for u in servers[v]:
+        for u, frac_step in frac_steps[v]:
             nodes += 1
             if nodes > budget.max_nodes:
                 raise BudgetExhausted(nodes, incumbent)
             c, w = inst.capacity(u), inst.weight(u)
             old_load = loads.get(u, 0)
-            delta_int = w * (ceil_div(old_load + d, c) - ceil_div(old_load, c))
-            frac_step = Fraction(w * d, c)
-            pending_step = min_rate[v] * d
-            cost_int += delta_int
-            cost_frac += frac_step
-            pending -= pending_step
+            child_int = cost_int + w * (ceil_div(old_load + d, c) - ceil_div(old_load, c))
+            child_bound = frac_bound + frac_step
             loads[u] = old_load + d
             choice[i] = u
-            if max(Fraction(cost_int), cost_frac + pending) <= incumbent_cost:
-                descend(i + 1)
+            if max(child_int, child_bound) <= incumbent_cost:
+                state = frozenset(loads.items())
+                if not (skip_repeats and state in seen):
+                    seen.add(state)
+                    descend(i + 1, child_int, child_bound)
             if old_load:
                 loads[u] = old_load
             else:
                 del loads[u]
-            cost_int -= delta_int
-            cost_frac -= frac_step
-            pending += pending_step
 
-    descend(0)
+    descend(0, 0, sum(pending_step.values(), Fraction(0)))
     if incumbent is None:
         raise CostBoundExceeded(budget.upper_bound)
     return incumbent
@@ -512,6 +516,40 @@ class TestScaledSearchMatchesReference:
         assert _nodes_to_finish(fast, inst) == _nodes_to_finish(reference, inst)
         tight = SearchBudget(upper_bound=expected.cost - 1)
         assert _outcome(fast, inst, tight) == _outcome(reference, inst, tight) == CostBoundExceeded
+
+
+
+def skip_free_reference(inst, budget=SearchBudget()):
+    return reference_exact_unsplittable(inst, budget, skip_repeats=False)
+
+
+# Unit-weight grids (rows, cols, capacity, demand), where many choice
+# sequences reach the same server loads.
+REPEAT_GRIDS = [(3, 3, 2, 1), (2, 5, 2, 1), (3, 3, 3, 2), (3, 4, 2, 1)]
+
+
+class TestRepeatSkip:
+    """Skipping repeated load vectors prunes the tree but no answer."""
+
+    def test_seeded_batch_matches_skip_free_search(self):
+        for inst, budget in differential_cases():
+            assert _outcome(exact_unsplittable, inst, budget) == _outcome(skip_free_reference, inst, budget)
+
+    @pytest.mark.parametrize("rows, cols, c, d", REPEAT_GRIDS)
+    def test_unit_grid_matches_skip_free_search(self, rows, cols, c, d):
+        inst = grid_instance(rows, cols, (1, c, d))
+        assert exact_unsplittable(inst) == skip_free_reference(inst)
+
+    @pytest.mark.parametrize(
+        "rows, cols, skip_free_nodes, nodes",
+        [(3, 3, 52_379, 16_615), (2, 5, 50_015, 20_032)],
+    )
+    def test_unit_grid_node_counts(self, rows, cols, skip_free_nodes, nodes):
+        inst = grid_instance(rows, cols, (1, 2, 1))
+        assert _nodes_to_finish(exact_unsplittable, inst) == nodes
+        # The skip-free search needs every one of its nodes, and no more.
+        assert isinstance(_outcome(skip_free_reference, inst, SearchBudget(max_nodes=skip_free_nodes)), Solution)
+        assert isinstance(_outcome(skip_free_reference, inst, SearchBudget(max_nodes=skip_free_nodes - 1)), tuple)
 
 
 def _optimum(search, inst):

@@ -113,13 +113,19 @@ class VertexAttrs:
 
 @dataclass(frozen=True)
 class Instance:
-    """A simple undirected graph with tri-weighted vertices, ids 1..n."""
+    """A simple undirected graph with tri-weighted vertices, ids 1..n.
+
+    weights, capacities and demands hold the attributes by id (index 0 holds 0).
+    """
 
     n: int
     attrs: tuple[VertexAttrs, ...]
     edges: tuple[tuple[int, int], ...]
     adj: tuple[frozenset[int], ...] = field(compare=False, repr=False, init=False)
     closed: tuple[frozenset[int], ...] = field(compare=False, repr=False, init=False)
+    weights: tuple[int, ...] = field(compare=False, repr=False, init=False)
+    capacities: tuple[int, ...] = field(compare=False, repr=False, init=False)
+    demands: tuple[int, ...] = field(compare=False, repr=False, init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -130,7 +136,6 @@ class Instance:
             if a.weight < 0 or a.capacity < 0 or a.demand < 0:
                 raise ValueError("vertex attributes must be nonnegative")
         seen = set()
-        neighbor_sets: list[set[int]] = [set() for _ in range(self.n + 1)]
         for u, v in self.edges:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"edge ({u},{v}) out of range")
@@ -140,33 +145,52 @@ class Instance:
             if key in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add(key)
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
-        object.__setattr__(
-            self, "adj", tuple(frozenset(s) for s in neighbor_sets)
-        )
-        object.__setattr__(
-            self, "closed", tuple(s | {v} for v, s in enumerate(self.adj))
-        )
+        self._index(seen)
+
+    @classmethod
+    def trusted(cls, n: int, attrs: tuple[VertexAttrs, ...], edges: Iterable[tuple[int, int]]) -> "Instance":
+        """An instance from input checked as the constructor would: n >= 1, n
+        nonnegative attrs, distinct edges (u, v) with 1 <= u < v <= n."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "n", n)
+        object.__setattr__(inst, "attrs", attrs)
+        inst._index(edges)
+        return inst
+
+    def _index(self, edges: Iterable[tuple[int, int]]):
+        edges = tuple(sorted(edges))
+        neighbor_sets: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for u, v in edges:
+            neighbor_sets[u].append(v)
+            neighbor_sets[v].append(u)
+        adj = tuple(map(frozenset, neighbor_sets))
+        for name, value in (
+            ("edges", edges),
+            ("adj", adj),
+            ("closed", tuple(s | {v} for v, s in enumerate(adj))),
+            ("weights", (0, *(a.weight for a in self.attrs))),
+            ("capacities", (0, *(a.capacity for a in self.attrs))),
+            ("demands", (0, *(a.demand for a in self.attrs))),
+        ):
+            object.__setattr__(self, name, value)
         self._audit_overflow()
 
     def _audit_overflow(self):
         # Keeps every sum any solver can form inside signed 64-bit range.
-        sum_d = sum(a.demand for a in self.attrs)
-        sum_c = sum(a.capacity for a in self.attrs)
-        sum_w = sum(a.weight for a in self.attrs)
+        sum_d = sum(self.demands)
+        sum_c = sum(self.capacities)
+        sum_w = sum(self.weights)
         if sum_d > INT64_MAX or sum_c * self.n > INT64_MAX or sum_w * max(sum_d, 1) > INT64_MAX:
             raise OverflowError("instance attribute sums exceed the 64-bit budget")
 
     def weight(self, v: int) -> int:
-        return self.attrs[v - 1].weight
+        return self.weights[v]
 
     def capacity(self, v: int) -> int:
-        return self.attrs[v - 1].capacity
+        return self.capacities[v]
 
     def demand(self, v: int) -> int:
-        return self.attrs[v - 1].demand
+        return self.demands[v]
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adj[v]
@@ -178,7 +202,7 @@ class Instance:
         return range(1, self.n + 1)
 
     def total_demand(self) -> int:
-        return sum(a.demand for a in self.attrs)
+        return sum(self.demands)
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -214,6 +238,7 @@ def with_demands(inst: Instance, demands: Mapping[int, int]) -> Instance:
         attrs[v - 1] = replace(attrs[v - 1], demand=d)
     changed = copy.copy(inst)
     object.__setattr__(changed, "attrs", tuple(attrs))
+    object.__setattr__(changed, "demands", (0, *(a.demand for a in attrs)))
     changed._audit_overflow()
     return changed
 
@@ -239,12 +264,13 @@ def induced_instance(
         )
         for v in orig
     )
-    edges = tuple(
+    # new_id keeps the order of ids, so every edge keeps u < v
+    edges = [
         (new_id[u], new_id[v])
         for u, v in inst.edges
         if u in new_id and v in new_id
-    )
-    return Instance(len(orig), attrs, edges), orig
+    ]
+    return Instance.trusted(len(orig), attrs, edges), orig
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,8 @@ def load_instance(text: str) -> Instance:
         raise ParseError(0, f"missing vertex lines for {n - len(attrs)} ids, first {first}")
     if len(edges) != m:
         raise ParseError(0, f"header declares {m} edges, found {len(edges)}")
-    return Instance(n, tuple(attrs[v] for v in range(1, n + 1)), tuple(edges))
+    # parse_edge has checked every edge the way the Instance constructor would
+    return Instance.trusted(n, tuple(attrs[v] for v in range(1, n + 1)), edges)
 
 
 def save_instance(inst: Instance, comments: list[str] | None = None) -> str:

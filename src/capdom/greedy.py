@@ -16,8 +16,10 @@ cross-multiplication; nothing here touches floating point.
 All three run one loop, `_greedy_loop`, which caches one quote per
 vertex.  A quote of u reads only the state of N[u], so after a pick only
 the closed neighborhoods of the vertices whose demand changed are
-re-quoted.  Each quote keeps the sorted candidates it priced, and the
-pick routes a prefix of that list.
+re-quoted.  The cache is a tournament tree over vertex ids whose root is
+the first best quote in vertex order; a re-quote replays only the
+matches on its leaf's path.  Each quote keeps the sorted candidates it
+priced, and the pick routes a prefix of that list.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ class NotUnweighted(CapdomError):
     """The unweighted solver was given an instance with non-unit weights."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EfficiencyQuote:
     """One vertex's best coverage-per-cost offer, as an unreduced fraction.
 
@@ -62,7 +64,7 @@ class EfficiencyQuote:
         return self.numerator * other.denominator > other.numerator * self.denominator
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEntry:
     """One greedy decision: phase 0 pre-pass, 1 main pick, 2 cleanup."""
 
@@ -112,26 +114,24 @@ def unsplit_efficiency(inst: Instance, undominated: set[int], u: int) -> Efficie
     ties by id.  Equal ratios resolve toward the longer prefix.  Returns
     None for zero-capacity vertices, which are never selectable.
     """
-    candidates = sorted(
-        undominated & inst.closed_neighborhood(u),
-        key=lambda v: (inst.demand(v), v),
-    )
+    demands = inst.demands
+    candidates = sorted(sorted(undominated & inst.closed[u]), key=demands.__getitem__)
     if not candidates:
         raise NoCandidates(f"vertex {u} has no undominated closed neighbor")
-    c = inst.capacity(u)
+    c = inst.capacities[u]
     if c == 0:
         return None
-    w = inst.weight(u)
+    w = inst.weights[u]
     if w == 0:
         return EfficiencyQuote(u, len(candidates), 1, 0, candidates)
-    best: tuple[int, int, int] | None = None
+    best_len, best_den = 0, 1
     prefix = 0
     for i, v in enumerate(candidates, 1):
-        prefix += inst.demand(v)
-        num, den = i, w * ceil_div(prefix, c)
-        if best is None or num * best[1] >= best[0] * den:
-            best = (num, den, i)
-    return EfficiencyQuote(u, best[2], best[0], best[1], candidates)
+        prefix += demands[v]
+        den = w * ceil_div(prefix, c)
+        if i * best_den >= best_len * den:
+            best_len, best_den = i, den
+    return EfficiencyQuote(u, best_len, best_len, best_den, candidates)
 
 
 def split_efficiency(inst: Instance, state: GreedyState, u: int) -> EfficiencyQuote:
@@ -141,46 +141,49 @@ def split_efficiency(inst: Instance, state: GreedyState, u: int) -> EfficiencyQu
     absorbs; Y credits the leftover capacity against the next candidate.
     Candidates sort by their base demand (not the residue), ties by id.
     """
-    candidates = sorted(
-        (v for v in inst.closed_neighborhood(u) if v in state.residue_demand),
-        key=lambda v: (state.base_demand[v], v),
-    )
+    residue, base = state.residue_demand, state.base_demand
+    candidates = sorted(sorted(residue.keys() & inst.closed[u]), key=base.__getitem__)
     if not candidates:
         raise NoCandidates(f"vertex {u} has no unsatisfied closed neighbor")
-    c = inst.capacity(u)
+    c = inst.capacities[u]
     if c <= 0:
         raise ValueError("split efficiency needs a positive-capacity vertex")
     prefix = 0
     j = 0
     for v in candidates:
-        if prefix + state.residue_demand[v] > c:
+        if prefix + residue[v] > c:
             break
-        prefix += state.residue_demand[v]
+        prefix += residue[v]
         j += 1
-    involved = {state.base_demand[v] for v in candidates[:j]}
+    involved = {base[v] for v in candidates[:j]}
     if j < len(candidates):
-        involved.add(state.base_demand[candidates[j]])
+        involved.add(base[candidates[j]])
     common = 1
-    for d in sorted(involved):
+    for d in involved:
         common *= d
-    numerator = sum(
-        state.residue_demand[v] * (common // state.base_demand[v])
-        for v in candidates[:j]
-    )
+    numerator = sum(residue[v] * (common // base[v]) for v in candidates[:j])
     if j < len(candidates):
-        numerator += (c - prefix) * (common // state.base_demand[candidates[j]])
-    return EfficiencyQuote(u, j, numerator, common * inst.weight(u), candidates)
+        numerator += (c - prefix) * (common // base[candidates[j]])
+    return EfficiencyQuote(u, j, numerator, common * inst.weights[u], candidates)
 
 
-def _pick_best(quotes: list[EfficiencyQuote | None]) -> EfficiencyQuote:
-    """The first maximum of the cached quotes, scanned in vertex order."""
-    best = None
-    for q in quotes:
-        if q is not None and (best is None or q.beats(best)):
-            best = q
-    if best is None:
-        raise InfeasibleInstance("no selectable vertex covers the remaining demand")
-    return best
+def _replay(tree: list[EfficiencyQuote | None], node: int) -> None:
+    """Re-run the matches above tree[node] until a winner stays the same.
+
+    The better quote wins a match, by cross-multiplication as in `beats`,
+    and the left one on a tie; so every node holds the first best quote of
+    its leaves in vertex order.
+    """
+    while node > 1:
+        node >>= 1
+        left, right = tree[2 * node], tree[2 * node + 1]
+        winner = right if left is None or (
+            right is not None
+            and right.numerator * left.denominator > left.numerator * right.denominator
+        ) else left
+        if winner is tree[node]:
+            return
+        tree[node] = winner
 
 
 def _greedy_loop(
@@ -196,25 +199,35 @@ def _greedy_loop(
     vertex caches None, unselectable.  take(best, iteration) routes the
     pick, repairs the state, and returns every vertex whose demand changed;
     since a quote of u reads only N[u], re-quoting N[changed] keeps every
-    cached quote, and so every cached candidate list, current.
+    cached quote, and so every cached candidate list, current.  The cache
+    is a `_replay` tree with u's quote at leaf `leaves + u`; it is filled
+    by replaying above every leaf pair, and tree[1] is the pick.
     """
+    capacities, closed = inst.capacities, inst.closed
 
     def quoted(u: int) -> EfficiencyQuote | None:
-        if inst.capacity(u) == 0 or pending.isdisjoint(inst.closed_neighborhood(u)):
+        if capacities[u] == 0 or pending.isdisjoint(closed[u]):
             return None
         return quote(u)
 
-    quotes = [None] + [quoted(u) for u in inst.vertices()]
+    leaves = 1 << inst.n.bit_length()  # more than n; leaf 0 stays None
+    tree: list[EfficiencyQuote | None] = [None] * (2 * leaves)
+    tree[leaves + 1 : leaves + inst.n + 1] = map(quoted, inst.vertices())
+    for node in range(2 * leaves - 2, leaves - 1, -2):
+        _replay(tree, node)
     iteration = 0
     while pending:
         iteration += 1
         if iteration > inst.n + 1:
             raise CapdomError("greedy failed to make progress")
+        if tree[1] is None:
+            raise InfeasibleInstance("no selectable vertex covers the remaining demand")
         dirty: set[int] = set()
-        for v in take(_pick_best(quotes), iteration):
-            dirty |= inst.closed_neighborhood(v)
+        for v in take(tree[1], iteration):
+            dirty |= closed[v]
         for u in dirty:
-            quotes[u] = quoted(u)
+            tree[leaves + u] = quoted(u)
+            _replay(tree, leaves + u)
 
 
 def greedy_unsplittable(inst: Instance) -> GreedyResult:

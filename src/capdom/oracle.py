@@ -137,7 +137,7 @@ def _vector_of(sol: Solution, inst: Instance) -> tuple[int, ...]:
     return tuple(sol.multiplicity.get(v, 0) for v in inst.vertices())
 
 
-def _scaled_rates(capacity: list[int], weight: list[int]) -> tuple[int, list[int | None]]:
+def _scaled_rates(capacity: tuple[int, ...], weight: tuple[int, ...]) -> tuple[int, list[int | None]]:
     """(L, rates): L is the lcm of the positive capacities and rates[v] is
     L * w(v) / c(v) as an exact int, or None where c(v) == 0."""
     scale = math.lcm(*(c for c in capacity if c > 0))
@@ -154,10 +154,7 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
     witness is a stable fixture.
     """
     require_feasible(inst)
-    # Per-vertex attributes indexed by vertex id; index 0 is unused.
-    capacity = [0] + [a.capacity for a in inst.attrs]
-    weight = [0] + [a.weight for a in inst.attrs]
-    demand = [0] + [a.demand for a in inst.attrs]
+    capacity, weight, demand = inst.capacities, inst.weights, inst.demands
     consumers = sorted(
         (v for v in inst.vertices() if demand[v] > 0),
         key=lambda v: (-demand[v], v),
@@ -259,10 +256,7 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
         bound_cost = min(bound_cost, budget.upper_bound)
 
     n = inst.n
-    # Per-vertex attributes indexed by vertex id; index 0 is unused.
-    capacity = [0] + [a.capacity for a in inst.attrs]
-    weight = [0] + [a.weight for a in inst.attrs]
-    demand = [0] + [a.demand for a in inst.attrs]
+    capacity, weight, demand = inst.capacities, inst.weights, inst.demands
     max_copies = [0] + [
         0
         if capacity[v] == 0

@@ -1,5 +1,5 @@
 """Reference greedy solvers: the full-rescan bodies that re-quote every
-vertex at every pick.
+vertex at every pick, with the plain quote bodies they price by.
 
 Each returns (result, snapshots).  The package solver must return a result
 equal to `result` on the same instance; `snapshots` record the state that
@@ -12,6 +12,12 @@ the paper's per-iteration invariants speak about:
 A test that checks an invariant on the snapshots also asserts that the
 package solver's result equals `result`, so the invariant describes the
 package's own run.
+
+`reference_unsplit_efficiency`, `reference_split_efficiency` and
+`reference_greedy_loop` are the package's quotes and loop before the
+loop kept its cache in a tournament tree: each quote reads the instance
+through its accessors and sorts by a key function, and the loop finds
+the best quote by one scan of the cache in vertex order.
 """
 from capdom.core import (
     CapdomError,
@@ -21,22 +27,101 @@ from capdom.core import (
     minimum_multiplicities,
 )
 from capdom.greedy import (
+    EfficiencyQuote,
     GreedyResult,
     GreedyState,
+    NoCandidates,
     NotUnweighted,
     TraceEntry,
     _add,
-    split_efficiency,
-    unsplit_efficiency,
 )
 
 
-def _reference_pick_best(quotes):
-    best = quotes[0]
-    for q in quotes[1:]:
-        if q.beats(best):
+def reference_unsplit_efficiency(inst, undominated, u):
+    candidates = sorted(
+        undominated & inst.closed_neighborhood(u),
+        key=lambda v: (inst.demand(v), v),
+    )
+    if not candidates:
+        raise NoCandidates(f"vertex {u} has no undominated closed neighbor")
+    c = inst.capacity(u)
+    if c == 0:
+        return None
+    w = inst.weight(u)
+    if w == 0:
+        return EfficiencyQuote(u, len(candidates), 1, 0, candidates)
+    best = None
+    prefix = 0
+    for i, v in enumerate(candidates, 1):
+        prefix += inst.demand(v)
+        num, den = i, w * ceil_div(prefix, c)
+        if best is None or num * best[1] >= best[0] * den:
+            best = (num, den, i)
+    return EfficiencyQuote(u, best[2], best[0], best[1], candidates)
+
+
+def reference_split_efficiency(inst, state, u):
+    candidates = sorted(
+        (v for v in inst.closed_neighborhood(u) if v in state.residue_demand),
+        key=lambda v: (state.base_demand[v], v),
+    )
+    if not candidates:
+        raise NoCandidates(f"vertex {u} has no unsatisfied closed neighbor")
+    c = inst.capacity(u)
+    if c <= 0:
+        raise ValueError("split efficiency needs a positive-capacity vertex")
+    prefix = 0
+    j = 0
+    for v in candidates:
+        if prefix + state.residue_demand[v] > c:
+            break
+        prefix += state.residue_demand[v]
+        j += 1
+    involved = {state.base_demand[v] for v in candidates[:j]}
+    if j < len(candidates):
+        involved.add(state.base_demand[candidates[j]])
+    common = 1
+    for d in sorted(involved):
+        common *= d
+    numerator = sum(
+        state.residue_demand[v] * (common // state.base_demand[v])
+        for v in candidates[:j]
+    )
+    if j < len(candidates):
+        numerator += (c - prefix) * (common // state.base_demand[candidates[j]])
+    return EfficiencyQuote(u, j, numerator, common * inst.weight(u), candidates)
+
+
+def reference_pick_best(quotes):
+    """The first maximum of the quotes that are not None, in list order."""
+    best = None
+    for q in quotes:
+        if q is not None and (best is None or q.beats(best)):
             best = q
+    if best is None:
+        raise InfeasibleInstance("no selectable vertex covers the remaining demand")
     return best
+
+
+def reference_greedy_loop(inst, pending, quote, take):
+    """`greedy._greedy_loop` with its cache as a flat list and a linear pick."""
+
+    def quoted(u):
+        if inst.capacity(u) == 0 or pending.isdisjoint(inst.closed_neighborhood(u)):
+            return None
+        return quote(u)
+
+    quotes = [None] + [quoted(u) for u in inst.vertices()]
+    iteration = 0
+    while pending:
+        iteration += 1
+        if iteration > inst.n + 1:
+            raise CapdomError("greedy failed to make progress")
+        dirty = set()
+        for v in take(reference_pick_best(quotes), iteration):
+            dirty |= inst.closed_neighborhood(v)
+        for u in dirty:
+            quotes[u] = quoted(u)
 
 
 def reference_greedy_unsplittable(inst):
@@ -56,12 +141,8 @@ def reference_greedy_unsplittable(inst):
                 continue
             if not (undominated & inst.closed_neighborhood(u)):
                 continue
-            q = unsplit_efficiency(inst, undominated, u)
-            if q is not None:
-                quotes.append(q)
-        if not quotes:
-            raise InfeasibleInstance("no selectable vertex covers the remaining demand")
-        best = _reference_pick_best(quotes)
+            quotes.append(reference_unsplit_efficiency(inst, undominated, u))
+        best = reference_pick_best(quotes)
         u = best.vertex
         chosen = sorted(
             undominated & inst.closed_neighborhood(u),
@@ -87,10 +168,8 @@ def _reference_split_iteration(inst, state, iteration, trace):
         if any(
             state.residue_demand.get(v, 0) > 0 for v in inst.closed_neighborhood(u)
         ):
-            quotes.append(split_efficiency(inst, state, u))
-    if not quotes:
-        raise InfeasibleInstance("no selectable vertex covers the remaining demand")
-    best = _reference_pick_best(quotes)
+            quotes.append(reference_split_efficiency(inst, state, u))
+    best = reference_pick_best(quotes)
     u = best.vertex
     c = inst.capacity(u)
     candidates = sorted(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from capdom.core import (
@@ -58,6 +60,24 @@ class TestLoadInstance:
     def test_rejects(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):
             load_instance(text)
+
+    def test_loaded_instance_equals_constructed(self):
+        # load_instance checks each edge line itself and builds the instance
+        # without the constructor's second pass; both must give the same graph.
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(1, 30)
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.2]
+            rng.shuffle(pairs)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+            attrs = [VertexAttrs(*(rng.randint(0, 5) for _ in range(3))) for _ in range(n)]
+            lines = [f"v {v} {a.weight} {a.capacity} {a.demand}" for v, a in enumerate(attrs, 1)]
+            lines += [f"e {u} {v}" for u, v in edges]
+            rng.shuffle(lines)
+            loaded = load_instance("\n".join([f"p capdom {n} {len(edges)}", *lines]) + "\n")
+            built = Instance(n, tuple(attrs), tuple(edges))
+            for name in ("n", "attrs", "edges", "adj", "closed", "weights", "capacities", "demands"):
+                assert getattr(loaded, name) == getattr(built, name), name
 
     def test_overflow_audit(self):
         big = 2**62
@@ -271,6 +291,22 @@ class TestInstanceHelpers:
         assert sub.n == 2 and orig == (2, 3)
         assert sub.edges == ((1, 2),)
         assert sub.demand(1) == 1 and sub.demand(2) == 0
+
+    def test_columns_follow_attrs(self):
+        def check(inst):
+            for name, attr in (("weights", "weight"), ("capacities", "capacity"), ("demands", "demand")):
+                assert getattr(inst, name) == (0, *(getattr(a, attr) for a in inst.attrs))
+
+        for seed in range(20):
+            inst = random_instance(2 + seed % 12, 0.4, 4, 4, 4, seed)
+            check(inst)
+            check(with_demands(inst, {1: 9, inst.n: 0}))
+            keep = range(1, inst.n + 1, 2 if seed % 2 else 1)
+            sub, orig = induced_instance(inst, keep, zero_demand=[1])
+            check(sub)
+            # induced_instance skips the constructor's checks; it must build the same graph
+            rebuilt = Instance(sub.n, sub.attrs, sub.edges)
+            assert (sub.edges, sub.adj, sub.closed) == (rebuilt.edges, rebuilt.adj, rebuilt.closed)
 
     def test_induced_instance_rejects_unknown_ids(self, p3):
         for ids in ([0, 1], [2, 4], [-1, 5]):

@@ -16,6 +16,7 @@ from capdom.core import (
     with_demands,
 )
 from capdom.greedy import (
+    EfficiencyQuote,
     GreedyResult,
     GreedyState,
     NoCandidates,
@@ -36,9 +37,13 @@ from conftest import (
     path_instance,
 )
 from greedy_reference import (
+    reference_greedy_loop,
     reference_greedy_splittable,
     reference_greedy_unsplittable,
     reference_greedy_unweighted_splittable,
+    reference_pick_best,
+    reference_split_efficiency,
+    reference_unsplit_efficiency,
 )
 
 UNSPLIT = DemandModel.UNSPLITTABLE
@@ -390,6 +395,52 @@ class TestIncrementalMatchesReference:
         inst = random_instance(300, 6 / 299, 1, 4, 4, 3)
         picks = sum(1 for t in fast(inst).trace if t.phase == 1)
         assert calls == quotes < 20 * picks
+
+    @pytest.mark.parametrize(
+        "fast, weights",
+        [(greedy_unsplittable, "unit"), (greedy_unsplittable, "0-2"), (greedy_splittable, "unit"),
+         (greedy_splittable, "0-2"), (greedy_unweighted_splittable, "unit")],
+        ids=["unsplit-unit", "unsplit-0-2", "split-unit", "split-0-2", "unweighted-unit"],
+    )
+    def test_tree_matches_linear_scan(self, fast, weights, monkeypatch):
+        # With unit weights, or weights 0-2 with a third of them 0, another
+        # cached quote ties with the best at about 98% of the picks here,
+        # so the first best in vertex order decides them.  The reference
+        # is the loop with a flat cache scanned at each pick, pricing with
+        # the plain quote bodies.
+        inst = random_instance(2000, 6 / 1999, 1, 4, 4, 11)
+        if weights == "0-2":
+            rng = random.Random(5)
+            attrs = tuple(dataclasses.replace(a, weight=rng.choice((0, 1, 2))) for a in inst.attrs)
+            inst = Instance(inst.n, attrs, inst.edges)
+        expected = fast(inst)
+        monkeypatch.setattr(greedy, "_greedy_loop", reference_greedy_loop)
+        monkeypatch.setattr(greedy, "unsplit_efficiency", reference_unsplit_efficiency)
+        monkeypatch.setattr(greedy, "split_efficiency", reference_split_efficiency)
+        assert fast(inst) == expected
+
+
+class TestTournament:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 40])
+    def test_root_is_first_best_after_every_update(self, n):
+        # Few distinct values give exact ties, equal fractions in other terms
+        # (1/2 and 2/4) and denominator-0 quotes, which tie with each other
+        # and beat every other quote.
+        rng = random.Random(n)
+        leaves = 1 << n.bit_length()
+        tree = [None] * (2 * leaves)
+        for _ in range(500):
+            u = rng.randint(1, n)
+            k = rng.randint(1, 2)
+            tree[leaves + u] = None if rng.random() < 0.2 else EfficiencyQuote(
+                u, 1, k * rng.randint(1, 3), k * rng.choice((0, 1, 2, 4))
+            )
+            greedy._replay(tree, leaves + u)
+            cached = tree[leaves : leaves + n + 1]
+            if any(q is not None for q in cached):
+                assert tree[1] is reference_pick_best(cached)
+            else:
+                assert tree[1] is None
 
 
 class TestGreedyMemory:

@@ -18,13 +18,14 @@ vertex.  A quote of u reads only the state of N[u], so after a pick only
 the closed neighborhoods of the vertices whose demand changed are
 re-quoted.  The cache is a tournament tree over vertex ids whose root is
 the first best quote in vertex order; a re-quote replays only the
-matches on its leaf's path.  Each quote keeps the sorted candidates it
-priced, and the pick routes a prefix of that list.
+matches on its leaf's path.  A quote filters a closed neighborhood sorted
+once per solve (`closed_by_demand`) down to its pending candidates and
+keeps that list; the pick routes a prefix of it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .core import (
     CapdomError,
@@ -83,13 +84,13 @@ class GreedyState:
     """Mutable bookkeeping shared by the splittable variants.
 
     residue_demand holds only positive residues: a vertex leaves it once
-    its demand is fully routed.
+    its demand is fully routed.  order sorts by base_demand.
     """
 
     residue_demand: dict[int, int]
-    map_sets: dict[int, set[int]]
     partial_assignment: dict[tuple[int, int], int]
     base_demand: dict[int, int]
+    order: list[list[int]]
 
 
 @dataclass
@@ -107,15 +108,31 @@ def _add(assignment: dict[tuple[int, int], int], consumer: int, server: int, amo
         assignment[key] = assignment.get(key, 0) + amount
 
 
-def unsplit_efficiency(inst: Instance, undominated: set[int], u: int) -> EfficiencyQuote | None:
+def closed_by_demand(
+    inst: Instance, pending: Iterable[int], demand: Mapping[int, int] | Sequence[int]
+) -> list[list[int]]:
+    """Entry u lists the pending closed neighbors of u by (demand, id): each
+    pending v, in that order, joins the lists of N[v].  A solver builds it
+    once, for the fixed demands of a solve; its quotes filter it."""
+    order: list[list[int]] = [[] for _ in inst.closed]
+    for v in sorted(sorted(pending), key=demand.__getitem__):
+        for u in inst.closed[v]:
+            order[u].append(v)
+    return order
+
+
+def unsplit_efficiency(
+    inst: Instance, order: list[list[int]], undominated: set[int], u: int
+) -> EfficiencyQuote | None:
     """Best ratio (covered count) / (weight * copies) over candidate prefixes.
 
     Candidates are the undominated closed neighbors of u sorted by demand,
-    ties by id.  Equal ratios resolve toward the longer prefix.  Returns
-    None for zero-capacity vertices, which are never selectable.
+    ties by id: order[u] filtered by undominated.  Equal ratios resolve
+    toward the longer prefix.  Returns None for zero-capacity vertices,
+    which are never selectable.
     """
     demands = inst.demands
-    candidates = sorted(sorted(undominated & inst.closed[u]), key=demands.__getitem__)
+    candidates = [v for v in order[u] if v in undominated]
     if not candidates:
         raise NoCandidates(f"vertex {u} has no undominated closed neighbor")
     c = inst.capacities[u]
@@ -139,10 +156,11 @@ def split_efficiency(inst: Instance, state: GreedyState, u: int) -> EfficiencyQu
 
     X sums residue/demand over the longest prefix a single copy fully
     absorbs; Y credits the leftover capacity against the next candidate.
-    Candidates sort by their base demand (not the residue), ties by id.
+    Candidates sort by their base demand (not the residue), ties by id:
+    state.order[u] filtered by the residues.
     """
     residue, base = state.residue_demand, state.base_demand
-    candidates = sorted(sorted(residue.keys() & inst.closed[u]), key=base.__getitem__)
+    candidates = [v for v in state.order[u] if v in residue]
     if not candidates:
         raise NoCandidates(f"vertex {u} has no unsatisfied closed neighbor")
     c = inst.capacities[u]
@@ -234,6 +252,7 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
     """Whole-demand greedy: logarithmic-ratio solver for the unsplittable model."""
     require_feasible(inst)
     undominated = {v for v in inst.vertices() if inst.demand(v) > 0}
+    order = closed_by_demand(inst, undominated, inst.demands)
     assignment: dict[tuple[int, int], int] = {}
     trace: list[TraceEntry] = []
 
@@ -249,7 +268,7 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
         trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
         return chosen
 
-    _greedy_loop(inst, undominated, lambda u: unsplit_efficiency(inst, undominated, u), take)
+    _greedy_loop(inst, undominated, lambda u: unsplit_efficiency(inst, order, undominated, u), take)
     return GreedyResult(minimum_multiplicities(inst, assignment), trace)
 
 
@@ -259,8 +278,10 @@ def _split_pick(
     best: EfficiencyQuote,
     iteration: int,
     trace: list[TraceEntry],
+    map_sets: dict[int, set[int]] | None = None,
 ) -> list[int]:
-    """Route one first-greedy-choice pick; returns the vertices whose residue changed."""
+    """Route one first-greedy-choice pick; returns the vertices whose residue
+    changed.  map_sets, if given, gets the servers of a partly served vertex."""
     u = best.vertex
     c = inst.capacity(u)
     candidates = best.candidates
@@ -275,7 +296,8 @@ def _split_pick(
             state.residue_demand[first] = rest
         else:
             del state.residue_demand[first]
-        state.map_sets[first] = {u}
+        if map_sets is not None:
+            map_sets[first] = {u}
         iter_cost = inst.weight(u) * copies
         changed = [first]
     else:
@@ -291,7 +313,8 @@ def _split_pick(
                 nxt = candidates[j]
                 _add(state.partial_assignment, nxt, u, spare)
                 state.residue_demand[nxt] -= spare
-                state.map_sets.setdefault(nxt, set()).add(u)
+                if map_sets is not None:
+                    map_sets.setdefault(nxt, set()).add(u)
                 changed.append(nxt)
         iter_cost = inst.weight(u)
     trace.append(TraceEntry(iteration, u, j, iter_cost, 1))
@@ -306,16 +329,13 @@ def greedy_splittable(inst: Instance) -> GreedyResult:
     the servers that partially served it are doubled, satisfying it.
     """
     require_feasible(inst)
-    state = GreedyState(
-        residue_demand={v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0},
-        map_sets={},
-        partial_assignment={},
-        base_demand={v: inst.demand(v) for v in inst.vertices()},
-    )
+    residue = {v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0}
+    state = GreedyState(residue, {}, dict(residue), closed_by_demand(inst, residue, residue))
+    map_sets: dict[int, set[int]] = {}
     trace: list[TraceEntry] = []
 
     def take(best: EfficiencyQuote, iteration: int) -> list[int]:
-        changed = _split_pick(inst, state, best, iteration, trace)
+        changed = _split_pick(inst, state, best, iteration, trace, map_sets)
         # Only a vertex the pick touched can have dropped below half its demand.
         below_half = [
             v
@@ -324,10 +344,10 @@ def greedy_splittable(inst: Instance) -> GreedyResult:
         ]
         assert len(below_half) <= 1, "at most one residue can cross the half mark"
         for v in below_half:
-            for server in sorted(state.map_sets.get(v, ())):
+            for server in sorted(map_sets.get(v, ())):
                 state.partial_assignment[(v, server)] *= 2
             del state.residue_demand[v]
-            trace.append(TraceEntry(iteration, v, len(state.map_sets.get(v, ())), 0, 2))
+            trace.append(TraceEntry(iteration, v, len(map_sets.get(v, ())), 0, 2))
         return changed
 
     _greedy_loop(inst, state.residue_demand.keys(), lambda u: split_efficiency(inst, state, u), take)
@@ -363,12 +383,8 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
             _add(assignment, v, g, cg * copies)
             trace.append(TraceEntry(0, g, 0, copies, 0))
         residue[v] = inst.demand(v) - cg * copies
-    state = GreedyState(
-        residue_demand={v: r for v, r in residue.items() if r > 0},
-        map_sets={},
-        partial_assignment=assignment,
-        base_demand={v: r for v, r in residue.items() if r > 0},
-    )
+    residue = {v: r for v, r in residue.items() if r > 0}
+    state = GreedyState(residue, assignment, dict(residue), closed_by_demand(inst, residue, residue))
 
     def take(best: EfficiencyQuote, iteration: int) -> list[int]:
         assert best.prefix_len >= 1, "rebased demands always fit one copy"

@@ -11,6 +11,7 @@ PACE-style .td files are the on-disk format:
 """
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -99,33 +100,46 @@ def min_fill_order(inst: Instance) -> tuple[list[int], list[frozenset[int]]]:
     fill[v] counts the non-adjacent pairs in N(v).  It is kept by deltas:
     eliminating x and adding the fill edges that make N(x) a clique only
     moves the counts of N(x) and of the common neighbors of each new edge.
+    The least (fill, id) comes off a heap that gets a fresh entry whenever
+    a count moves; an entry whose count is no longer current is skipped.
     """
     adj: dict[int, set[int]] = {v: set(inst.neighbors(v)) for v in inst.vertices()}
     fill = {
-        v: sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2 for v, nbrs in adj.items()
+        v: sum(len(nbrs) - len(nbrs & adj[a]) - 1 for a in nbrs) // 2 for v, nbrs in adj.items()
     }
+    heap = sorted((f, v) for v, f in fill.items())  # a sorted list is a heap
     order: list[int] = []
     bags: list[frozenset[int]] = []
     while fill:
-        _, x = min((f, v) for v, f in fill.items())
+        f, x = heapq.heappop(heap)
+        if fill.get(x) != f:
+            continue
         del fill[x]
         nbrs = adj.pop(x)
+        moved = set(nbrs)
         for a in nbrs:
             # x leaves N(a), and with it the pairs (x, b), b not in N(x)
             adj[a].discard(x)
-            fill[a] -= len(adj[a] - nbrs)
+            fill[a] -= len(adj[a]) - len(adj[a] & nbrs)
         for a in nbrs:
-            for b in nbrs:
-                if a < b and b not in adj[a]:
+            if not f:  # the f missing pairs of N(x) are all filled
+                break
+            for b in nbrs - adj[a]:
+                if a < b:
+                    f -= 1
                     # (a, b) stops being a missing pair of every common
                     # neighbor; a gains the missing pairs (b, c) for c in
-                    # N(a) \ N(b), and b the mirror ones
-                    for w in adj[a] & adj[b]:
+                    # N(a) - N(b), and b the mirror ones
+                    common = adj[a] & adj[b]
+                    for w in common:
                         fill[w] -= 1
-                    fill[a] += len(adj[a] - adj[b])
-                    fill[b] += len(adj[b] - adj[a])
+                    moved |= common
+                    fill[a] += len(adj[a]) - len(common)
+                    fill[b] += len(adj[b]) - len(common)
                     adj[a].add(b)
                     adj[b].add(a)
+        for v in moved:
+            heapq.heappush(heap, (fill[v], v))
         order.append(x)
         bags.append(frozenset(nbrs) | {x})
     return order, bags

@@ -16,9 +16,14 @@ package's own run.
 `reference_unsplit_efficiency`, `reference_split_efficiency` and
 `reference_greedy_loop` are the package's quotes and loop before the
 loop kept its cache in a tournament tree: each quote reads the instance
-through its accessors and sorts by a key function, and the loop finds
-the best quote by one scan of the cache in vertex order.
+through its accessors and sorts its candidates anew by a key function,
+ignoring the pre-sorted order the package quotes filter, and the loop
+finds the best quote by one scan of the cache in vertex order.  The
+reference greedies keep their splittable state in a `SimpleNamespace`
+with the old `GreedyState` fields, `map_sets` included.
 """
+from types import SimpleNamespace
+
 from capdom.core import (
     CapdomError,
     InfeasibleInstance,
@@ -29,7 +34,6 @@ from capdom.core import (
 from capdom.greedy import (
     EfficiencyQuote,
     GreedyResult,
-    GreedyState,
     NoCandidates,
     NotUnweighted,
     TraceEntry,
@@ -37,7 +41,7 @@ from capdom.greedy import (
 )
 
 
-def reference_unsplit_efficiency(inst, undominated, u):
+def reference_unsplit_efficiency(inst, order, undominated, u):
     candidates = sorted(
         undominated & inst.closed_neighborhood(u),
         key=lambda v: (inst.demand(v), v),
@@ -141,7 +145,7 @@ def reference_greedy_unsplittable(inst):
                 continue
             if not (undominated & inst.closed_neighborhood(u)):
                 continue
-            quotes.append(reference_unsplit_efficiency(inst, undominated, u))
+            quotes.append(reference_unsplit_efficiency(inst, None, undominated, u))
         best = reference_pick_best(quotes)
         u = best.vertex
         chosen = sorted(
@@ -214,7 +218,7 @@ def reference_greedy_splittable(inst):
     """(result, positive residues after each pick and its doubling)."""
     if not is_feasible(inst):
         raise InfeasibleInstance("a vertex with demand has no usable server")
-    state = GreedyState(
+    state = SimpleNamespace(
         residue_demand={v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0},
         map_sets={},
         partial_assignment={},
@@ -268,7 +272,7 @@ def reference_greedy_unweighted_splittable(inst):
             _add(assignment, v, g, cg * copies)
             trace.append(TraceEntry(0, g, 0, copies, 0))
         residue[v] = inst.demand(v) - cg * copies
-    state = GreedyState(
+    state = SimpleNamespace(
         residue_demand={v: r for v, r in residue.items() if r > 0},
         map_sets={},
         partial_assignment=assignment,

@@ -21,6 +21,7 @@ from capdom.greedy import (
     GreedyState,
     NoCandidates,
     NotUnweighted,
+    closed_by_demand,
     greedy_splittable,
     greedy_unsplittable,
     greedy_unweighted_splittable,
@@ -54,14 +55,24 @@ def initial_undominated(inst):
     return {v for v in inst.vertices() if inst.demand(v) > 0}
 
 
-def split_state(inst, residues=None):
-    base = {v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0}
+def unsplit_quote(inst, undominated=None):
+    """Vertex 1's quote, its order sorted once by the positive demands as
+    `greedy_unsplittable` sorts it."""
+    order = closed_by_demand(inst, initial_undominated(inst), inst.demands)
+    if undominated is None:
+        undominated = initial_undominated(inst)
+    return unsplit_efficiency(inst, order, undominated, 1)
+
+
+def split_state(inst, residues=None, base=None):
+    if base is None:
+        base = {v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0}
     rd = dict(base) if residues is None else dict(residues)
     return GreedyState(
         residue_demand=rd,
-        map_sets={},
         partial_assignment={},
         base_demand=base,
+        order=closed_by_demand(inst, base, base),
     )
 
 
@@ -75,40 +86,47 @@ class TestUnsplitEfficiency:
     def test_prefix_two_wins(self):
         # server 1: w=2 c=5; undominated closed neighbors with demands 2,3,4
         inst = star((2, 5, 0), [(1, 1, 2), (1, 1, 3), (1, 1, 4)])
-        quote = unsplit_efficiency(inst, initial_undominated(inst), 1)
+        quote = unsplit_quote(inst)
         assert (quote.prefix_len, quote.numerator, quote.denominator) == (2, 2, 2)
 
     def test_single_candidate_single_copy(self):
         inst = star((1, 10, 0), [(1, 1, 1)])
-        quote = unsplit_efficiency(inst, initial_undominated(inst), 1)
+        quote = unsplit_quote(inst)
         assert (quote.prefix_len, quote.numerator, quote.denominator) == (1, 1, 1)
 
     def test_multi_copy_candidate(self):
         inst = star((1, 1, 0), [(1, 1, 3)])
-        quote = unsplit_efficiency(inst, initial_undominated(inst), 1)
+        quote = unsplit_quote(inst)
         assert (quote.prefix_len, quote.numerator, quote.denominator) == (1, 1, 3)
 
     def test_no_candidates(self):
         inst = star((1, 5, 0), [(1, 1, 0)])
         with pytest.raises(NoCandidates):
-            unsplit_efficiency(inst, initial_undominated(inst), 1)
+            unsplit_quote(inst)
 
     def test_zero_capacity_never_selectable(self):
         inst = star((1, 0, 1), [(1, 5, 0)])
-        assert unsplit_efficiency(inst, initial_undominated(inst), 1) is None
+        assert unsplit_quote(inst) is None
 
     def test_ratio_tie_takes_longer_prefix(self):
         # prefixes 1 and 2 both quote ratio 1/w with c = 2: pick i = 2
         inst = star((1, 2, 0), [(1, 1, 1), (1, 1, 1)])
-        quote = unsplit_efficiency(inst, initial_undominated(inst), 1)
+        quote = unsplit_quote(inst)
         assert quote.prefix_len == 2
 
 
     def test_candidates_sorted_by_demand_then_id(self):
         # demands 3, 2, 1, 2, 0: vertex 5 is dominated, and 2 and 4 tie
         inst = star((1, 5, 3), [(1, 1, 2), (1, 1, 1), (1, 1, 2), (1, 1, 0)])
-        quote = unsplit_efficiency(inst, initial_undominated(inst), 1)
+        quote = unsplit_quote(inst)
         assert quote.candidates == [3, 2, 4, 1]
+
+    def test_served_neighbors_leave_the_candidates(self):
+        # demands 3, 2, 1, 2, 0 as above; 2 and 3 are already served
+        inst = star((1, 5, 3), [(1, 1, 2), (1, 1, 1), (1, 1, 2), (1, 1, 0)])
+        quote = unsplit_quote(inst, undominated={1, 4})
+        assert quote.candidates == [4, 1]
+        assert (quote.prefix_len, quote.numerator, quote.denominator) == (2, 2, 1)
 
 class TestSplitEfficiency:
     def test_mixed_residues(self):
@@ -141,6 +159,16 @@ class TestSplitEfficiency:
         state = split_state(inst, residues={1: 3, 2: 2, 3: 1, 4: 2, 5: 1})
         quote = split_efficiency(inst, state, 1)
         assert quote.candidates == [3, 2, 4, 1, 5]
+
+    def test_candidates_sorted_by_rebased_base_then_id(self):
+        # the unweighted greedy's base is the residue after its pre-pass:
+        # rebased 1, 2, 1 against demands 3, 2, 5; vertex 5 (demand 0) and
+        # the served vertex 4 are no candidates
+        inst = star((1, 5, 3), [(1, 1, 2), (1, 1, 5), (1, 1, 1), (1, 1, 0)])
+        state = split_state(inst, residues={1: 1, 2: 2, 3: 1}, base={1: 1, 2: 2, 3: 1, 4: 1})
+        quote = split_efficiency(inst, state, 1)
+        assert quote.candidates == [1, 3, 2]
+        assert quote.prefix_len == 3
 
 class TestGreedyUnsplittable:
     def test_p3_cost_three(self):
@@ -418,6 +446,39 @@ class TestIncrementalMatchesReference:
         monkeypatch.setattr(greedy, "unsplit_efficiency", reference_unsplit_efficiency)
         monkeypatch.setattr(greedy, "split_efficiency", reference_split_efficiency)
         assert fast(inst) == expected
+
+
+class TestPresortedOrder:
+    @pytest.mark.parametrize("fast", [s for s, _ in SOLVER_PAIRS], ids=SOLVER_IDS)
+    def test_filtered_lists_equal_fresh_sorts(self, fast, monkeypatch):
+        # At a random twentieth of the quotes, every vertex's pre-sorted
+        # list filtered by the live pending set must equal a fresh sort of
+        # that set's closed neighbors by (base demand, id).  Demands of at
+        # most 2 to 4 make most sort keys tie, so the ids decide them.
+        rng = random.Random(23)
+        states = 0
+
+        def check(inst, order, pending, base):
+            nonlocal states
+            if rng.random() < 0.05:
+                states += 1
+                for w in inst.vertices():
+                    fresh = sorted(sorted(pending & inst.closed[w]), key=base.__getitem__)
+                    assert [v for v in order[w] if v in pending] == fresh
+
+        def unsplit(inst, order, undominated, u, _quote=greedy.unsplit_efficiency):
+            check(inst, order, undominated, inst.demands)
+            return _quote(inst, order, undominated, u)
+
+        def split(inst, state, u, _quote=greedy.split_efficiency):
+            check(inst, state.order, state.residue_demand.keys(), state.base_demand)
+            return _quote(inst, state, u)
+
+        monkeypatch.setattr(greedy, "unsplit_efficiency", unsplit)
+        monkeypatch.setattr(greedy, "split_efficiency", split)
+        for seed in range(6):
+            fast(random_instance(80, 0.08, 1, 3, 2 + seed % 3, seed))
+        assert states > 20
 
 
 class TestTournament:

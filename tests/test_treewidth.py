@@ -1,5 +1,9 @@
+import importlib.util
 import random
+import sys
+import time
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,48 @@ def reference_min_fill_order(inst):
                     adj[a].add(b)
         order.append(best_v)
     return order
+
+
+def reference_delta_min_fill_order(inst):
+    """`min_fill_order` before its heap: the same fill counts kept by
+    deltas, but each step scans every count for the least (fill, id), and
+    each fill edge takes two set differences over every pair of N(x)."""
+    adj = {v: set(inst.neighbors(v)) for v in inst.vertices()}
+    fill = {v: sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2 for v, nbrs in adj.items()}
+    order, bags = [], []
+    while fill:
+        _, x = min((f, v) for v, f in fill.items())
+        del fill[x]
+        nbrs = adj.pop(x)
+        for a in nbrs:
+            adj[a].discard(x)
+            fill[a] -= len(adj[a] - nbrs)
+        for a in nbrs:
+            for b in nbrs:
+                if a < b and b not in adj[a]:
+                    for w in adj[a] & adj[b]:
+                        fill[w] -= 1
+                    fill[a] += len(adj[a] - adj[b])
+                    fill[b] += len(adj[b] - adj[a])
+                    adj[a].add(b)
+                    adj[b].add(a)
+        order.append(x)
+        bags.append(frozenset(nbrs) | {x})
+    return order, bags
+
+
+def partial_two_tree(n, seed):
+    """`perfbench.workloads.partial_ktree` with k = 2 and keep 0.8."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return mk([(1, 1, 1)] * n, workloads.partial_ktree(random.Random(seed), n, 2, 0.8))
+
+
+def binary_tree(n):
+    return mk([(1, 1, 1)] * n, [(v // 2, v) for v in range(2, n + 1)])
 
 
 def complete_instance(n):
@@ -379,9 +425,34 @@ class TestHeuristic:
             density = (0.05, 0.15, 0.3, 0.5, 0.8)[seed % 5]
             inst = random_instance(1 + seed % 30, density, 3, 3, 3, seed)
             assert min_fill_order(inst)[0] == reference_min_fill_order(inst)
+            assert min_fill_order(inst) == reference_delta_min_fill_order(inst)
         for n, seed in ((150, 1), (200, 2)):
             inst = random_instance(n, 6 / (n - 1), 3, 3, 3, seed)
             assert min_fill_order(inst)[0] == reference_min_fill_order(inst)
+
+    @pytest.mark.parametrize("shape", ["tree", "star", "partial-2-tree"])
+    def test_heap_matches_delta_scan_at_scale(self, shape):
+        # 2,000 vertices: a random tree, a star centered on vertex 1 (one
+        # count of about 2*10^6 falling by one per leaf), a partial 2-tree
+        n = 2000
+        if shape == "tree":
+            rng = random.Random(3)
+            inst = mk([(1, 1, 1)] * n, [(rng.randint(1, v - 1), v) for v in range(2, n + 1)])
+        elif shape == "star":
+            inst = mk([(1, 1, 1)] * n, [(1, v) for v in range(2, n + 1)])
+        else:
+            inst = partial_two_tree(n, 5)
+        assert min_fill_order(inst) == reference_delta_min_fill_order(inst)
+
+    @pytest.mark.parametrize("shape", ["binary-tree", "partial-2-tree"])
+    def test_min_fill_at_ten_thousand_vertices(self, shape):
+        # about 0.1 s on a 2-core VM; the delta scan took about 5 s
+        inst = binary_tree(10**4) if shape == "binary-tree" else partial_two_tree(10**4, 5)
+        started = time.perf_counter()
+        order, bags = min_fill_order(inst)
+        assert time.perf_counter() - started < 3
+        assert sorted(order) == list(inst.vertices())
+        assert validate_td(inst, heuristic_decomposition(inst)).passed
 
     def test_from_order_rejects_non_permutation(self, p3):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ import functools
 import random
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import baker, fileio, greedy, hardness, oracle, tddp, treewidth
 from .core import (
@@ -70,10 +71,6 @@ def _random_instance(args, seed: int) -> Instance:
         raise _Usage(f"{exc}; lower --max-w, --max-c or --max-d") from None
 
 
-def _greedy_result(result: greedy.GreedyResult) -> tuple[Solution, list[str], list[str]]:
-    return result.solution, result.trace_lines(), []
-
-
 def _checked_td(inst: Instance, td: treewidth.TreeDecomposition) -> treewidth.TreeDecomposition:
     """The decomposition itself; one that fails `validate_td` on inst is an error."""
     report = treewidth.validate_td(inst, td)
@@ -109,50 +106,45 @@ def _run_oracle(inst, model, args):
     return oracle.exact_solve(inst, model, budget), [], []
 
 
-# name -> (model the algorithm forces or None, greedy ratio bound as a
-# function of H_n or None, runner).  Algorithms with a bound can be benched.
-# A runner maps (instance, model, parsed args) to (solution, trace lines,
-# comment lines).  Runners look solvers up through their modules at call
-# time, so anything that patches those module attributes sees every call.
+def _greedy(name: str):
+    """Runner for `greedy.<name>`, looked up when it runs."""
+    def run(inst, model, args):
+        result = getattr(greedy, name)(inst)
+        return result.solution, result.trace_lines(), []
+    return run
+
+
+class Algo(NamedTuple):
+    """One algorithm as `solve` and `bench` run it.  run maps (instance,
+    model, parsed args) to (solution, trace lines, comment lines); runners
+    look solvers up through their modules at call time, so anything that
+    patches those module attributes sees every call."""
+
+    model: DemandModel | None  # the demand model it forces, if any
+    bound: Callable[[Fraction], Fraction] | None  # greedy ratio bound of H_n; only these bench
+    run: Callable
+    flags: tuple[str, ...]  # the `solve` flags, by argparse dest, that only it reads
+
+
 ALGOS = {
-    "greedy-unsplit": (
-        DemandModel.UNSPLITTABLE,
-        lambda h: h,
-        lambda inst, model, args: _greedy_result(greedy.greedy_unsplittable(inst)),
+    "greedy-unsplit": Algo(DemandModel.UNSPLITTABLE, lambda h: h, _greedy("greedy_unsplittable"), ("trace",)),
+    "greedy-split": Algo(DemandModel.SPLITTABLE, lambda h: 4 * h + 2, _greedy("greedy_splittable"), ("trace",)),
+    "greedy-unweighted": Algo(
+        DemandModel.SPLITTABLE, lambda h: 2 * h + 1, _greedy("greedy_unweighted_splittable"), ("trace",)
     ),
-    "greedy-split": (
-        DemandModel.SPLITTABLE,
-        lambda h: 4 * h + 2,
-        lambda inst, model, args: _greedy_result(greedy.greedy_splittable(inst)),
-    ),
-    "greedy-unweighted": (
-        DemandModel.SPLITTABLE,
-        lambda h: 2 * h + 1,
-        lambda inst, model, args: _greedy_result(greedy.greedy_unweighted_splittable(inst)),
-    ),
-    "dp": (None, None, _run_dp),
-    "baker": (None, None, _run_baker),
-    "oracle": (None, None, _run_oracle),
+    "dp": Algo(None, None, _run_dp, ("td",)),
+    "baker": Algo(None, None, _run_baker, ("k",)),
+    "oracle": Algo(None, None, _run_oracle, ("budget",)),
 }
 
 
 def _model_for(algo: str, flag: str | None) -> DemandModel:
-    forced = ALGOS[algo][0]
+    forced = ALGOS[algo].model
     if forced is None:
         return DemandModel(flag) if flag else DemandModel.UNSPLITTABLE
     if flag is not None and DemandModel(flag) is not forced:
         raise _Usage(f"--model {flag} conflicts with --algo {algo}")
     return forced
-
-
-# `solve` flags that only some algorithms read, by argparse dest.  Only
-# the greedy runners return trace lines.
-SOLVE_ONLY_FLAGS = {
-    "td": ("dp",),
-    "k": ("baker",),
-    "budget": ("oracle",),
-    "trace": ("greedy-unsplit", "greedy-split", "greedy-unweighted"),
-}
 
 
 def _unverified(inst: Instance, solution: Solution, model: DemandModel) -> bool:
@@ -164,12 +156,17 @@ def _unverified(inst: Instance, solution: Solution, model: DemandModel) -> bool:
 
 
 def _solve(args) -> int:
-    for dest, algos in SOLVE_ONLY_FLAGS.items():
-        if getattr(args, dest) is not None and args.algo not in algos:
-            raise _Usage(f"--{dest} applies only to --algo {', '.join(algos)}")
+    readers: dict[str, list[str]] = {}
+    for name, algo in ALGOS.items():
+        for dest in algo.flags:
+            readers.setdefault(dest, []).append(name)
+    # A flag with one reader is reported before a shared one, each in ALGOS order.
+    for dest, names in sorted(readers.items(), key=lambda item: len(item[1])):
+        if getattr(args, dest) is not None and args.algo not in names:
+            raise _Usage(f"--{dest} applies only to --algo {', '.join(names)}")
     inst = _load_instance(args.instance)
     model = _model_for(args.algo, args.model)
-    solution, trace_lines, comments = ALGOS[args.algo][2](inst, model, args)
+    solution, trace_lines, comments = ALGOS[args.algo].run(inst, model, args)
     if _unverified(inst, solution, model):
         return EXIT_FAIL
     _emit(
@@ -218,19 +215,14 @@ def _td(args) -> int:
     if args.action == "compute" and args.td_file is not None:
         raise _Usage("td compute takes no decomposition file; write one with -o")
     inst = _load_instance(args.instance)
-    if args.action == "compute":
-        td = treewidth.heuristic_decomposition(inst)
-        _emit(treewidth.save_td(td, inst.n), args.output)
-        return EXIT_OK
+    td = treewidth.load_td(_read(args.td_file)) if args.td_file else treewidth.heuristic_decomposition(inst)
     if args.action == "validate":
-        td = treewidth.load_td(_read(args.td_file))
         report = treewidth.validate_td(inst, td)
         sys.stdout.write(str(report) + "\n")
         return EXIT_OK if report.passed else EXIT_FAIL
-    td = treewidth.load_td(_read(args.td_file)) if args.td_file else treewidth.heuristic_decomposition(inst)
-    ntd = treewidth.make_nice(_checked_td(inst, td))
-    projected = treewidth.project_nice(ntd)
-    _emit(treewidth.save_td(projected, inst.n), args.output)
+    if args.action == "nice":
+        td = treewidth.project_nice(treewidth.make_nice(_checked_td(inst, td)))
+    _emit(treewidth.save_td(td, inst.n), args.output)
     return EXIT_OK
 
 
@@ -243,19 +235,19 @@ def _bench(args) -> int:
     algo = args.algo
     if algo is None:
         algo = "greedy-unsplit" if model is DemandModel.UNSPLITTABLE else "greedy-split"
-    forced, bound_of, runner = ALGOS[algo]
-    if forced is not model:
+    bench_algo = ALGOS[algo]
+    if bench_algo.model is not model:
         raise _Usage(f"--algo {algo} does not solve the {model.value} model")
     if algo == "greedy-unweighted" and args.max_w != 1:
         raise _Usage("greedy-unweighted requires --max-w 1")
 
     opt_algo = "oracle" if args.n <= args.oracle_threshold else "dp"
-    bound = float(bound_of(_harmonic(args.n)))
+    bound = float(bench_algo.bound(_harmonic(args.n)))
     rng = random.Random(args.seed)
     rows = ["index,n,m,algo,model,cost,opt,opt_algo,ratio,bound"]
     for index in range(args.batch):
         inst = _random_instance(args, rng.randrange(2**32))
-        solutions = [runner(inst, model, args)[0], ALGOS[opt_algo][2](inst, model, args)[0]]
+        solutions = [bench_algo.run(inst, model, args)[0], ALGOS[opt_algo].run(inst, model, args)[0]]
         if any(_unverified(inst, solution, model) for solution in solutions):
             return EXIT_FAIL
         cost, opt = (solution.cost for solution in solutions)
@@ -342,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--batch", type=_positive_int, required=True)
     bench.add_argument("--seed", type=int, required=True)
     bench.add_argument("--model", required=True, choices=[m.value for m in DemandModel])
-    bench.add_argument("--algo", choices=[name for name, entry in ALGOS.items() if entry[1]])
+    bench.add_argument("--algo", choices=[name for name, algo in ALGOS.items() if algo.bound])
     bench.add_argument("--edge-prob", type=_probability, default=0.3)
     bench.add_argument("--max-w", type=_positive_int, default=5)
     bench.add_argument("--max-c", type=_positive_int, default=4)
@@ -353,21 +345,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {"solve": _solve, "verify": _verify, "gen": _gen, "td": _td, "bench": _bench}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return _solve(args)
-        if args.command == "verify":
-            return _verify(args)
-        if args.command == "gen":
-            return _gen(args)
-        if args.command == "td":
-            return _td(args)
-        if args.command == "bench":
-            return _bench(args)
-        parser.error(f"unknown command {args.command}")
+        return COMMANDS[args.command](args)
     except (_Usage, greedy.NotUnweighted) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
@@ -383,7 +367,6 @@ def main(argv: list[str] | None = None) -> int:
     except (CapdomError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL
-    return EXIT_USAGE
 
 
 def entrypoint():

@@ -61,9 +61,6 @@ class EfficiencyQuote:
     denominator: int
     candidates: list[int] = field(default_factory=list, compare=False, repr=False)
 
-    def beats(self, other: "EfficiencyQuote") -> bool:
-        return self.numerator * other.denominator > other.numerator * self.denominator
-
 
 @dataclass(slots=True)
 class TraceEntry:
@@ -188,9 +185,9 @@ def split_efficiency(inst: Instance, state: GreedyState, u: int) -> EfficiencyQu
 def _replay(tree: list[EfficiencyQuote | None], node: int) -> None:
     """Re-run the matches above tree[node] until a winner stays the same.
 
-    The better quote wins a match, by cross-multiplication as in `beats`,
-    and the left one on a tie; so every node holds the first best quote of
-    its leaves in vertex order.
+    The better quote wins a match, by cross-multiplying numerators and
+    denominators, and the left one on a tie; so every node holds the first
+    best quote of its leaves in vertex order.
     """
     while node > 1:
         node >>= 1

@@ -23,7 +23,10 @@ once: positive demands make the loads fix the depth, the cost so far and
 every completion with its multiplicity vector.  A repeat's subtree was
 searched under an incumbent no better than the current one, and a tie
 replaces the incumbent only with a strictly smaller vector, so a skip
-changes nothing but the node count.
+changes nothing but the node count.  The seen set is emptied whenever it
+reaches `SEEN_LIMIT` keys (the 3x4 unit grid with c = 2, d = 1 finishes
+in 154,716 nodes), so a search run to its budget holds bounded memory;
+emptying it only gives up later skips.
 
 The splittable search checks each complete vector with `feasibility_flow`:
 fixed copy counts leave a transportation problem, solved by shortest
@@ -44,6 +47,9 @@ from .core import (
     require_feasible,
 )
 from .greedy import greedy_splittable, greedy_unsplittable
+
+
+SEEN_LIMIT = 1 << 18  # load vectors the unsplittable search remembers at once
 
 
 @dataclass(frozen=True)
@@ -133,10 +139,6 @@ def feasibility_flow(inst: Instance, multiplicity: dict[int, int]) -> dict[tuple
     return dict(sorted(((x, u), a) for u, by in routed.items() for x, a in by.items() if a))
 
 
-def _vector_of(sol: Solution, inst: Instance) -> tuple[int, ...]:
-    return tuple(sol.multiplicity.get(v, 0) for v in inst.vertices())
-
-
 def _scaled_rates(capacity: tuple[int, ...], weight: tuple[int, ...]) -> tuple[int, list[int | None]]:
     """(L, rates): L is the lcm of the positive capacities and rates[v] is
     L * w(v) / c(v) as an exact int, or None where c(v) == 0."""
@@ -175,7 +177,7 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
     greedy = greedy_unsplittable(inst).solution
     incumbent_cost = greedy.cost
     incumbent: Solution | None = greedy
-    best_vec: tuple[int, ...] | None = _vector_of(greedy, inst)
+    best_vec: tuple[int, ...] | None = tuple(greedy.multiplicity.get(v, 0) for v in inst.vertices())
     if budget.upper_bound is not None and budget.upper_bound < incumbent_cost:
         incumbent_cost = budget.upper_bound
         incumbent = None
@@ -188,6 +190,7 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
     nodes = 0
     # Keys sum(loads[u] * radix**u) of the load vectors already descended into.
     seen: set[int] = set()
+    seen_limit = SEEN_LIMIT
 
     def descend(i: int, cost_int: int, cost_frac: int, pending: int, key: int):
         # cost_frac and pending are scaled by L; cost_int is not.
@@ -222,6 +225,8 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
                 child_key = key + key_step
                 if child_key in seen:
                     continue
+                if len(seen) >= seen_limit:
+                    seen.clear()
                 seen.add(child_key)
                 loads[u] = old_load + d
                 choice[i] = u

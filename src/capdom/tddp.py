@@ -13,7 +13,7 @@ significant first; a residual has radix d(u) + 1, a spare max(c(u), 1).
 Every digit is below its radix and all residuals sit above all spares,
 so int order is the order of the tuple pair (residuals, spares), and
 sorts and tie-breaks are those of tuple keys.  Kernels work on the place
-values in `DPTable.places`; `encode_key` and `decode_key` are for tests.
+values in `DPTable.places`.
 
 A table row is the tuple (cost, triples, prev): its cost, the
 (consumer, server, amount) triples the node itself routes, and the child
@@ -75,23 +75,6 @@ def _places(radices: list[int]) -> tuple[int, ...]:
 def layout(inst: Instance, bag: tuple[int, ...]) -> tuple[int, ...]:
     """The place values of keys over `bag` (see `DPTable.places`)."""
     return _places([inst.demand(u) + 1 for u in bag] + [max(inst.capacity(u), 1) for u in bag])
-
-
-def encode_key(table: DPTable, state: tuple[int, ...], rc: tuple[int, ...]) -> int:
-    """The key of residuals `state` and spares `rc` over the table's bag."""
-    places, digits = table.places, state + rc
-    if len(rc) != len(state) or len(digits) + 1 != len(places):
-        raise ValueError("a key has one residual and one spare per bag vertex")
-    if any(not 0 <= x < hi // lo for x, hi, lo in zip(digits, places, places[1:])):
-        raise ValueError("a key digit is outside its radix")
-    return sum(x * lo for x, lo in zip(digits, places[1:]))
-
-
-def decode_key(table: DPTable, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The (residuals, spares) pair that `key` encodes."""
-    places, k = table.places, len(table.bag)
-    digits = tuple(key % hi // lo for hi, lo in zip(places, places[1:]))
-    return digits[:k], digits[k:]
 
 
 def dp_leaf(inst: Instance, v: int, model: DemandModel) -> DPTable:

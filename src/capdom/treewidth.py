@@ -354,35 +354,6 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     return NiceTreeDecomposition(adapt(node, frozenset()))  # the root's node, built last
 
 
-def validate_nice(ntd: NiceTreeDecomposition) -> Report:
-    """Structural checks on node kinds, bag deltas, and the empty root."""
-    problems: list[str] = []
-    if ntd.root.bag:
-        problems.append("root bag is not empty")
-    for node in ntd.post_order():
-        if node.kind == LEAF:
-            if node.children or len(node.bag) != 1:
-                problems.append("leaf must be childless with a singleton bag")
-        elif node.kind == INTRODUCE:
-            if len(node.children) != 1 or node.vertex is None:
-                problems.append("introduce needs one child and a vertex")
-            elif node.bag != node.children[0].bag | {node.vertex} or node.vertex in node.children[0].bag:
-                problems.append(f"introduce of {node.vertex} has wrong bags")
-        elif node.kind == FORGET:
-            if len(node.children) != 1 or node.vertex is None:
-                problems.append("forget needs one child and a vertex")
-            elif node.bag != node.children[0].bag - {node.vertex} or node.vertex not in node.children[0].bag:
-                problems.append(f"forget of {node.vertex} has wrong bags")
-        elif node.kind == JOIN:
-            if len(node.children) != 2:
-                problems.append("join needs two children")
-            elif any(child.bag != node.bag for child in node.children):
-                problems.append("join children bags must equal the join bag")
-        else:
-            problems.append(f"unknown node kind {node.kind!r}")
-    return Report(not problems, problems)
-
-
 def project_nice(ntd: NiceTreeDecomposition) -> TreeDecomposition:
     """Forget the node types: bags plus parent-child tree edges."""
     nodes = ntd.post_order()

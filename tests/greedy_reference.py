@@ -96,11 +96,16 @@ def reference_split_efficiency(inst, state, u):
     return EfficiencyQuote(u, j, numerator, common * inst.weight(u), candidates)
 
 
+def beats(quote, other):
+    """True when `quote` is strictly more efficient than `other`."""
+    return quote.numerator * other.denominator > other.numerator * quote.denominator
+
+
 def reference_pick_best(quotes):
     """The first maximum of the quotes that are not None, in list order."""
     best = None
     for q in quotes:
-        if q is not None and (best is None or q.beats(best)):
+        if q is not None and (best is None or beats(q, best)):
             best = q
     if best is None:
         raise InfeasibleInstance("no selectable vertex covers the remaining demand")

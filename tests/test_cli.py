@@ -52,6 +52,21 @@ def run_peak(*argv):
         tracemalloc.stop()
 
 
+# The `solve` algorithms in their --algo order, and each solve-only flag
+# with its values (FILE: an existing path) and the algorithms that read it.
+ALGO_NAMES = ["greedy-unsplit", "greedy-split", "greedy-unweighted", "dp", "baker", "oracle"]
+SOLVE_ONLY = {
+    "--td": (("FILE",), ("dp",)),
+    "--k": (("2",), ("baker",)),
+    "--budget": (("5",), ("oracle",)),
+    "--trace": ((), ("greedy-unsplit", "greedy-split", "greedy-unweighted")),
+}
+
+
+def misapplied(flag):
+    return f"usage error: {flag} applies only to --algo {', '.join(SOLVE_ONLY[flag][1])}\n"
+
+
 class TestSolve:
     def test_tab_comment_is_skipped(self, p3_file, tmp_path, capsys):
         commented = tmp_path / "commented.cd"
@@ -147,6 +162,32 @@ class TestSolve:
             "greedy-unsplit, greedy-split, greedy-unweighted\n"
         )
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag, algo",
+        [(flag, algo) for flag, (_, readers) in SOLVE_ONLY.items() for algo in ALGO_NAMES if algo not in readers],
+    )
+    def test_every_misapplied_flag_message(self, flag, algo, p3_file, capsys):
+        values = [p3_file if v == "FILE" else v for v in SOLVE_ONLY[flag][0]]
+        assert run("solve", "--algo", algo, flag, *values, p3_file) == 2
+        assert capsys.readouterr() == ("", misapplied(flag))
+
+    @pytest.mark.parametrize(
+        "algo, flags, reported",
+        [
+            ("oracle", ("--td", "FILE", "--k", "2"), "--td"),
+            ("greedy-split", ("--budget", "5", "--k", "2"), "--k"),
+            ("dp", ("--trace", "--budget", "5", "--k", "2"), "--k"),
+            ("baker", ("--trace", "--k", "2", "--budget", "5"), "--budget"),
+            ("oracle", ("--budget", "5", "--trace", "--k", "2", "--td", "FILE"), "--td"),
+        ],
+    )
+    def test_misapplied_flags_report_the_first_in_order(self, algo, flags, reported, p3_file, capsys):
+        # Of several misapplied flags, --td is reported first, then --k,
+        # then --budget, then --trace, whatever their order on the line.
+        flags = [p3_file if f == "FILE" else f for f in flags]
+        assert run("solve", "--algo", algo, *flags, p3_file) == 2
+        assert capsys.readouterr() == ("", misapplied(reported))
 
     def test_consecutive_calls_share_one_parser(self, p3_file, capsys):
         # The parser is built once per process; a usage error in one call

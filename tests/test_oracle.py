@@ -3,12 +3,14 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capdom import oracle
 from capdom.core import (
     CapdomError,
     DemandModel,
@@ -550,6 +552,29 @@ class TestRepeatSkip:
         # The skip-free search needs every one of its nodes, and no more.
         assert isinstance(_outcome(skip_free_reference, inst, SearchBudget(max_nodes=skip_free_nodes)), Solution)
         assert isinstance(_outcome(skip_free_reference, inst, SearchBudget(max_nodes=skip_free_nodes - 1)), tuple)
+
+
+class TestSeenLimit:
+    """Forgetting the seen load vectors bounds the unsplittable search's
+    memory and changes no answer; only later skips are given up."""
+
+    def test_budget_exhausting_search_stays_small(self, monkeypatch):
+        # 100,000 nodes of the 4x4 grid remember ~3 MB of keys unbounded.
+        monkeypatch.setattr(oracle, "SEEN_LIMIT", 1 << 10)
+        inst = grid_instance(4, 4, (1, 2, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExhausted):
+                exact_unsplittable(inst, SearchBudget(max_nodes=100_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+
+    def test_seeded_batch_matches_skip_free_search(self, monkeypatch):
+        monkeypatch.setattr(oracle, "SEEN_LIMIT", 8)
+        for inst, budget in differential_cases():
+            assert _outcome(exact_unsplittable, inst, budget) == _outcome(skip_free_reference, inst, budget)
 
 
 def _optimum(search, inst):

@@ -22,13 +22,11 @@ from capdom.core import (
 from capdom.oracle import exact_splittable, exact_unsplittable
 from capdom.tddp import (
     DPTable,
-    decode_key,
     dp_forget,
     dp_introduce,
     dp_join,
     dp_leaf,
     choose_decomposition,
-    encode_key,
     layout,
     predicted_work,
     solve_td,
@@ -71,6 +69,23 @@ class TupleTable:
     model: DemandModel
     bag: tuple
     rows: dict
+
+
+def encode_key(table: DPTable, state: tuple[int, ...], rc: tuple[int, ...]) -> int:
+    """The key of residuals `state` and spares `rc` over the table's bag."""
+    places, digits = table.places, state + rc
+    if len(rc) != len(state) or len(digits) + 1 != len(places):
+        raise ValueError("a key has one residual and one spare per bag vertex")
+    if any(not 0 <= x < hi // lo for x, hi, lo in zip(digits, places, places[1:])):
+        raise ValueError("a key digit is outside its radix")
+    return sum(x * lo for x, lo in zip(digits, places[1:]))
+
+
+def decode_key(table: DPTable, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (residuals, spares) pair that `key` encodes."""
+    places, k = table.places, len(table.bag)
+    digits = tuple(key % hi // lo for hi, lo in zip(places, places[1:]))
+    return digits[:k], digits[k:]
 
 
 def decoded(table, kids=()):

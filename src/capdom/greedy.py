@@ -10,6 +10,11 @@ They differ in how partially served demand is handled:
 * unweighted splittable - a pre-pass parks floor(d/c) full copies on the
   largest-capacity neighbor so one copy suffices afterwards
 
+The two splittable variants share one driver, `_split_greedy`: it routes
+every pick the same way, leaves at most one vertex partly served, and
+hands that vertex to the variant's repair (doubling its servers'
+assignments, or routing the rest to g).
+
 Efficiency ratios are kept as exact integer fractions and compared by
 cross-multiplication; nothing here touches floating point.
 
@@ -78,14 +83,13 @@ class TraceEntry:
 
 @dataclass
 class GreedyState:
-    """Mutable bookkeeping shared by the splittable variants.
+    """What a splittable quote reads.
 
     residue_demand holds only positive residues: a vertex leaves it once
     its demand is fully routed.  order sorts by base_demand.
     """
 
     residue_demand: dict[int, int]
-    partial_assignment: dict[tuple[int, int], int]
     base_demand: dict[int, int]
     order: list[list[int]]
 
@@ -269,53 +273,59 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
     return GreedyResult(minimum_multiplicities(inst, assignment), trace)
 
 
-def _split_pick(
+def _split_greedy(
     inst: Instance,
-    state: GreedyState,
-    best: EfficiencyQuote,
-    iteration: int,
+    residue: dict[int, int],
+    assignment: dict[tuple[int, int], int],
     trace: list[TraceEntry],
-    map_sets: dict[int, set[int]] | None = None,
-) -> list[int]:
-    """Route one first-greedy-choice pick; returns the vertices whose residue
-    changed.  map_sets, if given, gets the servers of a partly served vertex."""
-    u = best.vertex
-    c = inst.capacity(u)
-    candidates = best.candidates
-    j = best.prefix_len
-    if j == 0:
-        first = candidates[0]
-        residue = state.residue_demand[first]
-        assert residue > c, "prefix length 0 implies the first residue exceeds c(u)"
-        copies, rest = divmod(residue, c)
-        _add(state.partial_assignment, first, u, c * copies)
-        if rest:
-            state.residue_demand[first] = rest
+    settle: Callable[[int, int, int, int], None],
+) -> Solution:
+    """Route first-greedy-choice picks until every residue is served.
+
+    residue holds only positive residues, and the candidates sort by its
+    values on entry.  A prefix-0 pick buys floor(r/c) copies of u for the
+    first candidate; any other pick serves the prefix's residues whole and
+    spills the spare capacity onto the next candidate.  A pick leaves at
+    most one vertex v partly served; settle(v, u, prefix_len, iteration)
+    repairs it after the pick's phase-1 trace entry.
+    """
+    state = GreedyState(residue, dict(residue), closed_by_demand(inst, residue, residue))
+
+    def take(best: EfficiencyQuote, iteration: int) -> list[int]:
+        u, j, candidates = best.vertex, best.prefix_len, best.candidates
+        c = inst.capacity(u)
+        if j == 0:
+            first = candidates[0]
+            assert residue[first] > c, "prefix length 0 implies the first residue exceeds c(u)"
+            copies, rest = divmod(residue[first], c)
+            _add(assignment, first, u, c * copies)
+            if rest:
+                residue[first] = rest
+            else:
+                del residue[first]
+            iter_cost = inst.weight(u) * copies
+            changed = [first]
         else:
-            del state.residue_demand[first]
-        if map_sets is not None:
-            map_sets[first] = {u}
-        iter_cost = inst.weight(u) * copies
-        changed = [first]
-    else:
-        changed = candidates[:j]
-        assigned = 0
-        for v in changed:
-            residue = state.residue_demand.pop(v)
-            _add(state.partial_assignment, v, u, residue)
-            assigned += residue
-        if j < len(candidates):
-            spare = c - assigned
-            if spare > 0:
+            changed = candidates[:j]
+            spare = c
+            for v in changed:
+                spare -= residue[v]
+                _add(assignment, v, u, residue.pop(v))
+            if j < len(candidates) and spare > 0:
                 nxt = candidates[j]
-                _add(state.partial_assignment, nxt, u, spare)
-                state.residue_demand[nxt] -= spare
-                if map_sets is not None:
-                    map_sets.setdefault(nxt, set()).add(u)
+                _add(assignment, nxt, u, spare)
+                residue[nxt] -= spare
                 changed.append(nxt)
-        iter_cost = inst.weight(u)
-    trace.append(TraceEntry(iteration, u, j, iter_cost, 1))
-    return changed
+            iter_cost = inst.weight(u)
+        trace.append(TraceEntry(iteration, u, j, iter_cost, 1))
+        partial = [v for v in changed if v in residue]
+        assert len(partial) <= 1, "at most one vertex is partly served per pick"
+        for v in partial:
+            settle(v, u, j, iteration)
+        return changed
+
+    _greedy_loop(inst, residue.keys(), lambda u: split_efficiency(inst, state, u), take)
+    return minimum_multiplicities(inst, assignment)
 
 
 def greedy_splittable(inst: Instance) -> GreedyResult:
@@ -327,28 +337,22 @@ def greedy_splittable(inst: Instance) -> GreedyResult:
     """
     require_feasible(inst)
     residue = {v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0}
-    state = GreedyState(residue, {}, dict(residue), closed_by_demand(inst, residue, residue))
+    assignment: dict[tuple[int, int], int] = {}
     map_sets: dict[int, set[int]] = {}
     trace: list[TraceEntry] = []
 
-    def take(best: EfficiencyQuote, iteration: int) -> list[int]:
-        changed = _split_pick(inst, state, best, iteration, trace, map_sets)
-        # Only a vertex the pick touched can have dropped below half its demand.
-        below_half = [
-            v
-            for v in sorted(changed)
-            if 0 < 2 * state.residue_demand.get(v, 0) < state.base_demand[v]
-        ]
-        assert len(below_half) <= 1, "at most one residue can cross the half mark"
-        for v in below_half:
-            for server in sorted(map_sets.get(v, ())):
-                state.partial_assignment[(v, server)] *= 2
-            del state.residue_demand[v]
-            trace.append(TraceEntry(iteration, v, len(map_sets.get(v, ())), 0, 2))
-        return changed
+    def settle(v: int, u: int, prefix_len: int, iteration: int) -> None:
+        if prefix_len == 0:
+            map_sets[v] = {u}
+        else:
+            map_sets.setdefault(v, set()).add(u)
+        if 2 * residue[v] < inst.demand(v):
+            for server in sorted(map_sets[v]):
+                assignment[(v, server)] *= 2
+            del residue[v]
+            trace.append(TraceEntry(iteration, v, len(map_sets[v]), 0, 2))
 
-    _greedy_loop(inst, state.residue_demand.keys(), lambda u: split_efficiency(inst, state, u), take)
-    return GreedyResult(minimum_multiplicities(inst, state.partial_assignment), trace)
+    return GreedyResult(_split_greedy(inst, residue, assignment, trace, settle), trace)
 
 
 def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
@@ -362,43 +366,27 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
     if any(inst.weight(v) != 1 for v in inst.vertices()):
         raise NotUnweighted("every vertex weight must be 1")
     require_feasible(inst)
-    best_neighbor: dict[int, int] = {}
-    for v in inst.vertices():
-        if inst.demand(v) > 0:
-            best_neighbor[v] = min(
-                inst.closed_neighborhood(v),
-                key=lambda u: (-inst.capacity(u), u),
-            )
     trace: list[TraceEntry] = []
     assignment: dict[tuple[int, int], int] = {}
     residue: dict[int, int] = {}
-    for v in sorted(best_neighbor):
-        g = best_neighbor[v]
-        cg = inst.capacity(g)
-        copies = inst.demand(v) // cg
-        if copies > 0:
-            _add(assignment, v, g, cg * copies)
+    best_neighbor: dict[int, int] = {}
+    for v in inst.vertices():
+        if inst.demand(v) == 0:
+            continue
+        g = min(inst.closed_neighborhood(v), key=lambda u: (-inst.capacity(u), u))
+        copies, rest = divmod(inst.demand(v), inst.capacity(g))
+        if copies:
+            _add(assignment, v, g, inst.capacity(g) * copies)
             trace.append(TraceEntry(0, g, 0, copies, 0))
-        residue[v] = inst.demand(v) - cg * copies
-    residue = {v: r for v, r in residue.items() if r > 0}
-    state = GreedyState(residue, assignment, dict(residue), closed_by_demand(inst, residue, residue))
+        if rest:
+            residue[v] = rest
+            best_neighbor[v] = g
 
-    def take(best: EfficiencyQuote, iteration: int) -> list[int]:
-        assert best.prefix_len >= 1, "rebased demands always fit one copy"
-        changed = _split_pick(inst, state, best, iteration, trace)
-        # Only a vertex the pick touched can be partially served.
-        partial = [
-            v
-            for v in sorted(changed)
-            if 0 < state.residue_demand.get(v, 0) < state.base_demand[v]
-        ]
-        assert len(partial) <= 1, "at most one vertex is partially served per pick"
-        for v in partial:
-            g = best_neighbor[v]
-            _add(state.partial_assignment, v, g, state.residue_demand.pop(v))
-            trace.append(TraceEntry(iteration, g, 0, 0, 2))
-        return changed
+    def settle(v: int, u: int, prefix_len: int, iteration: int) -> None:
+        g = best_neighbor[v]
+        _add(assignment, v, g, residue.pop(v))
+        trace.append(TraceEntry(iteration, g, 0, 0, 2))
 
-    _greedy_loop(inst, state.residue_demand.keys(), lambda u: split_efficiency(inst, state, u), take)
-    solution = minimum_multiplicities(inst, state.partial_assignment)
+    solution = _split_greedy(inst, residue, assignment, trace, settle)
+    assert all(t.prefix_len >= 1 for t in trace if t.phase == 1), "rebased demands always fit one copy"
     return GreedyResult(solution, trace)

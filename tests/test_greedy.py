@@ -70,7 +70,6 @@ def split_state(inst, residues=None, base=None):
     rd = dict(base) if residues is None else dict(residues)
     return GreedyState(
         residue_demand=rd,
-        partial_assignment={},
         base_demand=base,
         order=closed_by_demand(inst, base, base),
     )

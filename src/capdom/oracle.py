@@ -1,8 +1,9 @@
 """Exact optimal solvers for small instances.
 
 These are the ground truth for approximation-ratio and DP-equivalence
-testing.  Not built to scale: the unsplittable search is comfortable up
-to ~15 vertices, the splittable one to ~12.
+testing.  Not built to scale: README's "Scale expectations" puts their
+reach at sparse random instances of about 30 vertices unsplittable and
+20 splittable, and unit-weight grids up to 5x5.
 
 Lower bound used by both searches (documented because pruning correctness
 depends on it): a completion of any partial decision costs at least
@@ -10,23 +11,33 @@ max(sum_s w(s) * ceil(load_s / c(s)),
     sum_s w(s) * load_s / c(s) + pending demand priced at the cheapest
     admissible weight-per-capacity-unit rate).
 Loads only grow, so neither component ever exceeds the true completion
-cost, and pruning only happens strictly above the incumbent.
+cost.  Costs are integers, so a node is pruned as soon as its bound
+exceeds `cap`, the largest cost still worth finding.
 
 The searches keep this bound in integers scaled by L, the lcm of the
 positive capacities: the rate w(s) / c(s) is held as w(s) * (L // c(s)),
-so the bound times L is an exact int, and it is compared with L times
-the incumbent cost.  Scaling both sides by the same positive L keeps
-every comparison, heap order and tie exactly as in rational arithmetic.
+so the bound times L is an exact int, compared with L times the cap.
+The splittable search rounds its heap key up to whole cost units,
+ceil(cost + bound), which loses nothing against an integral cap.
 
-The unsplittable search descends into each server load vector at most
-once: positive demands make the loads fix the depth, the cost so far and
-every completion with its multiplicity vector.  A repeat's subtree was
-searched under an incumbent no better than the current one, and a tie
-replaces the incumbent only with a strictly smaller vector, so a skip
-changes nothing but the node count.  The seen set is emptied whenever it
-reaches `SEEN_LIMIT` keys (the 3x4 unit grid with c = 2, d = 1 finishes
-in 154,716 nodes), so a search run to its budget holds bounded memory;
-emptying it only gives up later skips.
+The unsplittable search runs two passes of one depth-first descent.
+Pass 1 finds the optimum: cap starts one below the greedy cost (or at
+the caller's inclusive upper bound) and drops to one below each solution
+found, so no tie is walked.  Pass 2 recovers the lexicographically
+smallest optimal multiplicity vector: with cap at OPT, each vertex in id
+order is capped at one copy fewer than the incumbent has, and the first
+solution within the caps is asked for until none exists.  The last
+query's leaf is then the first leaf of the tree with that vector: the
+witness a search walking every tie would keep.
+
+Within one query the search descends into each server load vector at
+most once: positive demands make the loads fix the depth, the cost so
+far and every completion with its multiplicity vector.  A repeat's
+subtree was searched under the same copy caps and a cap no lower than
+the current one, and held no solution the query still wants, so a skip
+changes nothing but the node count.  The seen set is emptied at each
+query and whenever it reaches `SEEN_LIMIT` keys, so a search run to its
+budget holds bounded memory; emptying it only gives up later skips.
 
 The splittable search checks each complete vector with `feasibility_flow`:
 fixed copy counts leave a transportation problem, solved by shortest
@@ -153,7 +164,7 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
     Branches over consumers in decreasing-demand order, trying every
     positive-capacity server in the closed neighborhood.  Among equal-cost
     optima the lexicographically smallest multiplicity vector wins, so the
-    witness is a stable fixture.
+    witness is a stable fixture; pass 2 finds it (see the module notes).
     """
     require_feasible(inst)
     capacity, weight, demand = inst.capacities, inst.weights, inst.demands
@@ -174,44 +185,35 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
         options.append([(u, capacity[u], weight[u], rates[u] * d, d * radix**u) for u in servers])
         pending_steps.append(min(rates[u] for u in servers) * d)
 
-    greedy = greedy_unsplittable(inst).solution
-    incumbent_cost = greedy.cost
-    incumbent: Solution | None = greedy
-    best_vec: tuple[int, ...] | None = tuple(greedy.multiplicity.get(v, 0) for v in inst.vertices())
-    if budget.upper_bound is not None and budget.upper_bound < incumbent_cost:
-        incumbent_cost = budget.upper_bound
+    incumbent: Solution | None = greedy_unsplittable(inst).solution
+    # cap: the largest cost still searched for; bounds are inclusive.
+    cap = incumbent.cost - 1
+    if budget.upper_bound is not None and budget.upper_bound <= cap:
+        cap = budget.upper_bound
         incumbent = None
-        best_vec = None
 
     max_nodes = budget.max_nodes
     last = len(consumers)
     loads = [0] * (inst.n + 1)
+    copy_caps = [radix] * (inst.n + 1)  # radix exceeds every copy count
     choice: list[int] = [0] * last
     nodes = 0
+    first_only = False
     # Keys sum(loads[u] * radix**u) of the load vectors already descended into.
     seen: set[int] = set()
     seen_limit = SEEN_LIMIT
 
-    def descend(i: int, cost_int: int, cost_frac: int, pending: int, key: int):
-        # cost_frac and pending are scaled by L; cost_int is not.
-        nonlocal nodes, incumbent_cost, incumbent, best_vec
+    def descend(i: int, cost_int: int, cost_frac: int, pending: int, key: int) -> bool:
+        # cost_frac and pending are scaled by L; cost_int is not.  Returns
+        # True once a first_only query has its solution.
+        nonlocal nodes, cap, incumbent
         if i == last:
-            vec = tuple(
-                ceil_div(loads[v], capacity[v]) if loads[v] else 0
-                for v in inst.vertices()
-            )
-            if cost_int < incumbent_cost or (
-                cost_int == incumbent_cost and (best_vec is None or vec < best_vec)
-            ):
-                incumbent_cost = cost_int
-                best_vec = vec
-                assignment = {
-                    (consumers[j], choice[j]): demand[consumers[j]]
-                    for j in range(last)
-                }
-                multiplicity = {v: x for v, x in zip(inst.vertices(), vec) if x > 0}
-                incumbent = Solution(multiplicity, assignment, cost_int)
-            return
+            assignment = {(consumers[j], choice[j]): demand[consumers[j]] for j in range(last)}
+            multiplicity = {v: ceil_div(loads[v], capacity[v]) for v in inst.vertices() if loads[v]}
+            incumbent = Solution(multiplicity, assignment, cost_int)
+            if not first_only:
+                cap = cost_int - 1
+            return first_only
         d = demand[consumers[i]]
         pending -= pending_steps[i]
         for u, c, w, frac_step, key_step in options[i]:
@@ -219,9 +221,10 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
             if nodes > max_nodes:
                 raise BudgetExhausted(nodes, incumbent)
             old_load = loads[u]
-            child_int = cost_int + w * (ceil_div(old_load + d, c) - ceil_div(old_load, c))
+            copies = ceil_div(old_load + d, c)
+            child_int = cost_int + w * (copies - ceil_div(old_load, c))
             child_frac = cost_frac + frac_step
-            if child_int <= incumbent_cost and child_frac + pending <= incumbent_cost * scale:
+            if child_int <= cap and child_frac + pending <= cap * scale and copies <= copy_caps[u]:
                 child_key = key + key_step
                 if child_key in seen:
                     continue
@@ -230,15 +233,28 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
                 seen.add(child_key)
                 loads[u] = old_load + d
                 choice[i] = u
-                descend(i + 1, child_int, child_frac, pending, child_key)
+                found = descend(i + 1, child_int, child_frac, pending, child_key)
                 loads[u] = old_load
+                if found:
+                    return True
+        return False
+
+    def query() -> bool:
+        seen.clear()
+        return descend(0, 0, 0, sum(pending_steps), 0)
 
     try:
-        descend(0, 0, 0, sum(pending_steps), 0)
+        query()  # pass 1: every solution found lowers cap below its cost
+        if incumbent is None:
+            raise CostBoundExceeded(budget.upper_bound)
+        cap, first_only = incumbent.cost, True
+        for v in inst.vertices():  # pass 2: fix v at its least count
+            copy_caps[v] = incumbent.multiplicity.get(v, 0) - 1
+            while copy_caps[v] >= 0 and query():
+                copy_caps[v] = incumbent.multiplicity.get(v, 0) - 1
+            copy_caps[v] += 1
     finally:
         seen.clear()  # descend's closure cycle would keep the set until a GC
-    if incumbent is None:
-        raise CostBoundExceeded(budget.upper_bound)
     return incumbent
 
 
@@ -246,9 +262,10 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
     """Provably optimal splittable solution.
 
     Best-first enumeration of multiplicity vectors in nondecreasing
-    (cost + admissible completion bound, vector) order; the first vector
-    admitting a feasible flow is optimal and lexicographically smallest
-    among the optima.  Heap keys are L * (cost + bound), exact ints.
+    (ceil(cost + admissible completion bound), vector) order; the first
+    vector admitting a feasible flow is optimal and lexicographically
+    smallest among the optima, since within one whole cost level entries
+    pop in prefix order.
     """
     require_feasible(inst)
     total_demand = inst.total_demand()
@@ -311,7 +328,6 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
                 best = local
         return best
 
-    bound_scaled = bound_cost * scale
     # (key, prefix, cost, covered, served): unique prefixes end every comparison.
     heap: list[tuple[int, tuple[int, ...], int, int, list[int]]] = [(0, (), 0, 0, [0] * len(consumers))]
     nodes = 0
@@ -337,8 +353,8 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
             extra = completion_bound(v, covered + added, child_served)
             if extra is None:
                 continue
-            key = child_cost * scale + extra
-            if key > bound_scaled:
+            key = child_cost + ceil_div(extra, scale)
+            if key > bound_cost:
                 continue
             heapq.heappush(heap, (key, prefix + (copies,), child_cost, covered + added, child_served))
     raise CostBoundExceeded(bound_cost)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capdom import oracle
+from capdom import oracle, tddp
 from capdom.core import (
     CapdomError,
     DemandModel,
@@ -213,6 +215,67 @@ class TestExactSplittable:
         with pytest.raises(CostBoundExceeded):
             exact_splittable(mk([(2, 3, 7)]), SearchBudget(upper_bound=5))
 
+    def test_cost_bound_of_exactly_the_optimum_is_admitted(self):
+        below_greedy = 0
+        for seed in range(60):
+            inst = random_instance(2 + seed % 5, 0.5, 3, 3, 3, seed)
+            if not inst.total_demand():
+                continue
+            opt = exact_splittable(inst)
+            below_greedy += opt.cost < greedy_splittable(inst).solution.cost
+            assert exact_splittable(inst, SearchBudget(upper_bound=opt.cost)) == opt
+            with pytest.raises(CostBoundExceeded):
+                exact_splittable(inst, SearchBudget(upper_bound=opt.cost - 1))
+        # Only a bound below the greedy cost is the search's own bound.
+        assert below_greedy >= 5
+
+    def test_lexicographically_smallest_witness(self):
+        tied = 0
+        for seed in range(60):
+            inst = random_instance(1 + seed % 4, 0.6, 2, 3, 3, seed)
+            optima = brute_splittable_optima(inst)
+            sol = exact_splittable(inst)
+            assert tuple(sol.multiplicity.get(v, 0) for v in inst.vertices()) == optima[0]
+            tied += len(optima) > 1
+        assert tied >= 10
+
+
+def brute_splittable_optima(inst: Instance) -> list[tuple[int, ...]]:
+    """Every optimal multiplicity vector up to exact_splittable's per-vertex
+    copy limit, ceil(demand of N[v] / c(v)), in lexicographic order."""
+    limits = [
+        ceil_div(sum(inst.demand(u) for u in inst.closed_neighborhood(v)), inst.capacity(v))
+        if inst.capacity(v)
+        else 0
+        for v in inst.vertices()
+    ]
+    best, optima = None, []
+    for vec in itertools.product(*(range(x + 1) for x in limits)):
+        cost = sum(inst.weight(v) * x for v, x in zip(inst.vertices(), vec))
+        if best is not None and cost > best:
+            continue
+        if feasibility_flow(inst, {v: x for v, x in zip(inst.vertices(), vec) if x}) is None:
+            continue
+        if best is None or cost < best:
+            best, optima = cost, []
+        optima.append(vec)
+    return optima
+
+
+# Unit-weight grids (rows, cols, capacity) with d = 1, and their optima.
+# The rate bound equals the optimum on each, so under a strict cap both
+# searches finish well inside the default budget.
+UNIT_GRIDS = [(3, 4, 2, 6), (4, 4, 2, 8), (4, 4, 3, 6), (4, 5, 2, 10), (5, 5, 3, 9)]
+
+
+@pytest.mark.parametrize("model", [UNSPLIT, SPLIT], ids=["unsplit", "split"])
+@pytest.mark.parametrize("rows, cols, c, opt", UNIT_GRIDS)
+def test_unit_grid_finishes_at_the_dp_optimum(rows, cols, c, opt, model):
+    inst = grid_instance(rows, cols, (1, c, 1))
+    sol = oracle.exact_solve(inst, model)
+    assert sol.cost == opt == tddp.solve(inst, model).cost
+    assert verify_solution(inst, sol, model).passed
+
 
 # Rational-arithmetic references: the searches as they were before their
 # bounds were scaled to ints.  The integer searches must walk the same
@@ -246,43 +309,32 @@ def reference_exact_unsplittable(
         for v in consumers
     }
 
-    greedy = greedy_unsplittable(inst).solution
-    incumbent_cost = greedy.cost
-    incumbent: Solution | None = greedy
-    best_vec: tuple[int, ...] | None = tuple(
-        greedy.multiplicity.get(v, 0) for v in inst.vertices()
-    )
-    if budget.upper_bound is not None and budget.upper_bound < incumbent_cost:
-        incumbent_cost = budget.upper_bound
+    incumbent: Solution | None = greedy_unsplittable(inst).solution
+    cap = incumbent.cost - 1
+    if budget.upper_bound is not None and budget.upper_bound <= cap:
+        cap = budget.upper_bound
         incumbent = None
-        best_vec = None
 
     loads: dict[int, int] = {}
+    copy_caps: dict[int, int] = {}  # absent: uncapped
     seen: set[frozenset[tuple[int, int]]] = set()
     choice: list[int] = [0] * len(consumers)
     nodes = 0
 
-    def descend(i: int, cost_int: int, frac_bound: Fraction):
+    def descend(i: int, cost_int: int, frac_bound: Fraction, first_only: bool) -> bool:
         # frac_bound: the fractional cost so far plus the pending demand at
-        # its cheapest rates.
-        nonlocal nodes, incumbent_cost, incumbent, best_vec
+        # its cheapest rates.  True once a first_only search has its solution.
+        nonlocal nodes, cap, incumbent
         if i == len(consumers):
-            vec = tuple(
-                ceil_div(loads[v], inst.capacity(v)) if v in loads else 0
-                for v in inst.vertices()
-            )
-            if cost_int < incumbent_cost or (
-                cost_int == incumbent_cost and (best_vec is None or vec < best_vec)
-            ):
-                incumbent_cost = cost_int
-                best_vec = vec
-                assignment = {
-                    (consumers[j], choice[j]): inst.demand(consumers[j])
-                    for j in range(len(consumers))
-                }
-                multiplicity = {v: x for v, x in zip(inst.vertices(), vec) if x > 0}
-                incumbent = Solution(multiplicity, assignment, cost_int)
-            return
+            multiplicity = {v: ceil_div(loads[v], inst.capacity(v)) for v in sorted(loads)}
+            assignment = {
+                (consumers[j], choice[j]): inst.demand(consumers[j])
+                for j in range(len(consumers))
+            }
+            incumbent = Solution(multiplicity, assignment, cost_int)
+            if not first_only:
+                cap = cost_int - 1
+            return first_only
         v = consumers[i]
         d = inst.demand(v)
         for u, frac_step in frac_steps[v]:
@@ -291,28 +343,48 @@ def reference_exact_unsplittable(
                 raise BudgetExhausted(nodes, incumbent)
             c, w = inst.capacity(u), inst.weight(u)
             old_load = loads.get(u, 0)
-            child_int = cost_int + w * (ceil_div(old_load + d, c) - ceil_div(old_load, c))
+            copies = ceil_div(old_load + d, c)
+            child_int = cost_int + w * (copies - ceil_div(old_load, c))
             child_bound = frac_bound + frac_step
             loads[u] = old_load + d
             choice[i] = u
-            if max(child_int, child_bound) <= incumbent_cost:
+            found = False
+            if max(child_int, child_bound) <= cap and copies <= copy_caps.get(u, copies):
                 state = frozenset(loads.items())
                 if not (skip_repeats and state in seen):
                     seen.add(state)
-                    descend(i + 1, child_int, child_bound)
+                    found = descend(i + 1, child_int, child_bound, first_only)
             if old_load:
                 loads[u] = old_load
             else:
                 del loads[u]
+            if found:
+                return True
+        return False
 
-    descend(0, 0, sum(pending_step.values(), Fraction(0)))
+    def search(first_only: bool) -> bool:
+        seen.clear()
+        return descend(0, 0, sum(pending_step.values(), Fraction(0)), first_only)
+
+    # Pass 1: the optimum, each solution found capping the search below it.
+    search(first_only=False)
     if incumbent is None:
         raise CostBoundExceeded(budget.upper_bound)
+    # Pass 2: with cap = OPT, lower each count in id order while an optimum
+    # keeps it, then fix it.
+    cap = incumbent.cost
+    for v in inst.vertices():
+        while incumbent.multiplicity.get(v, 0) > 0:
+            copy_caps[v] = incumbent.multiplicity.get(v, 0) - 1
+            if not search(first_only=True):
+                break
+        copy_caps[v] = incumbent.multiplicity.get(v, 0)
     return incumbent
 
 
 def reference_exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> Solution:
-    """exact_splittable with its bound and heap keys held in Fractions."""
+    """exact_splittable with its bound held in Fractions.  Heap keys are
+    rounded up to whole cost units and tied by prefix."""
     if not is_feasible(inst):
         raise InfeasibleInstance("a vertex with demand has no usable server")
     total_demand = inst.total_demand()
@@ -380,7 +452,7 @@ def reference_exact_splittable(inst: Instance, budget: SearchBudget = SearchBudg
                 best = local
         return best
 
-    heap: list[tuple[Fraction, tuple[int, ...], int]] = [(Fraction(0), (), 0)]
+    heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0)]
     nodes = 0
     while heap:
         _, prefix, cost = heapq.heappop(heap)
@@ -401,9 +473,12 @@ def reference_exact_splittable(inst: Instance, budget: SearchBudget = SearchBudg
                 break
             child = prefix + (copies,)
             extra = completion_bound(child)
-            if extra is None or child_cost + extra > bound_cost:
+            if extra is None:
                 continue
-            heapq.heappush(heap, (child_cost + extra, child, child_cost))
+            key = math.ceil(child_cost + extra)
+            if key > bound_cost:
+                continue
+            heapq.heappush(heap, (key, child, child_cost))
     raise CostBoundExceeded(bound_cost)
 
 
@@ -460,8 +535,8 @@ def differential_cases():
         yield Instance(base.n, tuple(attrs), base.edges), SearchBudget(upper_bound=upper)
 
 
-# Searches of 32-241 nodes whose every budget is swept; along the way the
-# unsplittable search holds 4-8 different incumbents.
+# Searches of 32-366 nodes whose every budget is swept; along the way the
+# unsplittable search holds 4-6 different incumbents.
 SWEEP_INSTANCES = [random_instance(7 + seed % 3, 0.4, 5, 3, 3, seed) for seed in (16, 31, 39)]
 
 
@@ -544,7 +619,7 @@ class TestRepeatSkip:
 
     @pytest.mark.parametrize(
         "rows, cols, skip_free_nodes, nodes",
-        [(3, 3, 52_379, 16_615), (2, 5, 50_015, 20_032)],
+        [(3, 3, 381, 355), (2, 5, 1_114, 1_096)],
     )
     def test_unit_grid_node_counts(self, rows, cols, skip_free_nodes, nodes):
         inst = grid_instance(rows, cols, (1, 2, 1))
@@ -559,9 +634,9 @@ class TestSeenLimit:
     memory and changes no answer; only later skips are given up."""
 
     def test_budget_exhausting_search_stays_small(self, monkeypatch):
-        # 100,000 nodes of the 4x4 grid remember ~3 MB of keys unbounded.
+        # 100,000 nodes of the 6x6 grid remember ~3.5 MB of keys unbounded.
         monkeypatch.setattr(oracle, "SEEN_LIMIT", 1 << 10)
-        inst = grid_instance(4, 4, (1, 2, 1))
+        inst = grid_instance(6, 6, (1, 3, 1))
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExhausted):

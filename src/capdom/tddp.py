@@ -18,8 +18,8 @@ values in `DPTable.places`.
 A table row is the tuple (cost, triples, prev): its cost, the
 (consumer, server, amount) triples the node itself routes, and the child
 keys it came from, one per child.  Every kernel writes rows of this one
-shape, and a leaf is an introduce into the one-row table over the empty
-bag.
+shape.  Demand is routed only where a vertex is forgotten, so a leaf, an
+introduce into the one-row table over the empty bag, holds v unserved.
 
 Splittable demands are capped by capacity before a solve (`cap_demands`,
 used by `solve`), so residual radices depend on capacities, not demands.
@@ -123,78 +123,76 @@ def _stage(
 
 
 def dp_introduce(inst: Instance, child: DPTable, v: int) -> DPTable:
-    """Introduce v: optionally serve bag neighbors with v, then route v's demand.
+    """Introduce v unserved and with no copies bought, so spare 0.
 
-    Serving choices cover every unserved bag neighbor of v, whole
-    (unsplittable) or in any portion (splittable); v's own demand may go
-    to any positive-capacity vertex of the new bag inside N[v], stay
-    pending, or split across several of them in the splittable model.
-    Transitions run one bag vertex at a time with dedup in between, so the
-    work stays proportional to the configuration space, not to the number
-    of assignment paths.  Dedup is sound because completion cost depends
-    only on the configuration, never on how it was reached.  Each stage
-    walks its rows in sorted key order, offers a row's keep move before its
-    other moves and lets only a strictly cheaper candidate replace a row,
-    so ties always resolve the same way.
+    v's residual and spare digits are spliced into each child key at bag
+    position idx, so child keys map one-to-one onto the new keys, in the
+    child's order.  Nothing is routed here: `dp_forget` routes v's edges.
     """
     if v in child.bag:
         raise ValueError(f"vertex {v} is already in the child bag")
     new_bag = tuple(sorted(child.bag + (v,)))
     idx, k, places = new_bag.index(v), len(new_bag), layout(inst, new_bag)
-    nbrs = inst.neighbors(v)
-    cv, wv, dv = inst.capacity(v), inst.weight(v), inst.demand(v)
-    whole = child.model is DemandModel.UNSPLITTABLE
-
-    # Seed: v joins the bag unserved with no copies bought, so spare 0.
-    # Its residual and spare digits are spliced into each child key at bag
-    # position idx, so child keys map one-to-one onto seeded keys.
     high, low = child.places[idx], child.places[k - 1 + idx]
-    top, mid, seed = places[idx], places[k + idx], dv * places[idx + 1]
+    top, mid, seed = places[idx], places[k + idx], inst.demand(v) * places[idx + 1]
     rows = {
         key // high * top + seed + key % high // low * mid + key % low: (row[0], (), (key,))
         for key, row in child.rows.items()
     }
+    return DPTable(child.model, new_bag, rows, places)
 
+
+def dp_forget(inst: Instance, child: DPTable, v: int) -> DPTable:
+    """Route v's edges inside the bag, then drop v, keeping only rows
+    where v's demand is fully routed.
+
+    v serves each bag neighbor with demand, whole (unsplittable) or in any
+    portion (splittable), then v's own residual goes to the positive-
+    capacity vertices of N[v] in the bag.  The bags holding u and those
+    holding v are intersecting subtrees, so the first of u and v to be
+    forgotten still has the other in its bag, and no bag vertex was
+    forgotten below it: each edge, and each vertex serving itself, is
+    offered at exactly one node.  Stages run one bag vertex at a time with
+    dedup in between, which is sound because completion cost depends only
+    on the configuration.  Each stage walks its rows in sorted key order,
+    offers a row's keep move first and lets only a strictly cheaper
+    candidate replace a row, so ties always resolve the same way.
+    """
+    idx, k, places = child.bag.index(v), len(child.bag), child.places
+    nbrs, cv, wv = inst.neighbors(v), inst.capacity(v), inst.weight(v)
+    whole = child.model is DemandModel.UNSPLITTABLE
+    rows = {key: (row[0], (), (key,)) for key, row in child.rows.items()}
     if cv > 0:
-        # Pull stages: serve bag neighbors with copies of v, one at a time.
-        # A neighbor without demand has nothing to pull: its stage would
-        # only keep every row.
-        for pos, u in enumerate(new_bag):
+        # Pull stages: v serves bag neighbors one at a time.  A neighbor
+        # without demand gets none: its stage would only keep every row.
+        for pos, u in enumerate(child.bag):
             if u in nbrs and inst.demand(u):
                 rows = _stage(rows, places, pos, [(places[k + idx + 1], cv, wv, u, v)], whole)
-
-    # Routing stages: v's own demand goes whole to one server, or in
-    # portions to each server in turn.
-    if dv:
+    if inst.demand(v):
+        # Routing stages: v's own demand goes whole to one server, or in
+        # portions to each server in turn.
         servers = [
             (places[k + pos + 1], inst.capacity(s), inst.weight(s), v, s)
-            for pos, s in enumerate(new_bag)
+            for pos, s in enumerate(child.bag)
             if (s == v or s in nbrs) and inst.capacity(s) > 0
         ]
         for group in [servers] if whole else [[s] for s in servers]:
             rows = _stage(rows, places, idx, group, whole)
-
-    return DPTable(child.model, new_bag, {key: rows[key] for key in sorted(rows)}, places)
-
-
-def dp_forget(child: DPTable, v: int) -> DPTable:
-    """Drop v, keeping only rows where v's demand is fully routed."""
-    idx, k, places = child.bag.index(v), len(child.bag), child.places
     radices = [hi // lo for hi, lo in zip(places, places[1:])]
     del radices[k + idx], radices[idx]
     table = DPTable(child.model, child.bag[:idx] + child.bag[idx + 1 :], {}, _places(radices))
     # Rows keep v's residual digit 0; v's two digits are cut out and the
     # digits above, between and below them close up.
     high, unit, mid, low = places[idx], places[idx + 1], places[k + idx], places[k + idx + 1]
-    top, rows = table.places[idx], table.rows
-    for key in sorted(child.rows):
+    top, out = table.places[idx], table.rows
+    for key in sorted(rows):
         if key % high >= unit:
             continue
         new_key = key // high * top + key % unit // mid * low + key % low
-        cost, old = child.rows[key][0], rows.get(new_key)
-        if old is None or cost < old[0]:
-            rows[new_key] = (cost, (), (key,))
-    if not rows:
+        entry, old = rows[key], out.get(new_key)
+        if old is None or entry[0] < old[0]:
+            out[new_key] = entry
+    if not out:
         raise InfeasibleInstance(f"no configuration survives forgetting vertex {v}")
     return table
 
@@ -286,16 +284,16 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable) -> DPTable:
     return DPTable(left.model, vs, best, places)
 
 
-# Cost of one predicted introduce row over that of one predicted join pair.
-# Measured on three traced `dp_grid` passes (`perfbench/run.py --workload
-# dp_grid --seed 7 --seconds 0 --trace 1`, Python 3.11, 2-core VM):
-# introduce_s / introduce_rows = 1.5-1.6 us per row (27,935 rows, leaves
-# included) and join_s / join_pairs = 0.031-0.035 us per pair (831,981
-# pairs), a ratio of 47-48, near the low end of the range that works.  The
-# trace counts every row pair of a join, the prediction only the compatible
-# ones; the ranking tolerates that: any value from 43 to 2,248 orders
-# min-fill and BFS on CHOICE_GRIDS in tests/test_tddp.py and on the
-# `dp_grid` grids as their measured DP times do.
+# Cost of one predicted introduce row over that of one predicted join pair;
+# an introduce bag's rows stand for the routing its vertex gets where it
+# is forgotten.  Measured in-process on the `dp_grid` ops (seed 7, three
+# passes, Python 3.11, 2-core VM): dp_forget takes 2.7-2.9 us per row its
+# stages leave (17,864 rows), dp_join 0.57-0.67 us per row pair (2,736
+# pairs), a ratio of 4-5: joins this small are mostly fixed work.  The
+# value is kept: from 43 up it orders min-fill and BFS on the `dp_grid`
+# grids as their measured DP times do and keeps every CHOICE_GRIDS choice
+# in tests/test_tddp.py, while 2,500 made `baker_planar` slower (`wall_s`
+# 0.175 s against 0.159 s, seed 5).
 INTRODUCE_ROW_WORK = 100
 
 
@@ -322,11 +320,12 @@ def _vertex_factors(inst: Instance, model: DemandModel) -> tuple[list[int], list
 def predicted_work(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> int:
     """Predicted DP work on `ntd`.
 
-    Each introduce costs INTRODUCE_ROW_WORK per row of its bag; each join
-    costs the rows of its two children multiplied, times the fraction of
-    compatible served-states.  Rows are the product over the bag of
-    served-states times spare values, an upper bound on what the tables
-    hold.  Leaves and forgets are not counted.
+    Each introduce costs INTRODUCE_ROW_WORK per row of its bag, standing
+    for the routing its vertex gets when forgotten; each join costs the
+    rows of its two children multiplied, times the fraction of compatible
+    served-states.  Rows are the product over the bag of served-states
+    times spare values, an upper bound on what the tables hold.  Leaves
+    and forgets are not counted.
     """
     rows_of, pairs_of = _vertex_factors(inst, model)
     work = 0
@@ -384,7 +383,7 @@ def solve_td(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> 
         elif node.kind == INTRODUCE:
             tables[id(node)] = dp_introduce(inst, kids[0], node.vertex)
         elif node.kind == FORGET:
-            tables[id(node)] = dp_forget(kids[0], node.vertex)
+            tables[id(node)] = dp_forget(inst, kids[0], node.vertex)
         elif node.kind == JOIN:
             tables[id(node)] = dp_join(inst, *kids)
         else:

@@ -34,6 +34,7 @@ from capdom.tddp import (
 from capdom.treewidth import (
     FORGET,
     INTRODUCE,
+    JOIN,
     LEAF,
     bfs_order,
     decomposition_from_order,
@@ -111,22 +112,11 @@ def row_at(table, state, rc):
 
 
 def reference_leaf(inst, v, model):
-    """Leaf rows built directly: v unserved, or its demand routed to itself
-    (whole when unsplittable, any portion when splittable).  Slow reference
-    for `dp_leaf`, keyed like it and without back-pointers."""
-    d, c, w = inst.demand(v), inst.capacity(v), inst.weight(v)
+    """The one leaf row: v unserved, with no copies bought.  Slow reference
+    for `dp_leaf`, keyed like it and without back-pointers; v's demand is
+    routed when v is forgotten."""
     table = DPTable(model, (v,), {}, layout(inst, (v,)))
-
-    def insert(state, rc, cost, triples):
-        key = encode_key(table, state, rc)
-        if key not in table.rows or cost < table.rows[key][0]:
-            table.rows[key] = (cost, triples)
-
-    insert((d,), (0,), 0, ())
-    if d and c > 0:
-        amounts = (d,) if model is UNSPLIT else range(1, d + 1)
-        for amount in amounts:
-            insert((d - amount,), ((-amount) % c,), w * ceil_div(amount, c), ((v, v, amount),))
+    table.rows[encode_key(table, (inst.demand(v),), (0,))] = (0, ())
     return table
 
 
@@ -185,36 +175,38 @@ def _dedup_stage(rows, expand):
 
 
 def reference_introduce(inst, child, v):
-    """Introduce with one generator per micro-transition and no shortcuts.
-
-    Slow reference for `dp_introduce`, which must build exactly this table.
-    Every pull stage runs, even for a neighbor without demand, and every
-    ceiling goes through `ceil_div`.
-    """
+    """Introduce by splicing v's entries into the tuple keys: v unserved
+    with spare 0, one row per child row, in the child's order.  Slow
+    reference for `dp_introduce`, which must build exactly this table."""
     if v in child.bag:
         raise ValueError(f"vertex {v} is already in the child bag")
     new_bag = tuple(sorted(child.bag + (v,)))
     idx = new_bag.index(v)
+    table = TupleTable(child.model, new_bag, {})
+    for (state, rc), row in child.rows.items():
+        key = (state[:idx] + (inst.demand(v),) + state[idx:], rc[:idx] + (0,) + rc[idx:])
+        table.rows[key] = DPRow(row.cost, (), ((state, rc),))
+    return table
+
+
+def reference_route(inst, rows, bag, v, model):
+    """v's routing stages over tuple-keyed `rows` on `bag`, one generator
+    per micro-transition and no shortcuts: v serves each bag neighbor, then
+    v's residual goes to the positive-capacity vertices of N[v] in the bag.
+    Every pull stage runs, even for a neighbor without demand, and every
+    ceiling goes through `ceil_div`.  Rows are (cost, triples, origin)."""
+    idx = bag.index(v)
     nbrs = inst.neighbors(v)
     cv, wv, dv = inst.capacity(v), inst.weight(v), inst.demand(v)
-    unsplit = child.model is DemandModel.UNSPLITTABLE
+    unsplit = model is DemandModel.UNSPLITTABLE
     server_pos = [
         (pos, u)
-        for pos, u in enumerate(new_bag)
+        for pos, u in enumerate(bag)
         if (u == v or u in nbrs) and inst.capacity(u) > 0
     ]
 
-    rows = {}
-    for key in sorted(child.rows):
-        state, rc = key
-        row = child.rows[key]
-        seeded = (state[:idx] + (dv,) + state[idx:], rc[:idx] + (0,) + rc[idx:])
-        old = rows.get(seeded)
-        if old is None or row.cost < old[0]:
-            rows[seeded] = (row.cost, (), key)
-
     if cv > 0:
-        for pos, u in enumerate(new_bag):
+        for pos, u in enumerate(bag):
             if u == v or u not in nbrs:
                 continue
 
@@ -272,31 +264,78 @@ def reference_introduce(inst, child, v):
                     yield (state2, rc2), dcost, ((v, s, give),)
 
             rows = _dedup_stage(rows, spread)
+    return rows
 
-    table = TupleTable(child.model, new_bag, {})
+
+def seeded(table):
+    """A table's rows as (cost, triples, origin), each its own origin."""
+    return {key: (row.cost, (), key) for key, row in table.rows.items()}
+
+
+def cut(model, bag, rows, v):
+    """The rows with residual 0 at v, v's entries cut out of their keys,
+    keeping the cheapest row per key (the first in sorted order on ties);
+    `rows` hold (cost, triples, origin).  Raises when no row survives."""
+    idx = bag.index(v)
+    table = TupleTable(model, bag[:idx] + bag[idx + 1 :], {})
     for key in sorted(rows):
-        cost, triples, origin = rows[key]
-        if key not in table.rows or cost < table.rows[key].cost:
-            table.rows[key] = DPRow(cost, triples, (origin,))
-    return table
-
-
-def reference_forget(child, v):
-    """Forget by splicing v's entries out of the tuple keys whose residual
-    at v is 0, keeping the cheapest row per key; slow reference for
-    `dp_forget`."""
-    idx = child.bag.index(v)
-    table = TupleTable(child.model, child.bag[:idx] + child.bag[idx + 1 :], {})
-    for key in sorted(child.rows):
         state, rc = key
         if state[idx] == 0:
             new_key = (state[:idx] + state[idx + 1 :], rc[:idx] + rc[idx + 1 :])
-            cost = child.rows[key].cost
+            cost, triples, origin = rows[key]
             if new_key not in table.rows or cost < table.rows[new_key].cost:
-                table.rows[new_key] = DPRow(cost, (), (key,))
+                table.rows[new_key] = DPRow(cost, triples, (origin,))
     if not table.rows:
         raise InfeasibleInstance(f"no configuration survives forgetting vertex {v}")
     return table
+
+
+def reference_forget(inst, child, v):
+    """Forget by routing v's edges with `reference_route`, then cutting v
+    out of the rows that route all of its demand.  Slow reference for
+    `dp_forget`, which must build exactly this table."""
+    rows = reference_route(inst, seeded(child), child.bag, v, child.model)
+    return cut(child.model, child.bag, rows, v)
+
+
+def introduce_time_cost(inst, ntd, model):
+    """The optimum with routing at introduce nodes, as the DP routed before
+    it moved to forget nodes: each leaf and introduce runs v's stages over
+    its new bag, so an edge is routed at the introduce of its later
+    endpoint in every branch holding both, and a forget only cuts v out.
+    None when no row survives a forget."""
+    tables = {}
+    for node in ntd.post_order():
+        kids = [tables[id(child)] for child in node.children]
+        if node.kind == JOIN:
+            table = reference_join(inst, *kids)
+        elif node.kind == FORGET:
+            try:
+                table = cut(model, kids[0].bag, seeded(kids[0]), node.vertex)
+            except InfeasibleInstance:
+                return None
+        else:
+            (v,) = node.bag if node.kind == LEAF else (node.vertex,)
+            child = kids[0] if kids else TupleTable(model, (), {((), ()): DPRow(0, (), ())})
+            spliced = reference_introduce(inst, child, v)
+            rows = reference_route(inst, seeded(spliced), spliced.bag, v, model)
+            table = TupleTable(model, spliced.bag, {key: DPRow(*row) for key, row in rows.items()})
+        tables[id(node)] = table
+    return tables[id(ntd.root)].rows[((), ())].cost
+
+
+def routed(inst, child, v):
+    """The rows `dp_forget(inst, child, v)` builds before it cuts v out, as
+    a tuple-keyed table over the child's bag: the last stage's output, or
+    the child's rows when no stage runs."""
+    stage, outputs = tddp._stage, [child.rows]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tddp, "_stage", lambda *args: outputs.append(stage(*args)) or outputs[-1])
+        try:
+            dp_forget(inst, child, v)
+        except InfeasibleInstance:
+            pass
+    return decoded(DPTable(child.model, child.bag, outputs[-1], child.places))
 
 
 def weighted_instances(seeds, n_min, n_max, edge_prob=0.2, max_c=3, max_d=3):
@@ -336,31 +375,36 @@ def solve_checked(monkeypatch, name, reference, model, instances):
 
 class TestLeaf:
     def test_two_rows_with_spare_capacity(self):
-        # 3 copies hold demand 7, leaving 2 spare units in the last copy
+        # the leaf holds v unserved; its forget routes v to itself, where 3
+        # copies hold demand 7, leaving 2 spare units in the last copy
         inst = mk([(2, 3, 7)])
         table = dp_leaf(inst, 1, UNSPLIT)
-        assert row_at(table, (7,), (0,)).cost == 0
-        assert row_at(table, (0,), (2,)).cost == 6
-        assert len(table.rows) == 2
+        assert list(table.rows) == [encode_key(table, (7,), (0,))]
+        assert routed(inst, table, 1).rows == {
+            ((7,), (0,)): DPRow(0, (), ()),
+            ((0,), (2,)): DPRow(6, ((1, 1, 7),), ()),
+        }
 
     def test_zero_demand_single_served_row(self):
         inst = mk([(1, 5, 0)])
         table = dp_leaf(inst, 1, UNSPLIT)
         assert list(table.rows) == [encode_key(table, (0,), (0,))]
         assert row_at(table, (0,), (0,)).cost == 0
+        assert list(routed(inst, table, 1).rows) == [((0,), (0,))]
 
     def test_zero_capacity_only_unserved_row(self):
         inst = mk([(1, 0, 2), (1, 5, 0)], [(1, 2)])
         table = dp_leaf(inst, 1, UNSPLIT)
         assert list(table.rows) == [encode_key(table, (2,), (0,))]
+        assert list(routed(inst, table, 1).rows) == [((2,), (0,))]
 
     def test_splittable_enumerates_portions(self):
         inst = mk([(1, 2, 3)])
-        table = dp_leaf(inst, 1, SPLIT)
+        table = routed(inst, dp_leaf(inst, 1, SPLIT), 1)
         # portions 0..3 of the demand self-served
-        assert row_at(table, (3,), (0,)).cost == 0
-        assert row_at(table, (2,), (1,)).cost == 1
-        assert row_at(table, (0,), (1,)).cost == 2
+        assert table.rows[(3,), (0,)].cost == 0
+        assert table.rows[(2,), (1,)].cost == 1
+        assert table.rows[(0,), (1,)].cost == 2
         assert len(table.rows) == 4
 
     @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
@@ -378,29 +422,40 @@ class TestLeaf:
             table, expected = dp_leaf(inst, v, model), reference_leaf(inst, v, model)
             assert (table.bag, table.places) == (expected.bag, expected.places)
             assert {key: row[:2] for key, row in table.rows.items()} == expected.rows
+            # the leaf's own forget routes v to itself
+            try:
+                forgotten = reference_forget(inst, decoded(table), v)
+            except InfeasibleInstance:
+                with pytest.raises(InfeasibleInstance):
+                    dp_forget(inst, table, v)
+                continue
+            assert decoded(dp_forget(inst, table, v), [table]).rows == forgotten.rows
 
 
 class TestIntroduce:
     def test_spare_absorbs_then_buys(self):
-        # child: u served with spare 2 of c(u)=5; introduce v with d=3 routed to u
+        # u = 1 (c = 5, d = 8) is forgotten with v = 2 (d = 3) in its bag: u
+        # pulls v's 3 units into one copy, then its own 8 fill that copy's
+        # spare 2 and buy two more: 3 copies, spare 4
         inst = mk([(1, 5, 8), (1, 1, 3)], [(1, 2)])
-        child = dp_leaf(inst, 1, UNSPLIT)
-        assert row_at(child, (0,), (2,)).cost == 2
-        table = dp_introduce(inst, child, 2)
-        row = row_at(table, (0, 0), (4, 0))
-        assert row.cost == 3  # one extra copy covers the deficit of 1
+        table = dp_introduce(inst, dp_leaf(inst, 1, UNSPLIT), 2)
+        assert list(decoded(table).rows) == [((8, 3), (0, 0))]
+        row = routed(inst, table, 1).rows[(0, 0), (4, 0)]
+        assert row.cost == 3 and sorted(row.triples) == [(1, 1, 8), (2, 1, 3)]
+
     def test_unassigned_carries_over(self):
         inst = mk([(1, 5, 0), (1, 1, 3)], [(1, 2)])
         child = dp_leaf(inst, 1, UNSPLIT)
         table = dp_introduce(inst, child, 2)
+        assert list(table.rows) == [encode_key(table, (0, 3), (0, 0))]
         assert row_at(table, (0, 3), (0, 0)).cost == 0
+        assert routed(inst, table, 1).rows[(0, 3), (0, 0)].cost == 0
 
     def test_spare_fully_absorbs(self):
+        # u's one copy holds v's 3 units and u's own 2
         inst = mk([(1, 5, 2), (1, 1, 3)], [(1, 2)])
-        child = dp_leaf(inst, 1, UNSPLIT)
-        assert row_at(child, (0,), (3,)).cost == 1
-        table = dp_introduce(inst, child, 2)
-        assert row_at(table, (0, 0), (0, 0)).cost == 1  # 3 spare units absorb d=3
+        table = dp_introduce(inst, dp_leaf(inst, 1, UNSPLIT), 2)
+        assert routed(inst, table, 1).rows[(0, 0), (0, 0)].cost == 1
 
     def test_vertex_already_in_bag_rejected(self):
         # re-introducing a bag vertex would give keys longer than the bag
@@ -420,7 +475,7 @@ class TestIntroduce:
 class TestForget:
     def test_drops_unserved_rows(self):
         inst = mk([(2, 3, 7)])
-        table = dp_forget(dp_leaf(inst, 1, UNSPLIT), 1)
+        table = dp_forget(inst, dp_leaf(inst, 1, UNSPLIT), 1)
         assert list(table.rows) == [encode_key(table, (), ())]
         assert row_at(table, (), ()).cost == 6
 
@@ -428,8 +483,8 @@ class TestForget:
         inst = mk([(1, 2, 2), (1, 4, 2)], [(1, 2)])
         child = dp_leaf(inst, 1, UNSPLIT)
         step = dp_introduce(inst, child, 2)
-        table = dp_forget(step, 2)
-        preimages = decoded(step).rows
+        table = dp_forget(inst, step, 2)
+        preimages = routed(inst, step, 2).rows
         # every surviving configuration carries the minimum over its preimages
         assert all(
             row.cost == min(r.cost for k, r in preimages.items()
@@ -440,7 +495,7 @@ class TestForget:
     def test_empty_table_raised(self):
         inst = mk([(1, 0, 2), (1, 5, 0)], [(1, 2)])
         with pytest.raises(InfeasibleInstance):
-            dp_forget(dp_leaf(inst, 1, UNSPLIT), 1)
+            dp_forget(inst, dp_leaf(inst, 1, UNSPLIT), 1)
 
     @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
     def test_every_forget_equals_reference(self, model, monkeypatch):
@@ -578,7 +633,19 @@ def reference_rows(inst, u, model):
 class TestTableSizes:
     def _check_tables(self, model):
         # Every state entry is a residual in the model's domain, and each
-        # table holds at most the rows `predicted_work` counts for its bag.
+        # table, and the rows each forget routes before it cuts its vertex
+        # out, hold at most the rows `predicted_work` counts for their bag.
+        def check(inst, table):
+            demands = [inst.demand(u) for u in table.bag]
+            bound = 1
+            for u in table.bag:
+                bound *= reference_rows(inst, u, model)
+            for state, rc in table.rows:
+                for r, d in zip(state, demands):
+                    assert r in (0, d) if model is UNSPLIT else 0 <= r <= d
+                assert all(0 <= s < max(inst.capacity(u), 1) for s, u in zip(rc, table.bag))
+            assert len(table.rows) <= bound
+
         for seed in range(10):
             inst = random_instance(7, 0.4, 3, 3, 3, seed)
             ntd = nice_for(inst)
@@ -591,19 +658,13 @@ class TestTableSizes:
                 elif node.kind == INTRODUCE:
                     t = dp_introduce(inst, kids[0], node.vertex)
                 elif node.kind == FORGET:
-                    t = dp_forget(kids[0], node.vertex)
+                    check(inst, routed(inst, kids[0], node.vertex))
+                    t = dp_forget(inst, kids[0], node.vertex)
                 else:
                     t = dp_join(inst, *kids)
                 tables[id(node)] = t
-                demands = [inst.demand(u) for u in t.bag]
-                for state, rc in decoded(t).rows:
-                    for r, d in zip(state, demands):
-                        assert r in (0, d) if model is UNSPLIT else 0 <= r <= d
-                    assert all(0 <= s < max(inst.capacity(u), 1) for s, u in zip(rc, t.bag))
-                bound = 1
-                for u in node.bag:
-                    bound *= reference_rows(inst, u, model)
-                assert len(t.rows) <= bound
+                assert t.bag == tuple(sorted(node.bag))
+                check(inst, decoded(t))
 
     def test_unsplittable_bound_per_node(self):
         self._check_tables(UNSPLIT)
@@ -617,8 +678,11 @@ def bfs_decomposition(inst):
 
 
 # The grids of the decomposition comparison in ROADMAP.md (unit weights):
-# (rows, cols, capacity, demand, model, order the measured DP time favors).
-# Both orders have the same width on the first four.
+# (rows, cols, capacity, demand, model, order chosen).  Both orders have
+# the same width on the first four.  Each choice was the faster one when
+# edges were routed at introduces.  With routing at forgets, min-fill
+# measures faster on the 5x5 grid (50-73 against 67-87 ms per `solve_td`)
+# and the two are within noise on the 3x3 grid with c = d = 2.
 CHOICE_GRIDS = [
     (3, 3, 3, 3, SPLIT, "bfs"),
     (4, 4, 2, 2, SPLIT, "bfs"),
@@ -654,6 +718,49 @@ def _cost(inst, ntd, model):
         return None
     assert verify_solution(inst, sol, model).passed
     return sol.cost
+
+
+class TestRoutingPlace:
+    @PROPERTY
+    @given(inst=st.one_of(small_instances(), branching_instances()))
+    def test_introduce_time_routing_gives_the_same_optimum(self, inst):
+        ntd = nice_for(inst)
+        for model in (UNSPLIT, SPLIT):
+            assert introduce_time_cost(inst, ntd, model) == _cost(inst, ntd, model)
+
+    def test_each_pair_is_offered_once_at_a_forget(self, monkeypatch):
+        # Every (consumer, server) pair with demand, capacity and u in N[s]
+        # is offered to `_stage` exactly once per solve, inside dp_forget.
+        stage, forget, join = tddp._stage, tddp.dp_forget, tddp.dp_join
+        offered, forgetting, joins = [], [], []
+
+        def counted_stage(rows, places, src, servers, whole):
+            assert forgetting, "a stage ran outside dp_forget"
+            offered.extend((consumer, server) for *_, consumer, server in servers)
+            return stage(rows, places, src, servers, whole)
+
+        def counted_forget(*args):
+            forgetting.append(True)
+            try:
+                return forget(*args)
+            finally:
+                forgetting.pop()
+
+        monkeypatch.setattr(tddp, "_stage", counted_stage)
+        monkeypatch.setattr(tddp, "dp_forget", counted_forget)
+        monkeypatch.setattr(tddp, "dp_join", lambda *args: joins.append(1) or join(*args))
+        for inst in weighted_instances(range(200), 6, 11, edge_prob=0.3):
+            for model in (UNSPLIT, SPLIT):
+                offered.clear()
+                solve_td(inst, nice_for(inst), model)
+                expected = [
+                    (u, s)
+                    for u in inst.vertices()
+                    for s in sorted(inst.neighbors(u) | {u})
+                    if inst.demand(u) and inst.capacity(s)
+                ]
+                assert sorted(offered) == expected
+        assert len(joins) >= 500
 
 
 class TestDecompositionChoice:
@@ -836,10 +943,12 @@ def keyed_bags(draw):
     return inst, DPTable(draw(st.sampled_from([UNSPLIT, SPLIT])), bag, {}, layout(inst, bag))
 
 
-def key_pairs(inst, bag):
-    """(residuals, spares) pairs with every entry inside its radix."""
+def key_pairs(inst, bag, model=SPLIT):
+    """(residuals, spares) pairs with every entry inside its radix, and
+    each residual 0 or the whole demand for `model` UNSPLIT."""
+    residual = (lambda d: st.sampled_from((0, d))) if model is UNSPLIT else (lambda d: st.integers(0, d))
     return st.tuples(
-        st.tuples(*(st.integers(0, inst.demand(u)) for u in bag)),
+        st.tuples(*(residual(inst.demand(u)) for u in bag)),
         st.tuples(*(st.integers(0, max(inst.capacity(u), 1) - 1) for u in bag)),
     )
 
@@ -873,8 +982,8 @@ class TestKeyLayout:
     @PROPERTY
     @given(bag=keyed_bags(), data=st.data())
     def test_introduce_inserts_two_digits(self, bag, data):
-        # v has no neighbors, so the rows keeping its whole demand are
-        # exactly the seeded ones: each child key with v's digits spliced in
+        # every row is a child row with v's digits spliced in, in the
+        # child's order
         inst, child = bag
         outside = [u for u in inst.vertices() if u not in child.bag]
         assume(outside)
@@ -885,12 +994,11 @@ class TestKeyLayout:
         table = dp_introduce(inst, child, v)
         assert table.places == layout(inst, table.bag)
         idx, dv = table.bag.index(v), inst.demand(v)
-        seeded = {
-            (state[:idx] + (dv,) + state[idx:], rc[:idx] + (0,) + rc[idx:]): DPRow(cost, (), ((state, rc),))
+        seeded = [
+            ((state[:idx] + (dv,) + state[idx:], rc[:idx] + (0,) + rc[idx:]), DPRow(cost, (), ((state, rc),)))
             for cost, (state, rc) in enumerate(pairs)
-        }
-        rows = decoded(table, [child]).rows
-        assert [(key, row) for key, row in rows.items() if key[0][idx] == dv] == sorted(seeded.items())
+        ]
+        assert list(decoded(table, [child]).rows.items()) == seeded
 
     @PROPERTY
     @given(bag=keyed_bags(), data=st.data())
@@ -898,15 +1006,16 @@ class TestKeyLayout:
         inst, child = bag
         assume(child.bag)
         v = data.draw(st.sampled_from(child.bag))
-        pairs = data.draw(st.lists(key_pairs(inst, child.bag), unique=True, min_size=1, max_size=8))
+        pairs = data.draw(st.lists(key_pairs(inst, child.bag, child.model), unique=True, min_size=1, max_size=8))
         for cost, pair in enumerate(pairs):
             child.rows[encode_key(child, *pair)] = DPRow(cost % 3, (), ())  # ties collide
+        # v has no neighbors, so its forget can only route v to itself
         try:
-            expected = reference_forget(decoded(child), v)
+            expected = reference_forget(inst, decoded(child), v)
         except InfeasibleInstance:
             with pytest.raises(InfeasibleInstance):
-                dp_forget(child, v)
+                dp_forget(inst, child, v)
             return
-        table = dp_forget(child, v)
+        table = dp_forget(inst, child, v)
         assert table.places == layout(inst, expected.bag)
         assert list(decoded(table, [child]).rows.items()) == list(expected.rows.items())

@@ -284,57 +284,28 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable) -> DPTable:
     return DPTable(left.model, vs, best, places)
 
 
-# Cost of one predicted introduce row over that of one predicted join pair;
-# an introduce bag's rows stand for the routing its vertex gets where it
-# is forgotten.  Measured in-process on the `dp_grid` ops (seed 7, three
-# passes, Python 3.11, 2-core VM): dp_forget takes 2.7-2.9 us per row its
-# stages leave (17,864 rows), dp_join 0.57-0.67 us per row pair (2,736
-# pairs), a ratio of 4-5: joins this small are mostly fixed work.  The
-# value is kept: from 43 up it orders min-fill and BFS on the `dp_grid`
-# grids as their measured DP times do and keeps every CHOICE_GRIDS choice
-# in tests/test_tddp.py, while 2,500 made `baker_planar` slower (`wall_s`
-# 0.175 s against 0.159 s, seed 5).
-INTRODUCE_ROW_WORK = 100
-
-
-def _vertex_factors(inst: Instance, model: DemandModel) -> tuple[list[int], list[int]]:
-    """Per vertex id: the table rows and the compatible join pairs it
-    multiplies a bag's count by.
-
-    Rows: served-states times spare values.  Join pairs: pairs of
-    served-states that may merge, times pairs of spare values.
-    """
+def _vertex_rows(inst: Instance, model: DemandModel) -> list[int]:
+    """Per vertex id: the rows it multiplies a bag's table by, its
+    served-states times its spare values."""
     unsplit = model is DemandModel.UNSPLITTABLE
-    rows, pairs = [1], [1]  # vertex ids start at 1
+    rows = [1]  # vertex ids start at 1
     for a in inst.attrs:
-        spares = a.capacity or 1
-        if unsplit:
-            states, merges = (2, 3) if a.demand else (1, 1)
-        else:
-            states, merges = a.demand + 1, (a.demand + 1) * (a.demand + 2) // 2
-        rows.append(states * spares)
-        pairs.append(merges * spares * spares)
-    return rows, pairs
+        states = (2 if a.demand else 1) if unsplit else a.demand + 1
+        rows.append(states * (a.capacity or 1))
+    return rows
 
 
 def predicted_work(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> int:
-    """Predicted DP work on `ntd`.
+    """Predicted DP work on `ntd`: the rows its introduces splice, summed.
 
-    Each introduce costs INTRODUCE_ROW_WORK per row of its bag, standing
-    for the routing its vertex gets when forgotten; each join costs the
-    rows of its two children multiplied, times the fraction of compatible
-    served-states.  Rows are the product over the bag of served-states
-    times spare values, an upper bound on what the tables hold.  Leaves
-    and forgets are not counted.
+    An introduce's rows are the product over its bag of served-states
+    times spare values, an upper bound on what its table holds.  Every bag
+    of two or more vertices ends in an introduce, so this is the total
+    state space of the tree (Kjaerulff, 1990); what a forget routes and a
+    join meets grows with the same bags, so neither is counted apart.
     """
-    rows_of, pairs_of = _vertex_factors(inst, model)
-    work = 0
-    for node in ntd.post_order():
-        if node.kind == INTRODUCE:
-            work += INTRODUCE_ROW_WORK * prod(rows_of[u] for u in node.bag)
-        elif node.kind == JOIN:
-            work += prod(pairs_of[u] for u in node.bag)
-    return work
+    rows_of = _vertex_rows(inst, model)
+    return sum(prod(rows_of[u] for u in node.bag) for node in ntd.post_order() if node.kind == INTRODUCE)
 
 
 def choose_decomposition(inst: Instance, model: DemandModel) -> NiceTreeDecomposition:
@@ -346,18 +317,15 @@ def choose_decomposition(inst: Instance, model: DemandModel) -> NiceTreeDecompos
     bags alone predicts at least min-fill's work (every bag of two or more
     vertices ends in an introduce of all its rows), or when its fill-in
     work passes min-fill's predicted work, so that building it would cost
-    more than it could save (one fill-in step and one join pair take
-    about the same time).  On trees and stars, where BFS levels fill into
-    cliques, this stops it within the first few levels.
+    more than it could save.  On trees and stars, where BFS levels fill
+    into cliques, this stops it within the first few levels.
     """
     min_fill = treewidth.make_nice(treewidth.heuristic_decomposition(inst))
     bound = predicted_work(inst, min_fill, model)
-    rows_of, _ = _vertex_factors(inst, model)
+    rows_of = _vertex_rows(inst, model)
 
     def hopeless(bag: frozenset[int], fill_work: int) -> bool:
-        return fill_work > bound or (
-            len(bag) > 1 and INTRODUCE_ROW_WORK * prod(rows_of[u] for u in bag) >= bound
-        )
+        return fill_work > bound or (len(bag) > 1 and prod(rows_of[u] for u in bag) >= bound)
 
     try:
         bfs = treewidth.decomposition_from_order(inst, treewidth.bfs_order(inst), hopeless)

@@ -680,13 +680,16 @@ def bfs_decomposition(inst):
 # The grids of the decomposition comparison in ROADMAP.md (unit weights):
 # (rows, cols, capacity, demand, model, order chosen).  Both orders have
 # the same width on the first four.  Each choice was the faster one when
-# edges were routed at introduces.  With routing at forgets, min-fill
-# measures faster on the 5x5 grid (50-73 against 67-87 ms per `solve_td`)
-# and the two are within noise on the 3x3 grid with c = d = 2.
+# edges were routed at introduces.  With routing at forgets the 5x5 grid
+# is near a tie and now picks min-fill (37,440 predicted rows against
+# 41,424): in-process `solve_td`, 2-core VM, min-fill measured 50-73
+# against BFS's 67-87 ms in one session and a median of 85-87 against
+# 80-81 ms over 61 alternating pairs in another.  The two are within
+# noise on the 3x3 grid with c = d = 2.
 CHOICE_GRIDS = [
     (3, 3, 3, 3, SPLIT, "bfs"),
     (4, 4, 2, 2, SPLIT, "bfs"),
-    (5, 5, 2, 1, UNSPLIT, "bfs"),
+    (5, 5, 2, 1, UNSPLIT, "min-fill"),
     (3, 3, 2, 2, SPLIT, "bfs"),
     (3, 5, 3, 2, UNSPLIT, "min-fill"),
     (3, 6, 2, 2, SPLIT, "min-fill"),
@@ -775,6 +778,22 @@ class TestDecompositionChoice:
         assert candidates["min-fill"] != candidates["bfs"]
         chosen = choose_decomposition(inst, model)
         assert project_nice(chosen) == project_nice(make_nice(candidates[expected]))
+
+    def test_predicted_work_sums_introduce_rows(self):
+        # The work model is the rows each introduce's bag can hold, summed,
+        # and nothing else: no join term and no per-row constant.
+        cases = [grid_instance(r, c, (1, cap, d)) for r, c, cap, d, *_ in CHOICE_GRIDS]
+        cases += [random_instance(3 + seed % 8, 0.4, 3, 3, 3, seed) for seed in range(30)]
+        joins = 0
+        for inst in cases:
+            for td in (heuristic_decomposition(inst), bfs_decomposition(inst)):
+                ntd = make_nice(td)
+                introduces = [node.bag for node in ntd.post_order() if node.kind == INTRODUCE]
+                joins += sum(node.kind == JOIN for node in ntd.post_order())
+                for model in (UNSPLIT, SPLIT):
+                    expected = sum(prod(reference_rows(inst, u, model) for u in bag) for bag in introduces)
+                    assert predicted_work(inst, ntd, model) == expected
+        assert joins >= 20
 
     def test_exact_tie_keeps_min_fill(self, monkeypatch):
         inst = grid_instance(3, 3, (1, 2, 2))

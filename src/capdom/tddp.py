@@ -16,18 +16,21 @@ sorts and tie-breaks are those of tuple keys.  Kernels work on the place
 values in `DPTable.places`.
 
 A table row is the tuple (cost, triples, prev): its cost, the
-(consumer, server, amount) triples the node itself routes, and the child
-keys it came from, one per child.  Every kernel writes rows of this one
-shape.  Demand is routed only where a vertex is forgotten, so a leaf, an
-introduce into the one-row table over the empty bag, holds v unserved.
+(consumer, server, amount) triples its step routes, and the rows it came
+from.  A step that routes nothing reuses its child's row, as an introduce
+does for every row; a forget's move points at the row it moved, a join
+row at one row per side.  Reconstruction walks rows, not tables, so
+`solve_td` frees each table once its parent is built.  Demand is routed
+only where a vertex is forgotten, so a leaf, an introduce into the
+one-row table over the empty bag, holds v unserved.
 
 Splittable demands are capped by capacity before a solve (`cap_demands`,
 used by `solve`), so residual radices depend on capacities, not demands.
 
 Spare capacities merge additively at joins: two half-filled copies fuse
 into one full copy, refunding w(u) per completed copy.  Costs obey
-cost = sum_u w(u) * ceil(load_u / c(u)) for the routing the back-pointers
-reconstruct, which is re-derived and checked after every solve.
+cost = sum_u w(u) * ceil(load_u / c(u)) for the routing the rows' prev
+links reconstruct, which is re-derived and checked after every solve.
 """
 from __future__ import annotations
 
@@ -51,8 +54,8 @@ from .treewidth import FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDecomposition, Tre
 Triple = tuple[int, int, int]
 
 
-# (cost, triples, prev), as the module docstring describes
-Row = tuple[int, tuple[Triple, ...], tuple[int, ...]]
+# (cost, triples, prev rows), as the module docstring describes
+Row = tuple[int, tuple[Triple, ...], tuple["Row", ...]]
 
 
 @dataclass
@@ -118,7 +121,7 @@ def _stage(
                 new_key = base - amount * unit + (spare - amount) % c * at
                 old = get(new_key)
                 if old is None or new_cost < old[0]:
-                    out[new_key] = (new_cost, entry[1] + ((consumer, server, amount),), entry[2])
+                    out[new_key] = (new_cost, ((consumer, server, amount),), (entry,))
     return out
 
 
@@ -136,8 +139,7 @@ def dp_introduce(inst: Instance, child: DPTable, v: int) -> DPTable:
     high, low = child.places[idx], child.places[k - 1 + idx]
     top, mid, seed = places[idx], places[k + idx], inst.demand(v) * places[idx + 1]
     rows = {
-        key // high * top + seed + key % high // low * mid + key % low: (row[0], (), (key,))
-        for key, row in child.rows.items()
+        key // high * top + seed + key % high // low * mid + key % low: row for key, row in child.rows.items()
     }
     return DPTable(child.model, new_bag, rows, places)
 
@@ -161,7 +163,7 @@ def dp_forget(inst: Instance, child: DPTable, v: int) -> DPTable:
     idx, k, places = child.bag.index(v), len(child.bag), child.places
     nbrs, cv, wv = inst.neighbors(v), inst.capacity(v), inst.weight(v)
     whole = child.model is DemandModel.UNSPLITTABLE
-    rows = {key: (row[0], (), (key,)) for key, row in child.rows.items()}
+    rows = child.rows
     if cv > 0:
         # Pull stages: v serves bag neighbors one at a time.  A neighbor
         # without demand gets none: its stage would only keep every row.
@@ -212,8 +214,8 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable) -> DPTable:
     two spare vectors and are memoized per join.  The work grows with
     compatible state pairs times their spare-vector pairs, not with all row
     pairs.  Pairs are visited in sorted (left key, right key) order and only
-    a strictly cheaper pair replaces a row, so keys, costs, back-pointers
-    and row order are those of a plain double loop over the sorted keys.
+    a strictly cheaper pair replaces a row, so keys, costs, prev rows and
+    row order are those of a plain double loop over the sorted keys.
     """
     if left.bag != right.bag or left.model is not right.model:
         raise ValueError("join needs sibling tables over the same bag and model")
@@ -243,14 +245,14 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable) -> DPTable:
     def code(state: int) -> int:
         return sum((d - state // place % (d + 1)) << shift for d, place, shift in residual_digits)
 
-    Bucket = list[tuple[int, int, int]]  # (spare part, cost, key)
+    Bucket = list[tuple[int, int, Row]]  # (spare part, cost, row)
 
     def buckets(table: DPTable, offset: int) -> list[tuple[int, int, Bucket]]:
         # (state code + offset, state part, bucket), both levels in sorted key order
         by_state: dict[int, Bucket] = {}
         for key in sorted(table.rows):
-            rc = key % spares
-            by_state.setdefault(key - rc, []).append((rc, table.rows[key][0], key))
+            rc, row = key % spares, table.rows[key]
+            by_state.setdefault(key - rc, []).append((rc, row[0], row))
         return [(code(state) + offset, state, rows) for state, rows in by_state.items()]
 
     def merge_spares(rc1: int, rc2: int) -> tuple[int, int]:
@@ -268,10 +270,10 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable) -> DPTable:
     for code1, state1, rows1 in buckets(left, guard):
         base = state1 - unserved
         partners = [(base + s2, rows2) for c2, s2, rows2 in right_buckets if not (code1 + c2) & clash]
-        for rc1, cost1, k1 in rows1:
+        for rc1, cost1, row1 in rows1:
             memo = merges.setdefault(rc1, {})
             for state, rows2 in partners:
-                for rc2, cost2, k2 in rows2:
+                for rc2, cost2, row2 in rows2:
                     merged = memo.get(rc2)
                     if merged is None:
                         merged = memo[rc2] = merge_spares(rc1, rc2)
@@ -280,7 +282,7 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable) -> DPTable:
                     key = state + rc
                     old = best.get(key)
                     if old is None or cost < old[0]:
-                        best[key] = (cost, (), (k1, k2))
+                        best[key] = (cost, (), (row1, row2))
     return DPTable(left.model, vs, best, places)
 
 
@@ -336,7 +338,7 @@ def choose_decomposition(inst: Instance, model: DemandModel) -> NiceTreeDecompos
 
 
 def solve_td(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> Solution:
-    """Bottom-up evaluation plus back-pointer reconstruction.
+    """Bottom-up evaluation, then reconstruction along the root row's prev rows.
 
     The returned solution's cost always equals the root table's optimum;
     a mismatch would mean a table rule is wrong, so it is re-checked here.
@@ -344,7 +346,7 @@ def solve_td(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> 
     require_feasible(inst)
     tables: dict[int, DPTable] = {}
     for node in ntd.post_order():
-        kids = [tables[id(child)] for child in node.children]
+        kids = [tables.pop(id(child)) for child in node.children]
         if node.kind == LEAF:
             (v,) = node.bag
             tables[id(node)] = dp_leaf(inst, v, model)
@@ -357,21 +359,19 @@ def solve_td(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> 
         else:
             raise ValueError(f"unknown node kind {node.kind!r}")
 
-    root_row = tables[id(ntd.root)].rows.get(0)
+    root_row = tables.pop(id(ntd.root)).rows.get(0)
     if root_row is None:
         raise InfeasibleInstance("no feasible configuration at the root")
     best_cost = root_row[0]
 
     assignment: dict[tuple[int, int], int] = {}
-    stack: list[tuple[object, int]] = [(ntd.root, 0)]
+    stack: list[Row] = [root_row]
     while stack:
-        node, key = stack.pop()
-        _, triples, prev = tables[id(node)].rows[key]
+        _, triples, prev = stack.pop()
         for consumer, server, amount in triples:
             pair = (consumer, server)
             assignment[pair] = assignment.get(pair, 0) + amount
-        for child, child_key in zip(node.children, prev):
-            stack.append((child, child_key))
+        stack.extend(prev)
 
     solution = minimum_multiplicities(inst, assignment) if assignment else Solution.empty()
     if solution.cost != best_cost:

@@ -6,8 +6,12 @@ they are used to check.  Keep them on tiny instances only.
 """
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -37,6 +41,17 @@ def small_instances(draw, max_n=6, max_cd=3):
 def path_instance(triples) -> Instance:
     edges = [(i, i + 1) for i in range(1, len(triples))]
     return mk(triples, edges)
+
+
+def partial_two_tree(n, seed) -> Instance:
+    """`perfbench.workloads.partial_ktree` with k = 2 and keep 0.8, unit
+    weights, capacities and demands."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return mk([(1, 1, 1)] * n, workloads.partial_ktree(random.Random(seed), n, 2, 0.8))
 
 
 def cycle_instance(triples) -> Instance:

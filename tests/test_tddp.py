@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import time
+import weakref
 from math import prod
 from typing import NamedTuple
 
@@ -43,7 +44,7 @@ from capdom.treewidth import (
     project_nice,
 )
 
-from conftest import grid_instance, mk, path_instance, small_instances
+from conftest import grid_instance, mk, partial_two_tree, path_instance, small_instances
 
 UNSPLIT = DemandModel.UNSPLITTABLE
 SPLIT = DemandModel.SPLITTABLE
@@ -90,11 +91,24 @@ def decode_key(table: DPTable, key: int) -> tuple[tuple[int, ...], tuple[int, ..
 
 
 def decoded(table, kids=()):
-    """`table` with tuple keys, its back-pointers decoded with the bags of
-    the child tables `kids`."""
+    """`table` with tuple keys.  Given the child tables `kids`, each row's
+    prev rows become the child keys they sit under, matched by identity.
+    A join row points at one row of each child.  An introduce or forget row
+    is a child row itself or a chain of forget moves back to one: its
+    triples are collected along the chain in stage order.  Without `kids`,
+    prev is empty."""
+    keys = [{id(row): key for key, row in kid.rows.items()} for kid in kids]
     rows = {}
-    for key, (cost, triples, prev) in table.rows.items():
-        prev = tuple(decode_key(kid, p) for kid, p in zip(kids, prev))
+    for key, row in table.rows.items():
+        cost, triples, prev = row
+        if len(kids) == 1:
+            triples = ()
+            while id(row) not in keys[0]:
+                assert row[1], "a step that routes nothing reuses its row"
+                triples = row[1] + triples
+                (row,) = row[2]
+            prev = (row,)
+        prev = tuple(decode_key(kid, index[id(p)]) for kid, index, p in zip(kids, keys, prev))
         rows[decode_key(table, key)] = DPRow(cost, triples, prev)
     return TupleTable(table.model, table.bag, rows)
 
@@ -113,7 +127,7 @@ def row_at(table, state, rc):
 
 def reference_leaf(inst, v, model):
     """The one leaf row: v unserved, with no copies bought.  Slow reference
-    for `dp_leaf`, keyed like it and without back-pointers; v's demand is
+    for `dp_leaf`, keyed like it and without prev rows; v's demand is
     routed when v is forgotten."""
     table = DPTable(model, (v,), {}, layout(inst, (v,)))
     table.rows[encode_key(table, (inst.demand(v),), (0,))] = (0, ())
@@ -124,7 +138,7 @@ def reference_join(inst, left, right):
     """The plain join over every pair of sorted row keys, one check per pair.
 
     Slow reference for `dp_join`, which must build exactly this table:
-    the same keys in the same order, with the same costs and back-pointers.
+    the same keys in the same order, with the same costs and prev keys.
     """
     if left.bag != right.bag or left.model is not right.model:
         raise ValueError("join needs sibling tables over the same bag and model")
@@ -327,7 +341,7 @@ def introduce_time_cost(inst, ntd, model):
 def routed(inst, child, v):
     """The rows `dp_forget(inst, child, v)` builds before it cuts v out, as
     a tuple-keyed table over the child's bag: the last stage's output, or
-    the child's rows when no stage runs."""
+    the child's rows when no stage runs, decoded against the child."""
     stage, outputs = tddp._stage, [child.rows]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tddp, "_stage", lambda *args: outputs.append(stage(*args)) or outputs[-1])
@@ -335,7 +349,7 @@ def routed(inst, child, v):
             dp_forget(inst, child, v)
         except InfeasibleInstance:
             pass
-    return decoded(DPTable(child.model, child.bag, outputs[-1], child.places))
+    return decoded(DPTable(child.model, child.bag, outputs[-1], child.places), [child])
 
 
 def weighted_instances(seeds, n_min, n_max, edge_prob=0.2, max_c=3, max_d=3):
@@ -353,7 +367,7 @@ def solve_checked(monkeypatch, name, reference, model, instances):
     """Solve every instance with tddp.<name> checked against `reference`
     on each call; returns the arguments of every call.  The reference
     reads the child tables decoded to tuple keys; the fast table is
-    decoded, back-pointers with the child bags, before the comparison."""
+    decoded, its prev rows against the child tables, before the comparison."""
     fast = getattr(tddp, name)
     calls = []
 
@@ -381,8 +395,8 @@ class TestLeaf:
         table = dp_leaf(inst, 1, UNSPLIT)
         assert list(table.rows) == [encode_key(table, (7,), (0,))]
         assert routed(inst, table, 1).rows == {
-            ((7,), (0,)): DPRow(0, (), ()),
-            ((0,), (2,)): DPRow(6, ((1, 1, 7),), ()),
+            ((7,), (0,)): DPRow(0, (), (((7,), (0,)),)),
+            ((0,), (2,)): DPRow(6, ((1, 1, 7),), (((7,), (0,)),)),
         }
 
     def test_zero_demand_single_served_row(self):
@@ -628,6 +642,48 @@ def reference_rows(inst, u, model):
     d = inst.demand(u)
     states = (2 if d else 1) if model is UNSPLIT else d + 1
     return states * max(inst.capacity(u), 1)
+
+
+def joins_on_a_path(ntd):
+    """The most join nodes on one path from the root down, the node's own
+    included."""
+    most, stack = 0, [(ntd.root, 0)]
+    while stack:
+        node, joins = stack.pop()
+        joins += node.kind == JOIN
+        most = max(most, joins)
+        stack.extend((child, joins) for child in node.children)
+    return most
+
+
+class TestTableRelease:
+    @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
+    @pytest.mark.parametrize("shape", ["bfs-grid", "min-fill-partial-2-tree"])
+    def test_child_tables_are_freed_once_their_parent_is_built(self, shape, model, monkeypatch):
+        if shape == "bfs-grid":
+            inst = grid_instance(5, 5, (2, 2, 1))
+            ntd = make_nice(bfs_decomposition(inst))
+        else:
+            inst = partial_two_tree(300, 5)
+            ntd = nice_for(inst)
+        # A finished branch's table waits for its sibling at each join above
+        # it; a kernel holds at most two child tables and its result.  So the
+        # live tables never outnumber the joins on a path plus two, a bound
+        # far below the node count, so keeping every table fails it.
+        tables, live = [], []
+        for name in ("dp_leaf", "dp_introduce", "dp_forget", "dp_join"):
+
+            def recorded(*args, kernel=getattr(tddp, name)):
+                table = kernel(*args)
+                tables.append(weakref.ref(table))
+                # a leaf's table comes back from dp_leaf and its dp_introduce
+                live.append(len({id(t) for t in (ref() for ref in tables) if t is not None}))
+                return table
+
+            monkeypatch.setattr(tddp, name, recorded)
+        assert verify_solution(inst, solve_td(inst, ntd, model), model).passed
+        bound = joins_on_a_path(ntd) + 2
+        assert max(live) <= bound < len(ntd.post_order()) // 10
 
 
 class TestTableSizes:
@@ -1001,8 +1057,8 @@ class TestKeyLayout:
     @PROPERTY
     @given(bag=keyed_bags(), data=st.data())
     def test_introduce_inserts_two_digits(self, bag, data):
-        # every row is a child row with v's digits spliced in, in the
-        # child's order
+        # every row is a child row object with v's digits spliced in, in
+        # the child's order
         inst, child = bag
         outside = [u for u in inst.vertices() if u not in child.bag]
         assume(outside)
@@ -1018,6 +1074,7 @@ class TestKeyLayout:
             for cost, (state, rc) in enumerate(pairs)
         ]
         assert list(decoded(table, [child]).rows.items()) == seeded
+        assert all(row is child.rows[encode_key(child, *pair)] for pair, row in zip(pairs, table.rows.values()))
 
     @PROPERTY
     @given(bag=keyed_bags(), data=st.data())

@@ -1,9 +1,6 @@
-import importlib.util
 import random
-import sys
 import time
 from collections import deque
-from pathlib import Path
 
 import pytest
 
@@ -31,7 +28,7 @@ from capdom.treewidth import (
     validate_td,
 )
 
-from conftest import cycle_instance, grid_instance, mk, path_instance
+from conftest import cycle_instance, grid_instance, mk, partial_two_tree, path_instance
 
 
 def validate_nice(ntd: NiceTreeDecomposition) -> Report:
@@ -115,16 +112,6 @@ def reference_delta_min_fill_order(inst):
         order.append(x)
         bags.append(frozenset(nbrs) | {x})
     return order, bags
-
-
-def partial_two_tree(n, seed):
-    """`perfbench.workloads.partial_ktree` with k = 2 and keep 0.8."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    return mk([(1, 1, 1)] * n, workloads.partial_ktree(random.Random(seed), n, 2, 0.8))
 
 
 def binary_tree(n):

@@ -15,11 +15,12 @@ so int order is the order of the tuple pair (residuals, spares), and
 sorts and tie-breaks are those of tuple keys.  Kernels work on the place
 values in `DPTable.places`.
 
-A table row is the tuple (cost, triples, prev): its cost, the
-(consumer, server, amount) triples its step routes, and the rows it came
-from.  A step that routes nothing reuses its child's row, as an introduce
-does for every row; a forget's move points at the row it moved, a join
-row at one row per side.  Reconstruction walks rows, not tables, so
+A table row is one flat tuple (cost, triple, *sources): its cost, None
+or the one (consumer, server, amount) triple its step routes, and the
+rows it came from.  The empty bag's row is (0, None); a forget's move is
+(cost, triple, moved row) and a join row (cost, None, left row, right
+row).  A step that routes nothing reuses its child's row, as an
+introduce does for every row.  Reconstruction walks rows, not tables, so
 `solve_td` frees each table once its parent is built.  Demand is routed
 only where a vertex is forgotten, so a leaf, an introduce into the
 one-row table over the empty bag, holds v unserved.
@@ -29,8 +30,8 @@ used by `solve`), so residual radices depend on capacities, not demands.
 
 Spare capacities merge additively at joins: two half-filled copies fuse
 into one full copy, refunding w(u) per completed copy.  Costs obey
-cost = sum_u w(u) * ceil(load_u / c(u)) for the routing the rows' prev
-links reconstruct, which is re-derived and checked after every solve.
+cost = sum_u w(u) * ceil(load_u / c(u)) for the routing the rows' sources
+reconstruct, which is re-derived and checked after every solve.
 """
 from __future__ import annotations
 
@@ -51,11 +52,8 @@ from .core import (
 from . import treewidth
 from .treewidth import FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDecomposition, TreeDecomposition
 
-Triple = tuple[int, int, int]
-
-
-# (cost, triples, prev rows), as the module docstring describes
-Row = tuple[int, tuple[Triple, ...], tuple["Row", ...]]
+# (cost, (consumer, server, amount) or None, *source rows), as the module docstring describes
+Row = tuple
 
 
 @dataclass
@@ -82,7 +80,7 @@ def layout(inst: Instance, bag: tuple[int, ...]) -> tuple[int, ...]:
 
 def dp_leaf(inst: Instance, v: int, model: DemandModel) -> DPTable:
     """Leaf table: v introduced into the one-row table over the empty bag."""
-    return dp_introduce(inst, DPTable(model, (), {0: (0, (), ())}, (1,)), v)
+    return dp_introduce(inst, DPTable(model, (), {0: (0, None)}, (1,)), v)
 
 
 # A server offered by a stage: (place of its spare digit, capacity > 0,
@@ -93,21 +91,20 @@ _Server = tuple[int, int, int, int, int]
 def _stage(
     rows: dict[int, Row], places: tuple[int, ...], src: int, servers: list[_Server], whole: bool
 ) -> dict[int, Row]:
-    """One micro-transition: keep each row, or move the residual demand at
-    bag position `src` onto the copies of one of `servers`, offered in
-    order.  A move routes the whole residual (`whole`) or any 1..rd units.
+    """One micro-transition, in place: keep each row, or move the residual
+    demand at bag position `src` onto the copies of one of `servers`,
+    offered in order.  A move routes the whole residual (`whole`) or any
+    1..rd units.  Returns `rows`.
 
     A move lowers the residual at `src` and changes no other residual, so
     it lands on a key that sorts before its source row.  Keys are visited
-    in sorted order, so no row reaches a key before that key's own keep
-    move, and the keep move needs no cost test.
+    in ascending order from a sorted snapshot, so each row is read before
+    a move lands on it, and lookups see what a separate table would hold.
     """
     unit, radix = places[src + 1], places[src] // places[src + 1]
-    out: dict[int, Row] = {}
-    get = out.get
+    get = rows.get
     for key in sorted(rows):
         entry = rows[key]
-        out[key] = entry
         left = key // unit % radix
         if not left:
             continue
@@ -121,8 +118,8 @@ def _stage(
                 new_key = base - amount * unit + (spare - amount) % c * at
                 old = get(new_key)
                 if old is None or new_cost < old[0]:
-                    out[new_key] = (new_cost, ((consumer, server, amount),), (entry,))
-    return out
+                    rows[new_key] = (new_cost, (consumer, server, amount), entry)
+    return rows
 
 
 def dp_introduce(inst: Instance, child: DPTable, v: int) -> DPTable:
@@ -156,14 +153,14 @@ def dp_forget(inst: Instance, child: DPTable, v: int) -> DPTable:
     forgotten below it: each edge, and each vertex serving itself, is
     offered at exactly one node.  Stages run one bag vertex at a time with
     dedup in between, which is sound because completion cost depends only
-    on the configuration.  Each stage walks its rows in sorted key order,
-    offers a row's keep move first and lets only a strictly cheaper
-    candidate replace a row, so ties always resolve the same way.
+    on the configuration.  The stages update one copy of the child's
+    rows in place, each in sorted key order, keeping a row unless a
+    strictly cheaper candidate replaces it, so ties resolve the same way.
     """
     idx, k, places = child.bag.index(v), len(child.bag), child.places
     nbrs, cv, wv = inst.neighbors(v), inst.capacity(v), inst.weight(v)
     whole = child.model is DemandModel.UNSPLITTABLE
-    rows = child.rows
+    rows = dict(child.rows)
     if cv > 0:
         # Pull stages: v serves bag neighbors one at a time.  A neighbor
         # without demand gets none: its stage would only keep every row.
@@ -214,8 +211,8 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable) -> DPTable:
     two spare vectors and are memoized per join.  The work grows with
     compatible state pairs times their spare-vector pairs, not with all row
     pairs.  Pairs are visited in sorted (left key, right key) order and only
-    a strictly cheaper pair replaces a row, so keys, costs, prev rows and
-    row order are those of a plain double loop over the sorted keys.
+    a strictly cheaper pair replaces a row, so keys, costs, source rows
+    and row order are those of a plain double loop over the sorted keys.
     """
     if left.bag != right.bag or left.model is not right.model:
         raise ValueError("join needs sibling tables over the same bag and model")
@@ -282,7 +279,7 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable) -> DPTable:
                     key = state + rc
                     old = best.get(key)
                     if old is None or cost < old[0]:
-                        best[key] = (cost, (), (row1, row2))
+                        best[key] = (cost, None, row1, row2)
     return DPTable(left.model, vs, best, places)
 
 
@@ -338,7 +335,7 @@ def choose_decomposition(inst: Instance, model: DemandModel) -> NiceTreeDecompos
 
 
 def solve_td(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> Solution:
-    """Bottom-up evaluation, then reconstruction along the root row's prev rows.
+    """Bottom-up evaluation, then reconstruction along the root row's sources.
 
     The returned solution's cost always equals the root table's optimum;
     a mismatch would mean a table rule is wrong, so it is re-checked here.
@@ -367,13 +364,13 @@ def solve_td(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> 
     assignment: dict[tuple[int, int], int] = {}
     stack: list[Row] = [root_row]
     while stack:
-        _, triples, prev = stack.pop()
-        for consumer, server, amount in triples:
-            pair = (consumer, server)
-            assignment[pair] = assignment.get(pair, 0) + amount
-        stack.extend(prev)
+        row = stack.pop()
+        if row[1]:
+            consumer, server, amount = row[1]
+            assignment[consumer, server] = assignment.get((consumer, server), 0) + amount
+        stack.extend(row[2:])
 
-    solution = minimum_multiplicities(inst, assignment) if assignment else Solution.empty()
+    solution = minimum_multiplicities(inst, assignment)
     if solution.cost != best_cost:
         raise CapdomError(
             f"reconstruction cost {solution.cost} disagrees with table cost {best_cost}"

@@ -55,8 +55,9 @@ def nice_for(inst):
 
 
 class DPRow(NamedTuple):
-    """A table row with named fields; equal to the plain tuple rows the
-    kernels write."""
+    """A decoded table row with named fields: its cost, the triples it
+    routes and the child keys it came from.  Kernels write flat tuples
+    (cost, triple, *sources), which `decoded` turns into these."""
 
     cost: int
     triples: tuple
@@ -100,15 +101,16 @@ def decoded(table, kids=()):
     keys = [{id(row): key for key, row in kid.rows.items()} for kid in kids]
     rows = {}
     for key, row in table.rows.items():
-        cost, triples, prev = row
+        cost, triple, *sources = row
+        triples = (triple,) if triple else ()
         if len(kids) == 1:
             triples = ()
             while id(row) not in keys[0]:
-                assert row[1], "a step that routes nothing reuses its row"
-                triples = row[1] + triples
-                (row,) = row[2]
-            prev = (row,)
-        prev = tuple(decode_key(kid, index[id(p)]) for kid, index, p in zip(kids, keys, prev))
+                _, triple, row = row
+                assert triple, "a step that routes nothing reuses its row"
+                triples = (triple,) + triples
+            sources = (row,)
+        prev = tuple(decode_key(kid, index[id(p)]) for kid, index, p in zip(kids, keys, sources))
         rows[decode_key(table, key)] = DPRow(cost, triples, prev)
     return TupleTable(table.model, table.bag, rows)
 
@@ -122,15 +124,15 @@ def table_of(inst, model, bag, rows):
 
 
 def row_at(table, state, rc):
-    return DPRow(*table.rows[encode_key(table, state, rc)])
+    return decoded(table).rows[state, rc]
 
 
 def reference_leaf(inst, v, model):
     """The one leaf row: v unserved, with no copies bought.  Slow reference
-    for `dp_leaf`, keyed like it and without prev rows; v's demand is
-    routed when v is forgotten."""
+    for `dp_leaf`, keyed like it; the row routes no triple and has no
+    source rows, since v's demand is routed when v is forgotten."""
     table = DPTable(model, (v,), {}, layout(inst, (v,)))
-    table.rows[encode_key(table, (inst.demand(v),), (0,))] = (0, ())
+    table.rows[encode_key(table, (inst.demand(v),), (0,))] = (0, None)
     return table
 
 
@@ -435,7 +437,7 @@ class TestLeaf:
         for inst, v in leaves:
             table, expected = dp_leaf(inst, v, model), reference_leaf(inst, v, model)
             assert (table.bag, table.places) == (expected.bag, expected.places)
-            assert {key: row[:2] for key, row in table.rows.items()} == expected.rows
+            assert table.rows == expected.rows
             # the leaf's own forget routes v to itself
             try:
                 forgotten = reference_forget(inst, decoded(table), v)
@@ -517,6 +519,28 @@ class TestForget:
         instances = weighted_instances(range(60), 7, 12)
         calls = solve_checked(monkeypatch, "dp_forget", reference_forget, model, instances)
         assert len(calls) >= 500
+
+    @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
+    def test_child_table_left_as_it_was(self, model, monkeypatch):
+        # the stages update a copy of the child's rows: on the child itself
+        # they would add the keys moves land on and replace rows with moves
+        forget, routing = tddp.dp_forget, []
+
+        def checked(inst, child, v):
+            before = list(child.rows.items())
+            table = forget(inst, child, v)
+            after = list(child.rows.items())
+            assert [key for key, _ in after] == [key for key, _ in before]
+            assert all(row is kept for (_, row), (_, kept) in zip(after, before))
+            kept = {id(row) for _, row in before}
+            routing.append(any(id(row) not in kept for row in table.rows.values()))
+            return table
+
+        monkeypatch.setattr(tddp, "dp_forget", checked)
+        for inst in weighted_instances(range(30), 7, 12):
+            assert verify_solution(inst, solve_td(inst, nice_for(inst), model), model).passed
+        # most forgets keep a row that one of their own stages moved
+        assert len(routing) >= 250 and sum(routing) >= len(routing) // 2
 
 
 class TestJoin:

@@ -23,7 +23,9 @@ row).  A step that routes nothing reuses its child's row, as an
 introduce does for every row.  Reconstruction walks rows, not tables, so
 `solve_td` frees each table once its parent is built.  Demand is routed
 only where a vertex is forgotten, so a leaf, an introduce into the
-one-row table over the empty bag, holds v unserved.
+one-row table over the empty bag, holds v unserved.  A forget routes v's
+own residual first and keeps no row that leaves any of it unrouted, and
+only then lets v serve its bag neighbors.
 
 Splittable demands are capped by capacity before a solve (`cap_demands`,
 used by `solve`), so residual radices depend on capacities, not demands.
@@ -66,16 +68,12 @@ class DPTable:
     places: tuple[int, ...]
 
 
-def _places(radices: list[int]) -> tuple[int, ...]:
+def layout(inst: Instance, bag: tuple[int, ...]) -> tuple[int, ...]:
+    """The place values of keys over `bag`; the kernels derive theirs from their child's."""
     places = [1]
-    for radix in reversed(radices):
+    for radix in reversed([inst.demand(u) + 1 for u in bag] + [max(inst.capacity(u), 1) for u in bag]):
         places.append(places[-1] * radix)
     return tuple(reversed(places))
-
-
-def layout(inst: Instance, bag: tuple[int, ...]) -> tuple[int, ...]:
-    """The place values of keys over `bag` (see `DPTable.places`)."""
-    return _places([inst.demand(u) + 1 for u in bag] + [max(inst.capacity(u), 1) for u in bag])
 
 
 def dp_leaf(inst: Instance, v: int, model: DemandModel) -> DPTable:
@@ -89,12 +87,14 @@ _Server = tuple[int, int, int, int, int]
 
 
 def _stage(
-    rows: dict[int, Row], places: tuple[int, ...], src: int, servers: list[_Server], whole: bool
+    rows: dict[int, Row], places: tuple[int, ...], src: int, servers: list[_Server], whole: bool,
+    finish: bool = False,
 ) -> dict[int, Row]:
-    """One micro-transition, in place: keep each row, or move the residual
-    demand at bag position `src` onto the copies of one of `servers`,
-    offered in order.  A move routes the whole residual (`whole`) or any
-    1..rd units.  Returns `rows`.
+    """One micro-transition: keep each row, or move the residual demand at
+    bag position `src` onto the copies of one of `servers`, offered in
+    order.  A move routes the whole residual (`whole`) or any 1..rd units.
+    Updates and returns `rows`; with `finish` (and `whole`), returns a new
+    table of the rows with residual 0 at `src`, kept or moved, instead.
 
     A move lowers the residual at `src` and changes no other residual, so
     it lands on a key that sorts before its source row.  Keys are visited
@@ -102,11 +102,14 @@ def _stage(
     a move lands on it, and lookups see what a separate table would hold.
     """
     unit, radix = places[src + 1], places[src] // places[src + 1]
-    get = rows.get
+    out = {} if finish else rows
+    get = out.get
     for key in sorted(rows):
         entry = rows[key]
         left = key // unit % radix
         if not left:
+            if finish:
+                out[key] = entry
             continue
         cost = entry[0]
         amounts = (left,) if whole else range(1, left + 1)
@@ -118,8 +121,8 @@ def _stage(
                 new_key = base - amount * unit + (spare - amount) % c * at
                 old = get(new_key)
                 if old is None or new_cost < old[0]:
-                    rows[new_key] = (new_cost, (consumer, server, amount), entry)
-    return rows
+                    out[new_key] = (new_cost, (consumer, server, amount), entry)
+    return out
 
 
 def dp_introduce(inst: Instance, child: DPTable, v: int) -> DPTable:
@@ -132,8 +135,11 @@ def dp_introduce(inst: Instance, child: DPTable, v: int) -> DPTable:
     if v in child.bag:
         raise ValueError(f"vertex {v} is already in the child bag")
     new_bag = tuple(sorted(child.bag + (v,)))
-    idx, k, places = new_bag.index(v), len(new_bag), layout(inst, new_bag)
-    high, low = child.places[idx], child.places[k - 1 + idx]
+    idx, k, p = new_bag.index(v), len(new_bag), child.places
+    # v's residual and spare radices are spliced into the child's place values
+    r, s = inst.demand(v) + 1, max(inst.capacity(v), 1)
+    places = tuple(x * r * s for x in p[: idx + 1]) + tuple(x * s for x in p[idx : k + idx]) + p[k - 1 + idx :]
+    high, low = p[idx], p[k - 1 + idx]
     top, mid, seed = places[idx], places[k + idx], inst.demand(v) * places[idx + 1]
     rows = {
         key // high * top + seed + key % high // low * mid + key % low: row for key, row in child.rows.items()
@@ -142,51 +148,56 @@ def dp_introduce(inst: Instance, child: DPTable, v: int) -> DPTable:
 
 
 def dp_forget(inst: Instance, child: DPTable, v: int) -> DPTable:
-    """Route v's edges inside the bag, then drop v, keeping only rows
-    where v's demand is fully routed.
+    """Route v's edges inside the bag, then drop v.
 
-    v serves each bag neighbor with demand, whole (unsplittable) or in any
-    portion (splittable), then v's own residual goes to the positive-
-    capacity vertices of N[v] in the bag.  The bags holding u and those
-    holding v are intersecting subtrees, so the first of u and v to be
-    forgotten still has the other in its bag, and no bag vertex was
-    forgotten below it: each edge, and each vertex serving itself, is
-    offered at exactly one node.  Stages run one bag vertex at a time with
-    dedup in between, which is sound because completion cost depends only
-    on the configuration.  The stages update one copy of the child's
-    rows in place, each in sorted key order, keeping a row unless a
-    strictly cheaper candidate replaces it, so ties resolve the same way.
+    v's own residual goes first to the positive-capacity vertices of N[v]
+    in the bag, whole (unsplittable) or in portions (splittable), and the
+    last of these stages builds no row that leaves any of it unrouted.
+    Then v serves each bag neighbor with demand, on the surviving rows.
+    The bags holding u and those holding v are intersecting subtrees, so
+    the first of u and v to be forgotten still has the other in its bag,
+    and no bag vertex was forgotten below it: each edge, and each vertex
+    serving itself, is offered at exactly one node.  Stages run one bag
+    vertex at a time with dedup in between, in any order, because the
+    copies a server needs depend only on its total load; no pull stage
+    changes v's residual, so no dropped row could have been kept.  Each
+    stage runs in sorted key order and keeps a row unless a strictly
+    cheaper one replaces it, so ties resolve the same way.  The last
+    routing stage builds a new table; the others update that table or one
+    copy of the child's rows in place.
     """
     idx, k, places = child.bag.index(v), len(child.bag), child.places
     nbrs, cv, wv = inst.neighbors(v), inst.capacity(v), inst.weight(v)
     whole = child.model is DemandModel.UNSPLITTABLE
-    rows = dict(child.rows)
-    if cv > 0:
-        # Pull stages: v serves bag neighbors one at a time.  A neighbor
-        # without demand gets none: its stage would only keep every row.
-        for pos, u in enumerate(child.bag):
-            if u in nbrs and inst.demand(u):
-                rows = _stage(rows, places, pos, [(places[k + idx + 1], cv, wv, u, v)], whole)
+    rows = child.rows
     if inst.demand(v):
         # Routing stages: v's own demand goes whole to one server, or in
-        # portions to each server in turn.
+        # portions to each server in turn, the last one taking the rest.
         servers = [
             (places[k + pos + 1], inst.capacity(s), inst.weight(s), v, s)
             for pos, s in enumerate(child.bag)
             if (s == v or s in nbrs) and inst.capacity(s) > 0
         ]
-        for group in [servers] if whole else [[s] for s in servers]:
-            rows = _stage(rows, places, idx, group, whole)
-    radices = [hi // lo for hi, lo in zip(places, places[1:])]
-    del radices[k + idx], radices[idx]
-    table = DPTable(child.model, child.bag[:idx] + child.bag[idx + 1 :], {}, _places(radices))
-    # Rows keep v's residual digit 0; v's two digits are cut out and the
-    # digits above, between and below them close up.
+        *portions, last = [[s] for s in servers] if servers and not whole else [servers]
+        rows = dict(rows) if portions else rows
+        for group in portions:
+            rows = _stage(rows, places, idx, group, False)
+        rows = _stage(rows, places, idx, last, True, finish=True)
+    if cv > 0:
+        # Pull stages: v serves bag neighbors one at a time.  A neighbor
+        # without demand gets none: its stage would only keep every row.
+        pulls = [(pos, u) for pos, u in enumerate(child.bag) if u in nbrs and inst.demand(u)]
+        rows = dict(rows) if pulls and rows is child.rows else rows
+        for pos, u in pulls:
+            rows = _stage(rows, places, pos, [(places[k + idx + 1], cv, wv, u, v)], whole)
+    # Every row has v's residual digit 0; v's two digits are cut out and
+    # the digits above, between and below them close up.
     high, unit, mid, low = places[idx], places[idx + 1], places[k + idx], places[k + idx + 1]
+    r, s = high // unit, mid // low
+    cut = tuple(x // (r * s) for x in places[:idx]) + tuple(x // s for x in places[idx + 1 : k + idx])
+    table = DPTable(child.model, child.bag[:idx] + child.bag[idx + 1 :], {}, cut + places[k + idx + 1 :])
     top, out = table.places[idx], table.rows
     for key in sorted(rows):
-        if key % high >= unit:
-            continue
         new_key = key // high * top + key % unit // mid * low + key % low
         entry, old = rows[key], out.get(new_key)
         if old is None or entry[0] < old[0]:

@@ -576,18 +576,20 @@ class TestBench:
 def test_large_split_demands_solve_fast(tmp_path, monkeypatch):
     # 3x4 grid, c = 2, d = 8: the uncapped split DP took over a minute here;
     # 212 is its optimum, computed once with that DP.  With demands capped
-    # the routing stages build 283,196 rows and the chosen decomposition
-    # has no join; the solve fails as soon as stage and join rows together
-    # pass twice that, a bound that does not depend on the host.
+    # the chosen decomposition has no join, and the routing stages return
+    # 70,618 rows (283,196 when this test was written, 189,556 when v's
+    # pull stages ran before its own routing); the solve fails as soon as
+    # stage and join rows together pass twice 283,196, a bound that does
+    # not depend on the host.
     weights = [5, 4, 7, 6, 4, 6, 5, 7, 6, 4, 5, 7]
     path = tmp_path / "grid.cd"
     path.write_text(save_instance(mk([(w, 2, 8) for w in weights], grid_instance(3, 4).edges)))
     rows, bound = 0, 2 * 283_196
 
     def counted(kernel):
-        def wrapper(*args):
+        def wrapper(*args, **kw):
             nonlocal rows
-            built = kernel(*args)
+            built = kernel(*args, **kw)
             rows += len(getattr(built, "rows", built))
             if rows > bound:
                 pytest.fail(f"the DP built more than {bound} rows")

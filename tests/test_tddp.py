@@ -205,12 +205,14 @@ def reference_introduce(inst, child, v):
     return table
 
 
-def reference_route(inst, rows, bag, v, model):
+def reference_route(inst, rows, bag, v, model, pulls_first=False):
     """v's routing stages over tuple-keyed `rows` on `bag`, one generator
-    per micro-transition and no shortcuts: v serves each bag neighbor, then
-    v's residual goes to the positive-capacity vertices of N[v] in the bag.
-    Every pull stage runs, even for a neighbor without demand, and every
-    ceiling goes through `ceil_div`.  Rows are (cost, triples, origin)."""
+    per micro-transition and no shortcuts: v's residual goes to the
+    positive-capacity vertices of N[v] in the bag, then v serves each bag
+    neighbor, or the other way round with `pulls_first`.  No row is
+    dropped, not even one that leaves v's demand unrouted: `cut` drops
+    those.  Every pull stage runs, even for a neighbor without demand, and
+    every ceiling goes through `ceil_div`.  Rows are (cost, triples, origin)."""
     idx = bag.index(v)
     nbrs = inst.neighbors(v)
     cv, wv, dv = inst.capacity(v), inst.weight(v), inst.demand(v)
@@ -220,6 +222,39 @@ def reference_route(inst, rows, bag, v, model):
         for pos, u in enumerate(bag)
         if (u == v or u in nbrs) and inst.capacity(u) > 0
     ]
+    routes, pulls = [], []
+
+    if unsplit:
+        def route(key):
+            state, rc = key
+            yield key, 0, ()
+            if state[idx] == 0:
+                return
+            served = state[:idx] + (0,) + state[idx + 1 :]
+            for pos, s in server_pos:
+                cs = inst.capacity(s)
+                spare = rc[pos]
+                dcost = inst.weight(s) * ceil_div(max(0, dv - spare), cs)
+                rc2 = rc[:pos] + ((spare - dv) % cs,) + rc[pos + 1 :]
+                yield (served, rc2), dcost, ((v, s, dv),)
+
+        routes.append(route)
+    else:
+        for pos, s in server_pos:
+            cs = inst.capacity(s)
+            ws = inst.weight(s)
+
+            def spread(key, pos=pos, s=s, cs=cs, ws=ws):
+                state, rc = key
+                yield key, 0, ()
+                spare = rc[pos]
+                for give in range(1, state[idx] + 1):
+                    dcost = ws * ceil_div(max(0, give - spare), cs)
+                    rc2 = rc[:pos] + ((spare - give) % cs,) + rc[pos + 1 :]
+                    state2 = state[:idx] + (state[idx] - give,) + state[idx + 1 :]
+                    yield (state2, rc2), dcost, ((v, s, give),)
+
+            routes.append(spread)
 
     if cv > 0:
         for pos, u in enumerate(bag):
@@ -247,39 +282,10 @@ def reference_route(inst, rows, bag, v, model):
                         state2 = state[:pos] + (state[pos] - take,) + state[pos + 1 :]
                         yield (state2, rc2), dcost, ((u, v, take),)
 
-            rows = _dedup_stage(rows, pull)
+            pulls.append(pull)
 
-    if unsplit:
-        def route(key):
-            state, rc = key
-            yield key, 0, ()
-            if state[idx] == 0:
-                return
-            served = state[:idx] + (0,) + state[idx + 1 :]
-            for pos, s in server_pos:
-                cs = inst.capacity(s)
-                spare = rc[pos]
-                dcost = inst.weight(s) * ceil_div(max(0, dv - spare), cs)
-                rc2 = rc[:pos] + ((spare - dv) % cs,) + rc[pos + 1 :]
-                yield (served, rc2), dcost, ((v, s, dv),)
-
-        rows = _dedup_stage(rows, route)
-    else:
-        for pos, s in server_pos:
-            cs = inst.capacity(s)
-            ws = inst.weight(s)
-
-            def spread(key, pos=pos, s=s, cs=cs, ws=ws):
-                state, rc = key
-                yield key, 0, ()
-                spare = rc[pos]
-                for give in range(1, state[idx] + 1):
-                    dcost = ws * ceil_div(max(0, give - spare), cs)
-                    rc2 = rc[:pos] + ((spare - give) % cs,) + rc[pos + 1 :]
-                    state2 = state[:idx] + (state[idx] - give,) + state[idx + 1 :]
-                    yield (state2, rc2), dcost, ((v, s, give),)
-
-            rows = _dedup_stage(rows, spread)
+    for stage in pulls + routes if pulls_first else routes + pulls:
+        rows = _dedup_stage(rows, stage)
     return rows
 
 
@@ -343,10 +349,12 @@ def introduce_time_cost(inst, ntd, model):
 def routed(inst, child, v):
     """The rows `dp_forget(inst, child, v)` builds before it cuts v out, as
     a tuple-keyed table over the child's bag: the last stage's output, or
-    the child's rows when no stage runs, decoded against the child."""
+    the child's rows when no stage runs, decoded against the child.  Rows
+    that leave v's demand unrouted are never built: once v has demand, its
+    residual is 0 in every row."""
     stage, outputs = tddp._stage, [child.rows]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tddp, "_stage", lambda *args: outputs.append(stage(*args)) or outputs[-1])
+        patch.setattr(tddp, "_stage", lambda *args, **kw: outputs.append(stage(*args, **kw)) or outputs[-1])
         try:
             dp_forget(inst, child, v)
         except InfeasibleInstance:
@@ -392,12 +400,12 @@ def solve_checked(monkeypatch, name, reference, model, instances):
 class TestLeaf:
     def test_two_rows_with_spare_capacity(self):
         # the leaf holds v unserved; its forget routes v to itself, where 3
-        # copies hold demand 7, leaving 2 spare units in the last copy
+        # copies hold demand 7, leaving 2 spare units in the last copy, and
+        # builds no row that leaves v unserved
         inst = mk([(2, 3, 7)])
         table = dp_leaf(inst, 1, UNSPLIT)
         assert list(table.rows) == [encode_key(table, (7,), (0,))]
         assert routed(inst, table, 1).rows == {
-            ((7,), (0,)): DPRow(0, (), (((7,), (0,)),)),
             ((0,), (2,)): DPRow(6, ((1, 1, 7),), (((7,), (0,)),)),
         }
 
@@ -412,16 +420,20 @@ class TestLeaf:
         inst = mk([(1, 0, 2), (1, 5, 0)], [(1, 2)])
         table = dp_leaf(inst, 1, UNSPLIT)
         assert list(table.rows) == [encode_key(table, (2,), (0,))]
-        assert list(routed(inst, table, 1).rows) == [((2,), (0,))]
+        # no server of v is in the bag, so routing v keeps no row
+        assert routed(inst, table, 1).rows == {}
 
     def test_splittable_enumerates_portions(self):
-        inst = mk([(1, 2, 3)])
-        table = routed(inst, dp_leaf(inst, 1, SPLIT), 1)
-        # portions 0..3 of the demand self-served
-        assert table.rows[(3,), (0,)].cost == 0
-        assert table.rows[(2,), (1,)].cost == 1
-        assert table.rows[(0,), (1,)].cost == 2
-        assert len(table.rows) == 4
+        # v (c = 2, d = 3) serves portions 0..3 of its demand itself, and its
+        # neighbor (c = 5) takes the rest
+        inst = mk([(1, 2, 3), (1, 5, 0)], [(1, 2)])
+        table = routed(inst, dp_introduce(inst, dp_leaf(inst, 1, SPLIT), 2), 1)
+        assert {key: (row.cost, row.triples) for key, row in table.rows.items()} == {
+            ((0, 0), (0, 2)): (1, ((1, 2, 3),)),
+            ((0, 0), (1, 3)): (2, ((1, 1, 1), (1, 2, 2))),
+            ((0, 0), (0, 4)): (2, ((1, 1, 2), (1, 2, 1))),
+            ((0, 0), (1, 0)): (2, ((1, 1, 3),)),
+        }
 
     @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
     def test_every_leaf_equals_reference(self, model):
@@ -451,8 +463,9 @@ class TestLeaf:
 class TestIntroduce:
     def test_spare_absorbs_then_buys(self):
         # u = 1 (c = 5, d = 8) is forgotten with v = 2 (d = 3) in its bag: u
-        # pulls v's 3 units into one copy, then its own 8 fill that copy's
-        # spare 2 and buy two more: 3 copies, spare 4
+        # routes its own 8 units to itself, two copies with spare 2, then
+        # pulls v's 3 units into that spare and one more copy: 3 copies,
+        # spare 4
         inst = mk([(1, 5, 8), (1, 1, 3)], [(1, 2)])
         table = dp_introduce(inst, dp_leaf(inst, 1, UNSPLIT), 2)
         assert list(decoded(table).rows) == [((8, 3), (0, 0))]
@@ -541,6 +554,65 @@ class TestForget:
             assert verify_solution(inst, solve_td(inst, nice_for(inst), model), model).passed
         # most forgets keep a row that one of their own stages moved
         assert len(routing) >= 250 and sum(routing) >= len(routing) // 2
+
+
+    @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
+    def test_stage_order_keeps_keys_and_costs(self, model, monkeypatch):
+        # Routing v's own demand before or after v serves its neighbors
+        # reaches the same configurations at the same costs, since the
+        # copies a server needs depend only on its total load.
+        forget, both = tddp.dp_forget, []
+
+        def checked(inst, child, v):
+            rows = seeded(decoded(child))
+            costs = [
+                {key: row.cost for key, row in cut(model, child.bag, routing, v).rows.items()}
+                for routing in (
+                    reference_route(inst, rows, child.bag, v, model),
+                    reference_route(inst, rows, child.bag, v, model, pulls_first=True),
+                )
+            ]
+            assert costs[0] == costs[1]
+            nbrs = inst.neighbors(v)
+            both.append(bool(inst.demand(v) and inst.capacity(v)) and any(
+                u in nbrs and inst.demand(u) for u in child.bag
+            ))
+            return forget(inst, child, v)
+
+        monkeypatch.setattr(tddp, "dp_forget", checked)
+        for inst in weighted_instances(range(60), 7, 12):
+            assert verify_solution(inst, solve_td(inst, nice_for(inst), model), model).passed
+        # many forgets route v and let v serve a neighbor too
+        assert len(both) >= 500 and sum(both) >= 100
+
+    @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
+    def test_no_pull_stage_reads_an_unfinished_row(self, model, monkeypatch):
+        # v's routing drops every row that leaves v's demand unrouted before
+        # v serves its neighbors: a pull stage sees residual 0 at v only
+        stage, forget = tddp._stage, tddp.dp_forget
+        forgetting, pulls = [], []
+
+        def spied_stage(rows, places, src, servers, *rest, **kw):
+            idx, dv = forgetting[-1]
+            if src != idx:
+                unit, radix = places[idx + 1], places[idx] // places[idx + 1]
+                assert not any(key // unit % radix for key in rows)
+                pulls.append(dv)
+            return stage(rows, places, src, servers, *rest, **kw)
+
+        def spied_forget(inst, child, v):
+            forgetting.append((child.bag.index(v), inst.demand(v)))
+            try:
+                return forget(inst, child, v)
+            finally:
+                forgetting.pop()
+
+        monkeypatch.setattr(tddp, "_stage", spied_stage)
+        monkeypatch.setattr(tddp, "dp_forget", spied_forget)
+        for inst in weighted_instances(range(60), 7, 12):
+            assert verify_solution(inst, solve_td(inst, nice_for(inst), model), model).passed
+        # most pull stages follow the routing of a v with demand
+        assert len(pulls) >= 200 and sum(map(bool, pulls)) >= len(pulls) // 2
 
 
 class TestJoin:
@@ -817,10 +889,10 @@ class TestRoutingPlace:
         stage, forget, join = tddp._stage, tddp.dp_forget, tddp.dp_join
         offered, forgetting, joins = [], [], []
 
-        def counted_stage(rows, places, src, servers, whole):
+        def counted_stage(rows, places, src, servers, *rest, **kw):
             assert forgetting, "a stage ran outside dp_forget"
             offered.extend((consumer, server) for *_, consumer, server in servers)
-            return stage(rows, places, src, servers, whole)
+            return stage(rows, places, src, servers, *rest, **kw)
 
         def counted_forget(*args):
             forgetting.append(True)

@@ -24,7 +24,7 @@ from .core import (
     require_feasible,
 )
 from . import tddp
-from .treewidth import LevelAssignment, bfs_levels, components  # noqa: F401 (bfs_levels re-exported)
+from .treewidth import LevelAssignment, components
 # These stay importable from here: perfbench's tracer wraps them in every
 # module that imported them.  Slices reach them through `tddp.solve`.
 from .tddp import solve_td  # noqa: F401
@@ -59,27 +59,24 @@ def make_slices(
     """Bands for shift r: levels [jk+r-k, jk+r+1] with both ends zeroed.
 
     Every vertex lands in at most two bands and keeps its demand in
-    exactly one; bands span at most k+2 consecutive levels.
+    exactly one; bands span at most k+2 consecutive levels.  `levels`
+    must be contiguous, as `bfs_levels` gives them: every level in
+    0..num_levels-1 holds a vertex, so no band is empty.
     """
     if k < 2:
         raise ValueError("band width k must be at least 2")
     if not 0 <= r < k:
         raise ValueError("shift r must lie in [0, k)")
     top = levels.num_levels - 1
+    by_level: list[list[int]] = [[] for _ in range(levels.num_levels)]
+    for v, lv in levels.level.items():
+        by_level[lv].append(v)
     slices: list[Slice] = []
-    j = 0
-    while (j - 1) * k + r + 1 <= top:
-        low = (j - 1) * k + r
-        high = j * k + r + 1
-        members = [v for v, lv in levels.level.items() if low <= lv <= high]
-        j += 1
-        if not members:
-            continue
-        zeroed = frozenset(
-            v for v in members if levels.level[v] in (low, high)
-        )
-        kept = frozenset(v for v in members if v not in zeroed)
-        sub, orig_of = induced_instance(inst, members, zero_demand=zeroed)
+    for low in range(r - k, top, k):
+        high = low + k + 1
+        kept = frozenset(v for same in by_level[max(low + 1, 0):high] for v in same)
+        zeroed = frozenset(v for lv in (low, high) if 0 <= lv <= top for v in by_level[lv])
+        sub, orig_of = induced_instance(inst, kept | zeroed, zero_demand=zeroed)
         slices.append(Slice(sub, orig_of, kept, zeroed, low, high))
     return slices
 

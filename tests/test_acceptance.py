@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from capdom.baker import baker_solve, bfs_levels
+from capdom.baker import baker_solve
 from capdom.core import (
     DemandModel,
     random_instance,
@@ -25,7 +25,7 @@ from capdom.greedy import (
 from capdom.hardness import CliqueInstance, reduce, verify_semantics, verify_structure
 from capdom.oracle import SearchBudget, exact_splittable, exact_unsplittable
 from capdom.tddp import solve_td
-from capdom.treewidth import heuristic_decomposition, make_nice
+from capdom.treewidth import bfs_levels, heuristic_decomposition, make_nice
 
 from conftest import cycle_instance, grid_instance, harmonic, mk
 from greedy_reference import reference_greedy_splittable

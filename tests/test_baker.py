@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from capdom.baker import (
     MergeConflict,
     Slice,
     baker_solve,
-    bfs_levels,
     make_slices,
     merge_solutions,
 )
@@ -15,17 +15,59 @@ from capdom.core import (
     DemandModel,
     Instance,
     Solution,
+    induced_instance,
     random_instance,
     verify_solution,
 )
 from capdom.oracle import exact_unsplittable
 from capdom.tddp import solve_td
-from capdom.treewidth import components, heuristic_decomposition, make_nice
+from capdom.treewidth import bfs_levels, components, heuristic_decomposition, make_nice
 
 from conftest import cycle_instance, grid_instance, mk, path_instance
 
 UNSPLIT = DemandModel.UNSPLITTABLE
 SPLIT = DemandModel.SPLITTABLE
+
+
+def reference_slices(inst, levels, k, r):
+    """The per-band scan that `make_slices` replaced: each band reads every
+    vertex's level, and an empty band is skipped."""
+    top = levels.num_levels - 1
+    slices = []
+    j = 0
+    while (j - 1) * k + r + 1 <= top:
+        low = (j - 1) * k + r
+        high = j * k + r + 1
+        members = [v for v, lv in levels.level.items() if low <= lv <= high]
+        j += 1
+        if not members:
+            continue
+        zeroed = frozenset(v for v in members if levels.level[v] in (low, high))
+        kept = frozenset(v for v in members if v not in zeroed)
+        sub, orig_of = induced_instance(inst, members, zero_demand=zeroed)
+        slices.append(Slice(sub, orig_of, kept, zeroed, low, high))
+    return slices
+
+
+def slicing_inputs():
+    """Grids, shuffled grids, outerplanar graphs and graphs with one-vertex
+    components, each with seeded weights, capacities and demands."""
+    rng = random.Random(32)
+    shapes = [(rows * cols, grid_instance(rows, cols).edges)
+              for rows, cols in [(1, 1), (1, 6), (2, 3), (3, 4), (5, 5), (7, 9)]]
+    for rows, cols in [(3, 3), (4, 6), (6, 6), (8, 8)]:
+        label = list(range(1, rows * cols + 1))
+        rng.shuffle(label)
+        edges = [(label[u - 1], label[v - 1]) for u, v in grid_instance(rows, cols).edges]
+        shapes.append((rows * cols, [(min(e), max(e)) for e in edges]))
+    for n in (3, 8, 13):
+        path = [(i, i + 1) for i in range(1, n)]
+        shapes.append((n, path + [(1, n)]))  # cycle
+        shapes.append((n + 1, [(u + 1, v + 1) for u, v in path] + [(1, i) for i in range(2, n + 2)]))  # fan
+    shapes += [(1, []), (4, []), (7, [(2, 3), (3, 4), (6, 7)])]
+    shapes += [(n, random_instance(n, 0.15, 1, 1, 1, n).edges) for n in (10, 16, 24)]
+    for n, edges in shapes:
+        yield mk([(rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3)) for _ in range(n)], edges)
 
 
 class TestLevels:
@@ -124,6 +166,16 @@ class TestSlices:
                     for piece in make_slices(inst, levels, k, r):
                         width = heuristic_decomposition(piece.instance).width
                         assert width <= 2 * k
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_per_band_scan(self, k):
+        cases = 0
+        for inst in slicing_inputs():
+            for levels in components(inst):
+                for r in range(k):
+                    assert make_slices(inst, levels, k, r) == reference_slices(inst, levels, k, r)
+                    cases += 1
+        assert cases >= 30 * k
 
 
 class TestMerge:

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from capdom.baker import bfs_levels, make_slices
+from capdom.baker import make_slices
 from capdom.core import DemandModel, ParseError, Report, random_instance
 from capdom.tddp import solve_td
 from capdom.treewidth import (
@@ -17,6 +17,7 @@ from capdom.treewidth import (
     NiceNode,
     NiceTreeDecomposition,
     TreeDecomposition,
+    bfs_levels,
     bfs_order,
     decomposition_from_order,
     heuristic_decomposition,

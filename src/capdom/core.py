@@ -115,7 +115,10 @@ class VertexAttrs:
 class Instance:
     """A simple undirected graph with tri-weighted vertices, ids 1..n.
 
-    weights, capacities and demands hold the attributes by id (index 0 holds 0).
+    Solvers read it through five tuples indexed by vertex id: weights,
+    capacities and demands hold the attributes, adj the neighborhoods and
+    closed the closed neighborhoods.  Index 0 is padding: the attribute
+    columns hold 0 there, adj[0] is empty and closed[0] is {0}.
     """
 
     n: int
@@ -183,26 +186,8 @@ class Instance:
         if sum_d > INT64_MAX or sum_c * self.n > INT64_MAX or sum_w * max(sum_d, 1) > INT64_MAX:
             raise OverflowError("instance attribute sums exceed the 64-bit budget")
 
-    def weight(self, v: int) -> int:
-        return self.weights[v]
-
-    def capacity(self, v: int) -> int:
-        return self.capacities[v]
-
-    def demand(self, v: int) -> int:
-        return self.demands[v]
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self.closed[v]
-
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def total_demand(self) -> int:
-        return sum(self.demands)
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -213,9 +198,7 @@ def ceil_div(a: int, b: int) -> int:
 def is_feasible(inst: Instance) -> bool:
     """False iff some vertex has demand but no positive-capacity server in N[v]."""
     for v in inst.vertices():
-        if inst.demand(v) > 0 and all(
-            inst.capacity(u) == 0 for u in inst.closed_neighborhood(v)
-        ):
+        if inst.demands[v] > 0 and all(inst.capacities[u] == 0 for u in inst.closed[v]):
             return False
     return True
 
@@ -260,7 +243,7 @@ def induced_instance(
     new_id = {v: i + 1 for i, v in enumerate(orig)}
     attrs = tuple(
         VertexAttrs(
-            inst.weight(v), inst.capacity(v), 0 if v in zeroed else inst.demand(v)
+            inst.weights[v], inst.capacities[v], 0 if v in zeroed else inst.demands[v]
         )
         for v in orig
     )
@@ -284,10 +267,6 @@ class Solution:
     multiplicity: dict[int, int]
     assignment: dict[tuple[int, int], int]
     cost: int
-
-    @staticmethod
-    def empty() -> "Solution":
-        return Solution({}, {}, 0)
 
 
 @dataclass
@@ -327,7 +306,7 @@ def verify_solution(
         if amount <= 0:
             problems.append(f"nonpositive amount on assignment ({consumer},{server})")
             continue
-        if server not in inst.closed_neighborhood(consumer):
+        if server not in inst.closed[consumer]:
             problems.append(
                 f"server {server} is outside the closed neighborhood of {consumer}"
             )
@@ -336,19 +315,19 @@ def verify_solution(
         triples_per_consumer.setdefault(consumer, []).append((server, amount))
 
     for v in inst.vertices():
-        if served[v] < inst.demand(v):
+        if served[v] < inst.demands[v]:
             problems.append(
-                f"demand violated at vertex {v}: served {served[v]} < {inst.demand(v)}"
+                f"demand violated at vertex {v}: served {served[v]} < {inst.demands[v]}"
             )
     for v in inst.vertices():
-        available = inst.capacity(v) * sol.multiplicity.get(v, 0)
+        available = inst.capacities[v] * sol.multiplicity.get(v, 0)
         if load[v] > available:
             problems.append(
                 f"capacity violated at vertex {v}: load {load[v]} > {available}"
             )
 
     true_cost = sum(
-        inst.weight(v) * count
+        inst.weights[v] * count
         for v, count in sol.multiplicity.items()
         if 1 <= v <= inst.n
     )
@@ -358,11 +337,11 @@ def verify_solution(
     if model is DemandModel.UNSPLITTABLE:
         for v in inst.vertices():
             triples = triples_per_consumer.get(v, [])
-            if inst.demand(v) > 0:
-                if len(triples) != 1 or triples[0][1] != inst.demand(v):
+            if inst.demands[v] > 0:
+                if len(triples) != 1 or triples[0][1] != inst.demands[v]:
                     problems.append(
                         f"unsplittable model violated at vertex {v}: "
-                        f"needs one triple of amount {inst.demand(v)}"
+                        f"needs one triple of amount {inst.demands[v]}"
                     )
             elif triples:
                 problems.append(
@@ -387,11 +366,11 @@ def minimum_multiplicities(
             load[server] = load.get(server, 0) + amount
     multiplicity: dict[int, int] = {}
     for server in sorted(load):
-        c = inst.capacity(server)
+        c = inst.capacities[server]
         if c == 0:
             raise ZeroCapacityServer(server)
         multiplicity[server] = ceil_div(load[server], c)
-    cost = sum(inst.weight(v) * x for v, x in multiplicity.items())
+    cost = sum(inst.weights[v] * x for v, x in multiplicity.items())
     clean = {pair: amt for pair, amt in sorted(assignment.items()) if amt > 0}
     return Solution(multiplicity, clean, cost)
 

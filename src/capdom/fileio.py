@@ -73,8 +73,7 @@ def save_instance(inst: Instance, comments: list[str] | None = None) -> str:
     lines = [f"c {c}" for c in comments or []]
     lines.append(f"p capdom {inst.n} {len(inst.edges)}")
     for v in inst.vertices():
-        a = inst.attrs[v - 1]
-        lines.append(f"v {v} {a.weight} {a.capacity} {a.demand}")
+        lines.append(f"v {v} {inst.weights[v]} {inst.capacities[v]} {inst.demands[v]}")
     for u, v in sorted(inst.edges):
         lines.append(f"e {u} {v}")
     return "\n".join(lines) + "\n"

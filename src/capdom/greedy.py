@@ -252,7 +252,7 @@ def _greedy_loop(
 def greedy_unsplittable(inst: Instance) -> GreedyResult:
     """Whole-demand greedy: logarithmic-ratio solver for the unsplittable model."""
     require_feasible(inst)
-    undominated = {v for v in inst.vertices() if inst.demand(v) > 0}
+    undominated = {v for v in inst.vertices() if inst.demands[v] > 0}
     order = closed_by_demand(inst, undominated, inst.demands)
     assignment: dict[tuple[int, int], int] = {}
     trace: list[TraceEntry] = []
@@ -262,10 +262,10 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
         chosen = best.candidates[: best.prefix_len]
         prefix = 0
         for v in chosen:
-            _add(assignment, v, u, inst.demand(v))
-            prefix += inst.demand(v)
+            _add(assignment, v, u, inst.demands[v])
+            prefix += inst.demands[v]
             undominated.discard(v)
-        iter_cost = inst.weight(u) * ceil_div(prefix, inst.capacity(u))
+        iter_cost = inst.weights[u] * ceil_div(prefix, inst.capacities[u])
         trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
         return chosen
 
@@ -293,7 +293,7 @@ def _split_greedy(
 
     def take(best: EfficiencyQuote, iteration: int) -> list[int]:
         u, j, candidates = best.vertex, best.prefix_len, best.candidates
-        c = inst.capacity(u)
+        c = inst.capacities[u]
         if j == 0:
             first = candidates[0]
             assert residue[first] > c, "prefix length 0 implies the first residue exceeds c(u)"
@@ -303,7 +303,7 @@ def _split_greedy(
                 residue[first] = rest
             else:
                 del residue[first]
-            iter_cost = inst.weight(u) * copies
+            iter_cost = inst.weights[u] * copies
             changed = [first]
         else:
             changed = candidates[:j]
@@ -316,7 +316,7 @@ def _split_greedy(
                 _add(assignment, nxt, u, spare)
                 residue[nxt] -= spare
                 changed.append(nxt)
-            iter_cost = inst.weight(u)
+            iter_cost = inst.weights[u]
         trace.append(TraceEntry(iteration, u, j, iter_cost, 1))
         partial = [v for v in changed if v in residue]
         assert len(partial) <= 1, "at most one vertex is partly served per pick"
@@ -336,7 +336,7 @@ def greedy_splittable(inst: Instance) -> GreedyResult:
     the servers that partially served it are doubled, satisfying it.
     """
     require_feasible(inst)
-    residue = {v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0}
+    residue = {v: inst.demands[v] for v in inst.vertices() if inst.demands[v] > 0}
     assignment: dict[tuple[int, int], int] = {}
     map_sets: dict[int, set[int]] = {}
     trace: list[TraceEntry] = []
@@ -346,7 +346,7 @@ def greedy_splittable(inst: Instance) -> GreedyResult:
             map_sets[v] = {u}
         else:
             map_sets.setdefault(v, set()).add(u)
-        if 2 * residue[v] < inst.demand(v):
+        if 2 * residue[v] < inst.demands[v]:
             for server in sorted(map_sets[v]):
                 assignment[(v, server)] *= 2
             del residue[v]
@@ -363,7 +363,7 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
     which one copy always suffices and partial vertices are finished by
     routing the rest to g.
     """
-    if any(inst.weight(v) != 1 for v in inst.vertices()):
+    if any(inst.weights[v] != 1 for v in inst.vertices()):
         raise NotUnweighted("every vertex weight must be 1")
     require_feasible(inst)
     trace: list[TraceEntry] = []
@@ -371,12 +371,12 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
     residue: dict[int, int] = {}
     best_neighbor: dict[int, int] = {}
     for v in inst.vertices():
-        if inst.demand(v) == 0:
+        if inst.demands[v] == 0:
             continue
-        g = min(inst.closed_neighborhood(v), key=lambda u: (-inst.capacity(u), u))
-        copies, rest = divmod(inst.demand(v), inst.capacity(g))
+        g = min(inst.closed[v], key=lambda u: (-inst.capacities[u], u))
+        copies, rest = divmod(inst.demands[v], inst.capacities[g])
         if copies:
-            _add(assignment, v, g, inst.capacity(g) * copies)
+            _add(assignment, v, g, inst.capacities[g] * copies)
             trace.append(TraceEntry(0, g, 0, copies, 0))
         if rest:
             residue[v] = rest

@@ -212,20 +212,20 @@ def verify_structure(g: GadgetInstance) -> Report:
             parent[ru] = rv
 
     for b in sorted(bridges):
-        demand_sum = sum(inst.demand(u) for u in inst.closed_neighborhood(b))
+        demand_sum = sum(inst.demands[u] for u in inst.closed[b])
         expected = max(0, demand_sum - n_labels)
-        if inst.capacity(b) != expected:
+        if inst.capacities[b] != expected:
             problems.append(
-                f"bridge {b} capacity {inst.capacity(b)} != expected {expected}"
+                f"bridge {b} capacity {inst.capacities[b]} != expected {expected}"
             )
     for role, name, expected in (
         ("vnode", "vertex node", 1 + (k - 1) * n_labels),
         ("enode", "edge node", 1 + 2 * n_labels),
     ):
         for v in g.nodes_with_role(role):
-            if inst.capacity(v) != expected:
+            if inst.capacities[v] != expected:
                 problems.append(f"{name} {v} capacity != {expected}")
-            demand_sum = sum(inst.demand(u) for u in inst.closed_neighborhood(v))
+            demand_sum = sum(inst.demands[u] for u in inst.closed[v])
             if demand_sum != expected:
                 problems.append(f"{name} {v} neighborhood demand {demand_sum} != {expected}")
     return Report(not problems, problems)
@@ -291,10 +291,10 @@ def clique_witness_solution(
     bought = bridges | {node for node, tag in g.roles.items() if tag in stars}
     assignment = {}
     for v in inst.vertices():
-        if inst.demand(v) > 0:
-            server = min(bought & inst.closed_neighborhood(v), key=lambda u: (u in bridges, u))
-            assignment[(v, server)] = inst.demand(v)
-    cost = sum(inst.weight(v) for v in bought)
+        if inst.demands[v] > 0:
+            server = min(bought & inst.closed[v], key=lambda u: (u in bridges, u))
+            assignment[(v, server)] = inst.demands[v]
+    cost = sum(inst.weights[v] for v in bought)
     return Solution(dict.fromkeys(sorted(bought), 1), assignment, cost)
 
 

@@ -101,16 +101,16 @@ def feasibility_flow(inst: Instance, multiplicity: dict[int, int]) -> dict[tuple
     server with spare room.  A consumer with no such path means no
     assignment exists.  Amounts stay integral.
     """
-    spare = {u: inst.capacity(u) * multiplicity.get(u, 0) for u in inst.vertices()}
+    spare = {u: inst.capacities[u] * multiplicity.get(u, 0) for u in inst.vertices()}
     # options[v]: the servers with room in N[v]; routed[u][x]: x's units on u.
     options = {
-        v: [u for u in sorted(inst.closed_neighborhood(v)) if spare[u] > 0]
+        v: [u for u in sorted(inst.closed[v]) if spare[u] > 0]
         for v in inst.vertices()
-        if inst.demand(v)
+        if inst.demands[v]
     }
     routed: dict[int, dict[int, int]] = {u: {} for u in spare}
     for v in options:
-        need = inst.demand(v)
+        need = inst.demands[v]
         while need:
             # came_from[u]: the consumer server u was reached from; back_from[x]:
             # the server consumer x was reached back from (0 for v itself).
@@ -173,14 +173,14 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
         key=lambda v: (-demand[v], v),
     )
     if not consumers:
-        return Solution.empty()
+        return Solution({}, {}, 0)
     scale, rates = _scaled_rates(capacity, weight)
     # options[i]: (server, c, w, scaled fractional cost, load-key step) for consumer i
     radix = sum(demand) + 1
     options = []
     pending_steps = []
     for v in consumers:
-        servers = sorted(u for u in inst.closed_neighborhood(v) if capacity[u] > 0)
+        servers = sorted(u for u in inst.closed[v] if capacity[u] > 0)
         d = demand[v]
         options.append([(u, capacity[u], weight[u], rates[u] * d, d * radix**u) for u in servers])
         pending_steps.append(min(rates[u] for u in servers) * d)
@@ -268,9 +268,9 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
     pop in prefix order.
     """
     require_feasible(inst)
-    total_demand = inst.total_demand()
+    total_demand = sum(inst.demands)
     if total_demand == 0:
-        return Solution.empty()
+        return Solution({}, {}, 0)
 
     greedy = greedy_splittable(inst).solution
     bound_cost = greedy.cost
@@ -282,7 +282,7 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
     max_copies = [0] + [
         0
         if capacity[v] == 0
-        else ceil_div(sum(demand[u] for u in inst.closed_neighborhood(v)), capacity[v])
+        else ceil_div(sum(demand[u] for u in inst.closed[v]), capacity[v])
         for v in inst.vertices()
     ]
     scale, rates = _scaled_rates(capacity, weight)
@@ -295,7 +295,7 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
         suffix_rate[v] = best
 
     consumers = [
-        (demand[v], inst.closed_neighborhood(v))
+        (demand[v], inst.closed[v])
         for v in inst.vertices()
         if demand[v] > 0
     ]

@@ -71,7 +71,7 @@ class DPTable:
 def layout(inst: Instance, bag: tuple[int, ...]) -> tuple[int, ...]:
     """The place values of keys over `bag`; the kernels derive theirs from their child's."""
     places = [1]
-    for radix in reversed([inst.demand(u) + 1 for u in bag] + [max(inst.capacity(u), 1) for u in bag]):
+    for radix in reversed([inst.demands[u] + 1 for u in bag] + [max(inst.capacities[u], 1) for u in bag]):
         places.append(places[-1] * radix)
     return tuple(reversed(places))
 
@@ -137,10 +137,10 @@ def dp_introduce(inst: Instance, child: DPTable, v: int) -> DPTable:
     new_bag = tuple(sorted(child.bag + (v,)))
     idx, k, p = new_bag.index(v), len(new_bag), child.places
     # v's residual and spare radices are spliced into the child's place values
-    r, s = inst.demand(v) + 1, max(inst.capacity(v), 1)
+    r, s = inst.demands[v] + 1, max(inst.capacities[v], 1)
     places = tuple(x * r * s for x in p[: idx + 1]) + tuple(x * s for x in p[idx : k + idx]) + p[k - 1 + idx :]
     high, low = p[idx], p[k - 1 + idx]
-    top, mid, seed = places[idx], places[k + idx], inst.demand(v) * places[idx + 1]
+    top, mid, seed = places[idx], places[k + idx], inst.demands[v] * places[idx + 1]
     rows = {
         key // high * top + seed + key % high // low * mid + key % low: row for key, row in child.rows.items()
     }
@@ -167,16 +167,16 @@ def dp_forget(inst: Instance, child: DPTable, v: int) -> DPTable:
     copy of the child's rows in place.
     """
     idx, k, places = child.bag.index(v), len(child.bag), child.places
-    nbrs, cv, wv = inst.neighbors(v), inst.capacity(v), inst.weight(v)
+    nbrs, cv, wv = inst.adj[v], inst.capacities[v], inst.weights[v]
     whole = child.model is DemandModel.UNSPLITTABLE
     rows = child.rows
-    if inst.demand(v):
+    if inst.demands[v]:
         # Routing stages: v's own demand goes whole to one server, or in
         # portions to each server in turn, the last one taking the rest.
         servers = [
-            (places[k + pos + 1], inst.capacity(s), inst.weight(s), v, s)
+            (places[k + pos + 1], inst.capacities[s], inst.weights[s], v, s)
             for pos, s in enumerate(child.bag)
-            if (s == v or s in nbrs) and inst.capacity(s) > 0
+            if (s == v or s in nbrs) and inst.capacities[s] > 0
         ]
         *portions, last = [[s] for s in servers] if servers and not whole else [servers]
         rows = dict(rows) if portions else rows
@@ -186,7 +186,7 @@ def dp_forget(inst: Instance, child: DPTable, v: int) -> DPTable:
     if cv > 0:
         # Pull stages: v serves bag neighbors one at a time.  A neighbor
         # without demand gets none: its stage would only keep every row.
-        pulls = [(pos, u) for pos, u in enumerate(child.bag) if u in nbrs and inst.demand(u)]
+        pulls = [(pos, u) for pos, u in enumerate(child.bag) if u in nbrs and inst.demands[u]]
         rows = dict(rows) if pulls and rows is child.rows else rows
         for pos, u in pulls:
             rows = _stage(rows, places, pos, [(places[k + idx + 1], cv, wv, u, v)], whole)
@@ -234,9 +234,9 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable) -> DPTable:
     # is rd1 + rd2 - d per bag vertex, within [0, d], so no digit carries or
     # borrows: the merged state part is state1 + state2 - unserved.
     spares = places[k]
-    demands = [inst.demand(u) for u in vs]
+    demands = [inst.demands[u] for u in vs]
     spare_digits = [
-        (place, inst.capacity(u), inst.weight(u)) for place, u in zip(places[k + 1 :], vs) if inst.capacity(u)
+        (place, inst.capacities[u], inst.weights[u]) for place, u in zip(places[k + 1 :], vs) if inst.capacities[u]
     ]
     unserved = sum(d * place for d, place in zip(demands, places[1:]))
 
@@ -296,13 +296,11 @@ def dp_join(inst: Instance, left: DPTable, right: DPTable) -> DPTable:
 
 def _vertex_rows(inst: Instance, model: DemandModel) -> list[int]:
     """Per vertex id: the rows it multiplies a bag's table by, its
-    served-states times its spare values."""
+    served-states times its spare values (1 at the padding id 0)."""
     unsplit = model is DemandModel.UNSPLITTABLE
-    rows = [1]  # vertex ids start at 1
-    for a in inst.attrs:
-        states = (2 if a.demand else 1) if unsplit else a.demand + 1
-        rows.append(states * (a.capacity or 1))
-    return rows
+    return [
+        ((2 if d else 1) if unsplit else d + 1) * (c or 1) for d, c in zip(inst.demands, inst.capacities)
+    ]
 
 
 def predicted_work(inst: Instance, ntd: NiceTreeDecomposition, model: DemandModel) -> int:
@@ -406,27 +404,26 @@ def cap_demands(inst: Instance) -> tuple[Instance, dict[tuple[int, int], int]]:
     the splittable model only.  Returns `inst` itself when nothing is
     capped.
     """
-    attrs, closed = inst.attrs, inst.closed
+    weights, capacities = inst.weights, inst.capacities
     # d(v) - B(v) >= c(u*) needs d(v) >= every capacity in N[v], so a
     # demand below the least positive capacity is never capped.
-    least = min((a.capacity for a in attrs if a.capacity), default=0)
+    least = min((c for c in capacities if c), default=0)
     demands: dict[int, int] = {}
     routed: dict[tuple[int, int], int] = {}
-    for v, a in enumerate(attrs, 1):
-        d = a.demand
+    for v, d in enumerate(inst.demands):
         if not d or d < least:
             continue
-        servers = [(u, attrs[u - 1]) for u in closed[v] if attrs[u - 1].capacity]
+        servers = [u for u in inst.closed[v] if capacities[u]]
         if not servers:
             continue
-        star, best = servers[0]
-        for u, b in servers:
-            # b's rate is below best's, or equal with the smaller id
-            below = b.weight * best.capacity - best.weight * b.capacity
+        star = servers[0]
+        for u in servers:
+            # u's rate is below star's, or equal with the smaller id
+            below = weights[u] * capacities[star] - weights[star] * capacities[u]
             if below < 0 or (below == 0 and u < star):
-                star, best = u, b
-        cs = best.capacity
-        slack = d - sum(lcm(b.capacity, cs) - 1 for u, b in servers if u != star)
+                star = u
+        cs = capacities[star]
+        slack = d - sum(lcm(capacities[u], cs) - 1 for u in servers if u != star)
         t = slack // cs
         if t > 0:
             demands[v] = d - t * cs
@@ -448,8 +445,8 @@ def solve(inst: Instance, model: DemandModel, td: TreeDecomposition | None = Non
     patch them see every call.
     """
     capped, routed = (inst, {}) if model is DemandModel.UNSPLITTABLE else cap_demands(inst)
-    if not capped.total_demand():
-        solution = Solution.empty()
+    if not sum(capped.demands):
+        solution = Solution({}, {}, 0)
     else:
         ntd = choose_decomposition(capped, model) if td is None else treewidth.make_nice(td)
         solution = solve_td(capped, ntd, model)
@@ -460,7 +457,7 @@ def solve(inst: Instance, model: DemandModel, td: TreeDecomposition | None = Non
         assignment[pair] = assignment.get(pair, 0) + amount
     lifted = minimum_multiplicities(inst, assignment)
     expected = solution.cost + sum(
-        amount // inst.capacity(u) * inst.weight(u) for (_, u), amount in routed.items()
+        amount // inst.capacities[u] * inst.weights[u] for (_, u), amount in routed.items()
     )
     report = verify_solution(inst, lifted, model)
     if lifted.cost != expected or not report.passed:

@@ -103,7 +103,7 @@ def min_fill_order(inst: Instance) -> tuple[list[int], list[frozenset[int]]]:
     The least (fill, id) comes off a heap that gets a fresh entry whenever
     a count moves; an entry whose count is no longer current is skipped.
     """
-    adj: dict[int, set[int]] = {v: set(inst.neighbors(v)) for v in inst.vertices()}
+    adj: dict[int, set[int]] = {v: set(inst.adj[v]) for v in inst.vertices()}
     fill = {
         v: sum(len(nbrs) - len(nbrs & adj[a]) - 1 for a in nbrs) // 2 for v, nbrs in adj.items()
     }
@@ -220,7 +220,7 @@ def decomposition_from_order(
     """
     if sorted(order) != list(inst.vertices()):
         raise ValueError("order must be a permutation of the vertices")
-    adj: dict[int, set[int]] = {v: set(inst.neighbors(v)) for v in inst.vertices()}
+    adj: dict[int, set[int]] = {v: set(inst.adj[v]) for v in inst.vertices()}
     bags: list[frozenset[int]] = []
     fill_work = 0
     for v in order:

@@ -88,12 +88,12 @@ def harmonic(n: int) -> Fraction:
 
 def brute_unsplittable(inst: Instance):
     """(best cost, set of optimal multiplicity vectors) by full enumeration."""
-    consumers = [v for v in inst.vertices() if inst.demand(v) > 0]
+    consumers = [v for v in inst.vertices() if inst.demands[v] > 0]
     if not consumers:
         return 0, {tuple(0 for _ in inst.vertices())}
     options = []
     for v in consumers:
-        servers = [u for u in sorted(inst.closed_neighborhood(v)) if inst.capacity(u) > 0]
+        servers = [u for u in sorted(inst.closed[v]) if inst.capacities[u] > 0]
         if not servers:
             return None, set()
         options.append(servers)
@@ -102,10 +102,10 @@ def brute_unsplittable(inst: Instance):
     for choice in itertools.product(*options):
         loads: dict[int, int] = {}
         for v, u in zip(consumers, choice):
-            loads[u] = loads.get(u, 0) + inst.demand(v)
-        cost = sum(inst.weight(u) * _ceil(load, inst.capacity(u)) for u, load in loads.items())
+            loads[u] = loads.get(u, 0) + inst.demands[v]
+        cost = sum(inst.weights[u] * _ceil(load, inst.capacities[u]) for u, load in loads.items())
         vec = tuple(
-            _ceil(loads[u], inst.capacity(u)) if u in loads else 0 for u in inst.vertices()
+            _ceil(loads[u], inst.capacities[u]) if u in loads else 0 for u in inst.vertices()
         )
         if best is None or cost < best:
             best = cost
@@ -130,12 +130,12 @@ def _compositions(total, bins):
 
 def brute_splittable_cost(inst: Instance):
     """Optimal splittable cost by enumerating whole assignment matrices."""
-    consumers = [v for v in inst.vertices() if inst.demand(v) > 0]
+    consumers = [v for v in inst.vertices() if inst.demands[v] > 0]
     if not consumers:
         return 0
     options = []
     for v in consumers:
-        servers = [u for u in sorted(inst.closed_neighborhood(v)) if inst.capacity(u) > 0]
+        servers = [u for u in sorted(inst.closed[v]) if inst.capacities[u] > 0]
         if not servers:
             return None
         options.append(servers)
@@ -144,7 +144,7 @@ def brute_splittable_cost(inst: Instance):
     def descend(i, loads):
         nonlocal best
         partial = sum(
-            inst.weight(u) * _ceil(load, inst.capacity(u)) for u, load in loads.items()
+            inst.weights[u] * _ceil(load, inst.capacities[u]) for u, load in loads.items()
         )
         if best is not None and partial >= best:
             return
@@ -153,7 +153,7 @@ def brute_splittable_cost(inst: Instance):
             return
         v = consumers[i]
         servers = options[i]
-        for split in _compositions(inst.demand(v), len(servers)):
+        for split in _compositions(inst.demands[v], len(servers)):
             grown = dict(loads)
             for u, amount in zip(servers, split):
                 if amount:
@@ -167,12 +167,12 @@ def brute_splittable_cost(inst: Instance):
 def hall_condition_holds(inst: Instance, multiplicity) -> bool:
     """Whether every set S of consumers has d(S) <= the room c(u) * x(u)
     summed over N[S]: the supply-demand condition for a routing to exist."""
-    consumers = [v for v in inst.vertices() if inst.demand(v) > 0]
+    consumers = [v for v in inst.vertices() if inst.demands[v] > 0]
     for size in range(1, len(consumers) + 1):
         for subset in itertools.combinations(consumers, size):
-            reach = set().union(*(inst.closed_neighborhood(v) for v in subset))
-            room = sum(inst.capacity(u) * multiplicity.get(u, 0) for u in reach)
-            if sum(inst.demand(v) for v in subset) > room:
+            reach = set().union(*(inst.closed[v] for v in subset))
+            room = sum(inst.capacities[u] * multiplicity.get(u, 0) for u in reach)
+            if sum(inst.demands[v] for v in subset) > room:
                 return False
     return True
 
@@ -180,16 +180,16 @@ def hall_condition_holds(inst: Instance, multiplicity) -> bool:
 def brute_assignment_exists(inst: Instance, multiplicity) -> bool:
     """Backtracking check that the copy counts support some integral routing."""
     caps = {
-        u: inst.capacity(u) * multiplicity.get(u, 0)
+        u: inst.capacities[u] * multiplicity.get(u, 0)
         for u in inst.vertices()
     }
-    consumers = [v for v in inst.vertices() if inst.demand(v) > 0]
+    consumers = [v for v in inst.vertices() if inst.demands[v] > 0]
 
     def place(i):
         if i == len(consumers):
             return True
         v = consumers[i]
-        servers = sorted(inst.closed_neighborhood(v))
+        servers = sorted(inst.closed[v])
 
         def distribute(need, idx):
             if need == 0:
@@ -206,7 +206,7 @@ def brute_assignment_exists(inst: Instance, multiplicity) -> bool:
                 caps[u] += take
             return False
 
-        return distribute(inst.demand(v), 0)
+        return distribute(inst.demands[v], 0)
 
     return place(0)
 

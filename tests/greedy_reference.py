@@ -43,21 +43,21 @@ from capdom.greedy import (
 
 def reference_unsplit_efficiency(inst, order, undominated, u):
     candidates = sorted(
-        undominated & inst.closed_neighborhood(u),
-        key=lambda v: (inst.demand(v), v),
+        undominated & inst.closed[u],
+        key=lambda v: (inst.demands[v], v),
     )
     if not candidates:
         raise NoCandidates(f"vertex {u} has no undominated closed neighbor")
-    c = inst.capacity(u)
+    c = inst.capacities[u]
     if c == 0:
         return None
-    w = inst.weight(u)
+    w = inst.weights[u]
     if w == 0:
         return EfficiencyQuote(u, len(candidates), 1, 0, candidates)
     best = None
     prefix = 0
     for i, v in enumerate(candidates, 1):
-        prefix += inst.demand(v)
+        prefix += inst.demands[v]
         num, den = i, w * ceil_div(prefix, c)
         if best is None or num * best[1] >= best[0] * den:
             best = (num, den, i)
@@ -66,12 +66,12 @@ def reference_unsplit_efficiency(inst, order, undominated, u):
 
 def reference_split_efficiency(inst, state, u):
     candidates = sorted(
-        (v for v in inst.closed_neighborhood(u) if v in state.residue_demand),
+        (v for v in inst.closed[u] if v in state.residue_demand),
         key=lambda v: (state.base_demand[v], v),
     )
     if not candidates:
         raise NoCandidates(f"vertex {u} has no unsatisfied closed neighbor")
-    c = inst.capacity(u)
+    c = inst.capacities[u]
     if c <= 0:
         raise ValueError("split efficiency needs a positive-capacity vertex")
     prefix = 0
@@ -93,7 +93,7 @@ def reference_split_efficiency(inst, state, u):
     )
     if j < len(candidates):
         numerator += (c - prefix) * (common // state.base_demand[candidates[j]])
-    return EfficiencyQuote(u, j, numerator, common * inst.weight(u), candidates)
+    return EfficiencyQuote(u, j, numerator, common * inst.weights[u], candidates)
 
 
 def beats(quote, other):
@@ -116,7 +116,7 @@ def reference_greedy_loop(inst, pending, quote, take):
     """`greedy._greedy_loop` with its cache as a flat list and a linear pick."""
 
     def quoted(u):
-        if inst.capacity(u) == 0 or pending.isdisjoint(inst.closed_neighborhood(u)):
+        if inst.capacities[u] == 0 or pending.isdisjoint(inst.closed[u]):
             return None
         return quote(u)
 
@@ -128,7 +128,7 @@ def reference_greedy_loop(inst, pending, quote, take):
             raise CapdomError("greedy failed to make progress")
         dirty = set()
         for v in take(reference_pick_best(quotes), iteration):
-            dirty |= inst.closed_neighborhood(v)
+            dirty |= inst.closed[v]
         for u in dirty:
             quotes[u] = quoted(u)
 
@@ -137,7 +137,7 @@ def reference_greedy_unsplittable(inst):
     """(result, undominated set before each pick)."""
     if not is_feasible(inst):
         raise InfeasibleInstance("a vertex with demand has no usable server")
-    undominated = {v for v in inst.vertices() if inst.demand(v) > 0}
+    undominated = {v for v in inst.vertices() if inst.demands[v] > 0}
     assignment = {}
     trace = []
     undominated_before = []
@@ -146,24 +146,24 @@ def reference_greedy_unsplittable(inst):
         iteration += 1
         quotes = []
         for u in inst.vertices():
-            if inst.capacity(u) == 0:
+            if inst.capacities[u] == 0:
                 continue
-            if not (undominated & inst.closed_neighborhood(u)):
+            if not (undominated & inst.closed[u]):
                 continue
             quotes.append(reference_unsplit_efficiency(inst, None, undominated, u))
         best = reference_pick_best(quotes)
         u = best.vertex
         chosen = sorted(
-            undominated & inst.closed_neighborhood(u),
-            key=lambda v: (inst.demand(v), v),
+            undominated & inst.closed[u],
+            key=lambda v: (inst.demands[v], v),
         )[: best.prefix_len]
         undominated_before.append(frozenset(undominated))
         prefix = 0
         for v in chosen:
-            _add(assignment, v, u, inst.demand(v))
-            prefix += inst.demand(v)
+            _add(assignment, v, u, inst.demands[v])
+            prefix += inst.demands[v]
             undominated.discard(v)
-        iter_cost = inst.weight(u) * ceil_div(prefix, inst.capacity(u))
+        iter_cost = inst.weights[u] * ceil_div(prefix, inst.capacities[u])
         trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
     solution = minimum_multiplicities(inst, assignment)
     return GreedyResult(solution, trace), undominated_before
@@ -172,17 +172,17 @@ def reference_greedy_unsplittable(inst):
 def _reference_split_iteration(inst, state, iteration, trace):
     quotes = []
     for u in inst.vertices():
-        if inst.capacity(u) == 0:
+        if inst.capacities[u] == 0:
             continue
         if any(
-            state.residue_demand.get(v, 0) > 0 for v in inst.closed_neighborhood(u)
+            state.residue_demand.get(v, 0) > 0 for v in inst.closed[u]
         ):
             quotes.append(reference_split_efficiency(inst, state, u))
     best = reference_pick_best(quotes)
     u = best.vertex
-    c = inst.capacity(u)
+    c = inst.capacities[u]
     candidates = sorted(
-        (v for v in inst.closed_neighborhood(u) if state.residue_demand.get(v, 0) > 0),
+        (v for v in inst.closed[u] if state.residue_demand.get(v, 0) > 0),
         key=lambda v: (state.base_demand[v], v),
     )
     j = best.prefix_len
@@ -194,7 +194,7 @@ def _reference_split_iteration(inst, state, iteration, trace):
         _add(state.partial_assignment, first, u, c * copies)
         state.residue_demand[first] = residue - c * copies
         state.map_sets[first] = {u}
-        iter_cost = inst.weight(u) * copies
+        iter_cost = inst.weights[u] * copies
     else:
         assigned = 0
         for v in candidates[:j]:
@@ -208,7 +208,7 @@ def _reference_split_iteration(inst, state, iteration, trace):
                 _add(state.partial_assignment, nxt, u, spare)
                 state.residue_demand[nxt] -= spare
                 state.map_sets.setdefault(nxt, set()).add(u)
-        iter_cost = inst.weight(u)
+        iter_cost = inst.weights[u]
     trace.append(TraceEntry(iteration, u, j, iter_cost, 1))
 
 
@@ -224,10 +224,10 @@ def reference_greedy_splittable(inst):
     if not is_feasible(inst):
         raise InfeasibleInstance("a vertex with demand has no usable server")
     state = SimpleNamespace(
-        residue_demand={v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0},
+        residue_demand={v: inst.demands[v] for v in inst.vertices() if inst.demands[v] > 0},
         map_sets={},
         partial_assignment={},
-        base_demand={v: inst.demand(v) for v in inst.vertices()},
+        base_demand={v: inst.demands[v] for v in inst.vertices()},
     )
     trace = []
     boundary = []
@@ -255,28 +255,28 @@ def reference_greedy_splittable(inst):
 
 def reference_greedy_unweighted_splittable(inst):
     """(result, positive residues after each pick and its finishing step)."""
-    if any(inst.weight(v) != 1 for v in inst.vertices()):
+    if any(inst.weights[v] != 1 for v in inst.vertices()):
         raise NotUnweighted("every vertex weight must be 1")
     if not is_feasible(inst):
         raise InfeasibleInstance("a vertex with demand has no usable server")
     best_neighbor = {}
     for v in inst.vertices():
-        if inst.demand(v) > 0:
+        if inst.demands[v] > 0:
             best_neighbor[v] = min(
-                inst.closed_neighborhood(v),
-                key=lambda u: (-inst.capacity(u), u),
+                inst.closed[v],
+                key=lambda u: (-inst.capacities[u], u),
             )
     trace = []
     assignment = {}
     residue = {}
     for v in sorted(best_neighbor):
         g = best_neighbor[v]
-        cg = inst.capacity(g)
-        copies = inst.demand(v) // cg
+        cg = inst.capacities[g]
+        copies = inst.demands[v] // cg
         if copies > 0:
             _add(assignment, v, g, cg * copies)
             trace.append(TraceEntry(0, g, 0, copies, 0))
-        residue[v] = inst.demand(v) - cg * copies
+        residue[v] = inst.demands[v] - cg * copies
     state = SimpleNamespace(
         residue_demand={v: r for v, r in residue.items() if r > 0},
         map_sets={},

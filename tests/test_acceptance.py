@@ -158,7 +158,7 @@ class TestCriterion3HalfResidue:
                 violations.append((idx, "package run differs from the reference run"))
             for snapshot in boundary:
                 for v, residue in snapshot.items():
-                    if 0 < residue < -(-inst.demand(v) // 2):
+                    if 0 < residue < -(-inst.demands[v] // 2):
                         violations.append((idx, v, residue))
         _report(3, violations, f"residues never below half across {len(instances)} runs")
 

@@ -138,9 +138,9 @@ class TestSlices:
         for piece in slices:
             for new_id, orig in enumerate(piece.orig_of, 1):
                 if orig in piece.zeroed:
-                    assert piece.instance.demand(new_id) == 0
+                    assert piece.instance.demands[new_id] == 0
                 else:
-                    assert piece.instance.demand(new_id) == inst.demand(orig)
+                    assert piece.instance.demands[new_id] == inst.demands[orig]
 
     def test_five_level_band_spans(self):
         # path on 5 levels, k=2, r=0: bands over levels {0,1}, {0..3}, {2..4}
@@ -356,8 +356,8 @@ class TestDemandCap:
                             capped_bands += bool(band_routed)
                             orig = piece.orig_of
                             for v in piece.instance.vertices():
-                                want = demands.demand(orig[v - 1]) if orig[v - 1] in piece.kept else 0
-                                assert band.demand(v) == want
+                                want = demands.demands[orig[v - 1]] if orig[v - 1] in piece.kept else 0
+                                assert band.demands[v] == want
                             assert {(orig[c - 1], orig[s - 1]): t for (c, s), t in band_routed.items()} == {
                                 key: t for key, t in routed.items() if key[0] in piece.kept
                             }

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capdom.core import (
     DemandModel,
@@ -21,7 +23,7 @@ from capdom.greedy import greedy_unsplittable
 from capdom.hardness import load_clique_instance
 from capdom.treewidth import load_td
 
-from conftest import mk, p3_instance
+from conftest import mk, p3_instance, small_instances
 
 UNSPLIT = DemandModel.UNSPLITTABLE
 SPLIT = DemandModel.SPLITTABLE
@@ -144,14 +146,14 @@ class TestRoundTrip:
 
 class TestClosedNeighborhood:
     def test_middle_of_path(self, p3):
-        assert p3.closed_neighborhood(2) == {1, 2, 3}
+        assert p3.closed[2] == {1, 2, 3}
 
     def test_end_of_path(self, p3):
-        assert p3.closed_neighborhood(1) == {1, 2}
+        assert p3.closed[1] == {1, 2}
 
     def test_isolated_vertex(self):
         inst = mk([(1, 1, 0)])
-        assert inst.closed_neighborhood(1) == {1}
+        assert inst.closed[1] == {1}
 
     def test_adjacency_is_derived_not_passed(self):
         # adj and closed are built from the edges; neither is an argument
@@ -209,6 +211,94 @@ class TestVerifySolution:
             assert verify_solution(inst, sol, SPLIT).passed
 
 
+@st.composite
+def candidate_solutions(draw, inst: Instance) -> Solution:
+    """A solution for `inst` that routes each demand whole to a server of
+    N[v], one with capacity where N[v] has one, and buys ceil(load / c)
+    copies of each server; then at most one change: every demand split in
+    two, a vertex served one unit short, a stray route, a stray count, or a
+    cost field off by one.  Stray ids come from 0 and n + 1 as well as
+    1..n, stray amounts and counts from -1 to 2, and a stray route may
+    leave N[u] or start at a zero-demand vertex."""
+    change = draw(st.sampled_from((None, "split", "short", "route", "count", "cost")))
+    unknown = (0, inst.n + 1)
+    consumers = [v for v in inst.vertices() if inst.demands[v]]
+
+    def pick(*groups):
+        """An element of one of the nonempty groups, each group as likely."""
+        return draw(st.sampled_from([g for g in groups if g]).flatmap(st.sampled_from))
+
+    short = draw(st.sampled_from(consumers)) if consumers and change == "short" else None
+    assignment: dict[tuple[int, int], int] = {}
+    for v in consumers:
+        usable = sorted(u for u in inst.closed[v] if inst.capacities[u]) or sorted(inst.closed[v])
+        servers = st.sampled_from(usable)
+        d = inst.demands[v] - (v == short)
+        cut = draw(st.integers(0, d)) if change == "split" else d
+        for s, amount in ((draw(servers), cut), (draw(servers), d - cut)):
+            if amount:
+                assignment[(v, s)] = assignment.get((v, s), 0) + amount
+    if change == "route":
+        # a server outside 1..n, outside N[u], or inside it on a new pair
+        u = pick(unknown, consumers, [v for v in inst.vertices() if not inst.demands[v]])
+        near = inst.closed[u] if 1 <= u <= inst.n else frozenset()
+        far = [s for s in inst.vertices() if s not in near]
+        fresh = [s for s in sorted(near) if (u, s) not in assignment]
+        assignment[(u, pick(unknown, far, fresh))] = draw(st.sampled_from((-1, 0, 1, 2)))
+    load: dict[int, int] = {}
+    for (_, s), amount in assignment.items():
+        if amount > 0 and 1 <= s <= inst.n:
+            load[s] = load.get(s, 0) + amount
+    multiplicity = {
+        s: -(-x // inst.capacities[s]) if inst.capacities[s] else draw(st.integers(0, 2))
+        for s, x in load.items()
+    }
+    if change == "count":
+        # a negative count breaks no other constraint only where c(v) = 0 and nothing is routed
+        idle = [v for v in inst.vertices() if not inst.capacities[v] and v not in load]
+        multiplicity[pick(unknown, inst.vertices(), idle)] = draw(st.sampled_from((-1, 0, 1, 2)))
+    cost = sum(inst.weights[v] * x for v, x in multiplicity.items() if 1 <= v <= inst.n)
+    return Solution(multiplicity, assignment, cost + (change == "cost") * draw(st.sampled_from((1, -1))))
+
+
+def meets_definition(inst: Instance, sol: Solution, model: DemandModel) -> bool:
+    """Whether `sol` solves `inst`, read off the problem over inst.attrs and
+    inst.edges: nonnegative copies of known vertices, positive amounts from
+    each vertex to itself or a neighbor, every demand served, no server
+    loaded past capacity times copies, the cost field equal to the copies'
+    weight, and (unsplittable) each demand carried whole by one entry and
+    no entry from a zero-demand vertex."""
+    attrs = dict(zip(inst.vertices(), inst.attrs))
+    edges = {frozenset(e) for e in inst.edges}
+    if any(v not in attrs or x < 0 for v, x in sol.multiplicity.items()):
+        return False
+    served, load = dict.fromkeys(attrs, 0), dict.fromkeys(attrs, 0)
+    amounts: dict[int, list[int]] = {v: [] for v in attrs}
+    for (u, s), amount in sol.assignment.items():
+        if u not in attrs or s not in attrs or amount <= 0 or (u != s and frozenset((u, s)) not in edges):
+            return False
+        served[u] += amount
+        load[s] += amount
+        amounts[u].append(amount)
+    if sol.cost != sum(attrs[v].weight * x for v, x in sol.multiplicity.items()):
+        return False
+    for v, a in attrs.items():
+        if served[v] < a.demand or load[v] > a.capacity * sol.multiplicity.get(v, 0):
+            return False
+        if model is UNSPLIT and amounts[v] != ([a.demand] if a.demand else []):
+            return False
+    return True
+
+
+class TestVerifySolutionProperty:
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(inst=small_instances(), data=st.data())
+    def test_passed_iff_definition_holds(self, inst, data):
+        sol = data.draw(candidate_solutions(inst))
+        for model in (SPLIT, UNSPLIT):
+            assert verify_solution(inst, sol, model).passed == meets_definition(inst, sol, model)
+
+
 class TestMinimumMultiplicities:
     def test_ceiling(self):
         inst = mk([(2, 3, 7)])
@@ -237,7 +327,7 @@ class TestMinimumMultiplicities:
             for v in sol.multiplicity:
                 weakened = dict(sol.multiplicity)
                 weakened[v] -= 1
-                cost = sol.cost - inst.weight(v)
+                cost = sol.cost - inst.weights[v]
                 report = verify_solution(inst, Solution(weakened, sol.assignment, cost), UNSPLIT)
                 assert any(f"capacity violated at vertex {v}" in x for x in report.problems)
 
@@ -255,8 +345,8 @@ class TestRandomInstance:
     def test_post_pass_invariant(self):
         inst = random_instance(50, 0.1, 5, 5, 5, 7)
         for v in inst.vertices():
-            if inst.demand(v) > 0:
-                assert any(inst.capacity(u) >= 1 for u in inst.closed_neighborhood(v))
+            if inst.demands[v] > 0:
+                assert any(inst.capacities[u] >= 1 for u in inst.closed[v])
 
     def test_feasible_across_seeds(self):
         for seed in range(40):
@@ -271,13 +361,13 @@ class TestInstanceHelpers:
 
     def test_with_demands(self, p3):
         changed = with_demands(p3, {2: 0})
-        assert changed.demand(2) == 0 and changed.demand(1) == 1
+        assert changed.demands[2] == 0 and changed.demands[1] == 1
         assert changed.edges == p3.edges
 
     def test_with_demands_shares_the_parent_graph(self, p3):
         changed = with_demands(p3, {1: 4})
         assert changed.adj is p3.adj and changed.closed is p3.closed
-        assert changed.demand(1) == 4 and p3.demand(1) == 1
+        assert changed.demands[1] == 4 and p3.demands[1] == 1
         with pytest.raises(ValueError, match="nonnegative"):
             with_demands(p3, {2: -1})
 
@@ -290,7 +380,7 @@ class TestInstanceHelpers:
         sub, orig = induced_instance(p3, [2, 3], zero_demand=[3])
         assert sub.n == 2 and orig == (2, 3)
         assert sub.edges == ((1, 2),)
-        assert sub.demand(1) == 1 and sub.demand(2) == 0
+        assert sub.demands[1] == 1 and sub.demands[2] == 0
 
     def test_columns_follow_attrs(self):
         def check(inst):

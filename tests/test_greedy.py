@@ -52,7 +52,7 @@ SPLIT = DemandModel.SPLITTABLE
 
 
 def initial_undominated(inst):
-    return {v for v in inst.vertices() if inst.demand(v) > 0}
+    return {v for v in inst.vertices() if inst.demands[v] > 0}
 
 
 def unsplit_quote(inst, undominated=None):
@@ -66,7 +66,7 @@ def unsplit_quote(inst, undominated=None):
 
 def split_state(inst, residues=None, base=None):
     if base is None:
-        base = {v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0}
+        base = {v: inst.demands[v] for v in inst.vertices() if inst.demands[v] > 0}
     rd = dict(base) if residues is None else dict(residues)
     return GreedyState(
         residue_demand=rd,
@@ -247,7 +247,7 @@ class TestGreedySplittable:
             assert greedy_splittable(inst) == result
             for snapshot in boundary:
                 for v, residue in snapshot.items():
-                    assert residue == 0 or 2 * residue >= inst.demand(v)
+                    assert residue == 0 or 2 * residue >= inst.demands[v]
 
     def test_effectiveness_drops_half_per_iteration(self):
         for seed in range(40):
@@ -255,7 +255,7 @@ class TestGreedySplittable:
             inst = random_instance(n, 0.45, 3, 4, 4, seed)
             result, boundary = reference_greedy_splittable(inst)
             assert greedy_splittable(inst) == result
-            base = {v: inst.demand(v) for v in inst.vertices() if inst.demand(v) > 0}
+            base = {v: inst.demands[v] for v in inst.vertices() if inst.demands[v] > 0}
             levels = [sum(Fraction(1) for _ in base)]
             for snapshot in boundary:
                 levels.append(

@@ -87,7 +87,7 @@ class TestReduce:
         for node, tag in gadget.roles.items():
             fields = tag.split(":")
             kind = fields[0]
-            w, c, d = inst.weight(node), inst.capacity(node), inst.demand(node)
+            w, c, d = inst.weights[node], inst.capacities[node], inst.demands[node]
             if kind in ("vsel", "esel"):
                 assert (w, c, d) == (heavy, 0, 1)
             elif kind == "vnode":
@@ -116,9 +116,9 @@ class TestReduce:
         )
         gadget = reduce(cq)
         for node in gadget.nodes_with_role("vnode"):
-            assert gadget.instance.capacity(node) == 1 + 2 * 5 == 11
+            assert gadget.instance.capacities[node] == 1 + 2 * 5 == 11
         for node in gadget.nodes_with_role("enode"):
-            assert gadget.instance.capacity(node) == 1 + 2 * 5 == 11
+            assert gadget.instance.capacities[node] == 1 + 2 * 5 == 11
 
     def test_bridge_neighborhood_size(self):
         cq = CliqueInstance(2, ((1, 3), (2,)), frozenset({(1, 2), (2, 3)}))
@@ -129,8 +129,8 @@ class TestReduce:
         for node in gadget.nodes_with_role("bridge"):
             _, alpha, i, j = gadget.roles[node].split(":")
             expected = 1 + color_sizes[int(i)] + cross[(int(i), int(j))]
-            assert len(inst.closed_neighborhood(node)) == expected
-            assert inst.capacity(node) >= 0
+            assert len(inst.closed[node]) == expected
+            assert inst.capacities[node] >= 0
 
     def test_role_lines_format(self):
         gadget = reduce(tiny_clique())
@@ -357,8 +357,8 @@ def reference_clique_witness(cq, g, pick):
     served = set()
 
     def route(consumer, server):
-        if inst.demand(consumer) > 0:
-            assignment[(consumer, server)] = inst.demand(consumer)
+        if inst.demands[consumer] > 0:
+            assignment[(consumer, server)] = inst.demands[consumer]
             served.add(consumer)
 
     for tag, node in sorted(by_tag.items()):
@@ -382,11 +382,11 @@ def reference_clique_witness(cq, g, pick):
             for alpha in (1, 2):
                 route(by_tag[f"eprop:{alpha}:{u}:{v}:{a}:{b}"], enode)
     for node in g.nodes_with_role("vprop") + g.nodes_with_role("eprop"):
-        if inst.demand(node) > 0 and node not in served:
+        if inst.demands[node] > 0 and node not in served:
             fields = g.roles[node].split(":")
             alpha, i, j = int(fields[1]), int(fields[-2]), int(fields[-1])
             route(node, by_tag[f"bridge:{alpha}:{i}:{j}"])
-    cost = sum(inst.weight(v) * x for v, x in multiplicity.items())
+    cost = sum(inst.weights[v] * x for v, x in multiplicity.items())
     return Solution(multiplicity, assignment, cost)
 
 

@@ -76,7 +76,7 @@ class TestFeasibilityFlow:
             mult = {
                 v: seed * (v + 1) % 3
                 for v in inst.vertices()
-                if inst.capacity(v) > 0
+                if inst.capacities[v] > 0
             }
             got = feasibility_flow(inst, mult)
             expect = brute_assignment_exists(inst, mult)
@@ -86,12 +86,12 @@ class TestFeasibilityFlow:
                 load = {}
                 for (v, u), amount in got.items():
                     assert amount > 0
-                    assert u in inst.closed_neighborhood(v)
+                    assert u in inst.closed[v]
                     served[v] = served.get(v, 0) + amount
                     load[u] = load.get(u, 0) + amount
                 for v in inst.vertices():
-                    assert served.get(v, 0) >= inst.demand(v)
-                    assert load.get(v, 0) <= inst.capacity(v) * mult.get(v, 0)
+                    assert served.get(v, 0) >= inst.demands[v]
+                    assert load.get(v, 0) <= inst.capacities[v] * mult.get(v, 0)
 
 
 class TestFeasibilityFlowHall:
@@ -110,12 +110,12 @@ class TestFeasibilityFlowHall:
             served = dict.fromkeys(inst.vertices(), 0)
             load = dict.fromkeys(inst.vertices(), 0)
             for (v, u), amount in got.items():
-                assert amount > 0 and u in inst.closed_neighborhood(v)
+                assert amount > 0 and u in inst.closed[v]
                 served[v] += amount
                 load[u] += amount
             for v in inst.vertices():
-                assert served[v] == inst.demand(v)
-                assert load[v] <= inst.capacity(v) * mult.get(v, 0)
+                assert served[v] == inst.demands[v]
+                assert load[v] <= inst.capacities[v] * mult.get(v, 0)
         assert outcomes == {True, False}
 
 
@@ -219,7 +219,7 @@ class TestExactSplittable:
         below_greedy = 0
         for seed in range(60):
             inst = random_instance(2 + seed % 5, 0.5, 3, 3, 3, seed)
-            if not inst.total_demand():
+            if not sum(inst.demands):
                 continue
             opt = exact_splittable(inst)
             below_greedy += opt.cost < greedy_splittable(inst).solution.cost
@@ -244,14 +244,14 @@ def brute_splittable_optima(inst: Instance) -> list[tuple[int, ...]]:
     """Every optimal multiplicity vector up to exact_splittable's per-vertex
     copy limit, ceil(demand of N[v] / c(v)), in lexicographic order."""
     limits = [
-        ceil_div(sum(inst.demand(u) for u in inst.closed_neighborhood(v)), inst.capacity(v))
-        if inst.capacity(v)
+        ceil_div(sum(inst.demands[u] for u in inst.closed[v]), inst.capacities[v])
+        if inst.capacities[v]
         else 0
         for v in inst.vertices()
     ]
     best, optima = None, []
     for vec in itertools.product(*(range(x + 1) for x in limits)):
-        cost = sum(inst.weight(v) * x for v, x in zip(inst.vertices(), vec))
+        cost = sum(inst.weights[v] * x for v, x in zip(inst.vertices(), vec))
         if best is not None and cost > best:
             continue
         if feasibility_flow(inst, {v: x for v, x in zip(inst.vertices(), vec) if x}) is None:
@@ -291,21 +291,21 @@ def reference_exact_unsplittable(
     if not is_feasible(inst):
         raise InfeasibleInstance("a vertex with demand has no usable server")
     consumers = sorted(
-        (v for v in inst.vertices() if inst.demand(v) > 0),
-        key=lambda v: (-inst.demand(v), v),
+        (v for v in inst.vertices() if inst.demands[v] > 0),
+        key=lambda v: (-inst.demands[v], v),
     )
     if not consumers:
-        return Solution.empty()
+        return Solution({}, {}, 0)
     servers = {
-        v: sorted(u for u in inst.closed_neighborhood(v) if inst.capacity(u) > 0)
+        v: sorted(u for u in inst.closed[v] if inst.capacities[u] > 0)
         for v in consumers
     }
-    rate = {u: Fraction(inst.weight(u), inst.capacity(u)) for v in consumers for u in servers[v]}
-    pending_step = {v: min(rate[u] for u in servers[v]) * inst.demand(v) for v in consumers}
+    rate = {u: Fraction(inst.weights[u], inst.capacities[u]) for v in consumers for u in servers[v]}
+    pending_step = {v: min(rate[u] for u in servers[v]) * inst.demands[v] for v in consumers}
     # frac_steps[v]: (u, what serving v on u adds to the fractional bound):
     # v's fractional cost on u less v's share of the pending bound.
     frac_steps = {
-        v: [(u, rate[u] * inst.demand(v) - pending_step[v]) for u in servers[v]]
+        v: [(u, rate[u] * inst.demands[v] - pending_step[v]) for u in servers[v]]
         for v in consumers
     }
 
@@ -326,9 +326,9 @@ def reference_exact_unsplittable(
         # its cheapest rates.  True once a first_only search has its solution.
         nonlocal nodes, cap, incumbent
         if i == len(consumers):
-            multiplicity = {v: ceil_div(loads[v], inst.capacity(v)) for v in sorted(loads)}
+            multiplicity = {v: ceil_div(loads[v], inst.capacities[v]) for v in sorted(loads)}
             assignment = {
-                (consumers[j], choice[j]): inst.demand(consumers[j])
+                (consumers[j], choice[j]): inst.demands[consumers[j]]
                 for j in range(len(consumers))
             }
             incumbent = Solution(multiplicity, assignment, cost_int)
@@ -336,12 +336,12 @@ def reference_exact_unsplittable(
                 cap = cost_int - 1
             return first_only
         v = consumers[i]
-        d = inst.demand(v)
+        d = inst.demands[v]
         for u, frac_step in frac_steps[v]:
             nodes += 1
             if nodes > budget.max_nodes:
                 raise BudgetExhausted(nodes, incumbent)
-            c, w = inst.capacity(u), inst.weight(u)
+            c, w = inst.capacities[u], inst.weights[u]
             old_load = loads.get(u, 0)
             copies = ceil_div(old_load + d, c)
             child_int = cost_int + w * (copies - ceil_div(old_load, c))
@@ -387,9 +387,9 @@ def reference_exact_splittable(inst: Instance, budget: SearchBudget = SearchBudg
     rounded up to whole cost units and tied by prefix."""
     if not is_feasible(inst):
         raise InfeasibleInstance("a vertex with demand has no usable server")
-    total_demand = inst.total_demand()
+    total_demand = sum(inst.demands)
     if total_demand == 0:
-        return Solution.empty()
+        return Solution({}, {}, 0)
 
     greedy = greedy_splittable(inst).solution
     bound_cost = greedy.cost
@@ -399,15 +399,15 @@ def reference_exact_splittable(inst: Instance, budget: SearchBudget = SearchBudg
     n = inst.n
     max_copies = [
         0
-        if inst.capacity(v) == 0
+        if inst.capacities[v] == 0
         else ceil_div(
-            sum(inst.demand(u) for u in inst.closed_neighborhood(v)),
-            inst.capacity(v),
+            sum(inst.demands[u] for u in inst.closed[v]),
+            inst.capacities[v],
         )
         for v in inst.vertices()
     ]
     rates: list[Fraction | None] = [
-        Fraction(inst.weight(v), inst.capacity(v)) if inst.capacity(v) > 0 else None
+        Fraction(inst.weights[v], inst.capacities[v]) if inst.capacities[v] > 0 else None
         for v in inst.vertices()
     ]
     suffix_rate: list[Fraction | None] = [None] * (n + 2)
@@ -418,12 +418,12 @@ def reference_exact_splittable(inst: Instance, budget: SearchBudget = SearchBudg
             best = r
         suffix_rate[v] = best
 
-    consumers = [v for v in inst.vertices() if inst.demand(v) > 0]
+    consumers = [v for v in inst.vertices() if inst.demands[v] > 0]
 
     def completion_bound(prefix: tuple[int, ...]) -> Fraction | None:
         """Admissible extra cost to finish the vector, or None if hopeless."""
         i = len(prefix)
-        covered = sum(inst.capacity(v) * prefix[v - 1] for v in range(1, i + 1))
+        covered = sum(inst.capacities[v] * prefix[v - 1] for v in range(1, i + 1))
         shortfall = total_demand - covered
         best = Fraction(0)
         if shortfall > 0:
@@ -433,16 +433,16 @@ def reference_exact_splittable(inst: Instance, budget: SearchBudget = SearchBudg
             best = shortfall * rate
         for v in consumers:
             have = sum(
-                inst.capacity(u) * prefix[u - 1]
-                for u in inst.closed_neighborhood(v)
+                inst.capacities[u] * prefix[u - 1]
+                for u in inst.closed[v]
                 if u <= i
             )
-            need = inst.demand(v) - have
+            need = inst.demands[v] - have
             if need <= 0:
                 continue
             options = [
                 rates[u - 1]
-                for u in inst.closed_neighborhood(v)
+                for u in inst.closed[v]
                 if u > i and rates[u - 1] is not None
             ]
             if not options:
@@ -466,7 +466,7 @@ def reference_exact_splittable(inst: Instance, budget: SearchBudget = SearchBudg
                 continue
             return Solution(multiplicity, assignment, cost)
         v = len(prefix) + 1
-        w = inst.weight(v)
+        w = inst.weights[v]
         for copies in range(max_copies[v - 1] + 1):
             child_cost = cost + w * copies
             if child_cost > bound_cost:

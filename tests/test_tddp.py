@@ -132,7 +132,7 @@ def reference_leaf(inst, v, model):
     for `dp_leaf`, keyed like it; the row routes no triple and has no
     source rows, since v's demand is routed when v is forgotten."""
     table = DPTable(model, (v,), {}, layout(inst, (v,)))
-    table.rows[encode_key(table, (inst.demand(v),), (0,))] = (0, None)
+    table.rows[encode_key(table, (inst.demands[v],), (0,))] = (0, None)
     return table
 
 
@@ -145,9 +145,9 @@ def reference_join(inst, left, right):
     if left.bag != right.bag or left.model is not right.model:
         raise ValueError("join needs sibling tables over the same bag and model")
     vs = left.bag
-    caps = [inst.capacity(u) for u in vs]
-    weights = [inst.weight(u) for u in vs]
-    demands = [inst.demand(u) for u in vs]
+    caps = [inst.capacities[u] for u in vs]
+    weights = [inst.weights[u] for u in vs]
+    demands = [inst.demands[u] for u in vs]
     rows = {}
     for k1 in sorted(left.rows):
         state1, rc1 = k1
@@ -200,7 +200,7 @@ def reference_introduce(inst, child, v):
     idx = new_bag.index(v)
     table = TupleTable(child.model, new_bag, {})
     for (state, rc), row in child.rows.items():
-        key = (state[:idx] + (inst.demand(v),) + state[idx:], rc[:idx] + (0,) + rc[idx:])
+        key = (state[:idx] + (inst.demands[v],) + state[idx:], rc[:idx] + (0,) + rc[idx:])
         table.rows[key] = DPRow(row.cost, (), ((state, rc),))
     return table
 
@@ -214,13 +214,13 @@ def reference_route(inst, rows, bag, v, model, pulls_first=False):
     those.  Every pull stage runs, even for a neighbor without demand, and
     every ceiling goes through `ceil_div`.  Rows are (cost, triples, origin)."""
     idx = bag.index(v)
-    nbrs = inst.neighbors(v)
-    cv, wv, dv = inst.capacity(v), inst.weight(v), inst.demand(v)
+    nbrs = inst.adj[v]
+    cv, wv, dv = inst.capacities[v], inst.weights[v], inst.demands[v]
     unsplit = model is DemandModel.UNSPLITTABLE
     server_pos = [
         (pos, u)
         for pos, u in enumerate(bag)
-        if (u == v or u in nbrs) and inst.capacity(u) > 0
+        if (u == v or u in nbrs) and inst.capacities[u] > 0
     ]
     routes, pulls = [], []
 
@@ -232,17 +232,17 @@ def reference_route(inst, rows, bag, v, model, pulls_first=False):
                 return
             served = state[:idx] + (0,) + state[idx + 1 :]
             for pos, s in server_pos:
-                cs = inst.capacity(s)
+                cs = inst.capacities[s]
                 spare = rc[pos]
-                dcost = inst.weight(s) * ceil_div(max(0, dv - spare), cs)
+                dcost = inst.weights[s] * ceil_div(max(0, dv - spare), cs)
                 rc2 = rc[:pos] + ((spare - dv) % cs,) + rc[pos + 1 :]
                 yield (served, rc2), dcost, ((v, s, dv),)
 
         routes.append(route)
     else:
         for pos, s in server_pos:
-            cs = inst.capacity(s)
-            ws = inst.weight(s)
+            cs = inst.capacities[s]
+            ws = inst.weights[s]
 
             def spread(key, pos=pos, s=s, cs=cs, ws=ws):
                 state, rc = key
@@ -262,7 +262,7 @@ def reference_route(inst, rows, bag, v, model, pulls_first=False):
                 continue
 
             if unsplit:
-                def pull(key, pos=pos, u=u, du=inst.demand(u)):
+                def pull(key, pos=pos, u=u, du=inst.demands[u]):
                     state, rc = key
                     yield key, 0, ()
                     if du > 0 and state[pos] == du:
@@ -573,9 +573,9 @@ class TestForget:
                 )
             ]
             assert costs[0] == costs[1]
-            nbrs = inst.neighbors(v)
-            both.append(bool(inst.demand(v) and inst.capacity(v)) and any(
-                u in nbrs and inst.demand(u) for u in child.bag
+            nbrs = inst.adj[v]
+            both.append(bool(inst.demands[v] and inst.capacities[v]) and any(
+                u in nbrs and inst.demands[u] for u in child.bag
             ))
             return forget(inst, child, v)
 
@@ -601,7 +601,7 @@ class TestForget:
             return stage(rows, places, src, servers, *rest, **kw)
 
         def spied_forget(inst, child, v):
-            forgetting.append((child.bag.index(v), inst.demand(v)))
+            forgetting.append((child.bag.index(v), inst.demands[v]))
             try:
                 return forget(inst, child, v)
             finally:
@@ -681,7 +681,7 @@ class TestJoin:
         # wider than the largest bag demand, so 4 bits for 4-7, 5 bits for 8.
         instances = weighted_instances(range(200, 220), 6, 6, edge_prob=0.3, max_c=1, max_d=8)
         calls = solve_checked(monkeypatch, "dp_join", reference_join, model, instances)
-        peaks = {max(inst.demand(u) for u in left.bag) for inst, left, right in calls}
+        peaks = {max(inst.demands[u] for u in left.bag) for inst, left, right in calls}
         assert peaks & {4, 5, 6, 7} and 8 in peaks
 
 
@@ -735,9 +735,9 @@ class TestSolve:
 
 def reference_rows(inst, u, model):
     """Rows a bag vertex multiplies a table by: served-states times spares."""
-    d = inst.demand(u)
+    d = inst.demands[u]
     states = (2 if d else 1) if model is UNSPLIT else d + 1
-    return states * max(inst.capacity(u), 1)
+    return states * max(inst.capacities[u], 1)
 
 
 def joins_on_a_path(ntd):
@@ -788,14 +788,14 @@ class TestTableSizes:
         # table, and the rows each forget routes before it cuts its vertex
         # out, hold at most the rows `predicted_work` counts for their bag.
         def check(inst, table):
-            demands = [inst.demand(u) for u in table.bag]
+            demands = [inst.demands[u] for u in table.bag]
             bound = 1
             for u in table.bag:
                 bound *= reference_rows(inst, u, model)
             for state, rc in table.rows:
                 for r, d in zip(state, demands):
                     assert r in (0, d) if model is UNSPLIT else 0 <= r <= d
-                assert all(0 <= s < max(inst.capacity(u), 1) for s, u in zip(rc, table.bag))
+                assert all(0 <= s < max(inst.capacities[u], 1) for s, u in zip(rc, table.bag))
             assert len(table.rows) <= bound
 
         for seed in range(10):
@@ -911,8 +911,8 @@ class TestRoutingPlace:
                 expected = [
                     (u, s)
                     for u in inst.vertices()
-                    for s in sorted(inst.neighbors(u) | {u})
-                    if inst.demand(u) and inst.capacity(s)
+                    for s in sorted(inst.adj[u] | {u})
+                    if inst.demands[u] and inst.capacities[s]
                 ]
                 assert sorted(offered) == expected
         assert len(joins) >= 500
@@ -1067,7 +1067,7 @@ class TestDemandCap:
         # B = 0 with a single server: all whole copies are set aside
         inst = mk([(2, 3, 7), (5, 0, 0)], [(1, 2)])
         capped, routed = tddp.cap_demands(inst)
-        assert routed == {(1, 1): 6} and capped.demand(1) == 1
+        assert routed == {(1, 1): 6} and capped.demands[1] == 1
 
     def test_nothing_capped_returns_the_instance(self):
         inst = grid_instance(3, 3, attr=(1, 2, 1))
@@ -1091,7 +1091,7 @@ class TestDemandCap:
     @given(inst=branching_instances(max_n=5, attr=CAPPED_ATTRS))
     def test_capped_optimum_plus_set_aside_is_optimum(self, inst):
         capped, routed = tddp.cap_demands(inst)
-        set_aside = sum(amount // inst.capacity(u) * inst.weight(u) for (_, u), amount in routed.items())
+        set_aside = sum(amount // inst.capacities[u] * inst.weights[u] for (_, u), amount in routed.items())
         assert dp_cost(capped, SPLIT) + set_aside == exact_splittable(inst).cost
 
     @PROPERTY
@@ -1119,8 +1119,8 @@ def key_pairs(inst, bag, model=SPLIT):
     each residual 0 or the whole demand for `model` UNSPLIT."""
     residual = (lambda d: st.sampled_from((0, d))) if model is UNSPLIT else (lambda d: st.integers(0, d))
     return st.tuples(
-        st.tuples(*(residual(inst.demand(u)) for u in bag)),
-        st.tuples(*(st.integers(0, max(inst.capacity(u), 1) - 1) for u in bag)),
+        st.tuples(*(residual(inst.demands[u]) for u in bag)),
+        st.tuples(*(st.integers(0, max(inst.capacities[u], 1) - 1) for u in bag)),
     )
 
 
@@ -1135,8 +1135,8 @@ class TestKeyLayout:
         for a, key_a in zip(pairs, keys):
             for b, key_b in zip(pairs, keys):
                 assert (a < b) == (key_a < key_b)
-        radices = [range(inst.demand(u) + 1) for u in table.bag]
-        radices += [range(max(inst.capacity(u), 1)) for u in table.bag]
+        radices = [range(inst.demands[u] + 1) for u in table.bag]
+        radices += [range(max(inst.capacities[u], 1)) for u in table.bag]
         if prod(map(len, radices)) <= 600:
             # every pair, in tuple order, encodes to 0, 1, 2, ... in turn
             k = len(table.bag)
@@ -1164,7 +1164,7 @@ class TestKeyLayout:
             child.rows[encode_key(child, *pair)] = DPRow(cost, (), ())
         table = dp_introduce(inst, child, v)
         assert table.places == layout(inst, table.bag)
-        idx, dv = table.bag.index(v), inst.demand(v)
+        idx, dv = table.bag.index(v), inst.demands[v]
         seeded = [
             ((state[:idx] + (dv,) + state[idx:], rc[:idx] + (0,) + rc[idx:]), DPRow(cost, (), ((state, rc),)))
             for cost, (state, rc) in enumerate(pairs)

@@ -63,7 +63,7 @@ def validate_nice(ntd: NiceTreeDecomposition) -> Report:
 
 def reference_min_fill_order(inst):
     """The full recount: every step counts the fill of every vertex."""
-    adj = {v: set(inst.neighbors(v)) for v in inst.vertices()}
+    adj = {v: set(inst.adj[v]) for v in inst.vertices()}
     order = []
     while adj:
         best_v, best_fill = -1, None
@@ -91,7 +91,7 @@ def reference_delta_min_fill_order(inst):
     """`min_fill_order` before its heap: the same fill counts kept by
     deltas, but each step scans every count for the least (fill, id), and
     each fill edge takes two set differences over every pair of N(x)."""
-    adj = {v: set(inst.neighbors(v)) for v in inst.vertices()}
+    adj = {v: set(inst.adj[v]) for v in inst.vertices()}
     fill = {v: sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2 for v, nbrs in adj.items()}
     order, bags = [], []
     while fill:
@@ -274,7 +274,7 @@ def reference_elimination(inst, order):
     order[i] and its later neighbors, hangs below the bag of its
     first-eliminated later neighbor, and the roots are chained."""
     position = {v: i for i, v in enumerate(order)}
-    adj = {v: set(inst.neighbors(v)) for v in inst.vertices()}
+    adj = {v: set(inst.adj[v]) for v in inst.vertices()}
     bag_of, bags, later_neighbor = {}, {}, {}
     for idx, v in enumerate(order, 1):
         nbrs = set(adj[v])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
@@ -103,41 +103,32 @@ class DemandModel(Enum):
 
 
 @dataclass(frozen=True)
-class VertexAttrs:
-    """Per-vertex parameters: cost per copy, capacity per copy, demand."""
-
-    weight: int
-    capacity: int
-    demand: int
-
-
-@dataclass(frozen=True)
 class Instance:
     """A simple undirected graph with tri-weighted vertices, ids 1..n.
 
-    Solvers read it through five tuples indexed by vertex id: weights,
-    capacities and demands hold the attributes, adj the neighborhoods and
-    closed the closed neighborhoods.  Index 0 is padding: the attribute
-    columns hold 0 there, adj[0] is empty and closed[0] is {0}.
+    Built from one (weight, capacity, demand) triple per vertex, it stores
+    only tuples indexed by vertex id: the columns weights, capacities and
+    demands, adj the neighborhoods and closed the closed neighborhoods.
+    Index 0 is padding (0 in the columns, adj[0] empty, closed[0] = {0}).
+    Equality compares n, edges and the three columns.
     """
 
     n: int
-    attrs: tuple[VertexAttrs, ...]
+    triples: InitVar[tuple[tuple[int, int, int], ...]]
     edges: tuple[tuple[int, int], ...]
+    weights: tuple[int, ...] = field(init=False)
+    capacities: tuple[int, ...] = field(init=False)
+    demands: tuple[int, ...] = field(init=False)
     adj: tuple[frozenset[int], ...] = field(compare=False, repr=False, init=False)
     closed: tuple[frozenset[int], ...] = field(compare=False, repr=False, init=False)
-    weights: tuple[int, ...] = field(compare=False, repr=False, init=False)
-    capacities: tuple[int, ...] = field(compare=False, repr=False, init=False)
-    demands: tuple[int, ...] = field(compare=False, repr=False, init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, triples):
         if self.n < 1:
             raise ValueError("instance needs at least one vertex")
-        if len(self.attrs) != self.n:
-            raise ValueError("attrs length must equal n")
-        for a in self.attrs:
-            if a.weight < 0 or a.capacity < 0 or a.demand < 0:
-                raise ValueError("vertex attributes must be nonnegative")
+        if len(triples) != self.n:
+            raise ValueError("need one (weight, capacity, demand) triple per vertex")
+        if any(x < 0 for t in triples for x in t):
+            raise ValueError("vertex attributes must be nonnegative")
         seen = set()
         for u, v in self.edges:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
@@ -148,19 +139,19 @@ class Instance:
             if key in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add(key)
-        self._index(seen)
+        self._index(triples, seen)
 
     @classmethod
-    def trusted(cls, n: int, attrs: tuple[VertexAttrs, ...], edges: Iterable[tuple[int, int]]) -> "Instance":
+    def trusted(cls, n: int, triples: tuple[tuple[int, int, int], ...], edges: Iterable[tuple[int, int]]) -> "Instance":
         """An instance from input checked as the constructor would: n >= 1, n
-        nonnegative attrs, distinct edges (u, v) with 1 <= u < v <= n."""
+        nonnegative triples, distinct edges (u, v) with 1 <= u < v <= n."""
         inst = object.__new__(cls)
         object.__setattr__(inst, "n", n)
-        object.__setattr__(inst, "attrs", attrs)
-        inst._index(edges)
+        inst._index(triples, edges)
         return inst
 
-    def _index(self, edges: Iterable[tuple[int, int]]):
+    def _index(self, triples: tuple[tuple[int, int, int], ...], edges: Iterable[tuple[int, int]]):
+        weights, capacities, demands = zip(*triples, strict=True)  # strict: mixed lengths raise
         edges = tuple(sorted(edges))
         neighbor_sets: list[list[int]] = [[] for _ in range(self.n + 1)]
         for u, v in edges:
@@ -171,9 +162,9 @@ class Instance:
             ("edges", edges),
             ("adj", adj),
             ("closed", tuple(s | {v} for v, s in enumerate(adj))),
-            ("weights", (0, *(a.weight for a in self.attrs))),
-            ("capacities", (0, *(a.capacity for a in self.attrs))),
-            ("demands", (0, *(a.demand for a in self.attrs))),
+            ("weights", (0, *weights)),
+            ("capacities", (0, *capacities)),
+            ("demands", (0, *demands)),
         ):
             object.__setattr__(self, name, value)
         self._audit_overflow()
@@ -211,17 +202,16 @@ def require_feasible(inst: Instance) -> None:
 
 def with_demands(inst: Instance, demands: Mapping[int, int]) -> Instance:
     """Copy of the instance with the listed vertices' demands replaced, sharing
-    its edges and adjacency; an id outside 1..n or a negative demand raises."""
-    attrs = list(inst.attrs)
+    its other fields; an id outside 1..n or a negative demand raises."""
+    column = list(inst.demands)
     for v, d in demands.items():
         if not 1 <= v <= inst.n:
             raise ValueError(f"vertex {v} out of range")
         if d < 0:
             raise ValueError("vertex attributes must be nonnegative")
-        attrs[v - 1] = replace(attrs[v - 1], demand=d)
+        column[v] = d
     changed = copy.copy(inst)
-    object.__setattr__(changed, "attrs", tuple(attrs))
-    object.__setattr__(changed, "demands", (0, *(a.demand for a in attrs)))
+    object.__setattr__(changed, "demands", tuple(column))
     changed._audit_overflow()
     return changed
 
@@ -241,10 +231,8 @@ def induced_instance(
         raise ValueError(f"induced vertices must lie in 1..{inst.n}")
     zeroed = set(zero_demand)
     new_id = {v: i + 1 for i, v in enumerate(orig)}
-    attrs = tuple(
-        VertexAttrs(
-            inst.weights[v], inst.capacities[v], 0 if v in zeroed else inst.demands[v]
-        )
+    triples = tuple(
+        (inst.weights[v], inst.capacities[v], 0 if v in zeroed else inst.demands[v])
         for v in orig
     )
     # new_id keeps the order of ids, so every edge keeps u < v
@@ -253,7 +241,7 @@ def induced_instance(
         for u, v in inst.edges
         if u in new_id and v in new_id
     ]
-    return Instance.trusted(len(orig), attrs, edges), orig
+    return Instance.trusted(len(orig), triples, edges), orig
 
 
 @dataclass(frozen=True)
@@ -399,17 +387,15 @@ def random_instance(
         for v in range(u + 1, n + 1)
         if rng.random() < edge_prob
     ]
-    attrs = [
-        VertexAttrs(rng.randint(1, max_w), rng.randint(0, max_c), rng.randint(0, max_d))
+    triples = [
+        (rng.randint(1, max_w), rng.randint(0, max_c), rng.randint(0, max_d))
         for _ in range(n)
     ]
     neighbor_caps: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     for u, v in edges:
         neighbor_caps[u].append(v)
         neighbor_caps[v].append(u)
-    for v in range(1, n + 1):
-        a = attrs[v - 1]
-        if a.demand > 0 and a.capacity == 0:
-            if all(attrs[u - 1].capacity == 0 for u in neighbor_caps[v]):
-                attrs[v - 1] = VertexAttrs(a.weight, 1, a.demand)
-    return Instance(n, tuple(attrs), tuple(edges))
+    for v, (w, c, d) in enumerate(triples, 1):
+        if d > 0 and c == 0 and all(triples[u - 1][1] == 0 for u in neighbor_caps[v]):
+            triples[v - 1] = (w, 1, d)
+    return Instance(n, tuple(triples), tuple(edges))

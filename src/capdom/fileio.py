@@ -22,7 +22,6 @@ from .core import (
     Instance,
     ParseError,
     Solution,
-    VertexAttrs,
     parse_edge,
     parse_ints,
     records,
@@ -31,7 +30,7 @@ from .core import (
 
 def load_instance(text: str) -> Instance:
     """Parse instance text, rejecting every format violation with a line number."""
-    attrs: dict[int, VertexAttrs] = {}
+    attrs: dict[int, tuple[int, int, int]] = {}
     edges: list[tuple[int, int]] = []
     edge_keys: set[tuple[int, int]] = set()
     lines = records(text, "p capdom")
@@ -53,7 +52,7 @@ def load_instance(text: str) -> Instance:
                 raise ParseError(line_no, f"duplicate vertex line for {vid}")
             if min(w, c, d) < 0:
                 raise ParseError(line_no, "vertex attributes must be nonnegative")
-            attrs[vid] = VertexAttrs(w, c, d)
+            attrs[vid] = (w, c, d)
         elif tag == "e":
             edges.append(parse_edge(parts, line_no, n, edge_keys))
         else:

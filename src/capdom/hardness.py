@@ -22,7 +22,6 @@ from .core import (
     ParseError,
     Report,
     Solution,
-    VertexAttrs,
     is_feasible,
     parse_edge,
     parse_ints,
@@ -121,12 +120,12 @@ def reduce(cq: CliqueInstance) -> GadgetInstance:
     k, n_labels = cq.k, cq.num_labels
     k_star = budget_for(k)
     heavy = k_star + 1
-    attrs: list[VertexAttrs] = []
+    attrs: list[tuple[int, int, int]] = []
     roles: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
 
     def new_node(tag: str, weight: int, capacity: int, demand: int) -> int:
-        attrs.append(VertexAttrs(weight, capacity, demand))
+        attrs.append((weight, capacity, demand))
         node = len(attrs)
         roles[node] = tag
         return node
@@ -182,7 +181,7 @@ def reduce(cq: CliqueInstance) -> GadgetInstance:
                         )
 
     for key, node in bridge.items():
-        attrs[node - 1] = VertexAttrs(1, max(0, load[key] - n_labels), 1)
+        attrs[node - 1] = (1, max(0, load[key] - n_labels), 1)
 
     inst = Instance(len(attrs), tuple(attrs), tuple(edges))
     return GadgetInstance(inst, roles, k_star, k, n_labels)

@@ -17,25 +17,39 @@ import pytest
 from hypothesis import strategies as st
 
 from capdom import baker
-from capdom.core import Instance, VertexAttrs
+from capdom.core import Instance
 
 
 def mk(triples, edges=()) -> Instance:
     """Instance from a list of (weight, capacity, demand) triples."""
-    attrs = tuple(VertexAttrs(w, c, d) for w, c, d in triples)
-    return Instance(len(attrs), attrs, tuple(edges))
+    triples = tuple(triples)
+    return Instance(len(triples), triples, tuple(edges))
+
+
+def triples(inst: Instance) -> tuple[tuple[int, int, int], ...]:
+    """The (weight, capacity, demand) triple of every vertex, in id order."""
+    return tuple(zip(inst.weights[1:], inst.capacities[1:], inst.demands[1:]))
 
 
 @st.composite
 def small_instances(draw, max_n=6, max_cd=3):
-    """Hypothesis instances: weights in [0,4], capacities and demands in
-    [0,max_cd], any edge set, so zero weights and capacities and
-    infeasible and disconnected instances all occur."""
-    n = draw(st.integers(1, max_n))
+    """Hypothesis instances: n uniform in [1,max_n], weights in [0,4],
+    capacities and demands in [0,max_cd], any edge set.  Unless a drawn
+    flag keeps the draw as it is, `random_instance`'s post-pass raises c(v)
+    to 1 wherever v has demand and no server with capacity in N[v].  Zero
+    weights and capacities and infeasible and disconnected instances all
+    occur."""
+    n = draw(st.sampled_from(range(1, max_n + 1)))
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     attr = st.tuples(st.integers(0, 4), st.integers(0, max_cd), st.integers(0, max_cd))
-    return mk(draw(st.lists(attr, min_size=n, max_size=n)), edges)
+    triples = draw(st.lists(attr, min_size=n, max_size=n))
+    if not draw(st.booleans()):
+        for v, (w, c, d) in enumerate(triples, 1):
+            closed = {v}.union(*(e for e in edges if v in e))
+            if d > 0 and all(triples[u - 1][1] == 0 for u in closed):
+                triples[v - 1] = (w, 1, d)
+    return mk(triples, edges)
 
 
 def path_instance(triples) -> Instance:

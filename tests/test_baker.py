@@ -23,7 +23,7 @@ from capdom.oracle import exact_unsplittable
 from capdom.tddp import solve_td
 from capdom.treewidth import bfs_levels, components, heuristic_decomposition, make_nice
 
-from conftest import cycle_instance, grid_instance, mk, path_instance
+from conftest import cycle_instance, grid_instance, mk, path_instance, triples
 
 UNSPLIT = DemandModel.UNSPLITTABLE
 SPLIT = DemandModel.SPLITTABLE
@@ -274,8 +274,8 @@ class TestBakerSolve:
         attrs = [None] * (a.n + b.n)
         edges = []
         for part, ids in zip((a, b), new_id):
-            for v in part.vertices():
-                attrs[ids[v] - 1] = part.attrs[v - 1]
+            for v, t in enumerate(triples(part), 1):
+                attrs[ids[v] - 1] = t
             edges += [tuple(sorted((ids[u], ids[v]))) for u, v in part.edges]
         union = Instance(a.n + b.n, tuple(attrs), tuple(sorted(edges)))
         for k in (2, 3):

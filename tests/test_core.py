@@ -9,7 +9,6 @@ from capdom.core import (
     Instance,
     ParseError,
     Solution,
-    VertexAttrs,
     induced_instance,
     is_feasible,
     minimum_multiplicities,
@@ -23,7 +22,7 @@ from capdom.greedy import greedy_unsplittable
 from capdom.hardness import load_clique_instance
 from capdom.treewidth import load_td
 
-from conftest import mk, p3_instance, small_instances
+from conftest import mk, p3_instance, small_instances, triples
 
 UNSPLIT = DemandModel.UNSPLITTABLE
 SPLIT = DemandModel.SPLITTABLE
@@ -33,7 +32,7 @@ class TestLoadInstance:
     def test_single_vertex(self):
         inst = load_instance("p capdom 1 0\nv 1 2 3 7\n")
         assert inst.n == 1
-        assert inst.attrs[0] == VertexAttrs(2, 3, 7)
+        assert triples(inst) == ((2, 3, 7),)
 
     def test_p3(self):
         inst = load_instance(
@@ -72,13 +71,13 @@ class TestLoadInstance:
             pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.2]
             rng.shuffle(pairs)
             edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
-            attrs = [VertexAttrs(*(rng.randint(0, 5) for _ in range(3))) for _ in range(n)]
-            lines = [f"v {v} {a.weight} {a.capacity} {a.demand}" for v, a in enumerate(attrs, 1)]
+            attrs = [tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(n)]
+            lines = [f"v {v} {w} {c} {d}" for v, (w, c, d) in enumerate(attrs, 1)]
             lines += [f"e {u} {v}" for u, v in edges]
             rng.shuffle(lines)
             loaded = load_instance("\n".join([f"p capdom {n} {len(edges)}", *lines]) + "\n")
             built = Instance(n, tuple(attrs), tuple(edges))
-            for name in ("n", "attrs", "edges", "adj", "closed", "weights", "capacities", "demands"):
+            for name in ("n", "edges", "adj", "closed", "weights", "capacities", "demands"):
                 assert getattr(loaded, name) == getattr(built, name), name
 
     def test_overflow_audit(self):
@@ -158,7 +157,7 @@ class TestClosedNeighborhood:
     def test_adjacency_is_derived_not_passed(self):
         # adj and closed are built from the edges; neither is an argument
         with pytest.raises(TypeError):
-            Instance(2, (VertexAttrs(1, 1, 1),) * 2, ((1, 2),), adj=())
+            Instance(2, ((1, 1, 1),) * 2, ((1, 2),), adj=())
         assert mk([(1, 1, 1)] * 2, [(1, 2)]).adj == (frozenset(), {2}, {1})
 
 
@@ -262,13 +261,13 @@ def candidate_solutions(draw, inst: Instance) -> Solution:
 
 
 def meets_definition(inst: Instance, sol: Solution, model: DemandModel) -> bool:
-    """Whether `sol` solves `inst`, read off the problem over inst.attrs and
-    inst.edges: nonnegative copies of known vertices, positive amounts from
+    """Whether `sol` solves `inst`, read off the problem over its
+    (weight, capacity, demand) triples and inst.edges: nonnegative copies of known vertices, positive amounts from
     each vertex to itself or a neighbor, every demand served, no server
     loaded past capacity times copies, the cost field equal to the copies'
     weight, and (unsplittable) each demand carried whole by one entry and
     no entry from a zero-demand vertex."""
-    attrs = dict(zip(inst.vertices(), inst.attrs))
+    attrs = dict(enumerate(triples(inst), 1))
     edges = {frozenset(e) for e in inst.edges}
     if any(v not in attrs or x < 0 for v, x in sol.multiplicity.items()):
         return False
@@ -280,12 +279,12 @@ def meets_definition(inst: Instance, sol: Solution, model: DemandModel) -> bool:
         served[u] += amount
         load[s] += amount
         amounts[u].append(amount)
-    if sol.cost != sum(attrs[v].weight * x for v, x in sol.multiplicity.items()):
+    if sol.cost != sum(attrs[v][0] * x for v, x in sol.multiplicity.items()):
         return False
-    for v, a in attrs.items():
-        if served[v] < a.demand or load[v] > a.capacity * sol.multiplicity.get(v, 0):
+    for v, (_, capacity, demand) in attrs.items():
+        if served[v] < demand or load[v] > capacity * sol.multiplicity.get(v, 0):
             return False
-        if model is UNSPLIT and amounts[v] != ([a.demand] if a.demand else []):
+        if model is UNSPLIT and amounts[v] != ([demand] if demand else []):
             return False
     return True
 
@@ -383,19 +382,23 @@ class TestInstanceHelpers:
         assert sub.demands[1] == 1 and sub.demands[2] == 0
 
     def test_columns_follow_attrs(self):
-        def check(inst):
-            for name, attr in (("weights", "weight"), ("capacities", "capacity"), ("demands", "demand")):
-                assert getattr(inst, name) == (0, *(getattr(a, attr) for a in inst.attrs))
+        def check(inst, passed):
+            for name, column in zip(("weights", "capacities", "demands"), zip(*passed)):
+                assert getattr(inst, name) == (0, *column)
 
         for seed in range(20):
-            inst = random_instance(2 + seed % 12, 0.4, 4, 4, 4, seed)
-            check(inst)
-            check(with_demands(inst, {1: 9, inst.n: 0}))
+            base = random_instance(2 + seed % 12, 0.4, 4, 4, 4, seed)
+            rng = random.Random(seed)
+            passed = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(base.n)]
+            inst = Instance(base.n, tuple(passed), base.edges)
+            check(inst, passed)
+            new = {1: 9, inst.n: 0}
+            check(with_demands(inst, new), [(w, c, new.get(v, d)) for v, (w, c, d) in enumerate(passed, 1)])
             keep = range(1, inst.n + 1, 2 if seed % 2 else 1)
             sub, orig = induced_instance(inst, keep, zero_demand=[1])
-            check(sub)
+            check(sub, [(w, c, d * (v != 1)) for v, (w, c, d) in enumerate(passed, 1) if v in keep])
             # induced_instance skips the constructor's checks; it must build the same graph
-            rebuilt = Instance(sub.n, sub.attrs, sub.edges)
+            rebuilt = Instance(sub.n, triples(sub), sub.edges)
             assert (sub.edges, sub.adj, sub.closed) == (rebuilt.edges, rebuilt.adj, rebuilt.closed)
 
     def test_induced_instance_rejects_unknown_ids(self, p3):
@@ -405,6 +408,31 @@ class TestInstanceHelpers:
 
     def test_instance_rejects_bad_edges(self):
         with pytest.raises(ValueError):
-            Instance(2, (VertexAttrs(1, 1, 1),) * 2, ((1, 1),))
+            Instance(2, ((1, 1, 1),) * 2, ((1, 1),))
         with pytest.raises(ValueError):
-            Instance(2, (VertexAttrs(1, 1, 1),) * 2, ((1, 2), (2, 1)))
+            Instance(2, ((1, 1, 1),) * 2, ((1, 2), (2, 1)))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [((1, 1), (1, 1)), ((1, 1, 1, 9), (1, 1, 1, 9)), ((1, 1, 1, 9), (1, 1, 1)), ((1, 1, 1), (1, 1))],
+        ids=["2-tuples", "4-tuples", "4-then-3", "3-then-2"],
+    )
+    def test_instance_rejects_triples_of_other_lengths(self, bad):
+        with pytest.raises(ValueError):
+            Instance(2, bad, ((1, 2),))
+        with pytest.raises(ValueError):
+            Instance.trusted(2, bad, ((1, 2),))
+
+
+class TestInstanceEquality:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(inst=small_instances(), data=st.data())
+    def test_equality_reads_the_columns(self, inst, data):
+        assert load_instance(save_instance(inst)) == inst
+        rebuilt = Instance(inst.n, triples(inst), inst.edges)
+        assert rebuilt == inst and hash(rebuilt) == hash(inst)
+        v = data.draw(st.sampled_from(inst.vertices()))
+        d = data.draw(st.integers(0, 4))
+        changed = with_demands(inst, {v: d})
+        assert (changed == inst) == (d == inst.demands[v])
+        assert (changed.weights, changed.capacities, changed.edges) == (inst.weights, inst.capacities, inst.edges)

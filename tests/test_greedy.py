@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -36,6 +35,7 @@ from conftest import (
     mk,
     p3_instance,
     path_instance,
+    triples,
 )
 from greedy_reference import (
     reference_greedy_loop,
@@ -377,10 +377,10 @@ def differential_instances():
         base = random_instance(1 + seed % 14, (0.15, 0.3, 0.55)[seed % 3], 3, 3, 3, seed)
         rng = random.Random(seed)
         attrs = []
-        for a in base.attrs:
+        for _, capacity, demand in triples(base):
             w = rng.randint(0, 3) if seed % 2 == 0 else 1
-            c = rng.randint(0, 2) if seed % 3 == 0 else a.capacity
-            attrs.append(dataclasses.replace(a, weight=w, capacity=c))
+            c = rng.randint(0, 2) if seed % 3 == 0 else capacity
+            attrs.append((w, c, demand))
         yield Instance(base.n, tuple(attrs), base.edges)
 
 
@@ -438,7 +438,7 @@ class TestIncrementalMatchesReference:
         inst = random_instance(2000, 6 / 1999, 1, 4, 4, 11)
         if weights == "0-2":
             rng = random.Random(5)
-            attrs = tuple(dataclasses.replace(a, weight=rng.choice((0, 1, 2))) for a in inst.attrs)
+            attrs = tuple((rng.choice((0, 1, 2)), c, d) for _, c, d in triples(inst))
             inst = Instance(inst.n, attrs, inst.edges)
         expected = fast(inst)
         monkeypatch.setattr(greedy, "_greedy_loop", reference_greedy_loop)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -17,9 +16,11 @@ from capdom.hardness import (
     verify_semantics,
     verify_structure,
 )
-from capdom.core import Instance, VertexAttrs
+from capdom.core import Instance
 from capdom.oracle import SearchBudget
 from capdom.treewidth import heuristic_decomposition
+
+from conftest import triples
 
 UNSPLIT = DemandModel.UNSPLITTABLE
 
@@ -151,9 +152,9 @@ class TestStructure:
     def test_perturbed_bridge_capacity_fails(self):
         gadget = reduce(tiny_clique())
         bridge = gadget.nodes_with_role("bridge")[0]
-        attrs = list(gadget.instance.attrs)
-        old = attrs[bridge - 1]
-        attrs[bridge - 1] = VertexAttrs(old.weight, old.capacity + 1, old.demand)
+        attrs = list(triples(gadget.instance))
+        w, c, d = attrs[bridge - 1]
+        attrs[bridge - 1] = (w, c + 1, d)
         tampered = gadget.__class__(
             Instance(gadget.instance.n, tuple(attrs), gadget.instance.edges),
             gadget.roles,
@@ -178,9 +179,9 @@ class TestStructure:
         # k = 2, N = 2: vertex nodes expect 1 + (k-1)N = 3, edge nodes 1 + 2N = 5
         gadget = reduce(tiny_clique())
         node = gadget.nodes_with_role(role)[0]
-        attrs = list(gadget.instance.attrs)
-        old = attrs[node - 1]
-        attrs[node - 1] = replace(old, **{field: getattr(old, field) + 1})
+        attrs = list(triples(gadget.instance))
+        w, c, d = attrs[node - 1]
+        attrs[node - 1] = (w, c + 1, d) if field == "capacity" else (w, c, d + 1)
         tampered = gadget.__class__(
             Instance(gadget.instance.n, tuple(attrs), gadget.instance.edges),
             gadget.roles,
@@ -197,7 +198,7 @@ class TestStructure:
         vnodes = gadget.nodes_with_role("vnode")[:2]
         edges = gadget.instance.edges + ((vnodes[0], vnodes[1]),)
         tampered = gadget.__class__(
-            Instance(gadget.instance.n, gadget.instance.attrs, edges),
+            Instance(gadget.instance.n, triples(gadget.instance), edges),
             gadget.roles,
             gadget.budget,
             gadget.k,

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
 import math
@@ -19,7 +18,6 @@ from capdom.core import (
     InfeasibleInstance,
     Instance,
     Solution,
-    VertexAttrs,
     ceil_div,
     is_feasible,
     random_instance,
@@ -45,6 +43,7 @@ from conftest import (
     mk,
     p3_instance,
     small_instances,
+    triples,
 )
 
 UNSPLIT = DemandModel.UNSPLITTABLE
@@ -527,10 +526,10 @@ def differential_cases():
         base = random_instance(1 + seed % 9, (0.2, 0.35, 0.55)[seed % 3], 3, 3, 3, seed)
         rng = random.Random(seed)
         attrs = []
-        for a in base.attrs:
+        for _, capacity, demand in triples(base):
             w = rng.randint(0, 4)
-            c = rng.randint(0, 2) if seed % 3 == 0 else a.capacity
-            attrs.append(dataclasses.replace(a, weight=w, capacity=c))
+            c = rng.randint(0, 2) if seed % 3 == 0 else capacity
+            attrs.append((w, c, demand))
         upper = rng.randint(0, 5) if seed % 4 == 1 else None
         yield Instance(base.n, tuple(attrs), base.edges), SearchBudget(upper_bound=upper)
 
@@ -660,12 +659,7 @@ def _optimum(search, inst):
 
 
 def _rescaled(inst, weight=1, capacity=1, demand=1):
-    attrs = tuple(
-        dataclasses.replace(
-            a, weight=a.weight * weight, capacity=a.capacity * capacity, demand=a.demand * demand
-        )
-        for a in inst.attrs
-    )
+    attrs = tuple((w * weight, c * capacity, d * demand) for w, c, d in triples(inst))
     return Instance(inst.n, attrs, inst.edges)
 
 
@@ -695,8 +689,8 @@ class TestOptimumProperties:
         perm = data.draw(st.permutations(range(1, inst.n + 1)))
         label = dict(zip(inst.vertices(), perm))
         attrs = [None] * inst.n
-        for v in inst.vertices():
-            attrs[label[v] - 1] = inst.attrs[v - 1]
+        for v, t in enumerate(triples(inst), 1):
+            attrs[label[v] - 1] = t
         edges = tuple((label[u], label[v]) for u, v in inst.edges)
         relabeled = Instance(inst.n, tuple(attrs), edges)
         assert _optimum(search, relabeled) == _optimum(search, inst)
@@ -706,7 +700,7 @@ class TestOptimumProperties:
     @given(a=small_instances(max_n=4), b=small_instances(max_n=4))
     def test_disjoint_union_adds_optima(self, search, a, b):
         shifted = tuple((u + a.n, v + a.n) for u, v in b.edges)
-        union = Instance(a.n + b.n, a.attrs + b.attrs, a.edges + shifted)
+        union = Instance(a.n + b.n, triples(a) + triples(b), a.edges + shifted)
         parts = [_optimum(search, a), _optimum(search, b)]
         assert _optimum(search, union) == (None if None in parts else sum(parts))
 
@@ -714,5 +708,5 @@ class TestOptimumProperties:
     @PROPERTY
     @given(inst=small_instances(), weight=st.integers(0, 4))
     def test_appended_isolated_zero_vertex_changes_nothing(self, search, inst, weight):
-        grown = Instance(inst.n + 1, inst.attrs + (VertexAttrs(weight, 0, 0),), inst.edges)
+        grown = Instance(inst.n + 1, triples(inst) + ((weight, 0, 0),), inst.edges)
         assert _optimum(search, grown) == _optimum(search, inst)

@@ -15,7 +15,6 @@ from capdom.core import (
     DemandModel,
     InfeasibleInstance,
     Instance,
-    VertexAttrs,
     ceil_div,
     random_instance,
     verify_solution,
@@ -44,7 +43,7 @@ from capdom.treewidth import (
     project_nice,
 )
 
-from conftest import grid_instance, mk, partial_two_tree, path_instance, small_instances
+from conftest import grid_instance, mk, partial_two_tree, path_instance, small_instances, triples
 
 UNSPLIT = DemandModel.UNSPLITTABLE
 SPLIT = DemandModel.SPLITTABLE
@@ -369,7 +368,7 @@ def weighted_instances(seeds, n_min, n_max, edge_prob=0.2, max_c=3, max_d=3):
         n = n_min + seed % (n_max - n_min + 1)
         base = random_instance(n, edge_prob, 3, max_c, max_d, seed)
         rng = random.Random(seed)
-        attrs = tuple(dataclasses.replace(a, weight=rng.randint(0, 3)) for a in base.attrs)
+        attrs = tuple((rng.randint(0, 3), c, d) for _, c, d in triples(base))
         yield Instance(base.n, attrs, base.edges)
 
 
@@ -442,10 +441,12 @@ class TestLeaf:
             weighted_instances(range(200, 220), 6, 6, edge_prob=0.3, max_c=3, max_d=8),
         )
         leaves = [(inst, v) for inst in instances for v in inst.vertices()]
-        attrs = [inst.attrs[v - 1] for inst, v in leaves]
+        weights, capacities, demands = zip(
+            *((inst.weights[v], inst.capacities[v], inst.demands[v]) for inst, v in leaves)
+        )
         # zero weights, capacities and demands all occur, and demand 8
-        assert min(a.weight for a in attrs) == min(a.capacity for a in attrs) == 0
-        assert {0, 8} <= {a.demand for a in attrs}
+        assert min(weights) == min(capacities) == 0
+        assert {0, 8} <= set(demands)
         for inst, v in leaves:
             table, expected = dp_leaf(inst, v, model), reference_leaf(inst, v, model)
             assert (table.bag, table.places) == (expected.bag, expected.places)
@@ -1019,7 +1020,7 @@ def dp_cost(inst, model):
 def disjoint_union(a, b):
     """a on ids 1..a.n, then b shifted to a.n + 1..a.n + b.n."""
     shifted = tuple((u + a.n, v + a.n) for u, v in b.edges)
-    return Instance(a.n + b.n, a.attrs + b.attrs, a.edges + shifted)
+    return Instance(a.n + b.n, triples(a) + triples(b), a.edges + shifted)
 
 
 class TestMetamorphic:
@@ -1039,7 +1040,8 @@ class TestMetamorphic:
         # ids from `at` up shift by one
         at = 1 + spot % (inst.n + 1)
         relabel = {v: v + (v >= at) for v in inst.vertices()}
-        attrs = inst.attrs[: at - 1] + (VertexAttrs(weight, 0, 0),) + inst.attrs[at - 1 :]
+        old = triples(inst)
+        attrs = old[: at - 1] + ((weight, 0, 0),) + old[at - 1 :]
         edges = tuple((relabel[u], relabel[v]) for u, v in inst.edges)
         grown = Instance(inst.n + 1, attrs, edges)
         for model in (UNSPLIT, SPLIT):
@@ -1060,8 +1062,8 @@ class TestDemandCap:
         inst = mk([(4, 2, 1), (3, 3, 10), (1, 1, 0)], [(1, 2), (2, 3)])
         capped, routed = tddp.cap_demands(inst)
         assert routed == {(2, 2): 3}
-        assert [a.demand for a in capped.attrs] == [1, 7, 0]
-        assert (capped.edges, [a.weight for a in capped.attrs]) == (inst.edges, [4, 3, 1])
+        assert capped.demands[1:] == (1, 7, 0)
+        assert (capped.edges, capped.weights[1:]) == (inst.edges, (4, 3, 1))
 
     def test_lone_server_takes_every_full_copy(self):
         # B = 0 with a single server: all whole copies are set aside

@@ -15,14 +15,13 @@ import argparse
 import functools
 import random
 import sys
-from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import baker, fileio, greedy, hardness, oracle, tddp, treewidth
+from . import fileio
 from .core import (
+    ORACLE_MAX_NODES,
     CapdomError,
     DemandModel,
-    InfeasibleInstance,
     Instance,
     ParseError,
     Solution,
@@ -30,11 +29,15 @@ from .core import (
     verify_solution,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .treewidth import TreeDecomposition
+
+# Each command imports the solver modules it runs when it runs, so start-up
+# loads none of them; every CapdomError carries its own exit code.
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_USAGE = 2
-EXIT_INFEASIBLE = 3
-EXIT_BUDGET = 4
 
 
 def _read(path: str) -> str:
@@ -50,8 +53,8 @@ def _emit(text: str, path: str | None):
             handle.write(text)
 
 
-class _Usage(Exception):
-    pass
+class _Usage(CapdomError):
+    exit_code, label = 2, "usage error"
 
 
 def _load_instance(path: str) -> Instance:
@@ -71,8 +74,9 @@ def _random_instance(args, seed: int) -> Instance:
         raise _Usage(f"{exc}; lower --max-w, --max-c or --max-d") from None
 
 
-def _checked_td(inst: Instance, td: treewidth.TreeDecomposition) -> treewidth.TreeDecomposition:
+def _checked_td(inst: Instance, td: TreeDecomposition) -> TreeDecomposition:
     """The decomposition itself; one that fails `validate_td` on inst is an error."""
+    from . import treewidth
     report = treewidth.validate_td(inst, td)
     if not report.passed:
         raise CapdomError(f"decomposition is invalid: {report}")
@@ -80,6 +84,7 @@ def _checked_td(inst: Instance, td: treewidth.TreeDecomposition) -> treewidth.Tr
 
 
 def _run_dp(inst, model, args):
+    from . import tddp, treewidth
     td = None
     if getattr(args, "td", None):  # bench has no --td flag
         td = _checked_td(inst, treewidth.load_td(_read(args.td)))
@@ -91,6 +96,7 @@ def _run_baker(inst, model, args):
         raise _Usage("--algo baker requires --k")
     if args.k < 2:
         raise _Usage(f"--algo baker needs --k >= 2, got {args.k}")
+    from . import baker
     result = baker.baker_solve(inst, args.k, model)
     comments = [
         f"shift component={comp} r={r} cost={cost}"
@@ -101,6 +107,7 @@ def _run_baker(inst, model, args):
 
 
 def _run_oracle(inst, model, args):
+    from . import oracle
     # --budget is unset unless given; SearchBudget() holds the default.
     budget = oracle.SearchBudget() if args.budget is None else oracle.SearchBudget(args.budget)
     return oracle.exact_solve(inst, model, budget), [], []
@@ -109,6 +116,7 @@ def _run_oracle(inst, model, args):
 def _greedy(name: str):
     """Runner for `greedy.<name>`, looked up when it runs."""
     def run(inst, model, args):
+        from . import greedy
         result = getattr(greedy, name)(inst)
         return result.solution, result.trace_lines(), []
     return run
@@ -195,6 +203,7 @@ def _gen(args) -> int:
         inst = _random_instance(args, args.seed)
         _emit(fileio.save_instance(inst), args.output)
         return EXIT_OK
+    from . import hardness
     cq = hardness.load_clique_instance(_read(args.clique))
     gadget = hardness.reduce(cq)
     _emit(
@@ -214,6 +223,7 @@ def _td(args) -> int:
         raise _Usage("td validate needs a decomposition file")
     if args.action == "compute" and args.td_file is not None:
         raise _Usage("td compute takes no decomposition file; write one with -o")
+    from . import treewidth
     inst = _load_instance(args.instance)
     td = treewidth.load_td(_read(args.td_file)) if args.td_file else treewidth.heuristic_decomposition(inst)
     if args.action == "validate":
@@ -224,10 +234,6 @@ def _td(args) -> int:
         td = treewidth.project_nice(treewidth.make_nice(_checked_td(inst, td)))
     _emit(treewidth.save_td(td, inst.n), args.output)
     return EXIT_OK
-
-
-def _harmonic(n: int) -> Fraction:
-    return sum((Fraction(1, j) for j in range(1, n + 1)), Fraction(0))
 
 
 def _bench(args) -> int:
@@ -241,8 +247,10 @@ def _bench(args) -> int:
     if algo == "greedy-unweighted" and args.max_w != 1:
         raise _Usage("greedy-unweighted requires --max-w 1")
 
+    from fractions import Fraction
     opt_algo = "oracle" if args.n <= args.oracle_threshold else "dp"
-    bound = float(bench_algo.bound(_harmonic(args.n)))
+    harmonic = sum((Fraction(1, j) for j in range(1, args.n + 1)), Fraction(0))
+    bound = float(bench_algo.bound(harmonic))
     rng = random.Random(args.seed)
     rows = ["index,n,m,algo,model,cost,opt,opt_algo,ratio,bound"]
     for index in range(args.batch):
@@ -298,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--trace", action="store_true", default=None, help="append greedy iteration trace lines"
     )
-    budget_help = f"oracle node limit (default {oracle.SearchBudget.max_nodes})"
+    budget_help = f"oracle node limit (default {ORACLE_MAX_NODES})"
     solve.add_argument("--budget", type=_positive_int, help=budget_help)
     solve.add_argument("-o", "--output")
     solve.add_argument("instance")
@@ -352,19 +360,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (_Usage, greedy.NotUnweighted) as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except ParseError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_USAGE
-    except InfeasibleInstance as exc:
-        sys.stderr.write(f"infeasible instance: {exc}\n")
-        return EXIT_INFEASIBLE
-    except oracle.BudgetExhausted as exc:
-        sys.stderr.write(f"budget exhausted: {exc}\n")
-        return EXIT_BUDGET
-    except (CapdomError, OSError) as exc:
+    except CapdomError as exc:
+        sys.stderr.write(f"{exc.label}: {exc}\n")
+        return exc.exit_code
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL
 

@@ -14,14 +14,20 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
 INT64_MAX = 2**63 - 1
+ORACLE_MAX_NODES = 5_000_000  # the exact oracle's default node budget
 
 
 class CapdomError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package; the command line exits
+    with `exit_code` and writes `label: message` to stderr."""
+
+    exit_code, label = 1, "error"
 
 
 class ParseError(CapdomError):
     """Malformed instance or solution text."""
+
+    exit_code, label = 2, "parse error"
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
@@ -85,6 +91,8 @@ def parse_edge(parts: list[str], line_no: int, n: int, seen: set[tuple[int, int]
 
 class InfeasibleInstance(CapdomError):
     """Some vertex has positive demand but only zero-capacity closed neighbors."""
+
+    exit_code, label = 3, "infeasible instance"
 
 
 class ZeroCapacityServer(CapdomError):

@@ -50,6 +50,8 @@ class NoCandidates(CapdomError):
 class NotUnweighted(CapdomError):
     """The unweighted solver was given an instance with non-unit weights."""
 
+    exit_code, label = 2, "usage error"
+
 
 @dataclass(slots=True)
 class EfficiencyQuote:

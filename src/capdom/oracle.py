@@ -50,6 +50,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    ORACLE_MAX_NODES,
     CapdomError,
     DemandModel,
     Instance,
@@ -67,7 +68,7 @@ SEEN_LIMIT = 1 << 18  # load vectors the unsplittable search remembers at once
 class SearchBudget:
     """Node limit and optional initial incumbent cost for the searches."""
 
-    max_nodes: int = 5_000_000
+    max_nodes: int = ORACLE_MAX_NODES
     upper_bound: int | None = None
 
     def __post_init__(self):
@@ -77,6 +78,8 @@ class SearchBudget:
 
 class BudgetExhausted(CapdomError):
     """Search hit the node limit; any incumbent carried here is unproven."""
+
+    exit_code, label = 4, "budget exhausted"
 
     def __init__(self, nodes: int, incumbent: Solution | None):
         super().__init__(f"search budget exhausted after {nodes} nodes")

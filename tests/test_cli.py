@@ -223,6 +223,37 @@ class TestSolve:
         assert run(*bench, "--budget", 88) == 0
         assert budgets == [5_000_000, 77] + [5_000_000] * 2 + [88] * 2
 
+    @pytest.mark.parametrize(
+        "argv, code, prefix",
+        [
+            (("--algo", "baker", "--k", "1", "P3"), 2, "usage error: "),
+            (("--algo", "greedy-unsplit", "INFEASIBLE"), 3, "infeasible instance: "),
+            (("--algo", "oracle", "--budget", "1", "GRID"), 4, "budget exhausted: "),
+            (("--algo", "greedy-unsplit", "MISSING"), 1, "error: "),
+        ],
+        ids=["usage", "infeasible", "budget", "missing-file"],
+    )
+    def test_error_exit_code_and_label(self, argv, code, prefix, p3_file, tmp_path, capsys):
+        # Each CapdomError subclass carries the exit code and stderr label
+        # that main reports; OSError exits 1 as a plain error.
+        files = {"P3": p3_file, "INFEASIBLE": tmp_path / "bad.cd", "GRID": tmp_path / "grid.cd",
+                 "MISSING": tmp_path / "missing.cd"}
+        files["INFEASIBLE"].write_text("p capdom 1 0\nv 1 1 0 2\n")
+        files["GRID"].write_text(save_instance(grid_instance(3, 3)))
+        assert run("solve", *(files.get(a, a) for a in argv)) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_budget_help_shows_the_search_default(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(command, "--help")
+        assert info.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())  # argparse wraps at the terminal width
+        assert f"(default {oracle.SearchBudget().max_nodes})" in out
+        assert oracle.SearchBudget().max_nodes == 5_000_000
+
     def test_infeasible_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cd"
         bad.write_text("p capdom 1 0\nv 1 1 0 2\n")

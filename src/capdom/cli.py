@@ -41,8 +41,14 @@ EXIT_FAIL = 1
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The file's text; bytes that are not UTF-8 are a ParseError at their line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # a ValueError, which main does not report
+        line_no = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(line_no, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _emit(text: str, path: str | None):

@@ -116,8 +116,8 @@ class Instance:
 
     Built from one (weight, capacity, demand) triple per vertex, it stores
     only tuples indexed by vertex id: the columns weights, capacities and
-    demands, adj the neighborhoods and closed the closed neighborhoods.
-    Index 0 is padding (0 in the columns, adj[0] empty, closed[0] = {0}).
+    demands, and adj the open neighborhoods; the closed neighborhood N[v]
+    is adj[v] plus v.  Index 0 is padding (0 in the columns, adj[0] empty).
     Equality compares n, edges and the three columns.
     """
 
@@ -128,7 +128,6 @@ class Instance:
     capacities: tuple[int, ...] = field(init=False)
     demands: tuple[int, ...] = field(init=False)
     adj: tuple[frozenset[int], ...] = field(compare=False, repr=False, init=False)
-    closed: tuple[frozenset[int], ...] = field(compare=False, repr=False, init=False)
 
     def __post_init__(self, triples):
         if self.n < 1:
@@ -165,11 +164,9 @@ class Instance:
         for u, v in edges:
             neighbor_sets[u].append(v)
             neighbor_sets[v].append(u)
-        adj = tuple(map(frozenset, neighbor_sets))
         for name, value in (
             ("edges", edges),
-            ("adj", adj),
-            ("closed", tuple(s | {v} for v, s in enumerate(adj))),
+            ("adj", tuple(map(frozenset, neighbor_sets))),
             ("weights", (0, *weights)),
             ("capacities", (0, *capacities)),
             ("demands", (0, *demands)),
@@ -197,7 +194,7 @@ def ceil_div(a: int, b: int) -> int:
 def is_feasible(inst: Instance) -> bool:
     """False iff some vertex has demand but no positive-capacity server in N[v]."""
     for v in inst.vertices():
-        if inst.demands[v] > 0 and all(inst.capacities[u] == 0 for u in inst.closed[v]):
+        if inst.demands[v] > 0 and all(inst.capacities[u] == 0 for u in (v, *inst.adj[v])):
             return False
     return True
 
@@ -244,11 +241,7 @@ def induced_instance(
         for v in orig
     )
     # new_id keeps the order of ids, so every edge keeps u < v
-    edges = [
-        (new_id[u], new_id[v])
-        for u, v in inst.edges
-        if u in new_id and v in new_id
-    ]
+    edges = [(new_id[u], new_id[v]) for u in orig for v in inst.adj[u] if u < v and v in new_id]
     return Instance.trusted(len(orig), triples, edges), orig
 
 
@@ -302,7 +295,7 @@ def verify_solution(
         if amount <= 0:
             problems.append(f"nonpositive amount on assignment ({consumer},{server})")
             continue
-        if server not in inst.closed[consumer]:
+        if server != consumer and server not in inst.adj[consumer]:
             problems.append(
                 f"server {server} is outside the closed neighborhood of {consumer}"
             )

@@ -117,9 +117,9 @@ def closed_by_demand(
     """Entry u lists the pending closed neighbors of u by (demand, id): each
     pending v, in that order, joins the lists of N[v].  A solver builds it
     once, for the fixed demands of a solve; its quotes filter it."""
-    order: list[list[int]] = [[] for _ in inst.closed]
+    order: list[list[int]] = [[] for _ in inst.adj]
     for v in sorted(sorted(pending), key=demand.__getitem__):
-        for u in inst.closed[v]:
+        for u in (v, *inst.adj[v]):
             order[u].append(v)
     return order
 
@@ -224,10 +224,10 @@ def _greedy_loop(
     is a `_replay` tree with u's quote at leaf `leaves + u`; it is filled
     by replaying above every leaf pair, and tree[1] is the pick.
     """
-    capacities, closed = inst.capacities, inst.closed
+    capacities, adj = inst.capacities, inst.adj
 
     def quoted(u: int) -> EfficiencyQuote | None:
-        if capacities[u] == 0 or pending.isdisjoint(closed[u]):
+        if capacities[u] == 0 or (u not in pending and pending.isdisjoint(adj[u])):
             return None
         return quote(u)
 
@@ -243,10 +243,8 @@ def _greedy_loop(
             raise CapdomError("greedy failed to make progress")
         if tree[1] is None:
             raise InfeasibleInstance("no selectable vertex covers the remaining demand")
-        dirty: set[int] = set()
-        for v in take(tree[1], iteration):
-            dirty |= closed[v]
-        for u in dirty:
+        changed = take(tree[1], iteration)
+        for u in set(changed).union(*(adj[v] for v in changed)):
             tree[leaves + u] = quoted(u)
             _replay(tree, leaves + u)
 
@@ -375,7 +373,7 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
     for v in inst.vertices():
         if inst.demands[v] == 0:
             continue
-        g = min(inst.closed[v], key=lambda u: (-inst.capacities[u], u))
+        g = min((v, *inst.adj[v]), key=lambda u: (-inst.capacities[u], u))
         copies, rest = divmod(inst.demands[v], inst.capacities[g])
         if copies:
             _add(assignment, v, g, inst.capacities[g] * copies)

@@ -211,7 +211,7 @@ def verify_structure(g: GadgetInstance) -> Report:
             parent[ru] = rv
 
     for b in sorted(bridges):
-        demand_sum = sum(inst.demands[u] for u in inst.closed[b])
+        demand_sum = sum(inst.demands[u] for u in (b, *inst.adj[b]))
         expected = max(0, demand_sum - n_labels)
         if inst.capacities[b] != expected:
             problems.append(
@@ -224,7 +224,7 @@ def verify_structure(g: GadgetInstance) -> Report:
         for v in g.nodes_with_role(role):
             if inst.capacities[v] != expected:
                 problems.append(f"{name} {v} capacity != {expected}")
-            demand_sum = sum(inst.demands[u] for u in inst.closed[v])
+            demand_sum = sum(inst.demands[u] for u in (v, *inst.adj[v]))
             if demand_sum != expected:
                 problems.append(f"{name} {v} neighborhood demand {demand_sum} != {expected}")
     return Report(not problems, problems)
@@ -291,7 +291,7 @@ def clique_witness_solution(
     assignment = {}
     for v in inst.vertices():
         if inst.demands[v] > 0:
-            server = min(bought & inst.closed[v], key=lambda u: (u in bridges, u))
+            server = min(bought & (inst.adj[v] | {v}), key=lambda u: (u in bridges, u))
             assignment[(v, server)] = inst.demands[v]
     cost = sum(inst.weights[v] for v in bought)
     return Solution(dict.fromkeys(sorted(bought), 1), assignment, cost)

@@ -107,7 +107,7 @@ def feasibility_flow(inst: Instance, multiplicity: dict[int, int]) -> dict[tuple
     spare = {u: inst.capacities[u] * multiplicity.get(u, 0) for u in inst.vertices()}
     # options[v]: the servers with room in N[v]; routed[u][x]: x's units on u.
     options = {
-        v: [u for u in sorted(inst.closed[v]) if spare[u] > 0]
+        v: [u for u in sorted((v, *inst.adj[v])) if spare[u] > 0]
         for v in inst.vertices()
         if inst.demands[v]
     }
@@ -183,7 +183,7 @@ def exact_unsplittable(inst: Instance, budget: SearchBudget = SearchBudget()) ->
     options = []
     pending_steps = []
     for v in consumers:
-        servers = sorted(u for u in inst.closed[v] if capacity[u] > 0)
+        servers = sorted(u for u in (v, *inst.adj[v]) if capacity[u] > 0)
         d = demand[v]
         options.append([(u, capacity[u], weight[u], rates[u] * d, d * radix**u) for u in servers])
         pending_steps.append(min(rates[u] for u in servers) * d)
@@ -285,7 +285,7 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
     max_copies = [0] + [
         0
         if capacity[v] == 0
-        else ceil_div(sum(demand[u] for u in inst.closed[v]), capacity[v])
+        else ceil_div(sum(demand[u] for u in (v, *inst.adj[v])), capacity[v])
         for v in inst.vertices()
     ]
     scale, rates = _scaled_rates(capacity, weight)
@@ -298,7 +298,7 @@ def exact_splittable(inst: Instance, budget: SearchBudget = SearchBudget()) -> S
         suffix_rate[v] = best
 
     consumers = [
-        (demand[v], inst.closed[v])
+        (demand[v], inst.adj[v] | {v})
         for v in inst.vertices()
         if demand[v] > 0
     ]

@@ -413,7 +413,7 @@ def cap_demands(inst: Instance) -> tuple[Instance, dict[tuple[int, int], int]]:
     for v, d in enumerate(inst.demands):
         if not d or d < least:
             continue
-        servers = [u for u in inst.closed[v] if capacities[u]]
+        servers = [u for u in (v, *inst.adj[v]) if capacities[u]]
         if not servers:
             continue
         star = servers[0]

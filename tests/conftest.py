@@ -107,7 +107,7 @@ def brute_unsplittable(inst: Instance):
         return 0, {tuple(0 for _ in inst.vertices())}
     options = []
     for v in consumers:
-        servers = [u for u in sorted(inst.closed[v]) if inst.capacities[u] > 0]
+        servers = [u for u in sorted(inst.adj[v] | {v}) if inst.capacities[u] > 0]
         if not servers:
             return None, set()
         options.append(servers)
@@ -149,7 +149,7 @@ def brute_splittable_cost(inst: Instance):
         return 0
     options = []
     for v in consumers:
-        servers = [u for u in sorted(inst.closed[v]) if inst.capacities[u] > 0]
+        servers = [u for u in sorted(inst.adj[v] | {v}) if inst.capacities[u] > 0]
         if not servers:
             return None
         options.append(servers)
@@ -184,7 +184,7 @@ def hall_condition_holds(inst: Instance, multiplicity) -> bool:
     consumers = [v for v in inst.vertices() if inst.demands[v] > 0]
     for size in range(1, len(consumers) + 1):
         for subset in itertools.combinations(consumers, size):
-            reach = set().union(*(inst.closed[v] for v in subset))
+            reach = set().union(*((inst.adj[v] | {v}) for v in subset))
             room = sum(inst.capacities[u] * multiplicity.get(u, 0) for u in reach)
             if sum(inst.demands[v] for v in subset) > room:
                 return False
@@ -203,7 +203,7 @@ def brute_assignment_exists(inst: Instance, multiplicity) -> bool:
         if i == len(consumers):
             return True
         v = consumers[i]
-        servers = sorted(inst.closed[v])
+        servers = sorted(inst.adj[v] | {v})
 
         def distribute(need, idx):
             if need == 0:

@@ -43,7 +43,7 @@ from capdom.greedy import (
 
 def reference_unsplit_efficiency(inst, order, undominated, u):
     candidates = sorted(
-        undominated & inst.closed[u],
+        undominated & (inst.adj[u] | {u}),
         key=lambda v: (inst.demands[v], v),
     )
     if not candidates:
@@ -66,7 +66,7 @@ def reference_unsplit_efficiency(inst, order, undominated, u):
 
 def reference_split_efficiency(inst, state, u):
     candidates = sorted(
-        (v for v in inst.closed[u] if v in state.residue_demand),
+        (v for v in (inst.adj[u] | {u}) if v in state.residue_demand),
         key=lambda v: (state.base_demand[v], v),
     )
     if not candidates:
@@ -116,7 +116,7 @@ def reference_greedy_loop(inst, pending, quote, take):
     """`greedy._greedy_loop` with its cache as a flat list and a linear pick."""
 
     def quoted(u):
-        if inst.capacities[u] == 0 or pending.isdisjoint(inst.closed[u]):
+        if inst.capacities[u] == 0 or pending.isdisjoint(inst.adj[u] | {u}):
             return None
         return quote(u)
 
@@ -128,7 +128,7 @@ def reference_greedy_loop(inst, pending, quote, take):
             raise CapdomError("greedy failed to make progress")
         dirty = set()
         for v in take(reference_pick_best(quotes), iteration):
-            dirty |= inst.closed[v]
+            dirty |= inst.adj[v] | {v}
         for u in dirty:
             quotes[u] = quoted(u)
 
@@ -148,13 +148,13 @@ def reference_greedy_unsplittable(inst):
         for u in inst.vertices():
             if inst.capacities[u] == 0:
                 continue
-            if not (undominated & inst.closed[u]):
+            if not (undominated & (inst.adj[u] | {u})):
                 continue
             quotes.append(reference_unsplit_efficiency(inst, None, undominated, u))
         best = reference_pick_best(quotes)
         u = best.vertex
         chosen = sorted(
-            undominated & inst.closed[u],
+            undominated & (inst.adj[u] | {u}),
             key=lambda v: (inst.demands[v], v),
         )[: best.prefix_len]
         undominated_before.append(frozenset(undominated))
@@ -175,14 +175,14 @@ def _reference_split_iteration(inst, state, iteration, trace):
         if inst.capacities[u] == 0:
             continue
         if any(
-            state.residue_demand.get(v, 0) > 0 for v in inst.closed[u]
+            state.residue_demand.get(v, 0) > 0 for v in (inst.adj[u] | {u})
         ):
             quotes.append(reference_split_efficiency(inst, state, u))
     best = reference_pick_best(quotes)
     u = best.vertex
     c = inst.capacities[u]
     candidates = sorted(
-        (v for v in inst.closed[u] if state.residue_demand.get(v, 0) > 0),
+        (v for v in (inst.adj[u] | {u}) if state.residue_demand.get(v, 0) > 0),
         key=lambda v: (state.base_demand[v], v),
     )
     j = best.prefix_len
@@ -263,7 +263,7 @@ def reference_greedy_unweighted_splittable(inst):
     for v in inst.vertices():
         if inst.demands[v] > 0:
             best_neighbor[v] = min(
-                inst.closed[v],
+                inst.adj[v] | {v},
                 key=lambda u: (-inst.capacities[u], u),
             )
     trace = []

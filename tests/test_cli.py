@@ -1,9 +1,13 @@
 import hashlib
+import io
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capdom import greedy, oracle, tddp, treewidth
 from capdom.core import Solution
@@ -602,6 +606,53 @@ class TestBench:
         )
         for line in out.read_text().splitlines()[1:]:
             assert line.split(",")[3] == "greedy-unweighted"
+
+
+# Each command that reads a file: its argv with the drawn bytes as FILE, and
+# the well-formed text of that file, which the drawn bytes may be spliced into.
+MCQ_TEXT = "p mcq 2 2 1\npart 1 1\npart 2 2\ne 1 2\n"
+READERS = {
+    "solve": (("solve", "--algo", "greedy-unsplit", "FILE"), "P3"),
+    "verify-instance": (("verify", "FILE", "SOL"), "P3"),
+    "verify-solution": (("verify", "P3", "FILE"), "SOL"),
+    "td-validate": (("td", "validate", "P3", "FILE"), "TD"),
+    "mcq-reduce": (("gen", "mcq-reduce", "FILE"), "MCQ"),
+}
+LABELS = {"error": 1, "parse error": 2, "usage error": 2, "infeasible instance": 3, "budget exhausted": 4}
+
+
+@pytest.fixture(scope="module")
+def reader_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("readers")
+    files = {name: root / name for name in ("P3", "SOL", "TD", "MCQ", "FILE")}
+    files["P3"].write_text(P3_TEXT)
+    files["MCQ"].write_text(MCQ_TEXT)
+    assert main(["solve", "--algo", "greedy-unsplit", "-o", str(files["SOL"]), str(files["P3"])]) == 0
+    assert main(["td", "compute", "-o", str(files["TD"]), str(files["P3"])]) == 0
+    return files
+
+
+@pytest.mark.parametrize("command", READERS)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_arbitrary_bytes_exit_with_one_labelled_line(command, data, reader_files):
+    # Any bytes as the file, or bytes spliced into a well-formed one: the
+    # command returns an exit code and writes one labelled stderr line or
+    # none (a PASS/FAIL report or a solution on stdout); it never raises.
+    argv, valid = READERS[command]
+    text = reader_files[valid].read_bytes()
+    at = data.draw(st.integers(0, len(text)))
+    drawn = data.draw(st.binary() | st.binary(max_size=4).map(lambda b: text[:at] + b + text[at:]))
+    reader_files["FILE"].write_bytes(drawn)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main([str(reader_files.get(a, a)) for a in argv])
+    stderr = err.getvalue()
+    if stderr:
+        assert stderr.count("\n") == 1 and stderr.endswith("\n") and "Traceback" not in stderr
+        assert LABELS[stderr.partition(": ")[0]] == code
+    else:
+        assert code in (0, 1)
 
 
 def test_large_split_demands_solve_fast(tmp_path, monkeypatch):

@@ -77,7 +77,7 @@ class TestLoadInstance:
             rng.shuffle(lines)
             loaded = load_instance("\n".join([f"p capdom {n} {len(edges)}", *lines]) + "\n")
             built = Instance(n, tuple(attrs), tuple(edges))
-            for name in ("n", "edges", "adj", "closed", "weights", "capacities", "demands"):
+            for name in ("n", "edges", "adj", "weights", "capacities", "demands"):
                 assert getattr(loaded, name) == getattr(built, name), name
 
     def test_overflow_audit(self):
@@ -145,17 +145,17 @@ class TestRoundTrip:
 
 class TestClosedNeighborhood:
     def test_middle_of_path(self, p3):
-        assert p3.closed[2] == {1, 2, 3}
+        assert p3.adj[2] | {2} == {1, 2, 3}
 
     def test_end_of_path(self, p3):
-        assert p3.closed[1] == {1, 2}
+        assert p3.adj[1] | {1} == {1, 2}
 
     def test_isolated_vertex(self):
         inst = mk([(1, 1, 0)])
-        assert inst.closed[1] == {1}
+        assert inst.adj[1] | {1} == {1}
 
     def test_adjacency_is_derived_not_passed(self):
-        # adj and closed are built from the edges; neither is an argument
+        # adj is built from the edges; it is not an argument
         with pytest.raises(TypeError):
             Instance(2, ((1, 1, 1),) * 2, ((1, 2),), adj=())
         assert mk([(1, 1, 1)] * 2, [(1, 2)]).adj == (frozenset(), {2}, {1})
@@ -230,7 +230,7 @@ def candidate_solutions(draw, inst: Instance) -> Solution:
     short = draw(st.sampled_from(consumers)) if consumers and change == "short" else None
     assignment: dict[tuple[int, int], int] = {}
     for v in consumers:
-        usable = sorted(u for u in inst.closed[v] if inst.capacities[u]) or sorted(inst.closed[v])
+        usable = sorted(u for u in (v, *inst.adj[v]) if inst.capacities[u]) or sorted((v, *inst.adj[v]))
         servers = st.sampled_from(usable)
         d = inst.demands[v] - (v == short)
         cut = draw(st.integers(0, d)) if change == "split" else d
@@ -240,7 +240,7 @@ def candidate_solutions(draw, inst: Instance) -> Solution:
     if change == "route":
         # a server outside 1..n, outside N[u], or inside it on a new pair
         u = pick(unknown, consumers, [v for v in inst.vertices() if not inst.demands[v]])
-        near = inst.closed[u] if 1 <= u <= inst.n else frozenset()
+        near = inst.adj[u] | {u} if 1 <= u <= inst.n else frozenset()
         far = [s for s in inst.vertices() if s not in near]
         fresh = [s for s in sorted(near) if (u, s) not in assignment]
         assignment[(u, pick(unknown, far, fresh))] = draw(st.sampled_from((-1, 0, 1, 2)))
@@ -345,7 +345,7 @@ class TestRandomInstance:
         inst = random_instance(50, 0.1, 5, 5, 5, 7)
         for v in inst.vertices():
             if inst.demands[v] > 0:
-                assert any(inst.capacities[u] >= 1 for u in inst.closed[v])
+                assert any(inst.capacities[u] >= 1 for u in (v, *inst.adj[v]))
 
     def test_feasible_across_seeds(self):
         for seed in range(40):
@@ -365,7 +365,7 @@ class TestInstanceHelpers:
 
     def test_with_demands_shares_the_parent_graph(self, p3):
         changed = with_demands(p3, {1: 4})
-        assert changed.adj is p3.adj and changed.closed is p3.closed
+        assert changed.adj is p3.adj
         assert changed.demands[1] == 4 and p3.demands[1] == 1
         with pytest.raises(ValueError, match="nonnegative"):
             with_demands(p3, {2: -1})
@@ -394,12 +394,15 @@ class TestInstanceHelpers:
             check(inst, passed)
             new = {1: 9, inst.n: 0}
             check(with_demands(inst, new), [(w, c, new.get(v, d)) for v, (w, c, d) in enumerate(passed, 1)])
-            keep = range(1, inst.n + 1, 2 if seed % 2 else 1)
-            sub, orig = induced_instance(inst, keep, zero_demand=[1])
-            check(sub, [(w, c, d * (v != 1)) for v, (w, c, d) in enumerate(passed, 1) if v in keep])
-            # induced_instance skips the constructor's checks; it must build the same graph
-            rebuilt = Instance(sub.n, triples(sub), sub.edges)
-            assert (sub.edges, sub.adj, sub.closed) == (rebuilt.edges, rebuilt.adj, rebuilt.closed)
+            scattered = sorted(rng.sample(range(1, inst.n + 1), rng.randint(1, inst.n)))
+            for keep in (range(1, inst.n + 1, 2 if seed % 2 else 1), scattered):
+                sub, orig = induced_instance(inst, keep, zero_demand=[1])
+                check(sub, [(w, c, d * (v != 1)) for v, (w, c, d) in enumerate(passed, 1) if v in keep])
+                # induced_instance skips the constructor's checks; it must build the same graph
+                rebuilt = Instance(sub.n, triples(sub), sub.edges)
+                assert (sub.edges, sub.adj) == (rebuilt.edges, rebuilt.adj)
+                kept = set(keep)
+                assert [tuple(orig[i - 1] for i in e) for e in sub.edges] == [e for e in inst.edges if kept.issuperset(e)]
 
     def test_induced_instance_rejects_unknown_ids(self, p3):
         for ids in ([0, 1], [2, 4], [-1, 5]):

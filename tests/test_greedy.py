@@ -462,7 +462,7 @@ class TestPresortedOrder:
             if rng.random() < 0.05:
                 states += 1
                 for w in inst.vertices():
-                    fresh = sorted(sorted(pending & inst.closed[w]), key=base.__getitem__)
+                    fresh = sorted(sorted(pending & (inst.adj[w] | {w})), key=base.__getitem__)
                     assert [v for v in order[w] if v in pending] == fresh
 
         def unsplit(inst, order, undominated, u, _quote=greedy.unsplit_efficiency):

@@ -130,7 +130,7 @@ class TestReduce:
         for node in gadget.nodes_with_role("bridge"):
             _, alpha, i, j = gadget.roles[node].split(":")
             expected = 1 + color_sizes[int(i)] + cross[(int(i), int(j))]
-            assert len(inst.closed[node]) == expected
+            assert len(inst.adj[node] | {node}) == expected
             assert inst.capacities[node] >= 0
 
     def test_role_lines_format(self):

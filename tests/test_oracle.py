@@ -85,7 +85,7 @@ class TestFeasibilityFlow:
                 load = {}
                 for (v, u), amount in got.items():
                     assert amount > 0
-                    assert u in inst.closed[v]
+                    assert u == v or u in inst.adj[v]
                     served[v] = served.get(v, 0) + amount
                     load[u] = load.get(u, 0) + amount
                 for v in inst.vertices():
@@ -109,7 +109,7 @@ class TestFeasibilityFlowHall:
             served = dict.fromkeys(inst.vertices(), 0)
             load = dict.fromkeys(inst.vertices(), 0)
             for (v, u), amount in got.items():
-                assert amount > 0 and u in inst.closed[v]
+                assert amount > 0 and (u == v or u in inst.adj[v])
                 served[v] += amount
                 load[u] += amount
             for v in inst.vertices():
@@ -243,7 +243,7 @@ def brute_splittable_optima(inst: Instance) -> list[tuple[int, ...]]:
     """Every optimal multiplicity vector up to exact_splittable's per-vertex
     copy limit, ceil(demand of N[v] / c(v)), in lexicographic order."""
     limits = [
-        ceil_div(sum(inst.demands[u] for u in inst.closed[v]), inst.capacities[v])
+        ceil_div(sum(inst.demands[u] for u in (inst.adj[v] | {v})), inst.capacities[v])
         if inst.capacities[v]
         else 0
         for v in inst.vertices()
@@ -296,7 +296,7 @@ def reference_exact_unsplittable(
     if not consumers:
         return Solution({}, {}, 0)
     servers = {
-        v: sorted(u for u in inst.closed[v] if inst.capacities[u] > 0)
+        v: sorted(u for u in (inst.adj[v] | {v}) if inst.capacities[u] > 0)
         for v in consumers
     }
     rate = {u: Fraction(inst.weights[u], inst.capacities[u]) for v in consumers for u in servers[v]}
@@ -400,7 +400,7 @@ def reference_exact_splittable(inst: Instance, budget: SearchBudget = SearchBudg
         0
         if inst.capacities[v] == 0
         else ceil_div(
-            sum(inst.demands[u] for u in inst.closed[v]),
+            sum(inst.demands[u] for u in (inst.adj[v] | {v})),
             inst.capacities[v],
         )
         for v in inst.vertices()
@@ -433,7 +433,7 @@ def reference_exact_splittable(inst: Instance, budget: SearchBudget = SearchBudg
         for v in consumers:
             have = sum(
                 inst.capacities[u] * prefix[u - 1]
-                for u in inst.closed[v]
+                for u in (inst.adj[v] | {v})
                 if u <= i
             )
             need = inst.demands[v] - have
@@ -441,7 +441,7 @@ def reference_exact_splittable(inst: Instance, budget: SearchBudget = SearchBudg
                 continue
             options = [
                 rates[u - 1]
-                for u in inst.closed[v]
+                for u in (inst.adj[v] | {v})
                 if u > i and rates[u - 1] is not None
             ]
             if not options:

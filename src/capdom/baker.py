@@ -12,13 +12,14 @@ only the ratio guarantee needs it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     CapdomError,
     DemandModel,
     Instance,
     Solution,
+    SolveResult,
     induced_instance,
     minimum_multiplicities,
     require_feasible,
@@ -45,12 +46,6 @@ class Slice:
     zeroed: frozenset[int]
     low_level: int
     high_level: int
-
-
-@dataclass
-class BakerResult:
-    solution: Solution
-    shift_costs: list[list[int]] = field(default_factory=list)
 
 
 def make_slices(
@@ -106,7 +101,7 @@ def merge_solutions(inst: Instance, pairs: list[tuple[tuple[int, ...], Solution]
     return minimum_multiplicities(inst, assignment)
 
 
-def baker_solve(inst: Instance, k: int, model: DemandModel) -> BakerResult:
+def baker_solve(inst: Instance, k: int, model: DemandModel) -> SolveResult:
     """Best-shift band solution; components are processed independently.
 
     A shift's cost is the sum of its band optima, and the first cheapest
@@ -117,19 +112,20 @@ def baker_solve(inst: Instance, k: int, model: DemandModel) -> BakerResult:
     (1 + 4/(k-1)) of optimal on planar inputs and exactly optimal once k
     reaches the number of BFS levels.  A component with L levels tries
     min(k, L) shifts: every r >= L - 1 cuts it as one unzeroed band, so
-    r = L - 1 stands in for all of them.
+    r = L - 1 stands in for all of them.  The result's comments give
+    every shift's cost, components numbered from 0 in `components` order.
     """
     if k < 2:
         raise ValueError("band width k must be at least 2")
     require_feasible(inst)
     chosen: list[tuple[tuple[int, ...], Solution]] = []
-    shift_costs: list[list[int]] = []
-    for levels in components(inst):
+    comments: list[str] = []
+    for comp, levels in enumerate(components(inst)):
         shifts = []
         for r in range(min(k, levels.num_levels)):
             bands = make_slices(inst, levels, k, r)
             shifts.append([(piece.orig_of, tddp.solve(piece.instance, model)) for piece in bands])
         costs = [sum(sol.cost for _, sol in bands) for bands in shifts]
-        shift_costs.append(costs)
+        comments += (f"shift component={comp} r={r} cost={cost}" for r, cost in enumerate(costs))
         chosen += shifts[costs.index(min(costs))]
-    return BakerResult(merge_solutions(inst, chosen), shift_costs)
+    return SolveResult(merge_solutions(inst, chosen), comments=comments)

@@ -25,6 +25,7 @@ from .core import (
     Instance,
     ParseError,
     Solution,
+    SolveResult,
     random_instance,
     verify_solution,
 )
@@ -94,7 +95,7 @@ def _run_dp(inst, model, args):
     td = None
     if getattr(args, "td", None):  # bench has no --td flag
         td = _checked_td(inst, treewidth.load_td(_read(args.td)))
-    return tddp.solve(inst, model, td), [], []
+    return SolveResult(tddp.solve(inst, model, td))
 
 
 def _run_baker(inst, model, args):
@@ -103,36 +104,29 @@ def _run_baker(inst, model, args):
     if args.k < 2:
         raise _Usage(f"--algo baker needs --k >= 2, got {args.k}")
     from . import baker
-    result = baker.baker_solve(inst, args.k, model)
-    comments = [
-        f"shift component={comp} r={r} cost={cost}"
-        for comp, costs in enumerate(result.shift_costs)
-        for r, cost in enumerate(costs)
-    ]
-    return result.solution, [], comments
+    return baker.baker_solve(inst, args.k, model)
 
 
 def _run_oracle(inst, model, args):
     from . import oracle
     # --budget is unset unless given; SearchBudget() holds the default.
     budget = oracle.SearchBudget() if args.budget is None else oracle.SearchBudget(args.budget)
-    return oracle.exact_solve(inst, model, budget), [], []
+    return SolveResult(oracle.exact_solve(inst, model, budget))
 
 
 def _greedy(name: str):
     """Runner for `greedy.<name>`, looked up when it runs."""
     def run(inst, model, args):
         from . import greedy
-        result = getattr(greedy, name)(inst)
-        return result.solution, result.trace_lines(), []
+        return getattr(greedy, name)(inst)
     return run
 
 
 class Algo(NamedTuple):
     """One algorithm as `solve` and `bench` run it.  run maps (instance,
-    model, parsed args) to (solution, trace lines, comment lines); runners
-    look solvers up through their modules at call time, so anything that
-    patches those module attributes sees every call."""
+    model, parsed args) to a `SolveResult`; runners look solvers up through
+    their modules at call time, so anything that patches those module
+    attributes sees every call."""
 
     model: DemandModel | None  # the demand model it forces, if any
     bound: Callable[[Fraction], Fraction] | None  # greedy ratio bound of H_n; only these bench
@@ -180,18 +174,11 @@ def _solve(args) -> int:
             raise _Usage(f"--{dest} applies only to --algo {', '.join(names)}")
     inst = _load_instance(args.instance)
     model = _model_for(args.algo, args.model)
-    solution, trace_lines, comments = ALGOS[args.algo].run(inst, model, args)
-    if _unverified(inst, solution, model):
+    result = ALGOS[args.algo].run(inst, model, args)
+    if _unverified(inst, result.solution, model):
         return EXIT_FAIL
-    _emit(
-        fileio.save_solution(
-            solution,
-            model,
-            trace_lines=trace_lines if args.trace else None,
-            comments=comments or None,
-        ),
-        args.output,
-    )
+    trace_lines = [t.line() for t in result.trace] if args.trace else None
+    _emit(fileio.save_solution(result.solution, model, trace_lines, result.comments), args.output)
     return EXIT_OK
 
 
@@ -261,7 +248,7 @@ def _bench(args) -> int:
     rows = ["index,n,m,algo,model,cost,opt,opt_algo,ratio,bound"]
     for index in range(args.batch):
         inst = _random_instance(args, rng.randrange(2**32))
-        solutions = [bench_algo.run(inst, model, args)[0], ALGOS[opt_algo].run(inst, model, args)[0]]
+        solutions = [ALGOS[name].run(inst, model, args).solution for name in (algo, opt_algo)]
         if any(_unverified(inst, solution, model) for solution in solutions):
             return EXIT_FAIL
         cost, opt = (solution.cost for solution in solutions)

@@ -11,7 +11,7 @@ import copy
 import random
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 INT64_MAX = 2**63 - 1
 ORACLE_MAX_NODES = 5_000_000  # the exact oracle's default node budget
@@ -256,6 +256,16 @@ class Solution:
     multiplicity: dict[int, int]
     assignment: dict[tuple[int, int], int]
     cost: int
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """What a solver run hands the command line: the solution, the trace
+    entries `--trace` prints through their `line()`, and comment lines."""
+
+    solution: Solution
+    trace: Sequence = ()
+    comments: Sequence[str] = ()
 
 
 @dataclass

@@ -17,6 +17,8 @@ sorted lexicographically, assignments sorted by (consumer, server).
 """
 from __future__ import annotations
 
+from typing import Sequence
+
 from .core import (
     DemandModel,
     Instance,
@@ -119,8 +121,8 @@ def load_solution(text: str) -> tuple[Solution, DemandModel]:
 def save_solution(
     sol: Solution,
     model: DemandModel,
-    trace_lines: list[str] | None = None,
-    comments: list[str] | None = None,
+    trace_lines: Sequence[str] | None = None,
+    comments: Sequence[str] | None = None,
 ) -> str:
     lines = [f"c {c}" for c in comments or []]
     lines.append(f"s capdom {sol.cost} {model.value}")

@@ -37,6 +37,7 @@ from .core import (
     InfeasibleInstance,
     Instance,
     Solution,
+    SolveResult,
     ceil_div,
     minimum_multiplicities,
     require_feasible,
@@ -94,15 +95,6 @@ class GreedyState:
     residue_demand: dict[int, int]
     base_demand: dict[int, int]
     order: list[list[int]]
-
-
-@dataclass
-class GreedyResult:
-    solution: Solution
-    trace: list[TraceEntry]
-
-    def trace_lines(self) -> list[str]:
-        return [t.line() for t in self.trace]
 
 
 def _add(assignment: dict[tuple[int, int], int], consumer: int, server: int, amount: int):
@@ -249,7 +241,7 @@ def _greedy_loop(
             _replay(tree, leaves + u)
 
 
-def greedy_unsplittable(inst: Instance) -> GreedyResult:
+def greedy_unsplittable(inst: Instance) -> SolveResult:
     """Whole-demand greedy: logarithmic-ratio solver for the unsplittable model."""
     require_feasible(inst)
     undominated = {v for v in inst.vertices() if inst.demands[v] > 0}
@@ -270,7 +262,7 @@ def greedy_unsplittable(inst: Instance) -> GreedyResult:
         return chosen
 
     _greedy_loop(inst, undominated, lambda u: unsplit_efficiency(inst, order, undominated, u), take)
-    return GreedyResult(minimum_multiplicities(inst, assignment), trace)
+    return SolveResult(minimum_multiplicities(inst, assignment), trace)
 
 
 def _split_greedy(
@@ -328,7 +320,7 @@ def _split_greedy(
     return minimum_multiplicities(inst, assignment)
 
 
-def greedy_splittable(inst: Instance) -> GreedyResult:
+def greedy_splittable(inst: Instance) -> SolveResult:
     """Split-demand greedy with the doubling rule.
 
     After every iteration each unsatisfied vertex keeps at least half of
@@ -352,10 +344,10 @@ def greedy_splittable(inst: Instance) -> GreedyResult:
             del residue[v]
             trace.append(TraceEntry(iteration, v, len(map_sets[v]), 0, 2))
 
-    return GreedyResult(_split_greedy(inst, residue, assignment, trace, settle), trace)
+    return SolveResult(_split_greedy(inst, residue, assignment, trace, settle), trace)
 
 
-def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
+def greedy_unweighted_splittable(inst: Instance) -> SolveResult:
     """Unit-weight splittable greedy with the big-neighbor pre-pass.
 
     Phase 0 assigns c(g) * floor(d/c(g)) of every demand to the largest
@@ -389,4 +381,4 @@ def greedy_unweighted_splittable(inst: Instance) -> GreedyResult:
 
     solution = _split_greedy(inst, residue, assignment, trace, settle)
     assert all(t.prefix_len >= 1 for t in trace if t.phase == 1), "rebased demands always fit one copy"
-    return GreedyResult(solution, trace)
+    return SolveResult(solution, trace)

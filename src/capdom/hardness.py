@@ -22,18 +22,12 @@ from .core import (
     ParseError,
     Report,
     Solution,
-    is_feasible,
     parse_edge,
     parse_ints,
     records,
     DemandModel,
 )
-from .oracle import (
-    BudgetExhausted,
-    CostBoundExceeded,
-    SearchBudget,
-    exact_solve,
-)
+from .oracle import CostBoundExceeded, SearchBudget, exact_solve
 
 
 class InvalidCliqueInstance(CapdomError):
@@ -230,43 +224,27 @@ def verify_structure(g: GadgetInstance) -> Report:
     return Report(not problems, problems)
 
 
-@dataclass
-class SemanticsReport:
-    status: str  # PASS, FAIL, or INCONCLUSIVE
-    clique_exists: bool
-    optimum: int | None  # None when the gadget is infeasible or above budget
-
-    def __str__(self):
-        opt = "infeasible/over-budget" if self.optimum is None else str(self.optimum)
-        return f"{self.status} (clique={self.clique_exists}, gadget optimum={opt})"
-
-
 def verify_semantics(
     cq: CliqueInstance,
     g: GadgetInstance,
     budget: SearchBudget = SearchBudget(),
     model: DemandModel = DemandModel.UNSPLITTABLE,
-) -> SemanticsReport:
+) -> Report:
     """Check: a one-per-part clique exists iff the gadget optimum is <= k*.
 
     The gadget side runs the exact solver capped just above the budget; a
-    search that hits its node limit yields INCONCLUSIVE, never PASS/FAIL.
+    search that hits its node limit raises `BudgetExhausted`.
     """
     clique = cq.has_clique()
     optimum: int | None = None
-    if is_feasible(g.instance):
-        capped = SearchBudget(budget.max_nodes, g.budget + 1)
-        try:
-            solution = exact_solve(g.instance, model, capped)
-            optimum = solution.cost
-        except CostBoundExceeded:
-            optimum = None
-        except BudgetExhausted:
-            return SemanticsReport("INCONCLUSIVE", clique, None)
-        except InfeasibleInstance:
-            optimum = None
-    ok = clique == (optimum is not None and optimum <= g.budget)
-    return SemanticsReport("PASS" if ok else "FAIL", clique, optimum)
+    try:
+        optimum = exact_solve(g.instance, model, SearchBudget(budget.max_nodes, g.budget + 1)).cost
+    except (CostBoundExceeded, InfeasibleInstance):
+        pass
+    if clique == (optimum is not None and optimum <= g.budget):
+        return Report(True, [])
+    found = f"none at or below {g.budget + 1}" if optimum is None else optimum
+    return Report(False, [f"clique={clique}, gadget optimum={found}, budget={g.budget}"])
 
 
 def clique_witness_solution(

@@ -27,13 +27,13 @@ from types import SimpleNamespace
 from capdom.core import (
     CapdomError,
     InfeasibleInstance,
+    SolveResult,
     ceil_div,
     is_feasible,
     minimum_multiplicities,
 )
 from capdom.greedy import (
     EfficiencyQuote,
-    GreedyResult,
     NoCandidates,
     NotUnweighted,
     TraceEntry,
@@ -166,7 +166,7 @@ def reference_greedy_unsplittable(inst):
         iter_cost = inst.weights[u] * ceil_div(prefix, inst.capacities[u])
         trace.append(TraceEntry(iteration, u, best.prefix_len, iter_cost, 1))
     solution = minimum_multiplicities(inst, assignment)
-    return GreedyResult(solution, trace), undominated_before
+    return SolveResult(solution, trace), undominated_before
 
 
 def _reference_split_iteration(inst, state, iteration, trace):
@@ -250,7 +250,7 @@ def reference_greedy_splittable(inst):
             trace.append(TraceEntry(iteration, v, len(state.map_sets.get(v, ())), 0, 2))
         boundary.append(_drop_settled(state))
     solution = minimum_multiplicities(inst, state.partial_assignment)
-    return GreedyResult(solution, trace), boundary
+    return SolveResult(solution, trace), boundary
 
 
 def reference_greedy_unweighted_splittable(inst):
@@ -304,5 +304,5 @@ def reference_greedy_unweighted_splittable(inst):
             trace.append(TraceEntry(iteration, g, 0, 0, 2))
         boundary.append(_drop_settled(state))
     solution = minimum_multiplicities(inst, state.partial_assignment)
-    result = GreedyResult(solution, trace)
+    result = SolveResult(solution, trace)
     return result, boundary

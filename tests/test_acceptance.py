@@ -255,8 +255,8 @@ class TestCriterion7HardnessSemantics:
                         cq, gadget, SearchBudget(max_nodes=20_000_000)
                     )
                     cases += 1
-                    if report.status != "PASS":
-                        violations.append((part1, part2, sorted(edges), report.status))
+                    if not report.passed:
+                        violations.append((part1, part2, sorted(edges), str(report)))
         _report(7, violations, f"clique iff gadget optimum <= budget on {cases} cases")
 
 

@@ -29,6 +29,16 @@ UNSPLIT = DemandModel.UNSPLITTABLE
 SPLIT = DemandModel.SPLITTABLE
 
 
+def shift_lines(shift_costs):
+    """The comment lines `baker_solve` gives for these shift costs, one
+    list per component."""
+    return [
+        f"shift component={comp} r={r} cost={cost}"
+        for comp, costs in enumerate(shift_costs)
+        for r, cost in enumerate(costs)
+    ]
+
+
 def reference_slices(inst, levels, k, r):
     """The per-band scan that `make_slices` replaced: each band reads every
     vertex's level, and an empty band is skipped."""
@@ -262,7 +272,7 @@ class TestBakerSolve:
         res = baker_solve(inst, 2, UNSPLIT)
         assert verify_solution(inst, res.solution, UNSPLIT).passed
         assert res.solution.cost == exact_unsplittable(inst).cost
-        assert len(res.shift_costs) == 2
+        assert res.comments == shift_lines([[2, 2], [2, 2]])
 
     @pytest.mark.parametrize("model", [UNSPLIT, SPLIT])
     def test_interleaved_components_match_separate_runs(self, model):
@@ -281,7 +291,12 @@ class TestBakerSolve:
         for k in (2, 3):
             alone = [baker_solve(part, k, model) for part in (a, b)]
             res = baker_solve(union, k, model)
-            assert res.shift_costs == [part.shift_costs[0] for part in alone]
+            renumbered = [
+                line.replace("component=0", f"component={i}")
+                for i, part in enumerate(alone)
+                for line in part.comments
+            ]
+            assert res.comments == renumbered
             assert res.solution.cost == sum(part.solution.cost for part in alone)
             assert verify_solution(union, res.solution, model).passed
 
@@ -293,13 +308,13 @@ class TestBakerSolve:
 
     def test_shift_costs_recorded_per_shift(self, p3):
         res = baker_solve(p3, 3, UNSPLIT)
-        assert len(res.shift_costs) == 1 and len(res.shift_costs[0]) == 3
+        assert res.comments == shift_lines([[3, 3, 3]])
 
     def test_shifts_stop_at_bfs_depth(self, baker_shifts):
         # One level: every shift r cuts the vertex as the same single band,
         # so r = 0 is the only one solved.
         res = baker_solve(mk([(2, 1, 1)]), 5, UNSPLIT)
-        assert res.shift_costs == [[2]]
+        assert res.comments == shift_lines([[2]])
         assert baker_shifts == [0]
 
     def test_every_shift_merges_feasibly(self):
@@ -339,7 +354,7 @@ class TestDemandCap:
             )
             for r in range(k)
         ]
-        assert res.shift_costs == [uncapped]
+        assert res.comments == shift_lines([uncapped])
 
     def test_band_cap_is_input_cap_on_kept_vertices(self):
         # N[v] of a kept vertex lies inside its band and ids keep their

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capdom import greedy, oracle, tddp, treewidth
-from capdom.core import Solution
+from capdom import cli, greedy, oracle, tddp, treewidth
+from capdom.core import Solution, SolveResult, verify_solution
 from capdom.cli import main
 from capdom.fileio import load_solution, save_instance
 
-from conftest import grid_instance, mk, path_instance
+from conftest import grid_instance, mk, p3_instance, path_instance
 
 P3_TEXT = "p capdom 3 2\nv 1 1 1 1\nv 2 3 10 1\nv 3 1 1 1\ne 1 2\ne 2 3\n"
 
@@ -117,6 +117,34 @@ class TestSolve:
         assert baker_shifts == [0, 1, 2] * 2
         assert len([l for l in at_million.splitlines() if l.startswith("c shift")]) == 3
         assert at_million == at_three
+
+    def test_baker_numbers_shifts_per_component(self, tmp_path, capsys):
+        # {1, 2} costs 2 under both shifts; the capacity-2 pair {3, 4}
+        # costs 2 when shift 0 cuts it and 1 as the one band of shift 1
+        two = tmp_path / "two.cd"
+        two.write_text("p capdom 4 2\nv 1 1 1 1\nv 2 1 1 1\nv 3 1 2 1\nv 4 1 2 1\ne 1 2\ne 3 4\n")
+        assert run("solve", "--algo", "baker", "--k", 2, two) == 0
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("c ")] == [
+            "c shift component=0 r=0 cost=2",
+            "c shift component=0 r=1 cost=2",
+            "c shift component=1 r=0 cost=2",
+            "c shift component=1 r=1 cost=1",
+        ]
+        assert out.splitlines()[4] == "s capdom 3 unsplit"
+
+    @pytest.mark.parametrize("name", list(cli.ALGOS))
+    def test_every_runner_returns_a_solve_result(self, name):
+        # greedy-unweighted rejects p3's weight 3
+        inst = path_instance([(1, 1, 1)] * 3) if name == "greedy-unweighted" else p3_instance()
+        extra = ["--k", "2"] if name == "baker" else []
+        args = cli._build_parser().parse_args(["solve", "--algo", name, *extra, "unused.cd"])
+        model = cli._model_for(name, None)
+        result = cli.ALGOS[name].run(inst, model, args)
+        assert isinstance(result, SolveResult)
+        assert bool(result.trace) == (name in ("greedy-unsplit", "greedy-split", "greedy-unweighted"))
+        assert bool(result.comments) == (name == "baker")
+        assert verify_solution(inst, result.solution, model).passed
 
     def test_dp_with_supplied_decomposition(self, p3_file, tmp_path):
         td_path = tmp_path / "p3.td"
@@ -579,7 +607,7 @@ class TestBench:
         assert a.read_bytes() == b.read_bytes()
 
     def test_unverified_solution_fails_without_csv(self, tmp_path, monkeypatch, capsys):
-        empty = greedy.GreedyResult(Solution({}, {}, 0), [])
+        empty = SolveResult(Solution({}, {}, 0))
         monkeypatch.setattr(greedy, "greedy_unsplittable", lambda inst: empty)
         out = tmp_path / "bench.csv"
         assert run("bench", "--n", 5, "--batch", 2, "--seed", 1, "--model", "unsplit", "-o", out) == 1

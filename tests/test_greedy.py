@@ -10,13 +10,13 @@ from capdom.core import (
     DemandModel,
     InfeasibleInstance,
     Instance,
+    SolveResult,
     random_instance,
     verify_solution,
     with_demands,
 )
 from capdom.greedy import (
     EfficiencyQuote,
-    GreedyResult,
     GreedyState,
     NoCandidates,
     NotUnweighted,
@@ -340,8 +340,8 @@ class TestSolutionsAlwaysVerify:
 
     def test_trace_lines_format(self):
         result = greedy_unsplittable(p3_instance())
-        for line in result.trace_lines():
-            parts = line.split()
+        for entry in result.trace:
+            parts = entry.line().split()
             assert parts[0] == "t" and len(parts) == 6
 
 
@@ -391,8 +391,8 @@ class TestIncrementalMatchesReference:
         for inst in differential_instances():
             expected = _outcome(reference, inst)
             assert _outcome(fast, inst) == expected
-            outcomes.add(expected if isinstance(expected, type) else GreedyResult)
-        assert GreedyResult in outcomes and InfeasibleInstance in outcomes
+            outcomes.add(expected if isinstance(expected, type) else SolveResult)
+        assert SolveResult in outcomes and InfeasibleInstance in outcomes
 
     @pytest.mark.parametrize("fast, reference", SOLVER_PAIRS, ids=SOLVER_IDS)
     def test_large_sparse(self, fast, reference):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -17,7 +18,7 @@ from capdom.hardness import (
     verify_structure,
 )
 from capdom.core import Instance
-from capdom.oracle import SearchBudget
+from capdom.oracle import BudgetExhausted, SearchBudget, exact_solve
 from capdom.treewidth import heuristic_decomposition
 
 from conftest import triples
@@ -248,25 +249,40 @@ class TestSemantics:
         cq = tiny_clique()
         gadget = reduce(cq)
         report = verify_semantics(cq, gadget)
-        assert report.status == "PASS"
-        assert report.clique_exists and report.optimum == 7
+        assert report.passed
+        assert cq.has_clique() and exact_solve(gadget.instance, UNSPLIT).cost == 7
 
     def test_no_side_empty_graph(self):
         cq = CliqueInstance(2, ((1,), (2,)), frozenset())
         report = verify_semantics(cq, reduce(cq))
-        assert report.status == "PASS"
-        assert not report.clique_exists
+        assert report.passed
+        assert not cq.has_clique()
 
     def test_mixed_parts(self):
         cq = CliqueInstance(2, ((1, 2), (3,)), frozenset({(1, 3)}))
         report = verify_semantics(cq, reduce(cq))
-        assert report.status == "PASS"
-        assert report.clique_exists
+        assert report.passed
+        assert cq.has_clique()
 
     def test_inconclusive_on_tiny_budget(self):
         cq = tiny_clique()
-        report = verify_semantics(cq, reduce(cq), SearchBudget(max_nodes=1))
-        assert report.status == "INCONCLUSIVE"
+        with pytest.raises(BudgetExhausted):
+            verify_semantics(cq, reduce(cq), SearchBudget(max_nodes=1))
+
+    def test_fail_names_optimum_above_budget(self):
+        # the gadget optimum is 7; a budget of 6 caps the search at 7,
+        # which finds it
+        cq = tiny_clique()
+        report = verify_semantics(cq, replace(reduce(cq), budget=6))
+        assert report.passed is False
+        assert report.problems == ["clique=True, gadget optimum=7, budget=6"]
+
+    def test_fail_names_cap_when_search_finds_nothing(self):
+        # a budget of 5 caps the search at 6, below the optimum 7
+        cq = tiny_clique()
+        report = verify_semantics(cq, replace(reduce(cq), budget=5))
+        assert report.passed is False
+        assert report.problems == ["clique=True, gadget optimum=none at or below 6, budget=5"]
 
     def test_equivalence_holds_for_splittable_model_too(self):
         # the reduction's iff survives letting demands split, at tiny scale
@@ -280,7 +296,7 @@ class TestSemantics:
             report = verify_semantics(
                 cq, reduce(cq), model=DemandModel.SPLITTABLE
             )
-            assert report.status == "PASS"
+            assert report.passed
 
     def test_witness_costs_budget_and_verifies(self):
         for parts, edges in [

@@ -47,7 +47,7 @@ def test_package_root_loads_and_binds_nothing():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     public, loaded = json.loads(out.stdout)
-    assert public == []  # no re-exports such as solve_td, baker_solve or GreedyResult
+    assert public == []  # no re-exports such as solve_td, baker_solve or SolveResult
     assert loaded == ["capdom", "capdom.core"]
 
 

@@ -42,13 +42,13 @@ EXIT_FAIL = 1
 
 
 def _read(path: str) -> str:
-    """The file's text; bytes that are not UTF-8 are a ParseError at their line."""
+    """The file's text; bytes that are not UTF-8 are a ParseError at their line, as core.records counts lines."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:  # a ValueError, which main does not report
-        line_no = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        line_no = len(data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n"))
         raise ParseError(line_no, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 

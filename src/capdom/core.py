@@ -45,7 +45,8 @@ def records(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
     """
     tag = header.split()[0]
     seen = False
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    # Only \n, \r\n and \r end a line: str.splitlines would cut comments at \x0c or U+2028.
+    for line_no, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
@@ -114,22 +115,22 @@ class DemandModel(Enum):
 class Instance:
     """A simple undirected graph with tri-weighted vertices, ids 1..n.
 
-    Built from one (weight, capacity, demand) triple per vertex, it stores
-    only tuples indexed by vertex id: the columns weights, capacities and
-    demands, and adj the open neighborhoods; the closed neighborhood N[v]
+    Built from one (weight, capacity, demand) triple per vertex and edges in
+    any order, it stores only tuples indexed by vertex id: the columns
+    weights, capacities and demands, and adj the open neighborhoods; N[v]
     is adj[v] plus v.  Index 0 is padding (0 in the columns, adj[0] empty).
-    Equality compares n, edges and the three columns.
+    Equality compares n, adj and the three columns; edges is read off adj.
     """
 
     n: int
     triples: InitVar[tuple[tuple[int, int, int], ...]]
-    edges: tuple[tuple[int, int], ...]
+    edges: InitVar[Iterable[tuple[int, int]]]
     weights: tuple[int, ...] = field(init=False)
     capacities: tuple[int, ...] = field(init=False)
     demands: tuple[int, ...] = field(init=False)
-    adj: tuple[frozenset[int], ...] = field(compare=False, repr=False, init=False)
+    adj: tuple[frozenset[int], ...] = field(init=False)
 
-    def __post_init__(self, triples):
+    def __post_init__(self, triples, edges):
         if self.n < 1:
             raise ValueError("instance needs at least one vertex")
         if len(triples) != self.n:
@@ -137,7 +138,7 @@ class Instance:
         if any(x < 0 for t in triples for x in t):
             raise ValueError("vertex attributes must be nonnegative")
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             if u == v:
@@ -151,7 +152,7 @@ class Instance:
     @classmethod
     def trusted(cls, n: int, triples: tuple[tuple[int, int, int], ...], edges: Iterable[tuple[int, int]]) -> "Instance":
         """An instance from input checked as the constructor would: n >= 1, n
-        nonnegative triples, distinct edges (u, v) with 1 <= u < v <= n."""
+        nonnegative triples, distinct edges (u, v) with 1 <= u < v <= n in any order."""
         inst = object.__new__(cls)
         object.__setattr__(inst, "n", n)
         inst._index(triples, edges)
@@ -159,13 +160,11 @@ class Instance:
 
     def _index(self, triples: tuple[tuple[int, int, int], ...], edges: Iterable[tuple[int, int]]):
         weights, capacities, demands = zip(*triples, strict=True)  # strict: mixed lengths raise
-        edges = tuple(sorted(edges))
         neighbor_sets: list[list[int]] = [[] for _ in range(self.n + 1)]
         for u, v in edges:
             neighbor_sets[u].append(v)
             neighbor_sets[v].append(u)
         for name, value in (
-            ("edges", edges),
             ("adj", tuple(map(frozenset, neighbor_sets))),
             ("weights", (0, *weights)),
             ("capacities", (0, *capacities)),
@@ -184,6 +183,10 @@ class Instance:
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
+
+
+# Sorted edges (u, v), u < v.  Out of the class body, where it would become `edges`'s default.
+Instance.edges = property(lambda self: tuple((u, v) for u in self.vertices() for v in sorted(self.adj[u]) if u < v))
 
 
 def ceil_div(a: int, b: int) -> int:

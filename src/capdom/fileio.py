@@ -33,8 +33,7 @@ from .core import (
 def load_instance(text: str) -> Instance:
     """Parse instance text, rejecting every format violation with a line number."""
     attrs: dict[int, tuple[int, int, int]] = {}
-    edges: list[tuple[int, int]] = []
-    edge_keys: set[tuple[int, int]] = set()
+    edges: set[tuple[int, int]] = set()
     lines = records(text, "p capdom")
     line_no, parts = next(lines)
     if len(parts) != 4 or parts[1] != "capdom":
@@ -56,7 +55,7 @@ def load_instance(text: str) -> Instance:
                 raise ParseError(line_no, "vertex attributes must be nonnegative")
             attrs[vid] = (w, c, d)
         elif tag == "e":
-            edges.append(parse_edge(parts, line_no, n, edge_keys))
+            parse_edge(parts, line_no, n, edges)
         else:
             raise ParseError(line_no, f"unknown line tag {tag!r}")
     if len(attrs) != n:
@@ -72,10 +71,11 @@ def load_instance(text: str) -> Instance:
 
 def save_instance(inst: Instance, comments: list[str] | None = None) -> str:
     lines = [f"c {c}" for c in comments or []]
-    lines.append(f"p capdom {inst.n} {len(inst.edges)}")
+    edges = inst.edges
+    lines.append(f"p capdom {inst.n} {len(edges)}")
     for v in inst.vertices():
         lines.append(f"v {v} {inst.weights[v]} {inst.capacities[v]} {inst.demands[v]}")
-    for u, v in sorted(inst.edges):
+    for u, v in edges:
         lines.append(f"e {u} {v}")
     return "\n".join(lines) + "\n"
 

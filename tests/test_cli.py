@@ -636,6 +636,15 @@ class TestBench:
             assert line.split(",")[3] == "greedy-unweighted"
 
 
+def test_not_utf8_line_counts_only_line_ends(tmp_path, capsys):
+    # \x0c and U+2028 are ordinary characters of a comment, as in core.records;
+    # the bad byte sits on line 4 after an \n, a \r\n and a \r.
+    path = tmp_path / "bad.cd"
+    path.write_bytes(b"c a\x0cb\xe2\x80\xa8c\nc\r\nc\r\xff\n")
+    assert main(["solve", "--algo", "greedy-unsplit", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 4: not UTF-8: invalid start byte")
+
+
 # Each command that reads a file: its argv with the drawn bytes as FILE, and
 # the well-formed text of that file, which the drawn bytes may be spliced into.
 MCQ_TEXT = "p mcq 2 2 1\npart 1 1\npart 2 2\ne 1 2\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -122,6 +123,32 @@ class TestHeaderRules:
         with pytest.raises(ParseError, match=fragment) as info:
             load("\n".join(lines) + "\n")
         assert info.value.line_no == line_no
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_cr_and_crlf_line_ends(self, fmt, end):
+        load, header, body = FORMATS[fmt]
+        plain = "\n".join(["c note", header, *body]) + "\n"
+        assert load(plain.replace("\n", end)) == load(plain)
+
+
+# Characters that str.splitlines ends a line at besides \n, \r\n and \r;
+# in a file they are ordinary characters, so a comment may hold them.
+OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS, ids=[f"U+{ord(c):04X}" for c in OTHER_BREAKS])
+class TestLineEnds:
+    def test_every_format_skips_the_comment(self, brk):
+        for load, header, body in FORMATS.values():
+            plain = "\n".join([header, *body]) + "\n"
+            assert load(f"c a{brk}b {brk}\n" + plain.replace("\n", f"\nc {brk}x\n", 1)) == load(plain)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_later_line_numbers_count_line_ends(self, brk, end):
+        lines = [f"c a{brk}b{brk}", "p capdom 1 0", f"c {brk}", "v 1 1 1 1", "q 1"]
+        with pytest.raises(ParseError, match="unknown line tag 'q'") as info:
+            load_instance(end.join(lines) + end)
+        assert info.value.line_no == 5
 
 
 class TestRoundTrip:
@@ -428,12 +455,22 @@ class TestInstanceHelpers:
 
 
 class TestInstanceEquality:
+    def test_only_adj_stores_the_graph(self, p3):
+        stored = {"n", "weights", "capacities", "demands", "adj"}
+        assert {f.name for f in dataclasses.fields(p3)} == vars(p3).keys() == stored
+        assert p3.edges == ((1, 2), (2, 3))
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(inst=small_instances(), data=st.data())
     def test_equality_reads_the_columns(self, inst, data):
         assert load_instance(save_instance(inst)) == inst
-        rebuilt = Instance(inst.n, triples(inst), inst.edges)
-        assert rebuilt == inst and hash(rebuilt) == hash(inst)
+        # Edges in any order and orientation, or as a set, build one instance.
+        normal = sorted({(u, v) for u in inst.vertices() for v in inst.adj[u] if u < v})
+        drawn = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in data.draw(st.permutations(normal))]
+        rebuilt = Instance(inst.n, triples(inst), drawn)
+        trusted = Instance.trusted(inst.n, triples(inst), set(normal))
+        assert rebuilt.edges == trusted.edges == inst.edges == tuple(normal)
+        assert rebuilt == trusted == inst and hash(rebuilt) == hash(trusted) == hash(inst)
         v = data.draw(st.sampled_from(inst.vertices()))
         d = data.draw(st.integers(0, 4))
         changed = with_demands(inst, {v: d})

@@ -1,6 +1,6 @@
 """Shifting scheme: slice into bounded bands, solve bands exactly, merge.
 
-Levels come from BFS layering (`treewidth.bfs_levels`), which gives the
+Levels come from BFS layering (`treewidth.components`), which gives the
 one property the scheme needs: every edge joins vertices at most one
 level apart.  Each component is levelled from its smallest vertex id, and
 for each shift r its levels are cut into bands of k interior levels
@@ -11,8 +11,6 @@ Planarity is the caller's claim; any input yields a feasible solution,
 only the ratio guarantee needs it.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import (
     CapdomError,
@@ -25,7 +23,7 @@ from .core import (
     require_feasible,
 )
 from . import tddp
-from .treewidth import LevelAssignment, components
+from .treewidth import components
 # These stay importable from here: perfbench's tracer wraps them in every
 # module that imported them.  Slices reach them through `tddp.solve`.
 from .tddp import solve_td  # noqa: F401
@@ -36,43 +34,25 @@ class MergeConflict(CapdomError):
     """A consumer received demand in two slices; the slicing is broken."""
 
 
-@dataclass(frozen=True)
-class Slice:
-    """One band: induced sub-instance with boundary demands zeroed."""
-
-    instance: Instance
-    orig_of: tuple[int, ...]
-    kept: frozenset[int]
-    zeroed: frozenset[int]
-    low_level: int
-    high_level: int
-
-
 def make_slices(
-    inst: Instance, levels: LevelAssignment, k: int, r: int
-) -> list[Slice]:
+    inst: Instance, levels: list[list[int]], k: int, r: int
+) -> list[tuple[Instance, tuple[int, ...]]]:
     """Bands for shift r: levels [jk+r-k, jk+r+1] with both ends zeroed.
 
-    Every vertex lands in at most two bands and keeps its demand in
-    exactly one; bands span at most k+2 consecutive levels.  `levels`
-    must be contiguous, as `bfs_levels` gives them: every level in
-    0..num_levels-1 holds a vertex, so no band is empty.
+    Each band is an `induced_instance` pair (sub-instance, orig_of).  Every
+    vertex lands in at most two bands and keeps its demand in exactly one;
+    bands span at most k+2 consecutive levels.  `levels` lists one
+    component's levels, as `components` gives them, so no band is empty.
     """
     if k < 2:
         raise ValueError("band width k must be at least 2")
     if not 0 <= r < k:
         raise ValueError("shift r must lie in [0, k)")
-    top = levels.num_levels - 1
-    by_level: list[list[int]] = [[] for _ in range(levels.num_levels)]
-    for v, lv in levels.level.items():
-        by_level[lv].append(v)
-    slices: list[Slice] = []
-    for low in range(r - k, top, k):
-        high = low + k + 1
-        kept = frozenset(v for same in by_level[max(low + 1, 0):high] for v in same)
-        zeroed = frozenset(v for lv in (low, high) if 0 <= lv <= top for v in by_level[lv])
-        sub, orig_of = induced_instance(inst, kept | zeroed, zero_demand=zeroed)
-        slices.append(Slice(sub, orig_of, kept, zeroed, low, high))
+    slices = []
+    for low in range(r - k, len(levels) - 1, k):
+        band = [v for level in levels[max(low, 0) : low + k + 2] for v in level]
+        zeroed = [v for lv in (low, low + k + 1) if 0 <= lv < len(levels) for v in levels[lv]]
+        slices.append(induced_instance(inst, band, zero_demand=zeroed))
     return slices
 
 
@@ -122,9 +102,9 @@ def baker_solve(inst: Instance, k: int, model: DemandModel) -> SolveResult:
     comments: list[str] = []
     for comp, levels in enumerate(components(inst)):
         shifts = []
-        for r in range(min(k, levels.num_levels)):
+        for r in range(min(k, len(levels))):
             bands = make_slices(inst, levels, k, r)
-            shifts.append([(piece.orig_of, tddp.solve(piece.instance, model)) for piece in bands])
+            shifts.append([(orig_of, tddp.solve(sub, model)) for sub, orig_of in bands])
         costs = [sum(sol.cost for _, sol in bands) for bands in shifts]
         comments += (f"shift component={comp} r={r} cost={cost}" for r, cost in enumerate(costs))
         chosen += shifts[costs.index(min(costs))]

@@ -26,6 +26,7 @@ from .core import (
     ParseError,
     Solution,
     SolveResult,
+    lines,
     random_instance,
     verify_solution,
 )
@@ -42,13 +43,13 @@ EXIT_FAIL = 1
 
 
 def _read(path: str) -> str:
-    """The file's text; bytes that are not UTF-8 are a ParseError at their line, as core.records counts lines."""
+    """The file's text; bytes that are not UTF-8 are a ParseError at their line, as `lines` counts them."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:  # a ValueError, which main does not report
-        line_no = len(data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n"))
+        line_no = len(lines(data[: exc.start].decode("utf-8")))
         raise ParseError(line_no, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 

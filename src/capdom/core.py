@@ -35,6 +35,12 @@ class ParseError(CapdomError):
         self.reason = reason
 
 
+def lines(text: str) -> list[str]:
+    r"""The lines of text.  \r\n and \r end a line like \n, and nothing else
+    does: str.splitlines would also cut comments at \x0c or U+2028."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def records(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, tokens) of every record of a text format, header first.
 
@@ -45,8 +51,7 @@ def records(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
     """
     tag = header.split()[0]
     seen = False
-    # Only \n, \r\n and \r end a line: str.splitlines would cut comments at \x0c or U+2028.
-    for line_no, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+    for line_no, raw in enumerate(lines(text), 1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue

@@ -84,19 +84,6 @@ class TraceEntry:
         return f"t {self.iteration} {self.chosen} {self.prefix_len} {self.iter_cost} {self.phase}"
 
 
-@dataclass
-class GreedyState:
-    """What a splittable quote reads.
-
-    residue_demand holds only positive residues: a vertex leaves it once
-    its demand is fully routed.  order sorts by base_demand.
-    """
-
-    residue_demand: dict[int, int]
-    base_demand: dict[int, int]
-    order: list[list[int]]
-
-
 def _add(assignment: dict[tuple[int, int], int], consumer: int, server: int, amount: int):
     if amount > 0:
         key = (consumer, server)
@@ -146,16 +133,18 @@ def unsplit_efficiency(
     return EfficiencyQuote(u, best_len, best_len, best_den, candidates)
 
 
-def split_efficiency(inst: Instance, state: GreedyState, u: int) -> EfficiencyQuote:
+def split_efficiency(
+    inst: Instance, residue: dict[int, int], base: dict[int, int], order: list[list[int]], u: int
+) -> EfficiencyQuote:
     """Efficiency (X + Y) / w as one exact fraction over a common denominator.
 
     X sums residue/demand over the longest prefix a single copy fully
     absorbs; Y credits the leftover capacity against the next candidate.
-    Candidates sort by their base demand (not the residue), ties by id:
-    state.order[u] filtered by the residues.
+    residue holds only positive residues: a vertex leaves it once its
+    demand is fully routed.  Candidates sort by their base demand (not the
+    residue), ties by id: order[u], sorted by base, filtered by residue.
     """
-    residue, base = state.residue_demand, state.base_demand
-    candidates = [v for v in state.order[u] if v in residue]
+    candidates = [v for v in order[u] if v in residue]
     if not candidates:
         raise NoCandidates(f"vertex {u} has no unsatisfied closed neighbor")
     c = inst.capacities[u]
@@ -281,7 +270,8 @@ def _split_greedy(
     most one vertex v partly served; settle(v, u, prefix_len, iteration)
     repairs it after the pick's phase-1 trace entry.
     """
-    state = GreedyState(residue, dict(residue), closed_by_demand(inst, residue, residue))
+    base = dict(residue)
+    order = closed_by_demand(inst, residue, base)
 
     def take(best: EfficiencyQuote, iteration: int) -> list[int]:
         u, j, candidates = best.vertex, best.prefix_len, best.candidates
@@ -316,7 +306,7 @@ def _split_greedy(
             settle(v, u, j, iteration)
         return changed
 
-    _greedy_loop(inst, residue.keys(), lambda u: split_efficiency(inst, state, u), take)
+    _greedy_loop(inst, residue.keys(), lambda u: split_efficiency(inst, residue, base, order, u), take)
     return minimum_multiplicities(inst, assignment)
 
 

@@ -145,12 +145,6 @@ def min_fill_order(inst: Instance) -> tuple[list[int], list[frozenset[int]]]:
     return order, bags
 
 
-@dataclass(frozen=True)
-class LevelAssignment:
-    level: dict[int, int]
-    num_levels: int
-
-
 def bfs_parents(
     root: int, neighbors: Mapping[int, Iterable[int]] | Sequence[Iterable[int]]
 ) -> dict[int, int | None]:
@@ -169,37 +163,32 @@ def bfs_parents(
     return parent
 
 
-def bfs_levels(inst: Instance, root: int) -> LevelAssignment:
-    """BFS distances from `root` over its component, neighbors in id order.
-
-    `level` lists the component in visiting order; adjacent vertices
-    differ by at most one level.
-    """
-    level: dict[int, int] = {}
-    for v, u in bfs_parents(root, inst.adj).items():
-        level[v] = 0 if u is None else level[u] + 1
-    return LevelAssignment(level, max(level.values()) + 1)
-
-
-def components(inst: Instance) -> Iterator[LevelAssignment]:
-    """`bfs_levels` of each component, searched from its smallest vertex
-    id, in order of that id."""
+def components(inst: Instance) -> Iterator[list[list[int]]]:
+    """BFS levels of each component, searched from its smallest vertex id,
+    in order of that id.  Level i lists the vertices at distance i in
+    visiting order; adjacent vertices differ by at most one level."""
     seen: set[int] = set()
     for start in inst.vertices():
         if start not in seen:
-            levels = bfs_levels(inst, start)
-            seen.update(levels.level)
+            depth: dict[int, int] = {}
+            levels: list[list[int]] = []
+            for v, u in bfs_parents(start, inst.adj).items():
+                depth[v] = 0 if u is None else depth[u] + 1
+                if depth[v] == len(levels):
+                    levels.append([])
+                levels[-1].append(v)
+            seen.update(depth)
             yield levels
 
 
 def bfs_order(inst: Instance) -> list[int]:
     """Breadth-first elimination order (Cuthill–McKee style).
 
-    The `bfs_levels` visiting orders of the `components`.  On grid-like
+    The visiting orders of the `components`, concatenated.  On grid-like
     graphs this sweeps level by level, which gives a path-like
     decomposition without join nodes.
     """
-    return [v for levels in components(inst) for v in levels.level]
+    return [v for levels in components(inst) for level in levels for v in level]
 
 
 class Abandoned(Exception):

@@ -20,7 +20,7 @@ through its accessors and sorts its candidates anew by a key function,
 ignoring the pre-sorted order the package quotes filter, and the loop
 finds the best quote by one scan of the cache in vertex order.  The
 reference greedies keep their splittable state in a `SimpleNamespace`
-with the old `GreedyState` fields, `map_sets` included.
+with the residues, the base demands and `map_sets`.
 """
 from types import SimpleNamespace
 
@@ -64,10 +64,10 @@ def reference_unsplit_efficiency(inst, order, undominated, u):
     return EfficiencyQuote(u, best[2], best[0], best[1], candidates)
 
 
-def reference_split_efficiency(inst, state, u):
+def reference_split_efficiency(inst, residue, base, order, u):
     candidates = sorted(
-        (v for v in (inst.adj[u] | {u}) if v in state.residue_demand),
-        key=lambda v: (state.base_demand[v], v),
+        (v for v in (inst.adj[u] | {u}) if v in residue),
+        key=lambda v: (base[v], v),
     )
     if not candidates:
         raise NoCandidates(f"vertex {u} has no unsatisfied closed neighbor")
@@ -77,22 +77,19 @@ def reference_split_efficiency(inst, state, u):
     prefix = 0
     j = 0
     for v in candidates:
-        if prefix + state.residue_demand[v] > c:
+        if prefix + residue[v] > c:
             break
-        prefix += state.residue_demand[v]
+        prefix += residue[v]
         j += 1
-    involved = {state.base_demand[v] for v in candidates[:j]}
+    involved = {base[v] for v in candidates[:j]}
     if j < len(candidates):
-        involved.add(state.base_demand[candidates[j]])
+        involved.add(base[candidates[j]])
     common = 1
     for d in sorted(involved):
         common *= d
-    numerator = sum(
-        state.residue_demand[v] * (common // state.base_demand[v])
-        for v in candidates[:j]
-    )
+    numerator = sum(residue[v] * (common // base[v]) for v in candidates[:j])
     if j < len(candidates):
-        numerator += (c - prefix) * (common // state.base_demand[candidates[j]])
+        numerator += (c - prefix) * (common // base[candidates[j]])
     return EfficiencyQuote(u, j, numerator, common * inst.weights[u], candidates)
 
 
@@ -177,7 +174,7 @@ def _reference_split_iteration(inst, state, iteration, trace):
         if any(
             state.residue_demand.get(v, 0) > 0 for v in (inst.adj[u] | {u})
         ):
-            quotes.append(reference_split_efficiency(inst, state, u))
+            quotes.append(reference_split_efficiency(inst, state.residue_demand, state.base_demand, None, u))
     best = reference_pick_best(quotes)
     u = best.vertex
     c = inst.capacities[u]

@@ -25,7 +25,7 @@ from capdom.greedy import (
 from capdom.hardness import CliqueInstance, reduce, verify_semantics, verify_structure
 from capdom.oracle import SearchBudget, exact_splittable, exact_unsplittable
 from capdom.tddp import solve_td
-from capdom.treewidth import bfs_levels, heuristic_decomposition, make_nice
+from capdom.treewidth import components, heuristic_decomposition, make_nice
 
 from conftest import cycle_instance, grid_instance, harmonic, mk
 from greedy_reference import reference_greedy_splittable
@@ -223,14 +223,14 @@ class TestCriterion6BakerRatio:
         violations = []
         for idx, inst in enumerate(_planar_family()):
             opt = exact_unsplittable(inst).cost
-            levels = bfs_levels(inst, 1)
+            (levels,) = components(inst)
             for k in (2, 3, 5):
                 result = baker_solve(inst, k, UNSPLIT)
                 if not verify_solution(inst, result.solution, UNSPLIT).passed:
                     violations.append((idx, k, "infeasible"))
                 if Fraction(result.solution.cost) > (1 + Fraction(4, k - 1)) * opt:
                     violations.append((idx, k, result.solution.cost, opt))
-                if k >= levels.num_levels and result.solution.cost != opt:
+                if k >= len(levels) and result.solution.cost != opt:
                     violations.append((idx, k, "not exact", result.solution.cost, opt))
         _report(6, violations, "band solutions within (1 + 4/(k-1)) of optimal, exact for large k")
 

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capdom import tddp
 from capdom.baker import (
     MergeConflict,
-    Slice,
     baker_solve,
     make_slices,
     merge_solutions,
@@ -21,9 +22,9 @@ from capdom.core import (
 )
 from capdom.oracle import exact_unsplittable
 from capdom.tddp import solve_td
-from capdom.treewidth import bfs_levels, components, heuristic_decomposition, make_nice
+from capdom.treewidth import bfs_order, bfs_parents, components, heuristic_decomposition, make_nice
 
-from conftest import cycle_instance, grid_instance, mk, path_instance, triples
+from conftest import cycle_instance, grid_instance, mk, path_instance, small_instances, triples
 
 UNSPLIT = DemandModel.UNSPLITTABLE
 SPLIT = DemandModel.SPLITTABLE
@@ -39,23 +40,33 @@ def shift_lines(shift_costs):
     ]
 
 
+def level_of(levels):
+    """Each vertex's BFS level, from a component's level lists."""
+    return {v: lv for lv, level in enumerate(levels) for v in level}
+
+
+def band_bounds(levels, k, r):
+    """(low, high) of each band `make_slices` cuts for shift r: the band
+    holds the levels low..high that exist and zeroes low and high."""
+    return [(low, low + k + 1) for low in range(r - k, len(levels) - 1, k)]
+
+
 def reference_slices(inst, levels, k, r):
     """The per-band scan that `make_slices` replaced: each band reads every
     vertex's level, and an empty band is skipped."""
-    top = levels.num_levels - 1
+    level = level_of(levels)
+    top = len(levels) - 1
     slices = []
     j = 0
     while (j - 1) * k + r + 1 <= top:
         low = (j - 1) * k + r
         high = j * k + r + 1
-        members = [v for v, lv in levels.level.items() if low <= lv <= high]
+        members = [v for v, lv in level.items() if low <= lv <= high]
         j += 1
         if not members:
             continue
-        zeroed = frozenset(v for v in members if levels.level[v] in (low, high))
-        kept = frozenset(v for v in members if v not in zeroed)
-        sub, orig_of = induced_instance(inst, members, zero_demand=zeroed)
-        slices.append(Slice(sub, orig_of, kept, zeroed, low, high))
+        zeroed = frozenset(v for v in members if level[v] in (low, high))
+        slices.append(induced_instance(inst, members, zero_demand=zeroed))
     return slices
 
 
@@ -82,87 +93,82 @@ def slicing_inputs():
 
 class TestLevels:
     def test_path_levels(self, p3):
-        levels = bfs_levels(p3, 1)
-        assert levels.level == {1: 0, 2: 1, 3: 2}
-        assert levels.num_levels == 3
+        assert list(components(p3)) == [[[1], [2], [3]]]
 
     def test_star_levels(self):
         inst = mk([(1, 1, 1)] * 4, [(1, 2), (1, 3), (1, 4)])
-        levels = bfs_levels(inst, 1)
-        assert levels.level == {1: 0, 2: 1, 3: 1, 4: 1}
+        assert list(components(inst)) == [[[1], [2, 3, 4]]]
 
     def test_grid_corner_levels(self):
+        # 1 2 3 / 4 5 6 / 7 8 9, each level in visiting order
         inst = grid_instance(3, 3)
-        levels = bfs_levels(inst, 1)
-        expected = {
-            1: 0, 2: 1, 3: 2,
-            4: 1, 5: 2, 6: 3,
-            7: 2, 8: 3, 9: 4,
-        }
-        assert levels.level == expected
+        assert list(components(inst)) == [[[1], [2, 4], [3, 5, 7], [6, 8], [9]]]
 
     def test_levels_cover_root_component(self):
-        # components {1, 2, 4} and {3, 5}
+        # components {1, 2, 4} and {3, 5}, each levelled from its smallest id
         inst = mk([(1, 1, 1)] * 5, [(2, 4), (1, 2), (3, 5)])
-        assert bfs_levels(inst, 4).level == {4: 0, 2: 1, 1: 2}
-        levels = bfs_levels(inst, 3)
-        assert levels.level == {3: 0, 5: 1} and levels.num_levels == 2
+        assert list(components(inst)) == [[[1], [2], [4]], [[3], [5]]]
 
     def test_edge_level_gap_at_most_one(self):
         for seed in range(20):
             inst = random_instance(9, 0.45, 3, 3, 3, seed)
-            levels = bfs_levels(inst, 1)
+            level = {}
+            for comp, levels in enumerate(components(inst)):
+                level.update((v, (comp, lv)) for v, lv in level_of(levels).items())
+            assert sorted(level) == list(inst.vertices())
             for u, v in inst.edges:
-                if u in levels.level:
-                    assert abs(levels.level[u] - levels.level[v]) <= 1
+                assert level[u][0] == level[v][0]
+                assert abs(level[u][1] - level[v][1]) <= 1
 
 
 class TestSlices:
     @pytest.mark.parametrize("k,r", [(2, 0), (2, 1), (3, 0), (3, 2), (5, 4)])
     def test_structural_invariants(self, k, r):
+        # every demand is 1, so a vertex keeps its demand where it stays 1
         inst = grid_instance(3, 4, attr=(1, 2, 1))
-        levels = bfs_levels(inst, 1)
+        (levels,) = components(inst)
+        level = level_of(levels)
         slices = make_slices(inst, levels, k, r)
         membership = {v: 0 for v in inst.vertices()}
         keepers = {v: 0 for v in inst.vertices()}
-        for piece in slices:
-            assert piece.high_level - piece.low_level == k + 1
-            for orig in piece.orig_of:
+        for (sub, orig_of), (low, high) in zip(slices, band_bounds(levels, k, r), strict=True):
+            # the k + 2 levels low..high, clipped to the levels that exist
+            assert {level[orig] for orig in orig_of} == set(range(max(low, 0), min(high, len(levels) - 1) + 1))
+            for new_id, orig in enumerate(orig_of, 1):
                 membership[orig] += 1
-            for orig in piece.kept:
-                keepers[orig] += 1
+                keepers[orig] += sub.demands[new_id]
         assert all(1 <= membership[v] <= 2 for v in inst.vertices())
         assert all(keepers[v] == 1 for v in inst.vertices())
 
     def test_whole_graph_when_shift_covers_levels(self, p3):
-        levels = bfs_levels(p3, 1)
+        (levels,) = components(p3)
         slices = make_slices(p3, levels, 5, 2)
-        assert len(slices) == 1
-        piece = slices[0]
-        assert piece.instance == p3 and piece.zeroed == frozenset()
+        # equal instances carry equal demands, so none is zeroed
+        assert slices == [(p3, (1, 2, 3))]
 
     def test_boundary_demands_zeroed(self):
         inst = path_instance([(1, 1, 1)] * 5)
-        levels = bfs_levels(inst, 1)
+        (levels,) = components(inst)
+        level = level_of(levels)
         slices = make_slices(inst, levels, 2, 0)
-        for piece in slices:
-            for new_id, orig in enumerate(piece.orig_of, 1):
-                if orig in piece.zeroed:
-                    assert piece.instance.demands[new_id] == 0
+        for (sub, orig_of), bounds in zip(slices, band_bounds(levels, 2, 0), strict=True):
+            for new_id, orig in enumerate(orig_of, 1):
+                if level[orig] in bounds:
+                    assert sub.demands[new_id] == 0
                 else:
-                    assert piece.instance.demands[new_id] == inst.demands[orig]
+                    assert sub.demands[new_id] == inst.demands[orig]
 
     def test_five_level_band_spans(self):
         # path on 5 levels, k=2, r=0: bands over levels {0,1}, {0..3}, {2..4}
         inst = path_instance([(1, 1, 1)] * 5)
-        levels = bfs_levels(inst, 1)
+        (levels,) = components(inst)
+        level = level_of(levels)
         slices = make_slices(inst, levels, 2, 0)
-        spans = [
-            sorted(levels.level[orig] for orig in piece.orig_of) for piece in slices
-        ]
+        spans = [sorted(level[orig] for orig in orig_of) for _, orig_of in slices]
         assert spans == [[0, 1], [0, 1, 2, 3], [2, 3, 4]]
         zeroed_levels = [
-            sorted(levels.level[orig] for orig in piece.zeroed) for piece in slices
+            sorted(level[orig] for new_id, orig in enumerate(orig_of, 1) if sub.demands[new_id] == 0)
+            for sub, orig_of in slices
         ]
         assert zeroed_levels == [[1], [0, 3], [2]]
 
@@ -170,12 +176,43 @@ class TestSlices:
         # recorded constant: heuristic slice width <= 2k on grid instances
         for rows, cols in [(3, 4), (4, 4), (3, 6)]:
             inst = grid_instance(rows, cols, attr=(1, 2, 1))
-            levels = bfs_levels(inst, 1)
+            (levels,) = components(inst)
             for k in (2, 3, 5):
                 for r in range(k):
-                    for piece in make_slices(inst, levels, k, r):
-                        width = heuristic_decomposition(piece.instance).width
+                    for sub, _ in make_slices(inst, levels, k, r):
+                        width = heuristic_decomposition(sub).width
                         assert width <= 2 * k
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(inst=small_instances(max_n=10), k=st.sampled_from([2, 3, 4]))
+    def test_bands_of_every_shift(self, inst, k):
+        for levels in components(inst):
+            level = level_of(levels)
+            edges = {(u, v) for u, v in inst.edges if u in level}
+            for r in range(min(k, len(levels))):
+                keeps = {v: 0 for v in level}
+                covered = set()
+                for sub, orig_of in make_slices(inst, levels, k, r):
+                    spans = sorted({level[v] for v in orig_of})
+                    assert spans == list(range(spans[0], spans[0] + len(spans))) and len(spans) <= k + 2
+                    covered |= {(orig_of[a - 1], orig_of[b - 1]) for a, b in sub.edges}
+                    for new_id, v in enumerate(orig_of, 1):
+                        if sub.demands[new_id] == inst.demands[v]:
+                            keeps[v] += 1
+                            assert inst.demands[v] == 0 or inst.adj[v] <= set(orig_of)
+                        else:
+                            assert sub.demands[new_id] == 0 and level[v] in (spans[0], spans[-1])
+                assert all(keeps[v] == 1 for v in level if inst.demands[v] > 0)
+                assert covered == edges
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(inst=small_instances(max_n=10))
+    def test_bfs_order_concatenates_component_searches(self, inst):
+        order = []
+        for start in inst.vertices():
+            if start not in order:
+                order += bfs_parents(start, inst.adj)
+        assert bfs_order(inst) == order
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_matches_per_band_scan(self, k):
@@ -191,13 +228,13 @@ class TestSlices:
 class TestMerge:
     def test_disjoint_slices_costs_add(self):
         inst = path_instance([(1, 1, 1)] * 4)
-        levels = bfs_levels(inst, 1)
+        (levels,) = components(inst)
         slices = make_slices(inst, levels, 2, 1)
         pairs = []
-        for piece in slices:
-            td = heuristic_decomposition(piece.instance)
-            pairs.append((piece, solve_td(piece.instance, make_nice(td), UNSPLIT)))
-        merged = merge_solutions(inst, [(piece.orig_of, sol) for piece, sol in pairs])
+        for sub, orig_of in slices:
+            td = heuristic_decomposition(sub)
+            pairs.append((orig_of, solve_td(sub, make_nice(td), UNSPLIT)))
+        merged = merge_solutions(inst, pairs)
         assert merged.cost == sum(sol.cost for _, sol in pairs)
         assert verify_solution(inst, merged, UNSPLIT).passed
 
@@ -205,11 +242,9 @@ class TestMerge:
     def merge_shared_server(capacity):
         # Two bands each buy one copy of server 2: loads 2 and 1.
         inst = path_instance([(1, capacity, 1)] * 3)
-        a = Slice(inst, (1, 2, 3), frozenset({1, 2}), frozenset({3}), 0, 3)
-        b = Slice(inst, (1, 2, 3), frozenset({3}), frozenset({1, 2}), 2, 5)
         sol_a = Solution({2: 1}, {(1, 2): 1, (2, 2): 1}, 1)
         sol_b = Solution({2: 1}, {(3, 2): 1}, 1)
-        return merge_solutions(inst, [(a.orig_of, sol_a), (b.orig_of, sol_b)])
+        return merge_solutions(inst, [((1, 2, 3), sol_a), ((1, 2, 3), sol_b)])
 
     def test_copies_follow_merged_load(self):
         # merged load 3 over capacity 2 still needs both copies
@@ -230,11 +265,9 @@ class TestMerge:
 
     def test_conflict_detected(self):
         inst = path_instance([(1, 2, 1)] * 3)
-        a = Slice(inst, (1, 2, 3), frozenset({1}), frozenset({2, 3}), 0, 3)
-        b = Slice(inst, (1, 2, 3), frozenset({1}), frozenset({2, 3}), 2, 5)
         sol = Solution({1: 1}, {(1, 1): 1}, 1)
         with pytest.raises(MergeConflict):
-            merge_solutions(inst, [(a.orig_of, sol), (b.orig_of, sol)])
+            merge_solutions(inst, [((1, 2, 3), sol), ((1, 2, 3), sol)])
 
 
 class TestBakerSolve:
@@ -251,8 +284,8 @@ class TestBakerSolve:
                 res = baker_solve(inst, k, UNSPLIT)
                 assert verify_solution(inst, res.solution, UNSPLIT).passed
                 assert Fraction(res.solution.cost) <= (1 + Fraction(4, k - 1)) * opt
-                levels = bfs_levels(inst, 1)
-                if k >= levels.num_levels:
+                (levels,) = components(inst)
+                if k >= len(levels):
                     assert res.solution.cost == opt
 
     def test_ratio_on_cycles(self):
@@ -319,16 +352,14 @@ class TestBakerSolve:
 
     def test_every_shift_merges_feasibly(self):
         inst = grid_instance(3, 4, attr=(1, 2, 1))
-        levels = bfs_levels(inst, 1)
+        (levels,) = components(inst)
         for k in (2, 3):
             for r in range(k):
                 pairs = []
-                for piece in make_slices(inst, levels, k, r):
-                    td = heuristic_decomposition(piece.instance)
-                    pairs.append(
-                        (piece, solve_td(piece.instance, make_nice(td), UNSPLIT))
-                    )
-                merged = merge_solutions(inst, [(piece.orig_of, sol) for piece, sol in pairs])
+                for sub, orig_of in make_slices(inst, levels, k, r):
+                    td = heuristic_decomposition(sub)
+                    pairs.append((orig_of, solve_td(sub, make_nice(td), UNSPLIT)))
+                merged = merge_solutions(inst, pairs)
                 assert verify_solution(inst, merged, UNSPLIT).passed
 
 
@@ -344,13 +375,13 @@ class TestDemandCap:
     def test_shift_costs_equal_uncapped_slices(self, rows, cols, c, d, k):
         inst = weighted_grid(rows, cols, c, d)
         assert tddp.cap_demands(inst)[1]
-        levels = bfs_levels(inst, 1)
+        (levels,) = components(inst)
         res = baker_solve(inst, k, SPLIT)
         assert verify_solution(inst, res.solution, SPLIT).passed
         uncapped = [
             sum(
-                solve_td(piece.instance, make_nice(heuristic_decomposition(piece.instance)), SPLIT).cost
-                for piece in make_slices(inst, levels, k, r)
+                solve_td(sub, make_nice(heuristic_decomposition(sub)), SPLIT).cost
+                for sub, _ in make_slices(inst, levels, k, r)
             )
             for r in range(k)
         ]
@@ -364,17 +395,19 @@ class TestDemandCap:
             inst = random_instance(2 + seed % 29, (0.1, 0.2, 0.4)[seed % 3], 5, 4, 12, seed)
             demands, routed = tddp.cap_demands(inst)
             for levels in components(inst):
+                level = level_of(levels)
                 for k in (2, 3, 4):
                     for r in range(k):
-                        for piece in make_slices(inst, levels, k, r):
-                            band, band_routed = tddp.cap_demands(piece.instance)
+                        bands = zip(make_slices(inst, levels, k, r), band_bounds(levels, k, r), strict=True)
+                        for (sub, orig), (low, high) in bands:
+                            kept = {v for v in orig if low < level[v] < high}
+                            band, band_routed = tddp.cap_demands(sub)
                             capped_bands += bool(band_routed)
-                            orig = piece.orig_of
-                            for v in piece.instance.vertices():
-                                want = demands.demands[orig[v - 1]] if orig[v - 1] in piece.kept else 0
+                            for v in sub.vertices():
+                                want = demands.demands[orig[v - 1]] if orig[v - 1] in kept else 0
                                 assert band.demands[v] == want
                             assert {(orig[c - 1], orig[s - 1]): t for (c, s), t in band_routed.items()} == {
-                                key: t for key, t in routed.items() if key[0] in piece.kept
+                                key: t for key, t in routed.items() if key[0] in kept
                             }
         assert capped_bands > 2000
 

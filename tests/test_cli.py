@@ -745,9 +745,10 @@ def test_long_path_nice_decomposition(long_path, tmp_path):
     assert run("td", "nice", long_path, "-o", tmp_path / "nice.td") == 0
 
 
-# sha256 of stdout for commands on two `gen random` instances, A is
-# `--n 9 --seed 5` and U is `--n 8 --seed 4 --max-w 1`, and on the 3-part
-# clique question M.  A digest changes only when an output byte changes, so
+# sha256 of stdout for commands on three `gen random` instances, A is
+# `--n 9 --seed 5`, U is `--n 8 --seed 4 --max-w 1` and B is `--n 40
+# --edge-prob 0.06 --seed 3` (5 components, the largest with 10 BFS levels,
+# so Baker cuts it into several bands), and on the 3-part clique question M.  A digest changes only when an output byte changes, so
 # refactors must leave every one of them alone.
 PINNED_STDOUT = [
     (("solve", "--algo", "greedy-unsplit", "A"),
@@ -770,6 +771,14 @@ PINNED_STDOUT = [
      "bed7b17c79f8009948b8dc7ed4dfc1e72ec89995dd7dc697877aaf8cf7fe9515"),
     (("solve", "--algo", "baker", "--k", "2", "--model", "split", "A"),
      "42cbb997d003db9bd7c00b2696a82100b44721dedfe83d20e52fbb5ed8d838c7"),
+    (("solve", "--algo", "baker", "--k", "2", "--model", "unsplit", "B"),
+     "33d7a6f24b4c6d7ce8e3ee97e118ce70c4e0a53bbb0e236e07956c12c7f72f24"),
+    (("solve", "--algo", "baker", "--k", "3", "--model", "unsplit", "B"),
+     "3a850f887b4afaf6f968819bd61fda3c1be4cc2ee3922963cd24684b6c2ae096"),
+    (("solve", "--algo", "baker", "--k", "2", "--model", "split", "B"),
+     "ec1983b0d60a62e2ad00abdefdb94b9a08701fb72ac8fdf89201f2fcba1ca0a2"),
+    (("solve", "--algo", "baker", "--k", "3", "--model", "split", "B"),
+     "fd600436d7805b37977c91039ea819aa7e44628f43a4c300c659fdc76e379c75"),
     (("solve", "--algo", "oracle", "--model", "unsplit", "A"),
      "44fb2f20f3c4d62ba6fe52bc5d511ad9d1c6c4f9e86d089f8f5bf2a6e47b34ce"),
     (("solve", "--algo", "oracle", "--model", "split", "A"),
@@ -793,8 +802,9 @@ PINNED_STDOUT = [
 @pytest.fixture(scope="module")
 def pinned_instances(tmp_path_factory):
     root = tmp_path_factory.mktemp("pinned")
-    files = {"A": root / "a.cd", "U": root / "u.cd", "M": root / "m.mcq"}
+    files = {"A": root / "a.cd", "U": root / "u.cd", "B": root / "b.cd", "M": root / "m.mcq"}
     assert run("gen", "random", "--n", 9, "--seed", 5, "-o", files["A"]) == 0
+    assert run("gen", "random", "--n", 40, "--edge-prob", 0.06, "--seed", 3, "-o", files["B"]) == 0
     assert run("gen", "random", "--n", 8, "--seed", 4, "--max-w", 1, "-o", files["U"]) == 0
     files["M"].write_text(
         "p mcq 3 6 5\npart 1 1 2\npart 2 3 4\npart 3 5 6\n"

@@ -17,7 +17,6 @@ from capdom.core import (
 )
 from capdom.greedy import (
     EfficiencyQuote,
-    GreedyState,
     NoCandidates,
     NotUnweighted,
     closed_by_demand,
@@ -65,14 +64,11 @@ def unsplit_quote(inst, undominated=None):
 
 
 def split_state(inst, residues=None, base=None):
+    """The residues, base demands and sorted order a splittable quote reads."""
     if base is None:
         base = {v: inst.demands[v] for v in inst.vertices() if inst.demands[v] > 0}
     rd = dict(base) if residues is None else dict(residues)
-    return GreedyState(
-        residue_demand=rd,
-        base_demand=base,
-        order=closed_by_demand(inst, base, base),
-    )
+    return rd, base, closed_by_demand(inst, base, base)
 
 
 def star(center, leaves):
@@ -131,32 +127,32 @@ class TestSplitEfficiency:
     def test_mixed_residues(self):
         inst = star((1, 5, 0), [(1, 1, 2), (1, 1, 3), (1, 1, 4)])
         state = split_state(inst, residues={2: 2, 3: 3, 4: 2})
-        quote = split_efficiency(inst, state, 1)
+        quote = split_efficiency(inst, *state, 1)
         assert quote.prefix_len == 2
         assert quote.numerator == 2 * quote.denominator  # efficiency exactly 2
 
     def test_oversized_first_residue(self):
         inst = star((1, 3, 0), [(1, 1, 8)])
-        quote = split_efficiency(inst, split_state(inst), 1)
+        quote = split_efficiency(inst, *split_state(inst), 1)
         assert (quote.prefix_len, quote.numerator, quote.denominator) == (0, 3, 8)
 
     def test_exact_fit(self):
         inst = star((2, 4, 0), [(1, 1, 4)])
-        quote = split_efficiency(inst, split_state(inst), 1)
+        quote = split_efficiency(inst, *split_state(inst), 1)
         assert quote.prefix_len == 1
         assert quote.numerator * 2 == quote.denominator  # efficiency 1/2
 
     def test_no_candidates(self):
         inst = star((1, 5, 0), [(1, 1, 0)])
         with pytest.raises(NoCandidates):
-            split_efficiency(inst, split_state(inst), 1)
+            split_efficiency(inst, *split_state(inst), 1)
 
 
     def test_candidates_sorted_by_base_demand_then_id(self):
         # base demands 3, 2, 1, 2, 4; by residue, vertex 5 would come second
         inst = star((1, 5, 3), [(1, 1, 2), (1, 1, 1), (1, 1, 2), (1, 1, 4)])
         state = split_state(inst, residues={1: 3, 2: 2, 3: 1, 4: 2, 5: 1})
-        quote = split_efficiency(inst, state, 1)
+        quote = split_efficiency(inst, *state, 1)
         assert quote.candidates == [3, 2, 4, 1, 5]
 
     def test_candidates_sorted_by_rebased_base_then_id(self):
@@ -165,7 +161,7 @@ class TestSplitEfficiency:
         # the served vertex 4 are no candidates
         inst = star((1, 5, 3), [(1, 1, 2), (1, 1, 5), (1, 1, 1), (1, 1, 0)])
         state = split_state(inst, residues={1: 1, 2: 2, 3: 1}, base={1: 1, 2: 2, 3: 1, 4: 1})
-        quote = split_efficiency(inst, state, 1)
+        quote = split_efficiency(inst, *state, 1)
         assert quote.candidates == [1, 3, 2]
         assert quote.prefix_len == 3
 
@@ -469,9 +465,9 @@ class TestPresortedOrder:
             check(inst, order, undominated, inst.demands)
             return _quote(inst, order, undominated, u)
 
-        def split(inst, state, u, _quote=greedy.split_efficiency):
-            check(inst, state.order, state.residue_demand.keys(), state.base_demand)
-            return _quote(inst, state, u)
+        def split(inst, residue, base, order, u, _quote=greedy.split_efficiency):
+            check(inst, order, residue.keys(), base)
+            return _quote(inst, residue, base, order, u)
 
         monkeypatch.setattr(greedy, "unsplit_efficiency", unsplit)
         monkeypatch.setattr(greedy, "split_efficiency", split)

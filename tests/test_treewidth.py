@@ -17,8 +17,8 @@ from capdom.treewidth import (
     NiceNode,
     NiceTreeDecomposition,
     TreeDecomposition,
-    bfs_levels,
     bfs_order,
+    components,
     decomposition_from_order,
     heuristic_decomposition,
     load_td,
@@ -357,11 +357,11 @@ def elimination_inputs():
     grids = [grid_instance(8, 8), grid_instance(10, 10)]
     grids += [relabeled(grid_instance(6, 6), rng) for _ in range(4)]
     for inst in grids:
-        levels = bfs_levels(inst, 1)
+        (levels,) = components(inst)
         for k in (2, 3):
             for r in range(k):
-                for piece in make_slices(inst, levels, k, r):
-                    yield piece.instance
+                for sub, _ in make_slices(inst, levels, k, r):
+                    yield sub
     for rows, cols in ((4, 4), (3, 5), (3, 3), (3, 4), (2, 8)):
         yield grid_instance(rows, cols)
     for n in (150, 200, 250, 300):
@@ -554,10 +554,10 @@ def reference_cases():
         yield heuristic_decomposition(inst)
         yield decomposition_from_order(inst, bfs_order(inst))
     inst = grid_instance(6, 6)
-    levels = bfs_levels(inst, 1)
+    (levels,) = components(inst)
     for k, r in [(2, 0), (2, 1), (3, 2)]:
-        for piece in make_slices(inst, levels, k, r):
-            yield heuristic_decomposition(piece.instance)
+        for sub, _ in make_slices(inst, levels, k, r):
+            yield heuristic_decomposition(sub)
 
 
 class TestMakeNice:
